@@ -85,9 +85,11 @@ fn main() {
     );
 
     // One platoon's worth of real perception frames, shared (Arc) across
-    // every session: sessions differ in identity and traffic pattern, not
-    // in per-session frame cost, so the sweep isolates serving overhead +
-    // recovery compute.
+    // every session and round. A frame computes its MIM, keypoints and ego
+    // descriptors on its first recovery and keeps them, so only the first
+    // sessions to touch a frame pay for them: past that, the sweep
+    // measures serving overhead plus the per-pair share of recovery
+    // (other-side sampling, matching, RANSAC, stage 2).
     let mut fleet_cfg = FleetDatasetConfig::test_small(VEHICLES);
     fleet_cfg.fleet.spacing = 20.0;
     fleet_cfg.fleet.scenario.agent_separation = 20.0;

@@ -35,9 +35,10 @@ pub enum BoxPairing {
 ///
 /// Defaults follow the paper's model setup (§V "Model Setup"): Log-Gabor
 /// with `N_s = 4` scales and `N_o = 12` orientations, grid size `l = 6`,
-/// success thresholds `Inliers_bv > 25` ∧ `Inliers_box > 6`. The descriptor
-/// patch is `J = 48` px at the default 0.4 m/px raster (the paper's
-/// `J = 96` at its finer raster covers a similar metric footprint).
+/// success thresholds `Inliers_bv > 25` ∧ `Inliers_box > 6`. The default
+/// raster is [`BevConfig::wide`] (256² at 0.8 m/px), on which the
+/// descriptor patch `J = 48` px spans 38.4 m (the paper's `J = 96` at its
+/// finer raster covers a similar metric footprint).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BbAlignConfig {
     /// BV rasterisation geometry.

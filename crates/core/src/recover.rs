@@ -1,11 +1,11 @@
 //! The two-stage recovery algorithm (paper Algorithm 1).
 
 use crate::config::BbAlignConfig;
-use crate::frame::{FrameBox, PerceptionFrame};
+use crate::frame::{FrameBox, FrameFeatures, PerceptionFrame};
 use bba_bev::{BevConfig, BevImage};
 use bba_features::{
-    detect_keypoints, match_sets, ransac_rigid, ransac_rigid_hinted, DescriptorSet, PatchSamples,
-    RansacError, RotationSweep,
+    detect_keypoints, match_sets, ransac_rigid, ransac_rigid_hinted, DescriptorSet, Keypoint,
+    PatchSamples, RansacError, RotationSweep,
 };
 use bba_geometry::{BevBox, Box3, Iso2, Iso3, Vec2, Vec3};
 use bba_obs::Recorder;
@@ -13,6 +13,7 @@ use bba_signal::{FftWorkspace, LogGaborBank, MaxIndexMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
@@ -39,13 +40,19 @@ pub struct BvMatch {
 /// entries accumulate over every rotation hypothesis actually swept. Pure
 /// instrumentation — the timed and untimed paths execute the same
 /// operations on the same data, so results are unaffected.
+///
+/// The MIM, the keypoints and the ego descriptor set are per-frame
+/// products, computed once and kept by the frame (see
+/// [`PerceptionFrame`]). Each entry counts only work this call did, so a
+/// call whose frames were already used reads 0 for MIM and detection.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Stage1Timing {
-    /// Log-Gabor MIM computation for both BV images (ms).
+    /// Log-Gabor MIM computation this call performed (ms).
     pub mim_ms: f64,
-    /// Keypoint detection on both images (ms).
+    /// Keypoint detection this call performed (ms).
     pub detect_ms: f64,
-    /// Descriptor work (ms): the sample-once pass for both images plus
+    /// Descriptor work (ms): the ego side's hypothesis-0 descriptors when
+    /// this call computed them, the other side's sample-once pass, and
     /// every per-hypothesis re-bin.
     pub describe_ms: f64,
     /// Descriptor matching across all hypotheses (ms).
@@ -168,7 +175,8 @@ pub enum RecoverError {
     NoMatches,
     /// Stage-1 RANSAC found no consensus.
     NoConsensus(RansacError),
-    /// The frames were built with different BV geometries.
+    /// A frame was rasterised at a BV geometry other than the engine's
+    /// ([`BbAlignConfig::bev`]).
     GeometryMismatch,
 }
 
@@ -181,7 +189,7 @@ impl fmt::Display for RecoverError {
             RecoverError::NoMatches => write!(f, "no descriptor matches between BV images"),
             RecoverError::NoConsensus(e) => write!(f, "stage-1 registration failed: {e}"),
             RecoverError::GeometryMismatch => {
-                write!(f, "perception frames use different BV rasterisation geometries")
+                write!(f, "perception frame uses a BV geometry other than the engine's")
             }
         }
     }
@@ -211,15 +219,16 @@ pub struct BbAlign {
     /// Precomputed rotation-hypothesis binning tables (angle → offset→cell
     /// lookup); configuration-only, so built once and shared.
     sweep: OnceLock<RotationSweep>,
-    /// Pool of FFT scratch workspaces, recycled across recoveries so the
-    /// steady-state MIM computation allocates nothing per frame. Two are in
-    /// flight per `match_bv` call (one per car's BV image). Retention is
-    /// bounded by [`BbAlignConfig::pool_capacity`]; overflow buffers are
-    /// dropped, and hit/miss/drop counts surface through the recorder as
-    /// `pool.workspace.*` counters.
+    /// Pool of FFT scratch workspaces, recycled across frames so the
+    /// steady-state MIM computation allocates nothing per frame. Exactly
+    /// one is taken per MIM computed (a frame's features on first use), so
+    /// the `pool.workspace.*` hit + miss count is the number of MIMs.
+    /// Retention is bounded by [`BbAlignConfig::pool_capacity`]; overflow
+    /// buffers are dropped, and hit/miss/drop counts surface through the
+    /// recorder as `pool.workspace.*` counters.
     workspaces: crate::pool::BoundedPool<FftWorkspace>,
-    /// Pool of stage-1 describe scratch (patch-sample buffers + descriptor
-    /// sets), recycled for the same reason; one set is in flight per
+    /// Pool of stage-1 describe scratch (a patch-sample buffer + a
+    /// descriptor set), recycled for the same reason; one is in flight per
     /// `match_bv` call. Bounded like the workspace pool, with
     /// `pool.stage1.*` counters.
     stage1_scratch: crate::pool::BoundedPool<Stage1Scratch>,
@@ -229,14 +238,27 @@ pub struct BbAlign {
     obs: Recorder,
 }
 
-/// Reusable stage-1 buffers: the hypothesis-invariant patch samples of both
-/// images and the descriptor sets they are re-binned into.
+/// Reusable stage-1 buffers: the hypothesis-invariant patch samples of the
+/// other image and the descriptor set they are re-binned into. The ego
+/// side's descriptors are a per-frame product kept by the frame; its
+/// samples pass through `samples` once, when they are first computed.
 #[derive(Debug, Default)]
 struct Stage1Scratch {
-    ego_samples: PatchSamples,
-    other_samples: PatchSamples,
-    ego_set: DescriptorSet,
+    samples: PatchSamples,
     other_set: DescriptorSet,
+}
+
+/// Time (ms) one call spent computing per-frame features; zero for
+/// features read from a frame's slot.
+#[derive(Debug, Default)]
+struct FeatureCost {
+    mim_ms: f64,
+    detect_ms: f64,
+}
+
+/// Milliseconds elapsed since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
 }
 
 impl BbAlign {
@@ -338,24 +360,99 @@ impl BbAlign {
         PerceptionFrame::new(bev, boxes)
     }
 
-    /// Extracts a global place descriptor for `frame` (see `bba-place`),
-    /// reusing the engine's shared Log-Gabor bank and pooled FFT
-    /// workspaces — the same plans and scratch stage 1 runs on, so the
-    /// steady-state filtering allocates nothing per frame. Callers that
-    /// already hold a [`MaxIndexMap`] (a frame that just ran stage 1)
-    /// should use [`bba_place::PlaceDescriptor::from_mim`] directly and
-    /// skip the recomputation entirely.
+    /// Extracts a global place descriptor for `frame` (see `bba-place`)
+    /// from the frame's stage-1 MIM. The MIM and keypoints are computed on
+    /// first use and kept by the frame, so a frame whose descriptor is
+    /// extracted before recovery pays for its MIM once, not once more per
+    /// pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` was rasterised at a BV geometry other than the
+    /// engine's ([`BbAlignConfig::bev`]).
     pub fn place_descriptor(
         &self,
         frame: &PerceptionFrame,
         config: &bba_place::PlaceConfig,
     ) -> bba_place::PlaceDescriptor {
         let _span = self.obs.span("place.extract");
+        let features = self
+            .features(frame, &mut FeatureCost::default())
+            .expect("place descriptors need a frame rasterised at the engine's BV geometry");
+        bba_place::PlaceDescriptor::from_mim(&features.mim, config)
+    }
+
+    /// The stage-1 features of `frame` under this engine's configuration:
+    /// read from the frame's slot, or computed and stored there on first
+    /// use. A slot already filled under another configuration is left as
+    /// it is; this engine then computes its own features and does not
+    /// keep them. Counts `features.computed` or `features.reused`.
+    ///
+    /// The geometry check lives here, where features are computed: the
+    /// filter bank and the pixel-to-metre conversion are built for the
+    /// engine's raster, so a frame rasterised at any other geometry is
+    /// rejected even when both frames of a pair agree with each other.
+    fn features<'f>(
+        &self,
+        frame: &'f PerceptionFrame,
+        cost: &mut FeatureCost,
+    ) -> Result<Cow<'f, FrameFeatures>, RecoverError> {
+        if frame.bev().config() != &self.config.bev {
+            return Err(RecoverError::GeometryMismatch);
+        }
+        let mut computed = false;
+        let features = frame.features().get_or_init(|| {
+            computed = true;
+            self.compute_features(frame, cost)
+        });
+        if computed || features.config == self.config {
+            self.obs.incr(if computed { "features.computed" } else { "features.reused" });
+            return Ok(Cow::Borrowed(features));
+        }
+        self.obs.incr("features.computed");
+        Ok(Cow::Owned(self.compute_features(frame, cost)))
+    }
+
+    /// Computes `frame`'s MIM (on one pooled workspace) and keypoints.
+    fn compute_features(&self, frame: &PerceptionFrame, cost: &mut FeatureCost) -> FrameFeatures {
+        let cfg = &self.config;
         let bank = self.bank();
+        let t = Instant::now();
         let mut ws = self.workspaces.take(&self.obs);
         let mim = MaxIndexMap::compute_with_workspace(frame.bev().grid(), bank, &mut ws);
         self.workspaces.put(ws, &self.obs);
-        bba_place::PlaceDescriptor::from_mim(&mim, config)
+        cost.mim_ms += ms_since(t);
+
+        let t = Instant::now();
+        let keypoints = match cfg.keypoint_source {
+            crate::config::KeypointSource::BvImage => {
+                detect_keypoints(frame.bev().grid(), &cfg.keypoints)
+            }
+            crate::config::KeypointSource::MimAmplitude => {
+                let max = mim.amplitude.max_value();
+                if max <= 0.0 {
+                    Vec::new()
+                } else {
+                    detect_keypoints(&mim.amplitude.map(|&a| a / max), &cfg.keypoints)
+                }
+            }
+        };
+        cost.detect_ms += ms_since(t);
+        FrameFeatures { config: cfg.clone(), mim, keypoints, ego_set: OnceLock::new() }
+    }
+
+    /// `features`' descriptors at rotation hypothesis 0 — how the ego side
+    /// is matched — computed through `samples` on the frame's first use as
+    /// ego.
+    fn ego_set<'a>(
+        &self,
+        features: &'a FrameFeatures,
+        samples: &mut PatchSamples,
+    ) -> &'a DescriptorSet {
+        features.ego_set.get_or_init(|| {
+            samples.sample(&features.mim, &features.keypoints, &self.config.descriptor);
+            samples.rebin(self.sweep(), 0)
+        })
     }
 
     /// Stage 1: BV image matching (Algorithm 1, lines 5–11).
@@ -365,7 +462,9 @@ impl BbAlign {
     /// # Errors
     ///
     /// Returns [`RecoverError`] when keypoints, matches or RANSAC consensus
-    /// are missing — the paper's "insufficient landmarks" failure regime.
+    /// are missing — the paper's "insufficient landmarks" failure regime —
+    /// and [`RecoverError::GeometryMismatch`] when either frame was
+    /// rasterised at a BV geometry other than the engine's.
     pub fn match_bv<R: Rng + ?Sized>(
         &self,
         ego: &PerceptionFrame,
@@ -438,50 +537,21 @@ impl BbAlign {
         rng: &mut R,
         scratch: &mut Stage1Scratch,
     ) -> Result<(BvMatch, Stage1Timing), RecoverError> {
-        if ego.bev().config() != other.bev().config() {
-            return Err(RecoverError::GeometryMismatch);
-        }
         let cfg = &self.config;
         let mut timing = Stage1Timing::default();
-        let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
 
-        // MIM feature maps (needed for descriptors, and by default also as
-        // the keypoint-detection image). The two cars' BV→MIM pipelines are
-        // independent, so they run concurrently; each branch inherits half
-        // the thread budget for its internal filter-bank parallelism.
-        let bank = self.bank();
-        let (mut ws_ego, mut ws_other) =
-            (self.workspaces.take(&self.obs), self.workspaces.take(&self.obs));
-        let t = Instant::now();
-        let (mim_ego, mim_other) = bba_par::join(
-            || MaxIndexMap::compute_with_workspace(ego.bev().grid(), bank, &mut ws_ego),
-            || MaxIndexMap::compute_with_workspace(other.bev().grid(), bank, &mut ws_other),
-        );
-        timing.mim_ms = ms(t);
-        self.workspaces.put(ws_ego, &self.obs);
-        self.workspaces.put(ws_other, &self.obs);
-
-        // Keypoints.
-        let detect = |frame: &PerceptionFrame, mim: &MaxIndexMap| match cfg.keypoint_source {
-            crate::config::KeypointSource::BvImage => {
-                detect_keypoints(frame.bev().grid(), &cfg.keypoints)
-            }
-            crate::config::KeypointSource::MimAmplitude => {
-                let max = mim.amplitude.max_value();
-                if max <= 0.0 {
-                    return Vec::new();
-                }
-                let normalised = mim.amplitude.map(|&a| a / max);
-                detect_keypoints(&normalised, &cfg.keypoints)
-            }
-        };
-        let t = Instant::now();
-        let kp_ego = detect(ego, &mim_ego);
+        // Per-frame features: the MIM (needed for descriptors, and by
+        // default also as the keypoint-detection image) and the keypoints,
+        // computed on a frame's first use and read from its slot after.
+        let mut cost = FeatureCost::default();
+        let ego_features = self.features(ego, &mut cost)?;
+        let other_features = self.features(other, &mut cost)?;
+        timing.mim_ms = cost.mim_ms;
+        timing.detect_ms = cost.detect_ms;
+        let (kp_ego, kp_other) = (&ego_features.keypoints, &other_features.keypoints);
         if kp_ego.is_empty() {
             return Err(RecoverError::NoKeypoints { side: "ego" });
         }
-        let kp_other = detect(other, &mim_other);
-        timing.detect_ms = ms(t);
         if kp_other.is_empty() {
             return Err(RecoverError::NoKeypoints { side: "other" });
         }
@@ -491,22 +561,19 @@ impl BbAlign {
         // unstable, while a global rotation hypothesis (RIFT-style, swept
         // below) keeps the descriptors raw and discriminative. Each image
         // is *sampled* exactly once — the per-hypothesis work is only the
-        // cheap re-binning of the cached samples. The ego side is re-binned
-        // once at hypothesis 0 (angle 0), the other side once per swept
-        // hypothesis.
+        // cheap re-binning of the cached samples. The ego side is binned
+        // once at hypothesis 0 (angle 0) and kept by the frame; the other
+        // side is sampled per pair and re-binned once per swept hypothesis.
         let sweep = self.sweep();
-        let Stage1Scratch { ego_samples, other_samples, ego_set, other_set } = scratch;
+        let Stage1Scratch { samples, other_set } = scratch;
         let t = Instant::now();
-        bba_par::join(
-            || ego_samples.sample(&mim_ego, &kp_ego, &cfg.descriptor),
-            || other_samples.sample(&mim_other, &kp_other, &cfg.descriptor),
-        );
-        ego_samples.rebin_into(sweep, 0, ego_set);
-        timing.describe_ms = ms(t);
+        let ego_set = self.ego_set(&ego_features, samples);
         if ego_set.is_empty() {
             return Err(RecoverError::NoKeypoints { side: "ego" });
         }
-        let pix = |kp: &bba_features::Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
+        samples.sample(&other_features.mim, kp_other, &cfg.descriptor);
+        timing.describe_ms = ms_since(t);
+        let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
 
         let hypotheses = sweep.hypotheses();
         let mut candidates: Vec<(bba_features::RansacResult, usize)> = Vec::new();
@@ -516,15 +583,15 @@ impl BbAlign {
         'sweep: for k in 0..hypotheses {
             timing.hypotheses_swept = k + 1;
             let t = Instant::now();
-            other_samples.rebin_into(sweep, k, other_set);
-            timing.describe_ms += ms(t);
+            samples.rebin_into(sweep, k, other_set);
+            timing.describe_ms += ms_since(t);
             if other_set.is_empty() {
                 continue;
             }
             any_descriptors = true;
             let t = Instant::now();
             let matches = match_sets(other_set, ego_set, &cfg.matcher);
-            timing.match_ms += ms(t);
+            timing.match_ms += ms_since(t);
             if matches.len() < 2 {
                 continue;
             }
@@ -577,7 +644,7 @@ impl BbAlign {
                     }
                 }
             }
-            timing.ransac_ms += ms(t);
+            timing.ransac_ms += ms_since(t);
             if stop_sweep {
                 break 'sweep;
             }
@@ -613,7 +680,7 @@ impl BbAlign {
                 .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.num_inliers.cmp(&b.1.num_inliers)))
                 .map(|(_, r, m)| (r, m))
                 .expect("candidates is nonempty");
-            timing.verify_ms = ms(t);
+            timing.verify_ms = ms_since(t);
             picked
         } else {
             candidates
@@ -875,7 +942,8 @@ impl BbAlign {
             let recovery = self.recover(ego, other, rng)?;
             return Ok(WarmRecovery { recovery, path: RecoveryPath::Cold });
         };
-        if ego.bev().config() == other.bev().config() {
+        let native = |f: &PerceptionFrame| f.bev().config() == &self.config.bev;
+        if native(ego) && native(other) {
             let span = self.obs.span("warmstart.verify");
             let verified = self.verify_predicted(ego, other, predicted);
             drop(span);
@@ -1444,6 +1512,165 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    /// A copy of `frame` with an empty feature slot.
+    fn cold_copy(frame: &PerceptionFrame) -> PerceptionFrame {
+        PerceptionFrame::new(frame.bev().clone(), frame.boxes().to_vec())
+    }
+
+    fn assert_same_bits(a: &Recovery, b: &Recovery) {
+        assert_eq!(a, b);
+        assert_eq!(a.transform.yaw().to_bits(), b.transform.yaw().to_bits());
+        assert_eq!(a.transform.translation().x.to_bits(), b.transform.translation().x.to_bits());
+        assert_eq!(a.transform.translation().y.to_bits(), b.transform.translation().y.to_bits());
+    }
+
+    #[test]
+    fn frames_prefilled_by_place_extraction_recover_like_fresh_frames() {
+        let aligner = BbAlign::new(BbAlignConfig::test_small());
+        let truth = Iso2::new(0.35, Vec2::new(6.0, -3.0));
+        let (ego, other) = frame_pair(&aligner, &truth);
+        let place = bba_place::PlaceConfig::default();
+        let recover = |e: &PerceptionFrame, o: &PerceptionFrame| {
+            aligner.recover(e, o, &mut StdRng::seed_from_u64(12)).unwrap()
+        };
+        let fresh = recover(&cold_copy(&ego), &cold_copy(&other));
+
+        // Place extraction first fills the slot; recovery then reads it,
+        // with the frame on either side of the pair.
+        let descriptors =
+            [aligner.place_descriptor(&ego, &place), aligner.place_descriptor(&other, &place)];
+        assert_same_bits(&recover(&ego, &cold_copy(&other)), &fresh);
+        assert_same_bits(&recover(&cold_copy(&ego), &other), &fresh);
+        assert_same_bits(&recover(&ego, &other), &fresh);
+        // Swapped roles: `other` is now ego for the first time.
+        let swapped = recover(&cold_copy(&other), &cold_copy(&ego));
+        assert_same_bits(&recover(&other, &ego), &swapped);
+
+        // And the descriptors a filled frame yields are the fresh ones:
+        // place descriptors, and the ego set bit for bit.
+        for (frame, descriptor) in [&ego, &other].into_iter().zip(&descriptors) {
+            assert_eq!(&aligner.place_descriptor(frame, &place), descriptor);
+            assert_eq!(&aligner.place_descriptor(&cold_copy(frame), &place), descriptor);
+        }
+        let ego_set_bits = |f: &PerceptionFrame| {
+            let set = f.features().get().and_then(|x| x.ego_set.get()).expect("used as ego");
+            let bits = (0..set.len()).flat_map(|i| set.row(i).iter().map(|x| x.to_bits()));
+            (set.keypoints().to_vec(), bits.collect::<Vec<u32>>())
+        };
+        let fresh_ego = cold_copy(&ego);
+        recover(&fresh_ego, &cold_copy(&other));
+        assert_eq!(ego_set_bits(&ego), ego_set_bits(&fresh_ego));
+    }
+
+    #[test]
+    fn engines_with_other_configs_compute_their_own_features() {
+        let base = BbAlign::new(BbAlignConfig::test_small());
+        let truth = Iso2::new(0.2, Vec2::new(3.0, 1.0));
+        let (ego, other) = frame_pair(&base, &truth);
+        let run = |engine: &BbAlign, e: &PerceptionFrame, o: &PerceptionFrame| {
+            let recovery = engine.recover(e, o, &mut StdRng::seed_from_u64(13));
+            (recovery, engine.place_descriptor(e, &bba_place::PlaceConfig::default()))
+        };
+        // `base` fills the shared frames' slots first.
+        let base_fresh = run(&base, &cold_copy(&ego), &cold_copy(&other));
+        assert_eq!(run(&base, &ego, &other), base_fresh);
+
+        let mut gabor = BbAlignConfig::test_small();
+        gabor.log_gabor.min_wavelength = 4.0;
+        let mut keypoints = BbAlignConfig::test_small();
+        keypoints.keypoints.threshold = 0.1;
+        for config in [gabor, keypoints] {
+            let fresh = run(&BbAlign::new(config.clone()), &cold_copy(&ego), &cold_copy(&other));
+            assert_ne!(fresh, base_fresh, "the config change must change the features");
+            let recorder = bba_obs::Recorder::enabled();
+            let engine = BbAlign::new(config).with_recorder(recorder.clone());
+            // Twice: the engine neither uses nor replaces `base`'s features.
+            assert_eq!(run(&engine, &ego, &other), fresh);
+            assert_eq!(run(&engine, &ego, &other), fresh);
+            let snap = recorder.snapshot();
+            assert_eq!(snap.counter("features.computed"), Some(2 * 3));
+            assert_eq!(snap.counter("features.reused"), None);
+        }
+        assert_eq!(run(&base, &ego, &other), base_fresh);
+    }
+
+    #[test]
+    fn slot_is_invisible_to_equality_serialisation_and_wire() {
+        let recorder = bba_obs::Recorder::enabled();
+        let aligner = BbAlign::new(BbAlignConfig::test_small()).with_recorder(recorder.clone());
+        let (ego, other) = frame_pair(&aligner, &Iso2::new(0.1, Vec2::new(2.0, 1.0)));
+        let before = (serde_json::to_string(&ego).unwrap(), crate::wire::encode_frame(&ego));
+        let clone = ego.clone();
+        aligner.recover(&ego, &other, &mut StdRng::seed_from_u64(14)).unwrap();
+        assert_eq!(ego, cold_copy(&ego));
+        assert_eq!(clone, ego);
+        assert_eq!(serde_json::to_string(&ego).unwrap(), before.0);
+        assert_eq!(crate::wire::encode_frame(&ego), before.1);
+        let back: PerceptionFrame = serde_json::from_str(&before.0).unwrap();
+        assert_eq!(back, ego);
+        // The clone shares the slot: its place extraction reuses the MIM.
+        aligner.place_descriptor(&clone, &bba_place::PlaceConfig::default());
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("features.computed"), Some(2));
+        assert_eq!(snap.counter("features.reused"), Some(1));
+        assert_eq!(
+            snap.counter("pool.workspace.hits").unwrap_or(0)
+                + snap.counter("pool.workspace.misses").unwrap_or(0),
+            2,
+            "one pooled workspace per MIM"
+        );
+    }
+
+    /// An engine at `bev` with the test descriptor geometry.
+    fn engine_at(bev: BevConfig) -> BbAlign {
+        BbAlign::new(BbAlignConfig { bev, ..BbAlignConfig::test_small() })
+    }
+
+    /// Asserts that the `test_small` engine rejects, cold and warm, a pair
+    /// whose frames agree with each other but were rasterised at `bev`.
+    fn assert_foreign_pair_rejected(
+        bev: BevConfig,
+        truth: &Iso2,
+    ) -> (PerceptionFrame, PerceptionFrame) {
+        let aligner = BbAlign::new(BbAlignConfig::test_small());
+        let (ego, other) = frame_pair(&engine_at(bev), truth);
+        let mut rng = StdRng::seed_from_u64(15);
+        assert_eq!(aligner.recover(&ego, &other, &mut rng), Err(RecoverError::GeometryMismatch));
+        let warm = aligner.recover_warm(&ego, &other, Some(truth), &mut rng);
+        assert_eq!(warm, Err(RecoverError::GeometryMismatch));
+        (ego, other)
+    }
+
+    #[test]
+    fn frames_at_another_image_size_are_rejected_not_filtered() {
+        // The engine's 128² filter bank cannot filter 256² rasters.
+        let bev = BevConfig { range: 51.2, resolution: 0.4 };
+        assert_foreign_pair_rejected(bev, &Iso2::new(0.2, Vec2::new(3.0, 1.0)));
+    }
+
+    #[test]
+    fn frames_at_another_resolution_are_rejected_not_misscaled() {
+        // Same 128² image size at twice the cell size: filtering would
+        // work, but the engine would convert the pixel transform to metres
+        // at its own 0.4 m/px and halve the translation.
+        let bev = BevConfig { range: 51.2, resolution: 0.8 };
+        assert_eq!(bev.image_size(), BbAlignConfig::test_small().bev.image_size());
+        let truth = Iso2::new(0.2, Vec2::new(6.0, 2.0));
+        let (ego, other) = assert_foreign_pair_rejected(bev, &truth);
+        // The frames' own engine recovers them.
+        let r = engine_at(bev).recover(&ego, &other, &mut StdRng::seed_from_u64(16)).unwrap();
+        assert!(r.transform.error_to(&truth).0 < 1.6, "recovered {}", r.transform);
+    }
+
+    #[test]
+    #[should_panic(expected = "engine's BV geometry")]
+    fn place_extraction_refuses_foreign_geometry() {
+        let aligner = BbAlign::new(BbAlignConfig::test_small());
+        let foreign = engine_at(BevConfig { range: 51.2, resolution: 0.8 });
+        let frame = foreign.frame_from_parts(landmark_points(), car_boxes());
+        aligner.place_descriptor(&frame, &bba_place::PlaceConfig::default());
     }
 
     #[test]

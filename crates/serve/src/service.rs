@@ -222,9 +222,11 @@ impl PoseService {
 
     /// Publishes `vehicle`'s latest place descriptor, making it visible
     /// to the admission gate and to [`PoseService::candidate_pairs`].
-    /// Callers that already ran stage 1 should extract it from the
-    /// existing MIM (see `BbAlign::place_descriptor`) — publication here
-    /// is a write-locked upsert, no signal processing.
+    /// Extract it with `BbAlign::place_descriptor` from the same
+    /// `Arc<PerceptionFrame>` the vehicle submits to its pairs: the MIM
+    /// and keypoints computed for the descriptor stay with the frame and
+    /// serve every pair it enters. Publication here is a write-locked
+    /// upsert, no signal processing.
     pub fn update_descriptor(&self, vehicle: u32, descriptor: PlaceDescriptor) {
         self.place.write().expect("place index lock poisoned").update(vehicle, descriptor);
     }

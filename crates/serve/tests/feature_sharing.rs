@@ -1,0 +1,118 @@
+//! Per-frame stage-1 features through the service: when one frame per
+//! vehicle is submitted to every peer's session, each frame computes its
+//! MIM and keypoints once, and every pair recovers exactly what it
+//! recovers from frames of its own.
+
+use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, RecoverError, Recovery};
+use bba_dataset::{AgentFrame, FleetDataset, FleetDatasetConfig, FleetFrame};
+use bba_obs::Recorder;
+use bba_serve::{FrameSubmission, PairId, PoseService, ServiceConfig};
+use std::sync::Arc;
+
+const VEHICLES: usize = 4;
+
+/// 128² rasters at 1.6 m/px with a reduced descriptor patch: recovers
+/// platoon pairs reliably at a fraction of the production cost.
+fn engine_config() -> BbAlignConfig {
+    let mut config = BbAlignConfig { min_inliers_bv: 10, ..BbAlignConfig::default() };
+    config.bev.resolution = 1.6;
+    config.descriptor.patch_size = 24;
+    config.descriptor.grid_size = 4;
+    config
+}
+
+/// `ticks` consecutive 10 Hz frames of a `VEHICLES`-car platoon.
+fn platoon(ticks: usize) -> Vec<FleetFrame> {
+    let mut config = FleetDatasetConfig::test_small(VEHICLES);
+    config.fleet.spacing = 20.0;
+    config.fleet.scenario.agent_separation = 20.0;
+    config.base = config.base.at_frame_interval(0.1);
+    let mut dataset = FleetDataset::new(config, 3);
+    (0..ticks).map(|_| dataset.next_frame()).collect()
+}
+
+fn perception(engine: &BbAlign, agent: &AgentFrame) -> Arc<PerceptionFrame> {
+    Arc::new(engine.frame_from_parts(
+        agent.scan.points().iter().map(|p| p.position),
+        agent.detections.iter().map(|d| (d.box3, d.confidence)),
+    ))
+}
+
+type Outcome = (PairId, u64, Result<Recovery, RecoverError>);
+
+/// What one fleet run recovered, with its feature accounting.
+struct Served {
+    outcomes: Vec<Outcome>,
+    /// Distinct frames the run submitted.
+    frames: u64,
+    /// The engine's `features.computed` count.
+    computed: u64,
+}
+
+/// Serves every ordered pair of every tick at `threads`, one batch per
+/// tick. With `share`, each vehicle rasterises once per tick and that one
+/// `Arc` frame goes to all of its peers' sessions; without, every
+/// submission rasterises its own ego and other frame.
+fn serve(ticks: &[FleetFrame], threads: usize, warm_start: bool, share: bool) -> Served {
+    let recorder = Recorder::enabled();
+    let engine = Arc::new(BbAlign::new(engine_config()).with_recorder(recorder.clone()));
+    let config = ServiceConfig { seed: 5, warm_start, ..ServiceConfig::default() };
+    let service = PoseService::new(Arc::clone(&engine), config);
+    let mut served = Served { outcomes: Vec::new(), frames: 0, computed: 0 };
+    for (seq, tick) in ticks.iter().enumerate() {
+        let frame = |v: usize| perception(&engine, &tick.agents[v]);
+        let shared: Vec<_> = if share { (0..VEHICLES).map(frame).collect() } else { Vec::new() };
+        for (i, j) in (0..VEHICLES).flat_map(|i| (0..VEHICLES).map(move |j| (i, j))) {
+            if i == j {
+                continue;
+            }
+            let (ego, other) = if share {
+                (Arc::clone(&shared[i]), Arc::clone(&shared[j]))
+            } else {
+                served.frames += 2;
+                (frame(i), frame(j))
+            };
+            let submission = FrameSubmission { seq: seq as u64, timestamp: tick.time, ego, other };
+            service.submit(PairId::new(i as u32, j as u32), submission, tick.time);
+        }
+        served.frames += shared.len() as u64;
+        let outcomes = bba_par::with_threads(threads, || service.process_batch(tick.time));
+        served.outcomes.extend(outcomes.into_iter().map(|o| (o.pair, o.seq, o.result)));
+    }
+    served.computed = recorder.snapshot().counter("features.computed").unwrap_or(0);
+    served
+}
+
+#[test]
+fn shared_frames_recover_like_per_pair_frames_and_compute_features_once() {
+    let ticks = platoon(1);
+    let reference = serve(&ticks, 1, false, false);
+    let pairs = VEHICLES * (VEHICLES - 1);
+    assert_eq!(reference.outcomes.len(), pairs);
+    assert!(
+        reference.outcomes.iter().any(|(_, _, r)| r.as_ref().is_ok_and(Recovery::is_success)),
+        "the platoon should recover at least one pair"
+    );
+    assert_eq!(reference.computed, reference.frames, "unshared frames compute their own");
+    for threads in [1, 4] {
+        let shared = serve(&ticks, threads, false, true);
+        assert_eq!(shared.outcomes, reference.outcomes, "diverged at {threads} threads");
+        assert_eq!(shared.frames, VEHICLES as u64);
+        assert_eq!(shared.computed, shared.frames, "one computation per frame at {threads}");
+    }
+}
+
+#[test]
+fn warm_start_never_computes_more_features_than_frames() {
+    let ticks = platoon(3);
+    for threads in [1, 4] {
+        let served = serve(&ticks, threads, true, true);
+        assert_eq!(served.outcomes.len(), ticks.len() * VEHICLES * (VEHICLES - 1));
+        assert!(
+            served.computed <= served.frames,
+            "{} feature computations for {} frames at {threads} threads",
+            served.computed,
+            served.frames
+        );
+    }
+}

@@ -87,8 +87,10 @@ impl LogGaborConfig {
 /// A pre-computed Log-Gabor filter bank for one image size.
 ///
 /// Construction is `O(N_s · N_o · H · W)`; the bank can be reused across
-/// every image of the same size (the ego car filters two BV images per
-/// recovery, so reuse matters).
+/// every image of the same size. It stores only the packed complex form of
+/// the transfer functions (`N_o · ⌈N_s/2⌉` grids, 24 MiB at 256² with the
+/// default 4 scales × 12 orientations); [`LogGaborBank::filter`] unpacks a
+/// single real-valued transfer function on demand.
 ///
 /// # Example
 ///
@@ -105,8 +107,6 @@ pub struct LogGaborBank {
     config: LogGaborConfig,
     width: usize,
     height: usize,
-    /// `filters[o][s]` — frequency-domain transfer function (real-valued).
-    filters: Vec<Vec<Grid<f64>>>,
     /// `packed[o][p]` — scales `2p` and `2p+1` of orientation `o` packed as
     /// `L_{2p} + i·L_{2p+1}` (imaginary part zero for a trailing odd scale).
     /// Because both transfer functions are real and even-symmetric, one
@@ -137,13 +137,8 @@ impl LogGaborBank {
             signed as f64 / n as f64
         };
 
-        // Every (orientation, scale) transfer function is independent:
-        // build the flattened pair list in parallel (ordered by pair
-        // index), then regroup per orientation.
-        let pairs: Vec<(usize, usize)> = (0..config.num_orientations)
-            .flat_map(|o| (0..config.num_scales).map(move |s| (o, s)))
-            .collect();
-        let built: Vec<Grid<f64>> = bba_par::par_map(&pairs, |&(o, s)| {
+        // The real-valued transfer function of `(o, s)`.
+        let transfer = |o: usize, s: usize| -> Grid<f64> {
             let theta0 = config.orientation_angle(o);
             let (sin0, cos0) = theta0.sin_cos();
             let f0 = config.center_frequency(s);
@@ -183,33 +178,32 @@ impl LogGaborBank {
                 let m = filt[((width - u) % width, (height - v) % height)];
                 0.5 * (filt[(u, v)] + m)
             })
+        };
+
+        // Orientations are independent: each builds its scales' transfer
+        // functions, packs them pairwise and drops the real-valued grids,
+        // so at most one orientation's real grids per worker coexist.
+        let packed = bba_par::par_map_indices(config.num_orientations, |o| {
+            let per_scale: Vec<Grid<f64>> =
+                (0..config.num_scales).map(|s| transfer(o, s)).collect();
+            per_scale
+                .chunks(2)
+                .map(|pair| {
+                    Grid::from_vec(
+                        width,
+                        height,
+                        (0..width * height)
+                            .map(|i| {
+                                let re = pair[0].as_slice()[i];
+                                let im = pair.get(1).map_or(0.0, |f| f.as_slice()[i]);
+                                Complex::new(re, im)
+                            })
+                            .collect(),
+                    )
+                })
+                .collect()
         });
-        let mut built = built.into_iter();
-        let filters: Vec<Vec<Grid<f64>>> = (0..config.num_orientations)
-            .map(|_| (0..config.num_scales).map(|_| built.next().expect("one per pair")).collect())
-            .collect();
-        let packed = filters
-            .iter()
-            .map(|per_scale| {
-                per_scale
-                    .chunks(2)
-                    .map(|pair| {
-                        Grid::from_vec(
-                            width,
-                            height,
-                            (0..width * height)
-                                .map(|i| {
-                                    let re = pair[0].as_slice()[i];
-                                    let im = pair.get(1).map_or(0.0, |f| f.as_slice()[i]);
-                                    Complex::new(re, im)
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        LogGaborBank { config, width, height, filters, packed }
+        LogGaborBank { config, width, height, packed }
     }
 
     /// The configuration used to build the bank.
@@ -227,13 +221,16 @@ impl LogGaborBank {
         self.height
     }
 
-    /// The frequency-domain transfer function of filter `(s, o)`.
+    /// The frequency-domain transfer function of filter `(s, o)`: the
+    /// real (even `s`) or imaginary (odd `s`) half of its packed grid,
+    /// exactly the values the fast path multiplies by.
     ///
     /// # Panics
     ///
     /// Panics if `s` or `o` is out of range.
-    pub fn filter(&self, s: usize, o: usize) -> &Grid<f64> {
-        &self.filters[o][s]
+    pub fn filter(&self, s: usize, o: usize) -> Grid<f64> {
+        assert!(s < self.config.num_scales, "scale {s} out of range");
+        self.packed[o][s / 2].map(|z| if s.is_multiple_of(2) { z.re } else { z.im })
     }
 
     /// Amplitude response per orientation, summed over scales — the paper's

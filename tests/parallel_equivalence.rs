@@ -194,16 +194,19 @@ fn recovered_pose_bit_identical_across_thread_counts() {
     let aligner = BbAlign::new(BbAlignConfig::default());
     let mut ds = Dataset::new(DatasetConfig::test_small(), 11);
     let pair = ds.next_pair().unwrap();
-    let ego = aligner.frame_from_parts(
-        pair.ego.scan.points().iter().map(|p| p.position),
-        pair.ego.detections.iter().map(|d| (d.box3, d.confidence)),
-    );
-    let other = aligner.frame_from_parts(
-        pair.other.scan.points().iter().map(|p| p.position),
-        pair.other.detections.iter().map(|d| (d.box3, d.confidence)),
-    );
+    // Frames keep the stage-1 features they compute, so every budget
+    // builds its own: each width then computes the MIM, keypoints and
+    // descriptors itself instead of reading the first width's.
     let recover = |budget: usize| {
         bba_par::with_threads(budget, || {
+            let ego = aligner.frame_from_parts(
+                pair.ego.scan.points().iter().map(|p| p.position),
+                pair.ego.detections.iter().map(|d| (d.box3, d.confidence)),
+            );
+            let other = aligner.frame_from_parts(
+                pair.other.scan.points().iter().map(|p| p.position),
+                pair.other.detections.iter().map(|d| (d.box3, d.confidence)),
+            );
             let mut rng = StdRng::seed_from_u64(42);
             aligner.recover(&ego, &other, &mut rng).expect("reference pair must recover")
         })

@@ -36,6 +36,13 @@ fn frames_of(aligner: &BbAlign, agent: &bba_dataset::AgentFrame) -> PerceptionFr
     )
 }
 
+/// A copy of `frame` with an empty feature slot, so a recovery on it
+/// computes the MIM, keypoints and descriptors itself (a clone would read
+/// the original's).
+fn cold_copy(frame: &PerceptionFrame) -> PerceptionFrame {
+    PerceptionFrame::new(frame.bev().clone(), frame.boxes().to_vec())
+}
+
 /// One urban frame pair plus its engine, built once for every property
 /// case (frame construction dominates; recovery is what we test).
 fn shared_pair() -> &'static (BbAlign, PerceptionFrame, PerceptionFrame, Iso2) {
@@ -69,9 +76,12 @@ proptest! {
         let mut rng_cold = StdRng::seed_from_u64(seed);
         let cold = bba_par::with_threads(1, || aligner.recover(ego, other, &mut rng_cold));
 
+        // The warm side recovers cold copies, so its stage-1 features are
+        // computed at `width` rather than read from the cold run.
         let mut rng_warm = StdRng::seed_from_u64(seed);
+        let (ego_copy, other_copy) = (cold_copy(ego), cold_copy(other));
         let warm = bba_par::with_threads(width, || {
-            aligner.recover_warm(ego, other, Some(&bad), &mut rng_warm)
+            aligner.recover_warm(&ego_copy, &other_copy, Some(&bad), &mut rng_warm)
         });
 
         match (warm, cold) {
@@ -162,7 +172,8 @@ fn warm_batches_are_bit_identical_across_thread_widths() {
 
     type Sequence = Vec<(f64, Arc<PerceptionFrame>, Arc<PerceptionFrame>)>;
 
-    // Per-pair 10 Hz sequences, built once and shared across widths.
+    // Per-pair 10 Hz sequences, rasterised once; every width recovers
+    // cold copies, so each computes its own stage-1 features.
     let engine = Arc::new(BbAlign::new(fast_engine()));
     let sequences: Vec<Sequence> = (0..PAIRS)
         .map(|p| {
@@ -202,8 +213,8 @@ fn warm_batches_are_bit_identical_across_thread_widths() {
                         FrameSubmission {
                             seq: round as u64,
                             timestamp: *time,
-                            ego: Arc::clone(ego),
-                            other: Arc::clone(other),
+                            ego: Arc::new(cold_copy(ego)),
+                            other: Arc::new(cold_copy(other)),
                         },
                         *time,
                     );
