@@ -10,6 +10,9 @@
 //!   (`rebin_row`) over a realistic gated-sample count.
 //! * **dot microkernel** — the matcher's four-lane blocked `f32` dot at the
 //!   production descriptor dimension.
+//! * **multi-row dot** — one query row against a 16-row packed pool tile
+//!   (the matcher's tile at the production dimension), eight rows per
+//!   pass, against the same tile through the one-row dot.
 //!
 //! Every pair is proven bit-identical by the proptests in
 //! `crates/simd/tests/equivalence.rs`; this bench measures the speed side.
@@ -142,5 +145,23 @@ fn main() {
     });
     c.bench_function("simd_dot_432_portable", |b| {
         b.iter(|| black_box(bba_simd::portable::dot_f32(black_box(&a), black_box(&bvec))))
+    });
+
+    // Multi-row dot: one query row against a 16-row tile.
+    let tile = 16usize;
+    let pool: Vec<f32> = (0..tile * dim).map(|_| lcg(&mut s) as f32).collect();
+    let packed = bba_simd::PackedRows::new(&pool, tile, dim);
+    let mut dots = vec![0.0f32; tile];
+    c.bench_function("simd_dot_rows_16x432", |b| {
+        b.iter(|| {
+            bba_simd::dot_f32_rows(black_box(&a), black_box(&packed), 0, black_box(&mut dots))
+        })
+    });
+    c.bench_function("simd_dot_rows_16x432_one_row_at_a_time", |b| {
+        b.iter(|| {
+            for (o, row) in dots.iter_mut().zip(pool.chunks_exact(dim)) {
+                *o = bba_simd::dot_f32(black_box(&a), black_box(row));
+            }
+        })
     });
 }

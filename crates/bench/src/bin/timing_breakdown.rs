@@ -111,7 +111,7 @@ fn main() {
                 out.detect.push(timing.detect_ms);
                 out.describe.push(timing.describe_ms);
                 out.matching.push(timing.match_ms);
-                out.ransac.push(timing.ransac_ms + timing.verify_ms);
+                out.ransac.push(timing.ransac_ms);
                 out.stage1.push(ms_stage1);
                 out.stage2.push(ms_stage2);
                 out.total.push(ms_bev + ms_stage1 + ms_stage2);
@@ -195,7 +195,7 @@ fn main() {
         phase("stage 1: keypoint detection", &serial.detect, &parallel.detect),
         phase("stage 1: describe (sample + re-bin)", &serial.describe, &parallel.describe),
         phase("stage 1: descriptor matching", &serial.matching, &parallel.matching),
-        phase("stage 1: RANSAC + verification", &serial.ransac, &parallel.ransac),
+        phase("stage 1: RANSAC", &serial.ransac, &parallel.ransac),
         phase("stage 1 total", &serial.stage1, &parallel.stage1),
         phase("stage 2 (box alignment)", &serial.stage2, &parallel.stage2),
         phase("end-to-end recovery", &serial.total, &parallel.total),

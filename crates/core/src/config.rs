@@ -94,21 +94,6 @@ pub struct BbAlignConfig {
     /// Correspondence construction for stage 2 (corner pairing per the
     /// paper, or centre pairing for the ablation).
     pub box_pairing: BoxPairing,
-    /// Experimental: verify stage-1 candidate transforms by *global BEV
-    /// occupancy alignment* (fraction of the other car's occupied cells
-    /// landing near occupied ego cells after the transform) instead of by
-    /// keypoint inlier count. Disabled by default: in practice corridor
-    /// aliases align look-alike structure globally as well as locally,
-    /// while visibility asymmetry (cells one car sees and the other
-    /// cannot) penalises the true transform — inlier count plus the
-    /// success criterion separates the two more reliably. Exposed for the
-    /// ablation bench.
-    pub alignment_verification: bool,
-    /// Sequential-RANSAC depth per rotation hypothesis: after the best
-    /// model, its inliers are removed and RANSAC reruns to surface
-    /// runner-up models for verification (the alias usually outnumbers the
-    /// truth in keypoint votes, so the truth is often the second model).
-    pub stage1_candidates: usize,
     /// Temporal warm start: absolute floor on the coarse-to-fine BEV
     /// alignment score (fraction in `[0, 1]`) a tracker-predicted
     /// transform must clear — both as proposed and after stage-2
@@ -180,8 +165,6 @@ impl Default for BbAlignConfig {
             box_max_correction_t: 3.0,
             box_max_correction_r: 3f64.to_radians(),
             box_pairing: BoxPairing::default(),
-            alignment_verification: false,
-            stage1_candidates: 1,
             warm_min_alignment: 0.25,
             min_inliers_bv: 25,
             min_inliers_box: 6,

@@ -5,7 +5,7 @@ use crate::frame::{FrameBox, FrameFeatures, PerceptionFrame};
 use bba_bev::{BevConfig, BevImage};
 use bba_features::{
     detect_keypoints, match_sets, ransac_rigid, ransac_rigid_hinted, DescriptorSet, Keypoint,
-    PatchSamples, RansacError, RotationSweep,
+    PatchSamples, RansacError, RansacResult, RotationSweep,
 };
 use bba_geometry::{BevBox, Box3, Iso2, Iso3, Vec2, Vec3};
 use bba_obs::Recorder;
@@ -57,12 +57,15 @@ pub struct Stage1Timing {
     pub describe_ms: f64,
     /// Descriptor matching across all hypotheses (ms).
     pub match_ms: f64,
-    /// RANSAC model extraction across all hypotheses (ms).
+    /// RANSAC model extraction across all hypotheses (ms), including the
+    /// consensus bounds of pruned hypotheses.
     pub ransac_ms: f64,
-    /// Candidate alignment verification (ms; 0 unless enabled and needed).
-    pub verify_ms: f64,
-    /// Rotation hypotheses actually swept before the early exit.
+    /// Rotation hypotheses actually swept (re-binned and matched) before
+    /// the early exit.
     pub hypotheses_swept: usize,
+    /// Swept hypotheses whose RANSAC was skipped because their consensus
+    /// bound could neither win nor end the sweep.
+    pub hypotheses_pruned: usize,
 }
 
 /// Stage-2 result: the box-corner refinement.
@@ -514,8 +517,8 @@ impl BbAlign {
                     self.obs.record_span_ms("describe", timing.describe_ms);
                     self.obs.record_span_ms("match", timing.match_ms);
                     self.obs.record_span_ms("ransac", timing.ransac_ms);
-                    self.obs.record_span_ms("verify", timing.verify_ms);
-                    self.obs.gauge("stage1.hypotheses_swept", timing.hypotheses_swept as f64);
+                    self.obs.add("stage1.hypotheses", timing.hypotheses_swept as u64);
+                    self.obs.add("stage1.hypotheses_pruned", timing.hypotheses_pruned as u64);
                     self.obs.gauge("stage1.keypoints_ego", bv.keypoints.0 as f64);
                     self.obs.gauge("stage1.keypoints_other", bv.keypoints.1 as f64);
                     self.obs.gauge("stage1.matches", bv.matches as f64);
@@ -575,12 +578,20 @@ impl BbAlign {
         timing.describe_ms = ms_since(t);
         let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
 
-        let hypotheses = sweep.hypotheses();
-        let mut candidates: Vec<(bba_features::RansacResult, usize)> = Vec::new();
+        // The sweep keeps the best RANSAC result so far; a later hypothesis
+        // replaces it on a tie, as a last-maximum pick over all of them
+        // would. A hypothesis whose consensus bound (the most inliers any
+        // rigid transform could reach on its matches) is below both the
+        // best count so far and the smallest count that fires the `strong`
+        // exit can neither win nor end the sweep, so its RANSAC is skipped;
+        // the skipped call still advances `rng` exactly as the full one
+        // would, so every later draw — later hypotheses, stage 2 — is
+        // unchanged (DESIGN.md → *Sweep pruning*).
+        let mut best: Option<(RansacResult, usize)> = None;
         let mut any_descriptors = false;
         let mut any_matches = false;
         let mut last_ransac_err = None;
-        'sweep: for k in 0..hypotheses {
+        for k in 0..sweep.hypotheses() {
             timing.hypotheses_swept = k + 1;
             let t = Instant::now();
             samples.rebin_into(sweep, k, other_set);
@@ -596,61 +607,40 @@ impl BbAlign {
                 continue;
             }
             any_matches = true;
-            let mut src: Vec<Vec2> =
-                matches.iter().map(|m| pix(other_set.keypoint(m.src))).collect();
-            let mut dst: Vec<Vec2> = matches.iter().map(|m| pix(ego_set.keypoint(m.dst))).collect();
+            let src: Vec<Vec2> = matches.iter().map(|m| pix(other_set.keypoint(m.src))).collect();
+            let dst: Vec<Vec2> = matches.iter().map(|m| pix(ego_set.keypoint(m.dst))).collect();
             // Descriptor distances rank the correspondences for RANSAC's
             // PROSAC-style preview; they schedule work only and cannot
             // change the result.
-            let mut qual: Vec<f64> = matches.iter().map(|m| m.distance).collect();
+            let qual: Vec<f64> = matches.iter().map(|m| m.distance).collect();
+            // `strong`: the consensus clears the success threshold AND
+            // explains at least half the matches. With two candidates per
+            // keypoint (the default `keep_top_k = 2`) usually at most half
+            // the matches can be true, so this rarely fires and the sweep
+            // usually visits every hypothesis.
+            let strong_min = (cfg.min_inliers_bv + 1).max(matches.len().div_ceil(2));
+            let floor = best.as_ref().map_or(0, |(b, _)| b.num_inliers.min(strong_min));
 
-            // Sequential RANSAC: extract up to `stage1_candidates` disjoint
-            // consensus models per hypothesis. In self-similar corridors an
-            // aliased model often out-votes the true one, so surfacing
-            // runner-up models for global verification is essential.
             let t = Instant::now();
-            let mut stop_sweep = false;
-            for _ in 0..cfg.stage1_candidates.max(1) {
-                match ransac_rigid_hinted(&src, &dst, Some(&qual), hint_pix, &cfg.ransac_bv, rng) {
-                    Ok(result) => {
-                        // Unambiguously strong consensus: clears the success
-                        // threshold AND explains at least half the matches.
-                        // That only happens for the true transform (aliases
-                        // never explain the majority), so stop sweeping.
-                        // Same-direction traffic makes hypothesis 0 the
-                        // common case, making this the usual fast path.
-                        let strong = result.num_inliers > cfg.min_inliers_bv
-                            && 2 * result.num_inliers >= matches.len();
-                        // Remove this model's inliers before re-running.
-                        let inlier_set: std::collections::HashSet<usize> =
-                            result.inliers.iter().copied().collect();
-                        let keep: Vec<usize> =
-                            (0..src.len()).filter(|i| !inlier_set.contains(i)).collect();
-                        candidates.push((result, matches.len()));
-                        if strong {
-                            stop_sweep = true;
-                            break;
-                        }
-                        if keep.len() < cfg.ransac_bv.min_inliers.max(2) {
-                            break;
-                        }
-                        src = keep.iter().map(|&i| src[i]).collect();
-                        dst = keep.iter().map(|&i| dst[i]).collect();
-                        qual = keep.iter().map(|&i| qual[i]).collect();
+            let outcome =
+                ransac_rigid_hinted(&src, &dst, Some(&qual), hint_pix, floor, &cfg.ransac_bv, rng);
+            timing.ransac_ms += ms_since(t);
+            match outcome {
+                Ok(result) => {
+                    let strong = result.num_inliers >= strong_min;
+                    if best.as_ref().is_none_or(|(b, _)| result.num_inliers >= b.num_inliers) {
+                        best = Some((result, matches.len()));
                     }
-                    Err(e) => {
-                        last_ransac_err = Some(e);
+                    if strong {
                         break;
                     }
                 }
-            }
-            timing.ransac_ms += ms_since(t);
-            if stop_sweep {
-                break 'sweep;
+                Err(RansacError::Pruned { .. }) => timing.hypotheses_pruned += 1,
+                Err(e) => last_ransac_err = Some(e),
             }
         }
 
-        if candidates.is_empty() {
+        let Some((result, matches)) = best else {
             if !any_descriptors {
                 return Err(RecoverError::NoKeypoints { side: "other" });
             }
@@ -660,33 +650,6 @@ impl BbAlign {
             return Err(RecoverError::NoConsensus(
                 last_ransac_err.unwrap_or(RansacError::NoConsensus { best: 0, required: 2 }),
             ));
-        }
-
-        // Pick the winning candidate: by global BEV occupancy alignment
-        // when verification is enabled (keypoint inliers break ties), by
-        // inlier count otherwise. The ego occupancy mask is dilated once
-        // and shared across all candidate scores.
-        let (result, matches) = if cfg.alignment_verification && candidates.len() > 1 {
-            let t = Instant::now();
-            let scorer = AlignmentScorer::new(ego.bev());
-            let cells = scorer.collect_occupied(other.bev());
-            let picked = candidates
-                .into_iter()
-                .map(|(r, m)| {
-                    let world = self.pixel_to_world_transform(&r.transform);
-                    let score = scorer.score_cells(&cells, &world);
-                    (score, r, m)
-                })
-                .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.num_inliers.cmp(&b.1.num_inliers)))
-                .map(|(_, r, m)| (r, m))
-                .expect("candidates is nonempty");
-            timing.verify_ms = ms_since(t);
-            picked
-        } else {
-            candidates
-                .into_iter()
-                .max_by_key(|(r, _)| r.num_inliers)
-                .expect("candidates is nonempty")
         };
 
         Ok((
@@ -1042,20 +1005,18 @@ impl BbAlign {
 /// from a locally self-similar alias.
 ///
 /// Construction dilates the ego image's occupancy by one cell (3×3) once;
-/// every subsequent [`AlignmentScorer::score`] is then a single mask probe
-/// per mapped cell instead of a 3×3 occupancy re-scan, which is what makes
-/// scoring many candidate transforms against one ego image cheap.
+/// every subsequent score is then a single mask probe per mapped cell
+/// instead of a 3×3 occupancy re-scan, which is what makes scoring many
+/// candidate transforms against one ego image cheap.
 ///
-/// For scoring several candidate transforms, collect the other image's
-/// occupied cells once with [`AlignmentScorer::collect_occupied`] and score
-/// through [`AlignmentScorer::score_cells`]: same value as [`score`]
-/// bit for bit, but the full-raster sweep and the `pixel_center` math are
-/// paid once instead of per candidate, and a coarse 4×-downsampled
-/// block-OR of the dilated mask screens each probe before touching the
-/// full-resolution mask (a coarse miss is a guaranteed fine miss, so the
-/// screen cannot change the score).
-///
-/// [`score`]: AlignmentScorer::score
+/// Collect the other image's occupied cells once with
+/// [`AlignmentScorer::collect_occupied`] and score each candidate through
+/// [`AlignmentScorer::score_cells_detail`]: the full-raster sweep and the
+/// `pixel_center` math are paid once instead of per candidate, and a
+/// coarse 4×-downsampled block-OR of the dilated mask screens each probe
+/// before touching the full-resolution mask (a coarse miss is a guaranteed
+/// fine miss, so the screen cannot change the score; a test pins the score
+/// to a plain raster sweep bit for bit).
 #[derive(Debug, Clone)]
 pub struct AlignmentScorer {
     bev: BevConfig,
@@ -1149,9 +1110,8 @@ impl AlignmentScorer {
     }
 
     /// Collects the world-frame centres of `other`'s occupied cells once,
-    /// for repeated scoring via [`AlignmentScorer::score_cells`]. Cell
-    /// order (and therefore every downstream float accumulation) matches
-    /// the raster sweep in [`AlignmentScorer::score`].
+    /// in raster order, for repeated scoring via
+    /// [`AlignmentScorer::score_cells_detail`].
     pub fn collect_occupied(&self, other: &BevImage) -> OccupiedCells {
         let bev = &self.bev;
         let mut xs = Vec::new();
@@ -1167,18 +1127,13 @@ impl AlignmentScorer {
         OccupiedCells { xs, ys }
     }
 
-    /// Fast scoring path: bit-identical value to
-    /// [`AlignmentScorer::score`], evaluated over a precollected
-    /// occupied-cell list with the transform's `sin_cos` hoisted out of the
-    /// loop and the coarse mask screening each probe.
-    pub fn score_cells(&self, cells: &OccupiedCells, transform: &Iso2) -> f64 {
-        self.score_cells_detail(cells, transform).score
-    }
-
-    /// [`AlignmentScorer::score_cells`] plus the raw mapped/hit counts —
-    /// the warm-start verifier reads the hit count as the recovery's
-    /// cell-level consensus. The score is computed by the exact same
-    /// operations, so it stays bit-identical to [`AlignmentScorer::score`].
+    /// The fraction of the other image's occupied cells that land within
+    /// one cell of an occupied ego cell after `transform` (cells mapping
+    /// outside the ego raster are excluded from the denominator), plus the
+    /// raw mapped/hit counts — the warm-start verifier reads the hit count
+    /// as the recovery's cell-level consensus. Evaluated over a
+    /// precollected occupied-cell list with the transform's `sin_cos`
+    /// hoisted out of the loop and the coarse mask screening each probe.
     pub fn score_cells_detail(&self, cells: &OccupiedCells, transform: &Iso2) -> AlignmentCheck {
         let bev = &self.bev;
         let h = self.size as isize;
@@ -1209,10 +1164,10 @@ impl AlignmentScorer {
         AlignmentCheck { score, mapped, hits }
     }
 
-    /// The fraction of the other image's occupied cells that land within
-    /// one cell of an occupied ego cell after `transform` (cells mapping
-    /// outside the ego raster are excluded from the denominator).
-    pub fn score(&self, other: &BevImage, transform: &Iso2) -> f64 {
+    /// Reference for [`AlignmentScorer::score_cells_detail`]'s score: the
+    /// plain raster sweep, with no cell list and no coarse screen.
+    #[cfg(test)]
+    fn score(&self, other: &BevImage, transform: &Iso2) -> f64 {
         let bev = &self.bev;
         let h = self.size as isize;
         let mut mapped = 0usize;
@@ -1240,19 +1195,12 @@ impl AlignmentScorer {
     }
 }
 
-/// One-shot convenience wrapper: builds an [`AlignmentScorer`] for `ego`
-/// and scores `transform`. Prefer the scorer directly when evaluating
-/// several candidate transforms against the same ego image.
-pub fn alignment_score(ego: &BevImage, other: &BevImage, transform: &Iso2) -> f64 {
-    AlignmentScorer::new(ego).score(other, transform)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::BbAlignConfig;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Synthetic world landmarks: vertical structures with distinctive
     /// corners, expressed in the ego frame.
@@ -1673,6 +1621,108 @@ mod tests {
         aligner.place_descriptor(&frame, &bba_place::PlaceConfig::default());
     }
 
+    /// Reference for the pruned sweep: stage 1 as it ran before pruning —
+    /// RANSAC on every swept hypothesis, the last maximum over all their
+    /// results — then stage 2 on the same RNG, as in `recover_with_hint`.
+    fn unpruned_recover(
+        aligner: &BbAlign,
+        ego: &PerceptionFrame,
+        other: &PerceptionFrame,
+        hint: Option<&Iso2>,
+        rng: &mut StdRng,
+    ) -> Recovery {
+        let cfg = aligner.config();
+        let ego_features = aligner.features(ego, &mut FeatureCost::default()).unwrap();
+        let other_features = aligner.features(other, &mut FeatureCost::default()).unwrap();
+        let mut samples = PatchSamples::new();
+        let ego_set = aligner.ego_set(&ego_features, &mut samples);
+        samples.sample(&other_features.mim, &other_features.keypoints, &cfg.descriptor);
+        let hint_pix = hint.map(|t| aligner.world_to_pixel_transform(t));
+        let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
+        let mut candidates = Vec::new();
+        for k in 0..aligner.sweep().hypotheses() {
+            let other_set = samples.rebin(aligner.sweep(), k);
+            let matches = match_sets(&other_set, ego_set, &cfg.matcher);
+            if matches.len() < 2 {
+                continue;
+            }
+            let src: Vec<Vec2> = matches.iter().map(|m| pix(other_set.keypoint(m.src))).collect();
+            let dst: Vec<Vec2> = matches.iter().map(|m| pix(ego_set.keypoint(m.dst))).collect();
+            let qual: Vec<f64> = matches.iter().map(|m| m.distance).collect();
+            let hint = hint_pix.as_ref();
+            if let Ok(r) =
+                ransac_rigid_hinted(&src, &dst, Some(&qual), hint, 0, &cfg.ransac_bv, rng)
+            {
+                let strong =
+                    r.num_inliers > cfg.min_inliers_bv && 2 * r.num_inliers >= matches.len();
+                candidates.push((r, matches.len()));
+                if strong {
+                    break;
+                }
+            }
+        }
+        let (result, matches) = candidates.into_iter().max_by_key(|(r, _)| r.num_inliers).unwrap();
+        let bv = BvMatch {
+            transform: aligner.pixel_to_world_transform(&result.transform),
+            transform_pixels: result.transform,
+            inliers: result.num_inliers,
+            matches,
+            keypoints: (ego_features.keypoints.len(), other_features.keypoints.len()),
+        };
+        let box_alignment = aligner.align_boxes(ego, other, &bv.transform, rng);
+        let transform =
+            box_alignment.as_ref().map_or(bv.transform, |b| b.transform.compose(&bv.transform));
+        Recovery {
+            transform,
+            transform_3d: Iso3::from_iso2(&transform, 0.0),
+            bv,
+            box_alignment,
+            thresholds: (cfg.min_inliers_bv, cfg.min_inliers_box),
+        }
+    }
+
+    /// Recovers `truth`'s frame pair with and without pruning (and with and
+    /// without a warm hint), asserting the same bits and the same next RNG
+    /// draw; returns the hypotheses swept and pruned by the plain call.
+    fn assert_pruned_sweep_is_unpruned_sweep(truth: &Iso2, seed: u64) -> (u64, u64) {
+        let recorder = bba_obs::Recorder::enabled();
+        let aligner = BbAlign::new(BbAlignConfig::test_small()).with_recorder(recorder.clone());
+        let (ego, other) = frame_pair(&aligner, truth);
+        for hint in [None, Some(truth)] {
+            let mut rng_pruned = StdRng::seed_from_u64(seed);
+            let mut rng_full = StdRng::seed_from_u64(seed);
+            let pruned = aligner.recover_with_hint(&ego, &other, hint, &mut rng_pruned).unwrap();
+            let full = unpruned_recover(&aligner, &ego, &other, hint, &mut rng_full);
+            assert_same_bits(&pruned, &full);
+            assert_eq!(rng_pruned.random::<u64>(), rng_full.random::<u64>(), "hint {hint:?}");
+        }
+        let snap = recorder.snapshot();
+        (
+            snap.counter("stage1.hypotheses").unwrap(),
+            snap.counter("stage1.hypotheses_pruned").unwrap(),
+        )
+    }
+
+    #[test]
+    fn pruned_sweep_equals_unpruned_sweep_on_same_direction_pairs() {
+        for truth in [Iso2::new(0.1, Vec2::new(4.0, 2.0)), Iso2::new(0.2, Vec2::new(10.0, -4.0))] {
+            let (swept, pruned) = assert_pruned_sweep_is_unpruned_sweep(&truth, 40);
+            assert!(pruned > 0, "nothing pruned: the test would not exercise pruning");
+            assert!(pruned < swept);
+        }
+    }
+
+    #[test]
+    fn pruned_sweep_equals_unpruned_sweep_on_oncoming_pairs() {
+        // Headings ~180° apart: the winner sits near hypothesis 12, so
+        // hypotheses before it are pruned against a weaker best.
+        for truth in [Iso2::new(3.05, Vec2::new(8.0, -2.0)), Iso2::new(-3.1, Vec2::new(10.0, -4.0))]
+        {
+            let (_, pruned) = assert_pruned_sweep_is_unpruned_sweep(&truth, 50);
+            assert!(pruned > 0, "nothing pruned: the test would not exercise pruning");
+        }
+    }
+
     #[test]
     fn coarse_to_fine_alignment_score_is_bit_identical() {
         let aligner = BbAlign::new(BbAlignConfig::test_small());
@@ -1694,7 +1744,7 @@ mod tests {
         ];
         for t in &candidates {
             let naive = scorer.score(other.bev(), t);
-            let fast = scorer.score_cells(&cells, t);
+            let fast = scorer.score_cells_detail(&cells, t).score;
             assert_eq!(naive.to_bits(), fast.to_bits(), "transform {t}");
         }
     }

@@ -13,13 +13,15 @@
 //! ranking by ascending distance is ranking by *descending dot product*.
 //! The production matcher ([`match_sets`]) exploits this on the flat
 //! [`DescriptorSet`] layout: blocked row×row dot-product loops (one pool
-//! block stays cache-hot across a block of query rows), a top-(k+1)
-//! insertion select instead of sorting the full distance row, and the
-//! distance materialised only for the surviving candidates. A naive
-//! reference ([`match_sets_naive`]) computes the same candidates with a
-//! full sort; both share the same `dot` kernel and selection logic, so
-//! their outputs are bit-identical (pinned by the `kernel_matches_naive`
-//! proptest).
+//! block stays cache-hot across a block of query rows, and each query row
+//! takes a whole block's dot products in one multi-row kernel call), a
+//! top-(k+1) insertion select instead of sorting the full distance row,
+//! and the distance materialised only for the surviving candidates. A
+//! naive reference ([`match_sets_naive`]) computes the same candidates
+//! with one-row dots and a full sort; the multi-row kernel returns the
+//! one-row dot's bits for every row and both share the selection logic, so
+//! their outputs are bit-identical (pinned by the
+//! `kernel_matcher_equals_naive` proptest).
 //!
 //! Numerics: dot products accumulate in `f32` (that is the kernel's speed),
 //! so a distance near zero carries absolute noise of order `√(dim)·ε_f32` —
@@ -70,16 +72,19 @@ impl Default for MatcherConfig {
 const QUERY_BLOCK: usize = 16;
 
 /// Pool rows per cache block: sized so a block of vectors (~32 KiB) stays
-/// resident while it is streamed against a whole query block.
+/// resident while it is streamed against a whole query block, and rounded
+/// down to a multiple of the eight rows [`bba_simd::dot_f32_rows`] computes
+/// per pass.
 fn pool_block_rows(dim: usize) -> usize {
-    (32 * 1024 / (dim.max(1) * std::mem::size_of::<f32>())).clamp(4, 64)
+    (32 * 1024 / (dim.max(1) * std::mem::size_of::<f32>())).clamp(8, 64) & !7
 }
 
-/// Four-lane blocked dot product ([`bba_simd::dot_f32`]). Both the blocked
-/// kernel and the naive reference call this exact function, so their dot
-/// products — and hence candidate rankings — agree bit-for-bit; the SIMD
-/// path keeps the same four-lane accumulator blocking, so vectorisation
-/// does not move bits either.
+/// Four-lane blocked dot product ([`bba_simd::dot_f32`]). The naive
+/// reference calls it per row; the blocked kernel calls
+/// [`bba_simd::dot_f32_rows`], which returns the same bits for every row,
+/// so their dot products — and hence candidate rankings — agree
+/// bit-for-bit; the SIMD paths keep the same four-lane accumulator
+/// blocking, so vectorisation does not move bits either.
 #[inline]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     bba_simd::dot_f32(a, b)
@@ -117,23 +122,29 @@ fn push_candidate(cands: &mut Vec<(u32, f32)>, cap: usize, j: u32, d: f32) {
 
 /// For every `q` row, its `cap` best pool rows as `(pool_index, dot)`,
 /// best-first. Blocked: parallel over query blocks, and within a block the
-/// pool is streamed in cache-sized tiles reused across all query rows of
-/// the block. Each query row's result is a pure function of the inputs, so
-/// the output is bit-identical at every thread count.
+/// pool (packed once per call) is streamed in cache-sized tiles reused
+/// across all query rows of the block; each query row takes a whole tile's
+/// dot products in one multi-row kernel call, then offers them in
+/// ascending pool order. Each
+/// query row's result is a pure function of the inputs, so the output is
+/// bit-identical at every thread count.
 fn blocked_topk(q: &DescriptorSet, pool: &DescriptorSet, cap: usize) -> Vec<Vec<(u32, f32)>> {
     let n = q.len();
     let blocks: Vec<(usize, usize)> =
         (0..n).step_by(QUERY_BLOCK).map(|lo| (lo, (lo + QUERY_BLOCK).min(n))).collect();
     let tile = pool_block_rows(q.dim());
+    let packed = bba_simd::PackedRows::new(pool.data(), pool.len(), pool.dim());
     let per_block: Vec<Vec<Vec<(u32, f32)>>> = bba_par::par_map(&blocks, |&(lo, hi)| {
         let mut tops: Vec<Vec<(u32, f32)>> = vec![Vec::with_capacity(cap + 1); hi - lo];
+        let mut dots = vec![0.0f32; tile];
         let mut jlo = 0;
         while jlo < pool.len() {
             let jhi = (jlo + tile).min(pool.len());
+            let dots = &mut dots[..jhi - jlo];
             for (top, i) in tops.iter_mut().zip(lo..hi) {
-                let a = q.row(i);
-                for j in jlo..jhi {
-                    push_candidate(top, cap, j as u32, dot(a, pool.row(j)));
+                bba_simd::dot_f32_rows(q.row(i), &packed, jlo, dots);
+                for (j, &d) in (jlo..).zip(dots.iter()) {
+                    push_candidate(top, cap, j as u32, d);
                 }
             }
             jlo = jhi;

@@ -21,6 +21,13 @@
 //!   count) and the same errors as the naive scan for every input, seed and
 //!   `bba-par` thread width; `DESIGN.md` → *RANSAC fast path* carries the
 //!   determinism argument and the proptests in this crate pin it.
+//!
+//! [`ransac_rigid_hinted`] can also skip the scan altogether: given the
+//! smallest inlier count its caller can use, it first computes an exact
+//! upper bound on the inliers any rigid transform can reach on the
+//! correspondences and, when the bound falls short, returns
+//! [`RansacError::Pruned`] after advancing the RNG exactly as the scan
+//! would have (`DESIGN.md` → *Sweep pruning*).
 
 use bba_geometry::{fit_rigid_2d, fit_rigid_2pt, Iso2, Vec2};
 use rand::Rng;
@@ -93,6 +100,15 @@ pub enum RansacError {
         /// The configured minimum.
         required: usize,
     },
+    /// No rigid transform can reach the caller's `floor` on these
+    /// correspondences, so the scan was skipped (see
+    /// [`ransac_rigid_hinted`]).
+    Pruned {
+        /// Proven upper bound on any transform's inlier count.
+        bound: usize,
+        /// The inlier count the caller asked for.
+        floor: usize,
+    },
 }
 
 impl fmt::Display for RansacError {
@@ -107,11 +123,25 @@ impl fmt::Display for RansacError {
             RansacError::NoConsensus { best, required } => {
                 write!(f, "no consensus: best model had {best} inliers, {required} required")
             }
+            RansacError::Pruned { bound, floor } => {
+                write!(f, "pruned: at most {bound} inliers possible, {floor} asked for")
+            }
         }
     }
 }
 
 impl Error for RansacError {}
+
+/// One minimal sample: two distinct correspondence indices below `n`.
+#[inline]
+fn draw_sample<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (usize, usize) {
+    let i = rng.random_range(0..n);
+    let mut j = rng.random_range(0..n);
+    while j == i {
+        j = rng.random_range(0..n);
+    }
+    (i, j)
+}
 
 /// Draws the minimal samples (two distinct correspondences each) up front
 /// on the calling thread, so the rng stream is consumed identically at
@@ -119,16 +149,92 @@ impl Error for RansacError {}
 /// function of its sample and parallelises freely. Both the naive and the
 /// fast scan consume exactly this sequence.
 fn draw_samples<R: Rng + ?Sized>(n: usize, iterations: usize, rng: &mut R) -> Vec<(usize, usize)> {
-    (0..iterations)
-        .map(|_| {
-            let i = rng.random_range(0..n);
-            let mut j = rng.random_range(0..n);
-            while j == i {
-                j = rng.random_range(0..n);
+    (0..iterations).map(|_| draw_sample(n, rng)).collect()
+}
+
+/// Advances `rng` exactly as [`draw_samples`] would, without keeping the
+/// samples: what a pruned call consumes, so the caller's later draws see
+/// the stream an unpruned call would have left.
+fn skip_samples<R: Rng + ?Sized>(n: usize, iterations: usize, rng: &mut R) {
+    for _ in 0..iterations {
+        draw_sample(n, rng);
+    }
+}
+
+/// Upper bound on the inlier count any rigid transform reaches on these
+/// correspondences under `threshold`: one plus the degeneracy of their
+/// compatibility graph.
+///
+/// Two inliers `i`, `j` of one rigid transform keep their pairwise
+/// distance to within twice the threshold (`‖d_i − d_j‖` and
+/// `‖s_i − s_j‖` differ by at most `2·threshold`), so an inlier set of
+/// size `c` is a clique of the graph joining such pairs, and a clique of
+/// size `c` lies in the graph's `(c − 1)`-core. The bound is the largest
+/// `c` whose `(c − 1)`-core is non-empty. The edge test carries a slack of
+/// `1e-9 · (scale + threshold)` for the rounding of the inlier predicate
+/// and of the distances (DESIGN.md → *Sweep pruning*); coordinates beyond
+/// `1e100` in magnitude or a non-finite threshold give the trivial bound
+/// `n`. Points with a NaN coordinate are never inliers and join no edge.
+fn consensus_bound(src: &[Vec2], dst: &[Vec2], threshold: f64) -> usize {
+    let n = src.len();
+    let thr = threshold.abs();
+    let scale = src.iter().chain(dst).fold(0.0f64, |m, p| m.max(p.x.abs()).max(p.y.abs()));
+    if n < 2 || !(scale <= 1e100 && thr <= 1e100) {
+        return n;
+    }
+    let reach = 2.0 * thr + 1e-9 * (scale + thr);
+    let dist = |a: Vec2, b: Vec2| {
+        let (ex, ey) = (a.x - b.x, a.y - b.y);
+        (ex * ex + ey * ey).sqrt()
+    };
+    // Bit-packed adjacency rows and alive-neighbour counts.
+    let words = n.div_ceil(64);
+    let mut adjacency = vec![0u64; n * words];
+    let mut degree = vec![0u32; n];
+    for i in 0..n {
+        for j in i + 1..n {
+            if (dist(dst[i], dst[j]) - dist(src[i], src[j])).abs() <= reach {
+                adjacency[i * words + j / 64] |= 1 << (j % 64);
+                adjacency[j * words + i / 64] |= 1 << (i % 64);
+                degree[i] += 1;
+                degree[j] += 1;
             }
-            (i, j)
-        })
-        .collect()
+        }
+    }
+    // Peel the graph level by level: at `level`, every vertex with at most
+    // `level` alive neighbours lies outside the `(level + 1)`-core. The
+    // level at which nothing is left is the degeneracy.
+    let mut removed = vec![false; n];
+    let mut alive = n;
+    let mut stack = Vec::new();
+    let mut level = 0u32;
+    loop {
+        stack.extend((0..n).filter(|&v| !removed[v] && degree[v] <= level));
+        while let Some(v) = stack.pop() {
+            if removed[v] {
+                continue;
+            }
+            removed[v] = true;
+            alive -= 1;
+            for (w, &word) in adjacency[v * words..(v + 1) * words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let u = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if !removed[u] {
+                        degree[u] -= 1;
+                        if degree[u] == level {
+                            stack.push(u);
+                        }
+                    }
+                }
+            }
+        }
+        if alive == 0 {
+            return level as usize + 1;
+        }
+        level += 1;
+    }
 }
 
 /// Shared tail of both scans: consensus check, refit on the winning set,
@@ -259,7 +365,8 @@ pub fn ransac_rigid<R: Rng + ?Sized>(
 
 /// [`ransac_rigid_guided`] with an optional externally-predicted transform
 /// evaluated as *hypothesis zero* before any sampling — the entry point of
-/// the temporal warm start's guided fallback.
+/// the temporal warm start's guided fallback — and an optional `floor`
+/// below which the caller has no use for a result.
 ///
 /// The hint is scored with the exact consensus predicate **without
 /// consuming the RNG**. When its inlier count clears both `min_inliers`
@@ -271,15 +378,26 @@ pub fn ransac_rigid<R: Rng + ?Sized>(
 /// consumption, same result, same errors. Passing `hint: None` is exactly
 /// [`ransac_rigid_guided`].
 ///
+/// With `floor > 0`, the call first bounds the inliers any rigid transform
+/// can reach on the correspondences (a clique bound on their pairwise
+/// distances; DESIGN.md → *Sweep pruning*). Below `floor`, it returns
+/// [`RansacError::Pruned`] without scanning, and advances `rng` exactly as
+/// the unpruned call would have: not at all after a winning hint, the
+/// whole sample draw otherwise. Every result the unpruned call could have
+/// returned has at most that many inliers, so a caller that discards
+/// results below `floor` sees the same outcome and the same RNG stream
+/// either way. `floor == 0` never prunes.
+///
 /// # Errors
 ///
-/// Returns [`RansacError`] on malformed input or when no model reaches
-/// `min_inliers`.
+/// Returns [`RansacError`] on malformed input, when no model reaches
+/// `min_inliers`, or when the call was pruned.
 pub fn ransac_rigid_hinted<R: Rng + ?Sized>(
     src: &[Vec2],
     dst: &[Vec2],
     quality: Option<&[f64]>,
     hint: Option<&Iso2>,
+    floor: usize,
     config: &RansacConfig,
     rng: &mut R,
 ) -> Result<RansacResult, RansacError> {
@@ -290,14 +408,24 @@ pub fn ransac_rigid_hinted<R: Rng + ?Sized>(
     if n < 2 {
         return Err(RansacError::TooFewCorrespondences { got: n });
     }
-    if let Some(h) = hint {
-        let thresh_sq = config.inlier_threshold * config.inlier_threshold;
+    let thresh_sq = config.inlier_threshold * config.inlier_threshold;
+    let winning_hint = hint.and_then(|h| {
         let inliers: Vec<usize> =
             (0..n).filter(|&k| (h.apply(src[k]) - dst[k]).norm_sq() <= thresh_sq).collect();
         let exits = inliers.len() as f64 >= config.early_exit_fraction * n as f64;
-        if exits && inliers.len() >= config.min_inliers.max(2) {
-            return refit_and_expand(src, dst, inliers, 0, config, thresh_sq);
+        (exits && inliers.len() >= config.min_inliers.max(2)).then_some(inliers)
+    });
+    if floor > 0 {
+        let bound = consensus_bound(src, dst, config.inlier_threshold);
+        if bound < floor {
+            if winning_hint.is_none() {
+                skip_samples(n, config.max_iterations, rng);
+            }
+            return Err(RansacError::Pruned { bound, floor });
         }
+    }
+    if let Some(inliers) = winning_hint {
+        return refit_and_expand(src, dst, inliers, 0, config, thresh_sq);
     }
     ransac_rigid_guided(src, dst, quality, config, rng)
 }
@@ -641,7 +769,7 @@ mod tests {
         for seed in [0u64, 7, 91] {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let a = ransac_rigid_hinted(&src, &dst, Some(&qual), None, &cfg, &mut rng_a);
+            let a = ransac_rigid_hinted(&src, &dst, Some(&qual), None, 0, &cfg, &mut rng_a);
             let b = ransac_rigid_guided(&src, &dst, Some(&qual), &cfg, &mut rng_b);
             assert_eq!(a, b);
             assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
@@ -660,7 +788,7 @@ mod tests {
         for seed in [1u64, 42] {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let a = ransac_rigid_hinted(&src, &dst, None, Some(&bad), &cfg, &mut rng_a);
+            let a = ransac_rigid_hinted(&src, &dst, None, Some(&bad), 0, &cfg, &mut rng_a);
             let b = ransac_rigid_guided(&src, &dst, None, &cfg, &mut rng_b);
             assert_eq!(a, b);
             assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
@@ -677,6 +805,7 @@ mod tests {
             &dst,
             None,
             Some(&truth()),
+            0,
             &RansacConfig::default(),
             &mut rng,
         )
@@ -705,7 +834,7 @@ mod tests {
         assert!(cfg.early_exit_fraction > 0.5);
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let a = ransac_rigid_hinted(&src, &dst, None, Some(&truth()), &cfg, &mut rng_a);
+        let a = ransac_rigid_hinted(&src, &dst, None, Some(&truth()), 0, &cfg, &mut rng_a);
         let b = ransac_rigid_guided(&src, &dst, None, &cfg, &mut rng_b);
         assert_eq!(a, b);
         assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
@@ -715,12 +844,19 @@ mod tests {
     fn hinted_validation_errors_precede_hint_use() {
         let mut rng = StdRng::seed_from_u64(0);
         let cfg = RansacConfig::default();
-        let e = ransac_rigid_hinted(&[Vec2::ZERO], &[], None, Some(&truth()), &cfg, &mut rng)
+        let e = ransac_rigid_hinted(&[Vec2::ZERO], &[], None, Some(&truth()), 1, &cfg, &mut rng)
             .unwrap_err();
         assert_eq!(e, RansacError::LengthMismatch { src: 1, dst: 0 });
-        let e =
-            ransac_rigid_hinted(&[Vec2::ZERO], &[Vec2::ZERO], None, Some(&truth()), &cfg, &mut rng)
-                .unwrap_err();
+        let e = ransac_rigid_hinted(
+            &[Vec2::ZERO],
+            &[Vec2::ZERO],
+            None,
+            Some(&truth()),
+            1,
+            &cfg,
+            &mut rng,
+        )
+        .unwrap_err();
         assert_eq!(e, RansacError::TooFewCorrespondences { got: 1 });
     }
 
@@ -804,6 +940,7 @@ mod tests {
             RansacError::TooFewCorrespondences { got: 0 },
             RansacError::LengthMismatch { src: 1, dst: 2 },
             RansacError::NoConsensus { best: 1, required: 4 },
+            RansacError::Pruned { bound: 3, floor: 9 },
         ] {
             assert!(!e.to_string().is_empty());
         }
@@ -909,6 +1046,244 @@ mod tests {
                 )
             });
             assert_eq!(reference, fast, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn consensus_bound_of_fewer_than_two_correspondences_is_their_count() {
+        assert_eq!(consensus_bound(&[], &[], 2.0), 0);
+        assert_eq!(consensus_bound(&[Vec2::new(1.0, 2.0)], &[Vec2::new(-3.0, 9.0)], 2.0), 1);
+    }
+
+    #[test]
+    fn consensus_bound_of_all_duplicates_is_their_count() {
+        // One correspondence repeated: any transform mapping it is an
+        // inlier of all copies, so nothing smaller is a valid bound.
+        let src = vec![Vec2::new(4.0, -1.0); 9];
+        let dst = vec![Vec2::new(40.0, 7.0); 9];
+        assert_eq!(consensus_bound(&src, &dst, 2.0), 9);
+        let cfg = RansacConfig { min_inliers: 2, ..Default::default() };
+        let r = ransac_rigid_hinted(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(1));
+        assert_eq!(r, Err(RansacError::NoConsensus { best: 0, required: 2 }));
+    }
+
+    #[test]
+    fn consensus_bound_separates_a_rigid_set_from_scattered_outliers() {
+        let (src, mut dst) = clean_pairs(30);
+        assert_eq!(consensus_bound(&src, &dst, 1.0), 30);
+        // Scatter 20 destinations on a wide, irregular spiral: the 10
+        // untouched correspondences still form a clique, the bound stays
+        // well below 30.
+        for (k, d) in dst.iter_mut().take(20).enumerate() {
+            let a = k as f64 * 2.39996;
+            *d = Vec2::new(a.cos(), a.sin()) * (500.0 + 97.0 * k as f64);
+        }
+        let bound = consensus_bound(&src, &dst, 1.0);
+        assert!((10..30).contains(&bound), "bound {bound}");
+    }
+
+    #[test]
+    fn consensus_bound_joins_inliers_on_opposite_edges_of_the_threshold() {
+        // Two inliers of the identity, displaced by the threshold in
+        // opposite directions along their baseline: their distances
+        // differ by exactly 2t in real arithmetic and by a little more
+        // once rounded, so only the slack keeps the pair joined.
+        let (x, t) = (1.3151, 0.3513);
+        let src = [Vec2::new(0.0, 0.0), Vec2::new(x, 0.0)];
+        let dst = [Vec2::new(-t, 0.0), Vec2::new(x + t, 0.0)];
+        let inlier = |k: usize| (Iso2::IDENTITY.apply(src[k]) - dst[k]).norm_sq() <= t * t;
+        assert!(inlier(0) && inlier(1));
+        let dist =
+            |a: Vec2, b: Vec2| ((a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y)).sqrt();
+        assert!((dist(dst[0], dst[1]) - dist(src[0], src[1])).abs() > 2.0 * t);
+        assert_eq!(consensus_bound(&src, &dst, t), 2);
+    }
+
+    #[test]
+    fn consensus_bound_is_trivial_for_unbounded_input() {
+        let src = [Vec2::new(0.0, 0.0), Vec2::new(1e200, 0.0), Vec2::new(5.0, 5.0)];
+        let dst = [Vec2::new(0.0, 0.0), Vec2::new(1e200, 0.0), Vec2::new(90.0, 5.0)];
+        assert_eq!(consensus_bound(&src, &dst, 1.0), 3);
+        let near = [Vec2::new(0.0, 0.0), Vec2::new(3.0, 0.0), Vec2::new(90.0, 5.0)];
+        assert_eq!(consensus_bound(&src, &near, f64::INFINITY), 3);
+        // NaN coordinates can never be inliers: the pair without them is
+        // the largest clique.
+        let with_nan = [Vec2::new(0.0, 0.0), Vec2::new(f64::NAN, 0.0), Vec2::new(5.0, 5.0)];
+        let dst = [Vec2::new(1.0, 1.0), Vec2::new(0.0, 0.0), Vec2::new(6.0, 6.0)];
+        assert_eq!(consensus_bound(&with_nan, &dst, 1.0), 2);
+    }
+
+    /// Asserts that a pruned call (`floor = usize::MAX`) leaves the RNG
+    /// where the full call leaves it and reports a bound at least the full
+    /// call's inlier count, on 40 correspondences of which the first
+    /// `outliers` multiples of 3 are gross outliers. Returns the full
+    /// call's results.
+    fn assert_pruned_call_replays_rng(
+        hint: Option<&Iso2>,
+        qual: Option<&[f64]>,
+        outliers: usize,
+    ) -> Vec<Result<RansacResult, RansacError>> {
+        let (src, mut dst) = clean_pairs(40);
+        for k in 0..outliers {
+            dst[3 * k] = Vec2::new(900.0 + k as f64 * 11.0, -700.0);
+        }
+        let cfg = RansacConfig::default();
+        let mut results = Vec::new();
+        for seed in [0u64, 7, 91] {
+            let mut rng_full = StdRng::seed_from_u64(seed);
+            let mut rng_pruned = StdRng::seed_from_u64(seed);
+            let full = ransac_rigid_hinted(&src, &dst, qual, hint, 0, &cfg, &mut rng_full);
+            let pruned =
+                ransac_rigid_hinted(&src, &dst, qual, hint, usize::MAX, &cfg, &mut rng_pruned);
+            let Err(RansacError::Pruned { bound, floor }) = pruned else {
+                panic!("expected a pruned call, got {pruned:?}");
+            };
+            assert_eq!(floor, usize::MAX);
+            assert!(bound >= full.as_ref().map_or(0, |r| r.num_inliers));
+            assert_eq!(rng_full, rng_pruned, "seed {seed}");
+            assert_eq!(
+                rng_full.random_range(0..u32::MAX),
+                rng_pruned.random_range(0..u32::MAX),
+                "seed {seed}"
+            );
+            results.push(full);
+        }
+        results
+    }
+
+    #[test]
+    fn pruned_call_without_hint_consumes_the_rng_like_the_scan() {
+        let qual: Vec<f64> = (0..40).map(|i| (i % 7) as f64).collect();
+        for full in assert_pruned_call_replays_rng(None, Some(&qual), 12)
+            .into_iter()
+            .chain(assert_pruned_call_replays_rng(None, None, 12))
+        {
+            assert!(full.unwrap().iterations > 0);
+        }
+    }
+
+    #[test]
+    fn pruned_call_with_losing_hint_consumes_the_rng_like_the_scan() {
+        // 28 of 40 correspondences fit the truth, short of the 0.8 exit
+        // bar: the hint loses and the full call draws its samples.
+        for full in assert_pruned_call_replays_rng(Some(&truth()), None, 12) {
+            assert!(full.unwrap().iterations > 0);
+        }
+        let far = Iso2::new(2.0, Vec2::new(400.0, 400.0));
+        assert_pruned_call_replays_rng(Some(&far), None, 12);
+    }
+
+    #[test]
+    fn pruned_call_with_winning_hint_consumes_no_rng() {
+        // 34 of 40 correspondences fit the truth, clearing the 0.8 exit
+        // bar: the full call returns the hint's refit without drawing.
+        for full in assert_pruned_call_replays_rng(Some(&truth()), None, 6) {
+            assert_eq!(full.unwrap().iterations, 0);
+        }
+        let (src, dst) = clean_pairs(40);
+        let mut rng = StdRng::seed_from_u64(3);
+        let untouched = rng.clone();
+        let e = ransac_rigid_hinted(
+            &src,
+            &dst,
+            None,
+            Some(&truth()),
+            usize::MAX,
+            &RansacConfig::default(),
+            &mut rng,
+        );
+        assert!(matches!(e, Err(RansacError::Pruned { bound: 40, .. })), "{e:?}");
+        assert_eq!(rng, untouched);
+    }
+
+    #[test]
+    fn floor_at_or_below_the_bound_runs_the_full_call() {
+        let (src, mut dst) = clean_pairs(40);
+        for k in 0..12 {
+            dst[3 * k] = Vec2::new(900.0 + k as f64 * 11.0, -700.0);
+        }
+        let cfg = RansacConfig::default();
+        let bound = consensus_bound(&src, &dst, cfg.inlier_threshold);
+        let full =
+            ransac_rigid_hinted(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(4));
+        let at_bound =
+            ransac_rigid_hinted(&src, &dst, None, None, bound, &cfg, &mut StdRng::seed_from_u64(4));
+        assert_eq!(full, at_bound);
+        assert_eq!(full.unwrap().num_inliers, 28);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The consensus bound is at least the inlier count of every
+        /// result `ransac_rigid_hinted` returns — with no hint, the true
+        /// transform or a random one as hint — over mixes of exact
+        /// inliers, inliers displaced by exactly the threshold along an
+        /// axis (pairs of them sit at the `2·threshold` edge of the
+        /// compatibility test), inliers displaced inside the threshold,
+        /// gross outliers and exact duplicates.
+        #[test]
+        fn consensus_bound_covers_every_result(
+            pts in proptest::collection::vec((0.0..256.0f64, 0.0..256.0f64, 0u8..8), 0..48),
+            truth in (-3.2..3.2f64, -80.0..80.0f64, -80.0..80.0f64),
+            threshold in proptest::prop_oneof![
+                proptest::strategy::Just(2.0),
+                proptest::strategy::Just(0.5),
+                0.1..3.0f64,
+            ],
+            hint_mode in 0u8..3,
+            random_hint in (-3.2..3.2f64, -80.0..80.0f64, -80.0..80.0f64),
+            min_inliers in 2usize..8,
+            early_exit_fraction in 0.3..1.0f64,
+            seed in proptest::any::<u64>(),
+        ) {
+            let truth = Iso2::new(truth.0, Vec2::new(truth.1, truth.2));
+            let mut src: Vec<Vec2> = Vec::new();
+            let mut dst: Vec<Vec2> = Vec::new();
+            for &(x, y, flag) in &pts {
+                let p = Vec2::new(x, y);
+                let q = truth.apply(p);
+                let d = match flag {
+                    4 if !src.is_empty() => {
+                        src.push(*src.last().unwrap());
+                        dst.push(*dst.last().unwrap());
+                        continue;
+                    }
+                    0 => Vec2::new(300.0 - y, x * 0.7 - 40.0),
+                    1 => q + Vec2::new(threshold, 0.0),
+                    2 => q - Vec2::new(threshold, 0.0),
+                    3 => q + Vec2::new(0.0, threshold),
+                    5 => q + Vec2::new(0.6 * threshold * (x / 256.0), -0.7 * threshold * (y / 256.0)),
+                    _ => q,
+                };
+                src.push(p);
+                dst.push(d);
+            }
+            let hint = match hint_mode {
+                0 => None,
+                1 => Some(truth),
+                _ => Some(Iso2::new(random_hint.0, Vec2::new(random_hint.1, random_hint.2))),
+            };
+            let cfg = RansacConfig {
+                max_iterations: 150,
+                inlier_threshold: threshold,
+                min_inliers,
+                early_exit_fraction,
+            };
+            let bound = consensus_bound(&src, &dst, threshold);
+            proptest::prop_assert!(bound <= src.len());
+            let mut rng = StdRng::seed_from_u64(seed);
+            if let Ok(r) = ransac_rigid_hinted(&src, &dst, None, hint.as_ref(), 0, &cfg, &mut rng) {
+                proptest::prop_assert!(
+                    r.num_inliers <= bound,
+                    "{} inliers above the bound {}", r.num_inliers, bound
+                );
+            }
+            // The true transform's own inlier set obeys the bound too.
+            let exact = (0..src.len())
+                .filter(|&k| (truth.apply(src[k]) - dst[k]).norm_sq() <= threshold * threshold)
+                .count();
+            proptest::prop_assert!(exact <= bound, "truth has {} inliers, bound {}", exact, bound);
         }
     }
 

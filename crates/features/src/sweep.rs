@@ -92,6 +92,11 @@ impl DescriptorSet {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
+    /// All rows as one row-major block.
+    pub(crate) fn data(&self) -> &[f32] {
+        &self.data
+    }
+
     /// Appends one descriptor row.
     ///
     /// # Panics

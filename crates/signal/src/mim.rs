@@ -165,105 +165,6 @@ impl MaxIndexMap {
         self.amplitude.max_value() * fraction.clamp(0.0, 1.0)
     }
 
-    /// Ring-binned orientation energy — the descriptor-extraction hook
-    /// global place descriptors (`bba-place`) are built on.
-    ///
-    /// Partitions the map into `rings` concentric annuli of equal radial
-    /// width around the image centre and, within each ring, sums the
-    /// winning amplitude of every significant pixel (amplitude above
-    /// [`MaxIndexMap::significance_threshold`] of
-    /// `significance_fraction`) into its winning-orientation bin.
-    /// Returns a `rings × num_orientations` row-major vector.
-    ///
-    /// Rotating the underlying scene about the image centre permutes
-    /// each ring's orientation bins circularly (orientations are
-    /// π-periodic) but moves no energy between rings — the invariance
-    /// place descriptors exploit. Pixels outside the inscribed circle
-    /// (the image corners) land in the outermost ring.
-    pub fn ring_orientation_energy(&self, rings: usize, significance_fraction: f64) -> Vec<f64> {
-        let rings = rings.max(1);
-        let n_o = self.num_orientations.max(1);
-        let mut out = vec![0.0f64; rings * n_o];
-        let w = self.width();
-        let h = self.height();
-        // Pixel-centre rotation axis: exact 90°-grid rotations preserve
-        // the distance to ((w-1)/2, (h-1)/2), so ring membership is
-        // exactly rotation-stable.
-        let cx = (w as f64 - 1.0) / 2.0;
-        let cy = (h as f64 - 1.0) / 2.0;
-        let r_max = (w.min(h) as f64) / 2.0;
-        let threshold = self.significance_threshold(significance_fraction);
-        let idx = self.index.as_slice();
-        let amp = self.amplitude.as_slice();
-        for v in 0..h {
-            for u in 0..w {
-                let i = v * w + u;
-                let a = amp[i];
-                if a <= 0.0 || a < threshold {
-                    continue;
-                }
-                let du = u as f64 - cx;
-                let dv = v as f64 - cy;
-                let r = (du * du + dv * dv).sqrt() / r_max;
-                let ring = ((r * rings as f64) as usize).min(rings - 1);
-                out[ring * n_o + usize::from(idx[i])] += a;
-            }
-        }
-        out
-    }
-
-    /// Ring-binned *azimuthal* energy — the layout half of the place
-    /// descriptor.
-    ///
-    /// Same annuli as [`MaxIndexMap::ring_orientation_energy`], but
-    /// within each ring the winning amplitude of every significant pixel
-    /// is binned by the pixel's azimuth around the image centre
-    /// (`atan2`, 2π-periodic, `azimuth_bins` bins) instead of by its
-    /// winning orientation. Returns a `rings × azimuth_bins` row-major
-    /// vector.
-    ///
-    /// Where the orientation histogram answers "what edge directions
-    /// does this ring contain?", the azimuth histogram answers "*where
-    /// around the sensor* does this ring's structure sit?" — far more
-    /// location-specific. Rotating the scene about the centre shifts
-    /// each ring's azimuth bins circularly (exactly for 90° multiples
-    /// when `azimuth_bins` is divisible by 4), so DFT magnitudes over
-    /// the bins are rotation-tolerant.
-    pub fn ring_azimuth_energy(
-        &self,
-        rings: usize,
-        azimuth_bins: usize,
-        significance_fraction: f64,
-    ) -> Vec<f64> {
-        let rings = rings.max(1);
-        let bins = azimuth_bins.max(1);
-        let mut out = vec![0.0f64; rings * bins];
-        let w = self.width();
-        let h = self.height();
-        let cx = (w as f64 - 1.0) / 2.0;
-        let cy = (h as f64 - 1.0) / 2.0;
-        let r_max = (w.min(h) as f64) / 2.0;
-        let threshold = self.significance_threshold(significance_fraction);
-        let amp = self.amplitude.as_slice();
-        for v in 0..h {
-            for u in 0..w {
-                let i = v * w + u;
-                let a = amp[i];
-                if a <= 0.0 || a < threshold {
-                    continue;
-                }
-                let du = u as f64 - cx;
-                let dv = v as f64 - cy;
-                let r = (du * du + dv * dv).sqrt() / r_max;
-                let ring = ((r * rings as f64) as usize).min(rings - 1);
-                let azimuth = dv.atan2(du).rem_euclid(std::f64::consts::TAU);
-                let bin = ((azimuth / std::f64::consts::TAU * bins as f64) as usize).min(bins - 1);
-                out[ring * bins + bin] += a;
-            }
-        }
-        out
-    }
-
     /// The circular difference between two orientation indices, in index
     /// units, accounting for the π-periodicity of orientations
     /// (`N_o` indices cover half a turn).
@@ -379,44 +280,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ring_energy_rotation_moves_bins_not_rings() {
-        // A 90° grid rotation of the image permutes each ring's
-        // orientation bins but must not move energy between rings: the
-        // per-ring totals of the rotated image match the original's.
-        let img = line_image(64, 0.0);
-        let mut rot = Grid::new(64, 64, 0.0);
-        for v in 0..64 {
-            for u in 0..64 {
-                rot[(63 - v, u)] = img[(u, v)];
-            }
-        }
-        let cfg = LogGaborConfig::default();
-        let e0 = MaxIndexMap::compute(&img, &cfg).ring_orientation_energy(6, 0.05);
-        let e90 = MaxIndexMap::compute(&rot, &cfg).ring_orientation_energy(6, 0.05);
-        assert_eq!(e0.len(), 6 * 12);
-        let ring_total = |e: &[f64], r: usize| e[r * 12..(r + 1) * 12].iter().sum::<f64>();
-        let total: f64 = e0.iter().sum();
-        assert!(total > 0.0, "line image must produce significant energy");
-        for r in 0..6 {
-            let (a, b) = (ring_total(&e0, r), ring_total(&e90, r));
-            assert!(
-                (a - b).abs() <= 0.02 * total.max(1e-9),
-                "ring {r} energy moved under rotation: {a} vs {b}"
-            );
-        }
-        // The dominant orientation bin in the most energetic ring shifts
-        // by ~90° = N_o/2 positions.
-        let busiest = (0..6).max_by(|&x, &y| ring_total(&e0, x).total_cmp(&ring_total(&e0, y)));
-        let r = busiest.unwrap();
-        let argmax = |e: &[f64]| {
-            (0..12).max_by(|&i, &j| e[r * 12 + i].total_cmp(&e[r * 12 + j])).unwrap() as i32
-        };
-        let (i0, i90) = (argmax(&e0), argmax(&e90));
-        let d = (i0 - i90).rem_euclid(12).min((i90 - i0).rem_euclid(12));
-        assert!((5..=6).contains(&d) || d == 6, "expected ~6-bin shift, got {d}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! AVX2 kernels (x86_64). Bit-identical to [`crate::portable`] by
 //! construction: every multiply and add is a separate, individually
 //! rounded instruction (no FMA), elementwise ops preserve per-element
-//! order, and the one reduction ([`dot_f32`]) keeps the scalar 4-lane
-//! association by staying on a 128-bit accumulator.
+//! order, and the reductions ([`dot_f32`], [`dot_f32_rows`]) keep the
+//! scalar 4-lane association by giving each row one 128-bit accumulator.
 //!
 //! All functions are `unsafe` because they require AVX2; the dispatcher in
 //! the crate root only calls them after `is_x86_feature_detected!("avx2")`.
@@ -24,7 +24,7 @@
 #![allow(clippy::missing_safety_doc)] // one shared contract, documented below
 #![allow(clippy::too_many_arguments)]
 
-use crate::SoftBinLut;
+use crate::{PackedRows, SoftBinLut};
 use core::arch::x86_64::*;
 
 // Shared safety contract for every function in this module:
@@ -296,6 +296,58 @@ pub unsafe fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
         s += a[j] * b[j];
     }
     s
+}
+
+/// AVX2 [`dot_f32_rows`](crate::dot_f32_rows): eight rows (four packed
+/// pairs) per pass in four 256-bit accumulators, pair `p`'s rows in the
+/// low and high 128-bit halves of accumulator `p`. The query's four lanes
+/// are broadcast to both halves, so each half performs exactly
+/// [`dot_f32`]'s per-lane running sums for its row, reduced and tailed in
+/// the same order. A leading odd row and the rows after the last whole
+/// pass go through the portable per-row path. Beyond AVX2, the caller
+/// must guarantee `a.len() == rows.dim()` and
+/// `lo + out.len() <= rows.len()` (the crate-root wrapper asserts both).
+#[target_feature(enable = "avx2")]
+pub unsafe fn dot_f32_rows(a: &[f32], rows: &PackedRows, lo: usize, out: &mut [f32]) {
+    let dim = rows.dim();
+    let n4 = dim & !3;
+    let hi = lo + out.len();
+    let mut r = lo;
+    if r % 2 == 1 && r < hi {
+        out[0] = crate::portable::dot_packed_row(a, rows, r);
+        r += 1;
+    }
+    while r + 8 <= hi {
+        let base = rows.data().as_ptr().add(r * dim);
+        let mut acc = [_mm256_setzero_ps(); 4];
+        let mut i = 0;
+        while i < n4 {
+            let q = _mm_loadu_ps(a.as_ptr().add(i));
+            let va = _mm256_set_m128(q, q);
+            for (p, acc) in acc.iter_mut().enumerate() {
+                let vb = _mm256_loadu_ps(base.add(2 * p * dim + 2 * i));
+                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+            }
+            i += 4;
+        }
+        for (p, acc) in acc.iter().enumerate() {
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), *acc);
+            let pair = &rows.data()[(r + 2 * p) * dim..(r + 2 * p + 2) * dim];
+            for (half, l) in lanes.chunks_exact(4).enumerate() {
+                let tail = dim - n4;
+                let mut s = (l[0] + l[1]) + (l[2] + l[3]);
+                for (x, y) in a[n4..].iter().zip(&pair[2 * n4 + half * tail..]) {
+                    s += x * y;
+                }
+                out[r + 2 * p + half - lo] = s;
+            }
+        }
+        r += 8;
+    }
+    for (k, o) in out.iter_mut().enumerate().skip(r - lo) {
+        *o = crate::portable::dot_packed_row(a, rows, lo + k);
+    }
 }
 
 /// AVX2 [`rebin_row`](crate::rebin_row): the `weight·omf` / `weight·frac`

@@ -24,7 +24,10 @@
 //!   performs *the same* four running sums as the scalar `acc[0..4]`
 //!   pattern, combined in the same `(acc0+acc1)+(acc2+acc3)` order.
 //!   (A 256-bit 8-lane accumulator would *not* be bit-identical, which is
-//!   why the dot kernel deliberately stays at 128 bits.)
+//!   why the dot kernel deliberately stays at 128 bits per row;
+//!   [`dot_f32_rows`] fills 256-bit registers with two rows' 128-bit
+//!   accumulators, over rows packed pairwise by [`PackedRows`], instead
+//!   of one row's eight lanes.)
 //!
 //! The `equivalence` proptests compare every AVX2 kernel against its
 //! portable twin at the `to_bits` level on randomised inputs.
@@ -290,6 +293,74 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot_f32(a, b))
 }
 
+/// A block of `dim`-length `f32` rows re-laid for [`dot_f32_rows`]: rows
+/// `2p` and `2p + 1` form pair `p`, stored as `2·dim` floats — their
+/// four-float chunks interleaved (`row 2p [4c..4c+4]`, then
+/// `row 2p+1 [4c..4c+4]`, for every whole chunk `c`), then the two rows'
+/// `dim mod 4` tail elements, `2p`'s first. An odd last row is paired
+/// with a zero row. One 256-bit load then fetches the same chunk of two
+/// rows, which is what lets the AVX2 kernel keep two rows' 128-bit
+/// accumulators in one register without shuffling.
+#[derive(Debug, Clone)]
+pub struct PackedRows {
+    dim: usize,
+    len: usize,
+    data: Vec<f32>,
+}
+
+impl PackedRows {
+    /// Packs the row-major block `rows` of `len` rows of length `dim`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != len * dim`.
+    pub fn new(rows: &[f32], len: usize, dim: usize) -> Self {
+        assert_eq!(rows.len(), len * dim, "PackedRows: block is not {len} rows of {dim}");
+        let n4 = dim & !3;
+        let mut data = vec![0.0f32; len.div_ceil(2) * 2 * dim];
+        for (r, row) in rows.chunks_exact(dim.max(1)).enumerate() {
+            let (pair, half) = (&mut data[r / 2 * 2 * dim..(r / 2 + 1) * 2 * dim], r % 2);
+            for (c, chunk) in row[..n4].chunks_exact(4).enumerate() {
+                pair[8 * c + 4 * half..8 * c + 4 * half + 4].copy_from_slice(chunk);
+            }
+            let tail = dim - n4;
+            pair[2 * n4 + half * tail..2 * n4 + (half + 1) * tail].copy_from_slice(&row[n4..]);
+        }
+        PackedRows { dim, len, data }
+    }
+
+    /// Length of every row.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The packed floats (see the type docs for the layout).
+    pub(crate) fn data(&self) -> &[f32] {
+        &self.data
+    }
+}
+
+/// [`dot_f32`] of one query row against consecutive packed rows:
+/// `out[k] = dot_f32(a, row lo + k)` for every `k`, bit for bit. The AVX2
+/// path computes eight rows per pass, two per 256-bit accumulator: each
+/// 128-bit half runs one row's four running sums exactly as [`dot_f32`]
+/// does, so the eight rows are independent dependency chains instead of
+/// one latency-bound chain per call.
+///
+/// # Panics
+///
+/// Panics if `a.len() != rows.dim()` or `lo + out.len() > rows.len()`.
+pub fn dot_f32_rows(a: &[f32], rows: &PackedRows, lo: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), rows.dim(), "dot_f32_rows dimensionality mismatch");
+    assert!(lo + out.len() <= rows.len(), "dot_f32_rows reads past the last row");
+    dispatch!(dot_f32_rows(a, rows, lo, out))
+}
+
 /// Per-hypothesis soft-bin lookup table: for every raw MIM orientation
 /// index `r` in `0..n_o`, the precomputed split of the shifted continuous
 /// index into neighbouring bins `lo`/`hi` with blend weights
@@ -393,6 +464,43 @@ mod tests {
         let a: Vec<f32> = (0..11).map(|i| (i as f32) * 0.25 - 1.0).collect();
         let b: Vec<f32> = (0..11).map(|i| 0.5 - (i as f32) * 0.125).collect();
         assert_eq!(dot_f32(&a, &b).to_bits(), portable::dot_f32(&a, &b).to_bits());
+    }
+
+    #[test]
+    fn dot_rows_match_per_row_dot_at_descriptor_sizes() {
+        // Production (432) and test (192) descriptor dimensions plus
+        // tails; row counts and offsets around the eight-row pass.
+        for dim in [0, 1, 3, 5, 192, 431, 432] {
+            let a: Vec<f32> = (0..dim).map(|i| ((i * 7) % 13) as f32 * 0.125 - 0.7).collect();
+            for n_rows in [0, 1, 7, 8, 9, 17, 24] {
+                let rows: Vec<f32> =
+                    (0..n_rows * dim).map(|i| ((i * 5) % 11) as f32 * 0.0625 - 0.3).collect();
+                let packed = PackedRows::new(&rows, n_rows, dim);
+                assert_eq!(packed.len(), n_rows);
+                for lo in 0..packed.len() {
+                    let mut out = vec![f32::NAN; packed.len() - lo];
+                    dot_f32_rows(&a, &packed, lo, &mut out);
+                    for (k, o) in out.iter().enumerate() {
+                        let r = lo + k;
+                        let want = portable::dot_f32(&a, &rows[r * dim..(r + 1) * dim]);
+                        assert_eq!(o.to_bits(), want.to_bits(), "dim {dim}, row {r} of {n_rows}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_f32_rows reads past the last row")]
+    fn dot_rows_reject_reads_past_the_block() {
+        let packed = PackedRows::new(&[1.0, 2.0, 3.0, 4.0], 2, 2);
+        dot_f32_rows(&[1.0, 2.0], &packed, 1, &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "block is not 2 rows of 2")]
+    fn packing_rejects_a_ragged_block() {
+        PackedRows::new(&[1.0, 2.0, 3.0], 2, 2);
     }
 
     #[test]

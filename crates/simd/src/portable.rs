@@ -6,7 +6,7 @@
 //! order). They are `pub` so the equivalence proptests (and any non-x86_64
 //! host) can run them directly.
 
-use crate::SoftBinLut;
+use crate::{PackedRows, SoftBinLut};
 
 /// Scalar [`cmul`](crate::cmul).
 pub fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
@@ -147,6 +147,36 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     }
     let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
     for (x, y) in ar.iter().zip(br) {
+        s += x * y;
+    }
+    s
+}
+
+/// Scalar [`dot_f32_rows`](crate::dot_f32_rows): [`dot_f32`]'s lane
+/// sums and tail, read from the packed layout one row at a time.
+pub fn dot_f32_rows(a: &[f32], rows: &PackedRows, lo: usize, out: &mut [f32]) {
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = dot_packed_row(a, rows, lo + k);
+    }
+}
+
+/// [`dot_f32`] of `a` and packed row `r`: the same four lane sums over the
+/// same chunks, combined and tailed in the same order.
+pub(crate) fn dot_packed_row(a: &[f32], rows: &PackedRows, r: usize) -> f32 {
+    let dim = rows.dim();
+    let n4 = dim & !3;
+    let (pair, half) = (&rows.data()[r / 2 * 2 * dim..(r / 2 + 1) * 2 * dim], r % 2);
+    let mut acc = [0.0f32; 4];
+    for (ca, cb) in a[..n4].chunks_exact(4).zip(pair.chunks_exact(8)) {
+        let cb = &cb[4 * half..4 * half + 4];
+        acc[0] += ca[0] * cb[0];
+        acc[1] += ca[1] * cb[1];
+        acc[2] += ca[2] * cb[2];
+        acc[3] += ca[3] * cb[3];
+    }
+    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    let tail = dim - n4;
+    for (x, y) in a[n4..].iter().zip(&pair[2 * n4 + half * tail..2 * n4 + (half + 1) * tail]) {
         s += x * y;
     }
     s

@@ -270,6 +270,38 @@ proptest! {
     }
 
     #[test]
+    fn dot_f32_rows_equals_per_row_dot(
+        dim in 0usize..40,
+        n_rows in 0usize..20,
+        lo_seed in 0usize..20,
+        vals in proptest::collection::vec(finite32(), 1..97),
+    ) {
+        // Dimensions not divisible by 4 exercise the scalar tail, row
+        // counts and offsets not divisible by 8 the per-row remainder.
+        let at = |k: usize| vals[k % vals.len()];
+        let a: Vec<f32> = (0..dim).map(at).collect();
+        let rows: Vec<f32> = (0..n_rows * dim).map(|k| at(k + 3 * dim + 1)).collect();
+        let packed = bba_simd::PackedRows::new(&rows, n_rows, dim);
+        let lo = lo_seed.min(n_rows);
+        let want: Vec<u32> = (lo..n_rows)
+            .map(|r| bba_simd::portable::dot_f32(&a, &rows[r * dim..(r + 1) * dim]).to_bits())
+            .collect();
+        let bits = |o: &[f32]| o.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut got = vec![f32::NAN; n_rows - lo];
+        bba_simd::dot_f32_rows(&a, &packed, lo, &mut got);
+        prop_assert_eq!(&want, &bits(&got), "dot rows dispatched");
+        let mut got = vec![f32::NAN; n_rows - lo];
+        bba_simd::portable::dot_f32_rows(&a, &packed, lo, &mut got);
+        prop_assert_eq!(&want, &bits(&got), "dot rows portable");
+        #[cfg(target_arch = "x86_64")]
+        if bba_simd::avx2_detected() {
+            let mut got = vec![f32::NAN; n_rows - lo];
+            unsafe { bba_simd::avx2::dot_f32_rows(&a, &packed, lo, &mut got) };
+            prop_assert_eq!(&want, &bits(&got), "dot rows avx2");
+        }
+    }
+
+    #[test]
     fn rebin_row_bitwise(
         samples in proptest::collection::vec((0.0f64..10.0, 0u32..64, 0u8..12), 0..50),
         cells in proptest::collection::vec(prop_oneof![0u8..16, Just(u8::MAX)], 64..65),

@@ -229,6 +229,11 @@ fn observed_link_run_emits_full_metrics_snapshot() {
     assert!(snap.gauge("stage1.inliers_bv").is_some(), "missing inlier gauge");
     assert!(snap.value("stage1.inliers_bv").is_some(), "missing inlier histogram");
     assert!(snap.counter("recover.calls").unwrap_or(0) >= 1);
+    // Sweep counters: hypotheses re-binned and matched, and the share of
+    // them whose RANSAC the consensus bound skipped.
+    let hypotheses = snap.counter("stage1.hypotheses").expect("missing hypothesis counter");
+    let pruned = snap.counter("stage1.hypotheses_pruned").expect("missing pruned counter");
+    assert!(hypotheses >= 1 && pruned < hypotheses, "{pruned} of {hypotheses} pruned");
     assert!(snap.counter("link.messages_sent").unwrap_or(0) >= 3);
     assert!(snap.counter("link.messages_delivered").unwrap_or(0) >= 3);
     assert_eq!(snap.counter("harness.ticks"), Some(3));
