@@ -7,9 +7,9 @@
 //! computation (the FFT-bound part), keypoint detection, descriptor work
 //! (the sample-once pass plus every per-hypothesis re-bin), descriptor
 //! matching (the blocked dot-product kernel), and RANSAC — and finally box
-//! alignment (stage 2). Every phase is timed twice — under a 1-thread
-//! budget and under the full `--threads` budget — so the table doubles as
-//! a scaling report for the `bba-par` substrate. See also
+//! alignment (stage 2). A recovery runs on its caller's thread (the
+//! workspace parallelises across recoveries, never inside one), so every
+//! phase is timed once, under a 1-thread budget. See also
 //! `cargo bench -p bba-bench --bench stage1` for kernel-vs-naive
 //! micro-benchmarks with Criterion-grade statistics.
 
@@ -24,11 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Medians below this are clock-noise divisions, not speedups: the speedup
-/// column prints `n/a` for them instead of implying a regression.
-const SPEEDUP_NOISE_FLOOR_MS: f64 = 0.5;
-
-/// Per-phase samples for one thread budget.
+/// Per-phase samples.
 #[derive(Default)]
 struct Samples {
     bev: Vec<f64>,
@@ -44,7 +40,9 @@ struct Samples {
 
 fn main() {
     let opts = cli::parse(12, "timing_breakdown — per-stage latency of the recovery pipeline");
-    let threads = opts.threads();
+    if opts.threads.is_some() {
+        eprintln!("note: a recovery runs on one thread; --threads is ignored");
+    }
 
     let mut engine = BbAlignConfig::default();
     if let Some(n) = opts.bev {
@@ -54,113 +52,91 @@ fn main() {
     let h = engine.bev.image_size();
     banner(
         "Runtime breakdown of one pose recovery",
-        &format!("{} frame pairs, {h}\u{b2} BV images, 1 vs {threads} thread(s)", opts.frames),
+        &format!("{} frame pairs, {h}\u{b2} BV images, 1 thread", opts.frames),
     );
 
-    // One enabled recorder sees everything: the engine's stage spans and
-    // gauges plus the thread pool's occupancy counters. Its snapshot rides
-    // along in the results JSON as the per-run health record.
+    // One enabled recorder sees the engine's stage spans, per-recovery
+    // distributions and counters. Its snapshot rides along in the results
+    // JSON as the per-run health record.
     let recorder = Recorder::enabled();
-    bba_par::install_recorder(recorder.clone());
     let aligner = BbAlign::new(engine.clone()).with_recorder(recorder.clone());
 
-    let mut serial = Samples::default();
-    let mut parallel = Samples::default();
-
+    let mut samples = Samples::default();
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    for s in 0..opts.frames {
-        let mut ds = Dataset::new(DatasetConfig::standard(), opts.seed.wrapping_add(s as u64));
-        let pair = ds.next_pair().unwrap();
+    bba_par::with_threads(1, || {
+        for s in 0..opts.frames {
+            let mut ds = Dataset::new(DatasetConfig::standard(), opts.seed.wrapping_add(s as u64));
+            let pair = ds.next_pair().unwrap();
 
-        // Each budget gets its own rng clone so both runs see the same
-        // stream — the pipelines are bit-identical, only the clock differs.
-        let mut rng_serial = rng.clone();
-        let mut ok = true;
-        for (budget, out, r) in
-            [(1usize, &mut serial, &mut rng_serial), (threads, &mut parallel, &mut rng)]
-        {
-            bba_par::with_threads(budget, || {
-                // BV rasterisation (both cars).
-                let t0 = Instant::now();
-                let ego = aligner.frame_from_parts(
-                    pair.ego.scan.points().iter().map(|p| p.position),
-                    pair.ego.detections.iter().map(|d| (d.box3, d.confidence)),
-                );
-                let other = aligner.frame_from_parts(
-                    pair.other.scan.points().iter().map(|p| p.position),
-                    pair.other.detections.iter().map(|d| (d.box3, d.confidence)),
-                );
-                let ms_bev = t0.elapsed().as_secs_f64() * 1e3;
+            // BV rasterisation (both cars).
+            let t0 = Instant::now();
+            let ego = aligner.frame_from_parts(
+                pair.ego.scan.points().iter().map(|p| p.position),
+                pair.ego.detections.iter().map(|d| (d.box3, d.confidence)),
+            );
+            let other = aligner.frame_from_parts(
+                pair.other.scan.points().iter().map(|p| p.position),
+                pair.other.detections.iter().map(|d| (d.box3, d.confidence)),
+            );
+            let ms_bev = t0.elapsed().as_secs_f64() * 1e3;
 
-                // Stage 1, with the in-situ per-phase breakdown.
-                let t0 = Instant::now();
-                let Ok((bv, timing)) = aligner.match_bv_timed(&ego, &other, r) else {
-                    eprintln!("  [pair {s}: stage 1 failed, skipping]");
-                    ok = false;
-                    return;
-                };
-                let ms_stage1 = t0.elapsed().as_secs_f64() * 1e3;
+            // Stage 1, with the in-situ per-phase breakdown.
+            let t0 = Instant::now();
+            let Ok((bv, timing)) = aligner.match_bv_timed(&ego, &other, &mut rng) else {
+                eprintln!("  [pair {s}: stage 1 failed, skipping]");
+                continue;
+            };
+            let ms_stage1 = t0.elapsed().as_secs_f64() * 1e3;
 
-                // Stage 2.
-                let t0 = Instant::now();
-                let _ = aligner.align_boxes(&ego, &other, &bv.transform, r);
-                let ms_stage2 = t0.elapsed().as_secs_f64() * 1e3;
+            // Stage 2.
+            let t0 = Instant::now();
+            let _ = aligner.align_boxes(&ego, &other, &bv.transform, &mut rng);
+            let ms_stage2 = t0.elapsed().as_secs_f64() * 1e3;
 
-                out.bev.push(ms_bev);
-                out.mim.push(timing.mim_ms);
-                out.detect.push(timing.detect_ms);
-                out.describe.push(timing.describe_ms);
-                out.matching.push(timing.match_ms);
-                out.ransac.push(timing.ransac_ms);
-                out.stage1.push(ms_stage1);
-                out.stage2.push(ms_stage2);
-                out.total.push(ms_bev + ms_stage1 + ms_stage2);
-            });
-            if !ok {
-                break;
+            samples.bev.push(ms_bev);
+            samples.mim.push(timing.mim_ms);
+            samples.detect.push(timing.detect_ms);
+            samples.describe.push(timing.describe_ms);
+            samples.matching.push(timing.match_ms);
+            samples.ransac.push(timing.ransac_ms);
+            samples.stage1.push(ms_stage1);
+            samples.stage2.push(ms_stage2);
+            samples.total.push(ms_bev + ms_stage1 + ms_stage2);
+            if (s + 1) % 4 == 0 {
+                eprintln!("  [{}/{} pairs]", s + 1, opts.frames);
             }
         }
-        if (s + 1) % 4 == 0 {
-            eprintln!("  [{}/{} pairs]", s + 1, opts.frames);
-        }
-    }
+    });
 
     // Temporal warm start: what a verified warm hit costs against the cold
     // path, measured on a 10 Hz sequence whose per-pair tracker is trained
     // by the recoveries themselves (the steady_state experiment sweeps
     // this across pair counts).
-    let mut warm_samples = (Vec::new(), Vec::new()); // (1 thread, N threads)
-    let mut cold_samples = (Vec::new(), Vec::new());
-    let warm_rng = StdRng::seed_from_u64(opts.seed ^ 0x57A2);
-    for (budget, warm_out, cold_out) in [
-        (1usize, &mut warm_samples.0, &mut cold_samples.0),
-        (threads, &mut warm_samples.1, &mut cold_samples.1),
-    ] {
-        let mut ds = Dataset::new(
-            DatasetConfig::standard().at_frame_interval(0.1),
-            opts.seed.wrapping_add(7331),
-        );
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
-        let mut r = warm_rng.clone();
-        bba_par::with_threads(budget, || {
-            for _ in 0..opts.frames {
-                let pair = ds.next_pair().unwrap();
-                let (ego, other) = frames_of(&aligner, &pair);
-                let hint = tracker.warm_prediction(pair.time);
-                let t0 = Instant::now();
-                let Ok(w) = aligner.recover_warm(&ego, &other, hint.as_ref(), &mut r) else {
-                    continue;
-                };
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                if w.path == RecoveryPath::WarmStart {
-                    warm_out.push(ms);
-                } else {
-                    cold_out.push(ms);
-                }
-                tracker.update(pair.time, &w.recovery);
+    let (mut warm_samples, mut cold_samples) = (Vec::new(), Vec::new());
+    let mut ds = Dataset::new(
+        DatasetConfig::standard().at_frame_interval(0.1),
+        opts.seed.wrapping_add(7331),
+    );
+    let mut tracker = PoseTracker::new(TrackerConfig::default());
+    let mut r = StdRng::seed_from_u64(opts.seed ^ 0x57A2);
+    bba_par::with_threads(1, || {
+        for _ in 0..opts.frames {
+            let pair = ds.next_pair().unwrap();
+            let (ego, other) = frames_of(&aligner, &pair);
+            let hint = tracker.warm_prediction(pair.time);
+            let t0 = Instant::now();
+            let Ok(w) = aligner.recover_warm(&ego, &other, hint.as_ref(), &mut r) else {
+                continue;
+            };
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            if w.path == RecoveryPath::WarmStart {
+                warm_samples.push(ms);
+            } else {
+                cold_samples.push(ms);
             }
-        });
-    }
+            tracker.update(pair.time, &w.recovery);
+        }
+    });
 
     // One structured record per phase, feeding both the printed table and
     // the machine-readable results/timing_breakdown.json.
@@ -168,66 +144,29 @@ fn main() {
         label: &'static str,
         median_1thr_ms: Option<f64>,
         p90_1thr_ms: Option<f64>,
-        median_nthr_ms: Option<f64>,
-        /// `None` when either median is missing or the 1-thread median sits
-        /// below the noise floor (a ratio of two sub-half-millisecond clock
-        /// readings says nothing about scaling).
-        speedup: Option<f64>,
     }
-    let phase = |label: &'static str, one: &[f64], many: &[f64]| {
-        let m1 = percentile(one, 50.0);
-        let mn = percentile(many, 50.0);
-        let speedup = match (m1, mn) {
-            (Some(a), Some(b)) if b > 0.0 && a >= SPEEDUP_NOISE_FLOOR_MS => Some(a / b),
-            _ => None,
-        };
-        PhaseStats {
-            label,
-            median_1thr_ms: m1,
-            p90_1thr_ms: percentile(one, 90.0),
-            median_nthr_ms: mn,
-            speedup,
-        }
+    let phase = |label: &'static str, ms: &[f64]| PhaseStats {
+        label,
+        median_1thr_ms: percentile(ms, 50.0),
+        p90_1thr_ms: percentile(ms, 90.0),
     };
     let phases = [
-        phase("BV rasterisation (2 cars)", &serial.bev, &parallel.bev),
-        phase("stage 1: Log-Gabor MIM (2 images)", &serial.mim, &parallel.mim),
-        phase("stage 1: keypoint detection", &serial.detect, &parallel.detect),
-        phase("stage 1: describe (sample + re-bin)", &serial.describe, &parallel.describe),
-        phase("stage 1: descriptor matching", &serial.matching, &parallel.matching),
-        phase("stage 1: RANSAC", &serial.ransac, &parallel.ransac),
-        phase("stage 1 total", &serial.stage1, &parallel.stage1),
-        phase("stage 2 (box alignment)", &serial.stage2, &parallel.stage2),
-        phase("end-to-end recovery", &serial.total, &parallel.total),
-        phase("recover_warm: warm hit (10 Hz)", &warm_samples.0, &warm_samples.1),
-        phase("recover_warm: cold path (10 Hz)", &cold_samples.0, &cold_samples.1),
+        phase("BV rasterisation (2 cars)", &samples.bev),
+        phase("stage 1: Log-Gabor MIM (2 images)", &samples.mim),
+        phase("stage 1: keypoint detection", &samples.detect),
+        phase("stage 1: describe (sample + re-bin)", &samples.describe),
+        phase("stage 1: descriptor matching", &samples.matching),
+        phase("stage 1: RANSAC", &samples.ransac),
+        phase("stage 1 total", &samples.stage1),
+        phase("stage 2 (box alignment)", &samples.stage2),
+        phase("end-to-end recovery", &samples.total),
+        phase("recover_warm: warm hit (10 Hz)", &warm_samples),
+        phase("recover_warm: cold path (10 Hz)", &cold_samples),
     ];
 
-    let mut rows = vec![vec![
-        "phase".to_string(),
-        "median ms (1 thr)".to_string(),
-        "p90 ms (1 thr)".to_string(),
-        // Fixed label, mirroring the JSON writer's "median_nthr_ms": an
-        // interpolated thread count collides with the 1-thread column on
-        // single-core hosts; the banner and the JSON "threads" field
-        // record the actual N.
-        "median ms (N thr)".to_string(),
-        "speedup".to_string(),
-    ]];
+    let mut rows = vec![vec!["phase".to_string(), "median ms".to_string(), "p90 ms".to_string()]];
     for p in &phases {
-        rows.push(vec![
-            p.label.to_string(),
-            opt(p.median_1thr_ms, 1),
-            opt(p.p90_1thr_ms, 1),
-            opt(p.median_nthr_ms, 1),
-            match p.speedup {
-                Some(s) => format!("{s:.2}x"),
-                None if p.median_1thr_ms.is_some_and(|m| m < SPEEDUP_NOISE_FLOOR_MS) => {
-                    "n/a".to_string()
-                }
-                None => "-".to_string(),
-            },
-        ]);
+        rows.push(vec![p.label.to_string(), opt(p.median_1thr_ms, 1), opt(p.p90_1thr_ms, 1)]);
     }
     print_table(&rows);
 
@@ -241,8 +180,6 @@ fn main() {
             ("frames".into(), Value::UInt(opts.frames as u64)),
             ("seed".into(), Value::UInt(opts.seed)),
             ("bev_size".into(), Value::UInt(h as u64)),
-            ("threads".into(), Value::UInt(threads as u64)),
-            ("speedup_noise_floor_ms".into(), Value::Float(SPEEDUP_NOISE_FLOOR_MS)),
             (
                 "phases".into(),
                 Value::Seq(
@@ -253,14 +190,6 @@ fn main() {
                                 ("label".into(), Value::Str(p.label.into())),
                                 ("median_1thr_ms".into(), float(p.median_1thr_ms)),
                                 ("p90_1thr_ms".into(), float(p.p90_1thr_ms)),
-                                // Fixed key: interpolating the thread count
-                                // here collided with "median_1thr_ms" when
-                                // the host exposes a single thread, and the
-                                // duplicate key made the phase record
-                                // ambiguous (the sibling "threads" field
-                                // already records N).
-                                ("median_nthr_ms".into(), float(p.median_nthr_ms)),
-                                ("speedup".into(), float(p.speedup)),
                             ])
                         })
                         .collect(),

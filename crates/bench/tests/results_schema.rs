@@ -38,7 +38,7 @@ fn timing_breakdown_phases_have_unique_well_formed_keys() {
     assert!(!phases.is_empty(), "at least one phase record expected");
     for (i, phase) in phases.iter().enumerate() {
         let Value::Map(entries) = phase else { panic!("phase {i} must be an object") };
-        for key in ["label", "median_1thr_ms", "p90_1thr_ms", "median_nthr_ms", "speedup"] {
+        for key in ["label", "median_1thr_ms", "p90_1thr_ms"] {
             assert!(
                 field(entries, key).is_some(),
                 "phase {i} is missing `{key}` (found keys: {:?})",

@@ -236,7 +236,8 @@ pub struct BbAlign {
     /// `pool.stage1.*` counters.
     stage1_scratch: crate::pool::BoundedPool<Stage1Scratch>,
     /// Observability sink (disabled by default — and then free). Records
-    /// per-phase spans, inlier gauges, and success/failure counters; it
+    /// per-phase spans, per-recovery distributions (keypoints, matches,
+    /// inliers, stage-2 residuals) and success/failure counters; it
     /// never influences results, only observes them.
     obs: Recorder,
 }
@@ -296,7 +297,8 @@ impl BbAlign {
 
     /// Installs an observability recorder (builder style). With an enabled
     /// recorder every recovery emits hierarchical timing spans
-    /// (`recover/stage1/mim` … `recover/stage2`), inlier gauges, and
+    /// (`recover/stage1/mim` … `recover/stage2`), per-recovery
+    /// distributions (keypoints, matches, inliers, stage-2 residuals) and
     /// success/failure counters; with the default disabled recorder the
     /// instrumentation short-circuits and the hot path stays
     /// allocation-free. Recorded timings never feed back into the
@@ -519,10 +521,9 @@ impl BbAlign {
                     self.obs.record_span_ms("ransac", timing.ransac_ms);
                     self.obs.add("stage1.hypotheses", timing.hypotheses_swept as u64);
                     self.obs.add("stage1.hypotheses_pruned", timing.hypotheses_pruned as u64);
-                    self.obs.gauge("stage1.keypoints_ego", bv.keypoints.0 as f64);
-                    self.obs.gauge("stage1.keypoints_other", bv.keypoints.1 as f64);
-                    self.obs.gauge("stage1.matches", bv.matches as f64);
-                    self.obs.gauge("stage1.inliers_bv", bv.inliers as f64);
+                    self.obs.observe("stage1.keypoints_ego", bv.keypoints.0 as f64);
+                    self.obs.observe("stage1.keypoints_other", bv.keypoints.1 as f64);
+                    self.obs.observe("stage1.matches", bv.matches as f64);
                     self.obs.observe("stage1.inliers_bv", bv.inliers as f64);
                 }
                 Err(_) => self.obs.incr("stage1.failures"),
@@ -702,14 +703,13 @@ impl BbAlign {
         if self.obs.is_enabled() {
             match &out {
                 Some(b) => {
-                    self.obs.gauge("stage2.box_pairs", b.box_pairs as f64);
-                    self.obs.gauge("stage2.inliers_box", b.inliers as f64);
+                    self.obs.observe("stage2.box_pairs", b.box_pairs as f64);
                     self.obs.observe("stage2.inliers_box", b.inliers as f64);
                     // The refinement magnitude is itself the stage-2
                     // residual: how far stage 1 was from the box geometry.
                     let (dt, dr) = b.transform.error_to(&Iso2::IDENTITY);
-                    self.obs.gauge("stage2.residual_t_m", dt);
-                    self.obs.gauge("stage2.residual_r_rad", dr);
+                    self.obs.observe("stage2.residual_t_m", dt);
+                    self.obs.observe("stage2.residual_r_rad", dr);
                 }
                 None => self.obs.incr("stage2.skipped"),
             }
@@ -912,7 +912,7 @@ impl BbAlign {
             drop(span);
             if let Some(recovery) = verified {
                 self.obs.incr("warmstart.hit");
-                self.obs.gauge("warmstart.inliers_bv", recovery.bv.inliers as f64);
+                self.obs.observe("warmstart.inliers_bv", recovery.bv.inliers as f64);
                 return Ok(WarmRecovery { recovery, path: RecoveryPath::WarmStart });
             }
         }
@@ -943,7 +943,7 @@ impl BbAlign {
         let scorer = AlignmentScorer::new(ego.bev());
         let cells = scorer.collect_occupied(other.bev());
         let check = scorer.score_cells_detail(&cells, predicted);
-        self.obs.gauge("warmstart.alignment", check.score);
+        self.obs.observe("warmstart.alignment", check.score);
         // Absolute floor on the raw prediction: rules out hopeless
         // predictions (a gross alias or a blown track scores well under
         // this at every raster) before paying for box alignment.
@@ -1075,7 +1075,7 @@ impl AlignmentScorer {
         let size = grid.width();
         let h = size as isize;
         let mut dilated = vec![false; size * grid.height()];
-        bba_par::par_for_rows(&mut dilated, size, |v, row| {
+        for (v, row) in dilated.chunks_mut(size).enumerate() {
             for (u, out) in row.iter_mut().enumerate() {
                 'win: for du in -1..=1isize {
                     for dv in -1..=1isize {
@@ -1092,7 +1092,7 @@ impl AlignmentScorer {
                     }
                 }
             }
-        });
+        }
         let height = dilated.len().checked_div(size).unwrap_or(0);
         let coarse_w = size.div_ceil(COARSE).max(1);
         let coarse_h = height.div_ceil(COARSE).max(1);

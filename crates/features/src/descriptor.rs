@@ -218,19 +218,15 @@ pub fn describe_keypoints(
     describe_all(mim, keypoints, config, None)
 }
 
-/// Shared parallel driver: one independent patch per keypoint, collected in
-/// keypoint order and filtered in that order, so the output is identical to
-/// the serial `filter_map` at every thread count.
+/// Shared driver: one independent patch per keypoint, kept in keypoint
+/// order.
 fn describe_all(
     mim: &MaxIndexMap,
     keypoints: &[Keypoint],
     config: &DescriptorConfig,
     rotation_override: Option<f64>,
 ) -> Vec<Descriptor> {
-    bba_par::par_map(keypoints, |kp| describe_one(mim, *kp, config, rotation_override))
-        .into_iter()
-        .flatten()
-        .collect()
+    keypoints.iter().filter_map(|kp| describe_one(mim, *kp, config, rotation_override)).collect()
 }
 
 /// Computes descriptors with a fixed global patch rotation of `angle`

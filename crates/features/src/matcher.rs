@@ -68,7 +68,7 @@ impl Default for MatcherConfig {
     }
 }
 
-/// Query rows processed per parallel work unit (and per pool-block pass).
+/// Query rows processed per pool-block pass.
 const QUERY_BLOCK: usize = 16;
 
 /// Pool rows per cache block: sized so a block of vectors (~32 KiB) stays
@@ -121,27 +121,23 @@ fn push_candidate(cands: &mut Vec<(u32, f32)>, cap: usize, j: u32, d: f32) {
 }
 
 /// For every `q` row, its `cap` best pool rows as `(pool_index, dot)`,
-/// best-first. Blocked: parallel over query blocks, and within a block the
-/// pool (packed once per call) is streamed in cache-sized tiles reused
-/// across all query rows of the block; each query row takes a whole tile's
-/// dot products in one multi-row kernel call, then offers them in
-/// ascending pool order. Each
-/// query row's result is a pure function of the inputs, so the output is
-/// bit-identical at every thread count.
+/// best-first. Blocked: the pool (packed once per call) is streamed in
+/// cache-sized tiles reused across all query rows of a block; each query
+/// row takes a whole tile's dot products in one multi-row kernel call,
+/// then offers them in ascending pool order.
 fn blocked_topk(q: &DescriptorSet, pool: &DescriptorSet, cap: usize) -> Vec<Vec<(u32, f32)>> {
     let n = q.len();
-    let blocks: Vec<(usize, usize)> =
-        (0..n).step_by(QUERY_BLOCK).map(|lo| (lo, (lo + QUERY_BLOCK).min(n))).collect();
     let tile = pool_block_rows(q.dim());
     let packed = bba_simd::PackedRows::new(pool.data(), pool.len(), pool.dim());
-    let per_block: Vec<Vec<Vec<(u32, f32)>>> = bba_par::par_map(&blocks, |&(lo, hi)| {
-        let mut tops: Vec<Vec<(u32, f32)>> = vec![Vec::with_capacity(cap + 1); hi - lo];
-        let mut dots = vec![0.0f32; tile];
+    let mut tops: Vec<Vec<(u32, f32)>> = vec![Vec::with_capacity(cap + 1); n];
+    let mut dots = vec![0.0f32; tile];
+    for lo in (0..n).step_by(QUERY_BLOCK) {
+        let hi = (lo + QUERY_BLOCK).min(n);
         let mut jlo = 0;
         while jlo < pool.len() {
             let jhi = (jlo + tile).min(pool.len());
             let dots = &mut dots[..jhi - jlo];
-            for (top, i) in tops.iter_mut().zip(lo..hi) {
+            for (top, i) in tops[lo..hi].iter_mut().zip(lo..hi) {
                 bba_simd::dot_f32_rows(q.row(i), &packed, jlo, dots);
                 for (j, &d) in (jlo..).zip(dots.iter()) {
                     push_candidate(top, cap, j as u32, d);
@@ -149,9 +145,8 @@ fn blocked_topk(q: &DescriptorSet, pool: &DescriptorSet, cap: usize) -> Vec<Vec<
             }
             jlo = jhi;
         }
-        tops
-    });
-    per_block.into_iter().flatten().collect()
+    }
+    tops
 }
 
 /// Applies cap / ratio / mutual selection to one query row's best-first
@@ -213,9 +208,9 @@ pub fn match_sets(src: &DescriptorSet, dst: &DescriptorSet, config: &MatcherConf
     for (i, cands) in per_src.iter().enumerate() {
         select_matches(i, cands, k, config, dst_best.as_deref(), &mut out);
     }
-    // Stable sort on a total order: bit-identical result at every thread
-    // count, and NaN distances (impossible for finite descriptors, but no
-    // longer a panic) sort last instead of aborting the recovery.
+    // Stable sort on a total order: ties keep query order, and NaN
+    // distances (impossible for finite descriptors, but no longer a panic)
+    // sort last instead of aborting the recovery.
     out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
     out
 }

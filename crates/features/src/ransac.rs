@@ -18,9 +18,9 @@
 //!   raise that bound before the scan starts, and duplicate-sample
 //!   memoisation. The fast path returns the **bit-identical**
 //!   `RansacResult` (same inlier set, same pose bits, same iteration
-//!   count) and the same errors as the naive scan for every input, seed and
-//!   `bba-par` thread width; `DESIGN.md` → *RANSAC fast path* carries the
-//!   determinism argument and the proptests in this crate pin it.
+//!   count) and the same errors as the naive scan for every input and
+//!   seed; `DESIGN.md` → *RANSAC fast path* carries the determinism
+//!   argument and the proptests in this crate pin it.
 //!
 //! [`ransac_rigid_hinted`] can also skip the scan altogether: given the
 //! smallest inlier count its caller can use, it first computes an exact
@@ -36,8 +36,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// RANSAC parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -143,11 +141,11 @@ fn draw_sample<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (usize, usize) {
     (i, j)
 }
 
-/// Draws the minimal samples (two distinct correspondences each) up front
-/// on the calling thread, so the rng stream is consumed identically at
-/// every thread count; fitting and scoring each hypothesis is then a pure
-/// function of its sample and parallelises freely. Both the naive and the
-/// fast scan consume exactly this sequence.
+/// Draws the minimal samples (two distinct correspondences each) up front,
+/// so the rng advances by the same `iterations` draws wherever the scan
+/// stops; fitting and scoring each hypothesis is then a pure function of
+/// its sample. Both the naive and the fast scan consume exactly this
+/// sequence.
 fn draw_samples<R: Rng + ?Sized>(n: usize, iterations: usize, rng: &mut R) -> Vec<(usize, usize)> {
     (0..iterations).map(|_| draw_sample(n, rng)).collect()
 }
@@ -316,27 +314,15 @@ pub fn ransac_rigid_naive<R: Rng + ?Sized>(
         Some((0..n).filter(|&k| (model.apply(src[k]) - dst[k]).norm_sq() <= thresh_sq).collect())
     };
 
-    // Hypotheses are scored in parallel a chunk at a time, but the
-    // best-so-far scan walks them strictly in draw order with the serial
-    // loop's early-exit rule, so the winning consensus set — and the
-    // reported iteration count — are independent of the thread count.
-    // Under a budget of 1 the chunk size is 1: evaluation stays as lazy as
-    // the classic loop and stops at the same iteration.
-    let threads = bba_par::current_threads();
-    let chunk = if threads <= 1 { 1 } else { threads * 8 };
     let mut best_inliers: Vec<usize> = Vec::new();
     let mut iterations = 0usize;
-    'eval: for start in (0..samples.len()).step_by(chunk) {
-        let end = (start + chunk).min(samples.len());
-        let scored = bba_par::par_map(&samples[start..end], |s| score(s));
-        for (offset, inliers) in scored.into_iter().enumerate() {
-            iterations = start + offset + 1;
-            let Some(inliers) = inliers else { continue };
-            if inliers.len() > best_inliers.len() {
-                best_inliers = inliers;
-                if best_inliers.len() as f64 >= config.early_exit_fraction * n as f64 {
-                    break 'eval;
-                }
+    for (k, sample) in samples.iter().enumerate() {
+        iterations = k + 1;
+        let Some(inliers) = score(sample) else { continue };
+        if inliers.len() > best_inliers.len() {
+            best_inliers = inliers;
+            if best_inliers.len() as f64 >= config.early_exit_fraction * n as f64 {
+                break;
             }
         }
     }
@@ -434,31 +420,14 @@ pub fn ransac_rigid_hinted<R: Rng + ?Sized>(
 /// seed the bail bound before the scan starts (the PROSAC-style layer).
 const PREVIEW_SAMPLES: usize = 16;
 
-/// Outcome of evaluating one hypothesis. `Scored` carries the exact inlier
-/// count; `Bailed` certifies only that the count cannot affect the scan
-/// (it is at or below the bail bound the evaluation ran under).
-enum HypothesisOutcome {
-    /// Coincident sample points or a failed fit — no model.
-    Degenerate,
-    /// Abandoned early; provably irrelevant to best/exit/winner.
-    Bailed,
-    /// Fully counted.
-    Scored(u32),
-    /// Same unordered pair as the earlier sample at this index; the twin's
-    /// resolution transfers because the two-point fit is bit-commutative
-    /// in its pair order.
-    Duplicate(u32),
-}
-
 /// [`ransac_rigid`] with optional per-correspondence quality weights
 /// (lower is better — matcher descriptor distances plug in directly).
 ///
 /// Quality only *schedules* work: the `PREVIEW_SAMPLES` distinct samples
 /// with the smallest summed quality are scored first so the bail bound
 /// starts high. The returned result is bit-identical to
-/// [`ransac_rigid_naive`] with or without `quality`, at every `bba-par`
-/// thread width. A `quality` slice whose length differs from the
-/// correspondence count is ignored.
+/// [`ransac_rigid_naive`] with or without `quality`. A `quality` slice
+/// whose length differs from the correspondence count is ignored.
 ///
 /// # Errors
 ///
@@ -591,72 +560,40 @@ pub fn ransac_rigid_guided<R: Rng + ?Sized>(
         (preview_suffix[pos] as usize).saturating_sub(1).min(exit_cap)
     };
 
-    // The scan. Evaluation may run a chunk ahead in parallel; the merge
-    // walks outcomes strictly in draw order, so best/exit/winner replicate
-    // the serial scan exactly. Workers read the merged best through an
-    // atomic: any value they observe is a prefix-max at or below the true
-    // best at their index, so a bail it permits is always one the serial
-    // scan could also have taken — looser reads cost extra full scores,
-    // never a different result.
-    let best_so_far = AtomicUsize::new(0);
-    let eval = |k: usize| -> HypothesisOutcome {
-        let twin = dup_of[k];
-        if twin != u32::MAX {
-            return HypothesisOutcome::Duplicate(twin);
-        }
-        if let Some(count) = pre[k] {
-            return HypothesisOutcome::Scored(count);
-        }
-        let Some(model) = sample_model(samples[k]) else {
-            return HypothesisOutcome::Degenerate;
-        };
-        let bound = best_so_far.load(Ordering::Relaxed).max(suffix_bound(k));
-        let (sin, cos) = model.yaw().sin_cos();
-        let t = model.translation();
-        match count_inliers_bailing(&sx, &sy, &dx, &dy, cos, sin, t.x, t.y, thresh_sq, bound) {
-            Some(count) => HypothesisOutcome::Scored(count as u32),
-            None => HypothesisOutcome::Bailed,
-        }
-    };
-
-    // resolved[k]: -2 unvisited, -1 bailed/degenerate (irrelevant), else
-    // the exact count — what a later duplicate of sample `k` inherits.
-    let mut resolved: Vec<i64> = vec![-2; n_samples];
+    // The scan, in draw order with the naive loop's strict running best
+    // and early exit. resolved[k] is sample k's exact count, or `None` when
+    // it was degenerate or bailed (provably irrelevant to best/exit/winner)
+    // — what a later duplicate of it inherits, because the two-point fit is
+    // bit-commutative in its pair order.
+    let mut resolved: Vec<Option<u32>> = vec![None; n_samples];
     let mut best_count = 0usize;
     let mut best_idx: Option<usize> = None;
     let mut iterations = 0usize;
-    let threads = bba_par::current_threads();
-    let chunk = if threads <= 1 { 1 } else { threads * 8 };
-    bba_par::par_scan_chunked(n_samples, chunk, eval, |k, outcome| {
+    for k in 0..n_samples {
         iterations = k + 1;
-        let count = match outcome {
-            HypothesisOutcome::Degenerate | HypothesisOutcome::Bailed => {
-                resolved[k] = -1;
-                return ControlFlow::Continue(());
-            }
-            HypothesisOutcome::Duplicate(twin) => {
-                let r = resolved[twin as usize];
-                resolved[k] = r;
-                if r < 0 {
-                    return ControlFlow::Continue(());
-                }
-                r as usize
-            }
-            HypothesisOutcome::Scored(count) => {
-                resolved[k] = i64::from(count);
-                count as usize
-            }
+        let twin = dup_of[k];
+        resolved[k] = if twin != u32::MAX {
+            resolved[twin as usize]
+        } else if pre[k].is_some() {
+            pre[k]
+        } else {
+            sample_model(samples[k]).and_then(|model| {
+                let bound = best_count.max(suffix_bound(k));
+                let (sin, cos) = model.yaw().sin_cos();
+                let t = model.translation();
+                count_inliers_bailing(&sx, &sy, &dx, &dy, cos, sin, t.x, t.y, thresh_sq, bound)
+                    .map(|count| count as u32)
+            })
         };
+        let Some(count) = resolved[k].map(|c| c as usize) else { continue };
         if count > best_count {
             best_count = count;
             best_idx = Some(k);
-            best_so_far.store(count, Ordering::Relaxed);
             if exits(count) {
-                return ControlFlow::Break(());
+                break;
             }
         }
-        ControlFlow::Continue(())
-    });
+    }
 
     let required = config.min_inliers.max(2);
     let Some(winner) = best_idx.filter(|_| best_count >= required) else {
@@ -1032,21 +969,7 @@ mod tests {
         }
         let quality: Vec<f64> = (0..60).map(|i| ((i * 37) % 61) as f64).collect();
         let cfg = RansacConfig { max_iterations: 600, ..Default::default() };
-        let reference = bba_par::with_threads(1, || {
-            ransac_rigid_naive(&src, &dst, &cfg, &mut StdRng::seed_from_u64(11))
-        });
-        for threads in 1..=8 {
-            let fast = bba_par::with_threads(threads, || {
-                ransac_rigid_guided(
-                    &src,
-                    &dst,
-                    Some(&quality),
-                    &cfg,
-                    &mut StdRng::seed_from_u64(11),
-                )
-            });
-            assert_eq!(reference, fast, "threads={threads}");
-        }
+        assert_fast_matches_naive(&src, &dst, Some(&quality), &cfg, 11);
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //! path (`patch_stats`, `grid_cell`, `sample_weight`, `soft_bin`,
 //! `l2_normalize`), in the same order, so the produced descriptors are
 //! **bit-identical** to the naive reference — the `sweep_matches_naive_*`
-//! proptests pin that claim. Parallelism goes through `bba_par` with one
-//! disjoint output row per keypoint followed by a serial in-order
-//! compaction, so results are also bit-identical at every thread count.
+//! proptests pin that claim.
 //!
 //! Descriptors land in a flat row-major [`DescriptorSet`] (structure of
 //! arrays, no per-descriptor `Vec`), which is what the blocked dot-product
@@ -235,21 +233,6 @@ impl RotationSweep {
     }
 }
 
-/// One cached MIM sample of a patch during extraction: histogram weight,
-/// position inside the reach window (row-major offset), and raw MIM
-/// orientation index. Storage is structure-of-arrays ([`PatchSamples`]); the
-/// tuple form only exists per worker during the sample pass.
-///
-/// The weight is kept at `f64` deliberately: the naive path computes the
-/// weight in `f64` and converts to `f32` only after the soft-bin split, so
-/// caching a narrowed value would change bits.
-#[derive(Debug, Clone, Copy)]
-struct PatchSample {
-    weight: f64,
-    offset: u32,
-    index: u8,
-}
-
 /// The hypothesis-invariant samples of a keypoint set: everything stage 1
 /// needs to describe the keypoints at *any* rotation, extracted with
 /// exactly one MIM read per pixel.
@@ -266,7 +249,9 @@ pub struct PatchSamples {
     keypoints: Vec<Keypoint>,
     /// Per surviving keypoint: `[start, end)` range into the sample arrays.
     spans: Vec<(u32, u32)>,
-    /// Histogram weight per sample.
+    /// Histogram weight per sample. Kept at `f64` deliberately: the naive
+    /// path computes the weight in `f64` and converts to `f32` only after
+    /// the soft-bin split, so caching a narrowed value would change bits.
     weights: Vec<f64>,
     /// Row-major reach-window offset per sample.
     offsets: Vec<u32>,
@@ -316,19 +301,17 @@ impl PatchSamples {
         let window = (2 * reach + 1) as usize;
         let (w, h) = (mim.width() as isize, mim.height() as isize);
 
-        // One independent patch per keypoint, collected in keypoint order —
-        // the same ordered-reduction discipline as `describe_keypoints`.
-        let per_kp: Vec<Option<Vec<PatchSample>>> = bba_par::par_map(keypoints, |kp| {
+        for kp in keypoints {
             let (cu, cv) = (kp.u as isize, kp.v as isize);
             if cu - reach < 0 || cv - reach < 0 || cu + reach >= w || cv + reach >= h {
-                return None;
+                continue;
             }
             let stats = patch_stats(mim, cu, cv, half, false);
             if stats.max_amp <= 0.0 {
-                return None;
+                continue;
             }
             let gate = stats.max_amp * config.amplitude_gate;
-            let mut out = Vec::new();
+            let start = self.weights.len() as u32;
             for dv in -reach..=reach {
                 for du in -reach..=reach {
                     let (u, v) = ((cu + du) as usize, (cv + dv) as usize);
@@ -336,27 +319,14 @@ impl PatchSamples {
                     if amp <= gate {
                         continue;
                     }
-                    out.push(PatchSample {
-                        weight: sample_weight(amp, config.weighting),
-                        offset: ((dv + reach) as usize * window + (du + reach) as usize) as u32,
-                        index: mim.index[(u, v)],
-                    });
+                    self.weights.push(sample_weight(amp, config.weighting));
+                    self.offsets
+                        .push(((dv + reach) as usize * window + (du + reach) as usize) as u32);
+                    self.indices.push(mim.index[(u, v)]);
                 }
             }
-            Some(out)
-        });
-
-        for (kp, samples) in keypoints.iter().zip(per_kp) {
-            if let Some(samples) = samples {
-                let start = self.weights.len() as u32;
-                for s in &samples {
-                    self.weights.push(s.weight);
-                    self.offsets.push(s.offset);
-                    self.indices.push(s.index);
-                }
-                self.keypoints.push(*kp);
-                self.spans.push((start, self.weights.len() as u32));
-            }
+            self.keypoints.push(*kp);
+            self.spans.push((start, self.weights.len() as u32));
         }
     }
 
@@ -386,15 +356,14 @@ impl PatchSamples {
         let lut = &sweep.luts[k];
         let n_o = sweep.num_orientations;
 
-        // One disjoint output row per keypoint; a row stays all-zero iff
-        // the naive path would have dropped the descriptor (its L2 norm is
-        // zero), which the serial compaction below detects. The per-sample
-        // soft-bin split is precomputed in the hypothesis's LUT; the
-        // scatter stays scalar in sample order (colliding bins make the
-        // f32 accumulation order observable).
-        let spans = &self.spans;
-        bba_par::par_for_rows(&mut out.data, dim, |i, row| {
-            let (start, end) = (spans[i].0 as usize, spans[i].1 as usize);
+        // One output row per keypoint; a row stays all-zero iff the naive
+        // path would have dropped the descriptor (its L2 norm is zero),
+        // which the compaction below detects. The per-sample soft-bin split
+        // is precomputed in the hypothesis's LUT; the scatter stays scalar
+        // in sample order (colliding bins make the f32 accumulation order
+        // observable).
+        for (row, &(start, end)) in out.data.chunks_mut(dim).zip(&self.spans) {
+            let (start, end) = (start as usize, end as usize);
             bba_simd::rebin_row(
                 row,
                 &self.weights[start..end],
@@ -406,10 +375,10 @@ impl PatchSamples {
                 lut,
             );
             l2_normalize(row);
-        });
+        }
 
-        // Serial in-order compaction: drop zero rows, keep the rest in
-        // keypoint order (deterministic at every thread count).
+        // In-order compaction: drop zero rows, keep the rest in keypoint
+        // order.
         let mut kept = 0usize;
         for i in 0..n {
             if self.row_is_zero(&out.data, i, dim) {

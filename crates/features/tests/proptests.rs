@@ -209,8 +209,8 @@ proptest! {
     /// The layered RANSAC fast path returns the exact `Result` of the naive
     /// reference scan — same pose bits, inlier set, iteration count and
     /// error variant — for random correspondence sets (outliers, exact
-    /// duplicates, tiny inputs), random configurations, any quality
-    /// schedule (absent, random, or wrong-length) and any thread width.
+    /// duplicates, tiny inputs), random configurations and any quality
+    /// schedule (absent, random, or wrong-length).
     #[test]
     fn ransac_fast_path_equals_naive_bit_for_bit(
         pts in prop::collection::vec((-60.0..60.0f64, -60.0..60.0f64, 0..5u8), 0..40),
@@ -224,7 +224,6 @@ proptest! {
         seed in any::<u64>(),
         qmode in 0u8..3,
         qseed in any::<u64>(),
-        threads in 2usize..9,
     ) {
         let truth = Iso2::new(angle, Vec2::new(tx, ty));
         let mut src: Vec<Vec2> = Vec::new();
@@ -259,23 +258,20 @@ proptest! {
                 Some((0..len).map(|_| qrng.random_range(0.0..10.0)).collect())
             }
         };
-        let naive = bba_par::with_threads(1, || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            ransac_rigid_naive(&src, &dst, &cfg, &mut rng)
-        });
-        for budget in [1usize, threads] {
-            let fast = bba_par::with_threads(budget, || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                ransac_rigid_guided(&src, &dst, quality.as_deref(), &cfg, &mut rng)
-            });
-            prop_assert_eq!(&naive, &fast, "diverged at {} threads (qmode {})", budget, qmode);
-        }
+        let naive = ransac_rigid_naive(&src, &dst, &cfg, &mut StdRng::seed_from_u64(seed));
+        let fast = ransac_rigid_guided(
+            &src,
+            &dst,
+            quality.as_deref(),
+            &cfg,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        prop_assert_eq!(&naive, &fast, "diverged (qmode {})", qmode);
     }
 
     /// The blocked dot-product kernel returns exactly the match set of the
     /// naive full-sort reference across random ratio / mutual /
-    /// max_distance / keep_top_k configurations — and stays bit-identical
-    /// at any thread count.
+    /// max_distance / keep_top_k configurations.
     #[test]
     fn kernel_matcher_equals_naive(
         src in descriptor_set(40),
@@ -284,13 +280,10 @@ proptest! {
         mutual in any::<bool>(),
         max_distance in 0.5..2.5f64,
         keep_top_k in 1usize..4,
-        threads in 2usize..9,
     ) {
         let cfg = MatcherConfig { ratio, mutual, max_distance, keep_top_k };
-        let kernel = bba_par::with_threads(1, || match_sets(&src, &dst, &cfg));
+        let kernel = match_sets(&src, &dst, &cfg);
         let naive = match_sets_naive(&src, &dst, &cfg);
         prop_assert_eq!(&kernel, &naive);
-        let wide = bba_par::with_threads(threads, || match_sets(&src, &dst, &cfg));
-        prop_assert_eq!(&kernel, &wide);
     }
 }

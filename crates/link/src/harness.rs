@@ -327,7 +327,6 @@ impl V2vHarness {
             PoseSource::Unavailable => obs.incr("harness.pose_unavailable"),
         }
         if let Some((dt_err, _)) = pose_error {
-            obs.gauge("harness.pose_error_t_m", dt_err);
             obs.observe("harness.pose_error_t_m", dt_err);
         }
 

@@ -43,7 +43,7 @@ fn disabled_recorder_hot_path_allocates_nothing() {
     for k in 0..1000u64 {
         obs.incr("recover.calls");
         obs.add("link.datagrams_sent", k);
-        obs.gauge("stage1.inliers_bv", k as f64);
+        obs.gauge("serve.queue_depth", k as f64);
         obs.observe("link.reassembly_ms", k as f64 * 0.1);
         obs.record_span_ms("stage1/mim", 1.0);
         let outer = clone.span("recover");

@@ -1,15 +1,19 @@
 //! Deterministic data-parallel substrate for the BB-Align workspace.
 //!
-//! Stage 1 of the pipeline (Log-Gabor MIM, descriptors, RANSAC scoring) is
-//! embarrassingly parallel, but no external thread-pool crates are available
-//! offline, so this crate hand-rolls one on [`std::thread::scope`]. The
-//! design constraint that shapes everything here is **bit-exactness**: every
-//! helper collects results *by index*, never by completion order, so the
-//! output of a parallel run is identical — to the last bit — to the serial
-//! run. That is what lets the serial≡parallel equivalence suite
-//! (`tests/parallel_equivalence.rs` at the workspace root) treat every
-//! parallelised hot path as a testable claim rather than a hopeful
-//! optimisation.
+//! The parallel grain is a whole unit of work: the pairs of a
+//! `bba-serve` batch, the scenarios of a bench harness run, the
+//! orientations of a Log-Gabor bank under construction and the entries of
+//! a place-index query. One pose recovery runs serially on its caller's
+//! thread; DESIGN.md ("Parallel execution model") records why.
+//!
+//! No external thread-pool crates are available offline, so this crate
+//! hand-rolls one on [`std::thread::scope`]. The design constraint that
+//! shapes everything here is **bit-exactness**: every helper collects
+//! results *by index*, never by completion order, so the output of a
+//! parallel run is identical — to the last bit — to the serial run. That is
+//! what lets the batch suites (`bba-serve`'s width tests, the workspace's
+//! `tests/fleet_pose_graph.rs` and `tests/warm_start.rs`) demand identical
+//! outcomes at every thread count.
 //!
 //! # Thread budget
 //!
@@ -22,10 +26,11 @@
 //!
 //! A budget of 1 short-circuits every helper to a plain serial loop on the
 //! calling thread — no threads are spawned, no locks taken. Nested calls
-//! split the budget instead of multiplying it: a [`join`] under a budget of
-//! 8 hands each branch a budget of 4, and a `par_map` worker runs its inner
-//! parallel calls serially (its share is 1). The total number of live
-//! workers therefore never exceeds the top-level budget.
+//! split the budget instead of multiplying it: each `par_map` worker
+//! inherits the budget divided by the number of workers, so a batch as
+//! wide as its budget runs its inner calls serially (its share is 1). The
+//! total number of live workers therefore never exceeds the top-level
+//! budget.
 //!
 //! # Panics
 //!
@@ -187,7 +192,7 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec
 
 /// [`par_map`] with an explicit chunk size (items per work unit). Chunk
 /// sizes larger than the input degenerate to the serial fast path.
-pub fn par_map_chunked<T: Sync, U: Send>(
+fn par_map_chunked<T: Sync, U: Send>(
     items: &[T],
     chunk_size: usize,
     f: impl Fn(&T) -> U + Sync,
@@ -202,134 +207,9 @@ pub fn par_map_indices<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<
     run_chunks(n, auto_chunk(n), |lo, hi| (lo..hi).map(&f).collect())
 }
 
-/// Applies `f(row_index, row)` to every consecutive `row_len`-sized chunk
-/// of `data` in parallel (the last row may be shorter). Each row is a
-/// disjoint `&mut` slice, so no synchronisation is needed on the data
-/// itself; determinism follows from `f` seeing exactly the serial loop's
-/// `(index, contents)`.
-///
-/// # Panics
-///
-/// Panics if `row_len` is zero.
-pub fn par_for_rows<T: Send>(data: &mut [T], row_len: usize, f: impl Fn(usize, &mut [T]) + Sync) {
-    assert!(row_len > 0, "row length must be positive");
-    let n_rows = data.len().div_ceil(row_len);
-    let threads = current_threads().min(n_rows.max(1));
-    if threads <= 1 {
-        if let Some(r) = obs() {
-            r.incr("par.serial_ops");
-        }
-        for (v, row) in data.chunks_mut(row_len).enumerate() {
-            f(v, row);
-        }
-        return;
-    }
-    if let Some(r) = obs() {
-        r.incr("par.parallel_ops");
-        r.add("par.chunks", n_rows as u64);
-        r.gauge("par.workers", threads as f64);
-    }
-    let inner = (current_threads() / threads).max(1);
-    let work: Mutex<Vec<(usize, &mut [T])>> =
-        Mutex::new(data.chunks_mut(row_len).enumerate().collect());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                BUDGET.with(|b| b.set(Some(inner)));
-                loop {
-                    let item = work.lock().expect("no worker poisoned the work queue").pop();
-                    let Some((v, row)) = item else { break };
-                    f(v, row);
-                }
-            });
-        }
-    });
-}
-
-/// Deterministic chunked early-exit scan: evaluates `eval(i)` for
-/// `i ∈ 0..n` and feeds the results to `visit(i, result)` **strictly in
-/// index order** until `visit` returns [`std::ops::ControlFlow::Break`] or the range
-/// is exhausted.
-///
-/// Evaluation is batched `chunk_size` indices at a time; each batch is
-/// computed in parallel (via the ordered chunk runner) and then visited
-/// serially, so a `Break` skips every later batch. Under a thread budget of
-/// 1 the scan degenerates to the classic lazy loop — evaluate one index,
-/// visit it, stop at the same index the serial loop would.
-///
-/// Determinism contract: when `eval` is a pure function of its index, the
-/// visited prefix — indices, values and the stopping point — is identical
-/// at every thread count; chunking only affects how far *past* the break
-/// point `eval` is speculatively called. Callers whose `eval` reads shared
-/// state updated by `visit` (e.g. a best-so-far bound) must ensure the
-/// final outcome is invariant to `eval` seeing a stale value, because a
-/// batch is evaluated before any of it is visited.
-pub fn par_scan_chunked<U: Send>(
-    n: usize,
-    chunk_size: usize,
-    eval: impl Fn(usize) -> U + Sync,
-    mut visit: impl FnMut(usize, U) -> std::ops::ControlFlow<()>,
-) {
-    use std::ops::ControlFlow;
-    if current_threads() <= 1 {
-        if let Some(r) = obs() {
-            r.incr("par.serial_ops");
-        }
-        for i in 0..n {
-            if let ControlFlow::Break(()) = visit(i, eval(i)) {
-                return;
-            }
-        }
-        return;
-    }
-    let chunk = chunk_size.max(1);
-    for start in (0..n).step_by(chunk) {
-        let end = (start + chunk).min(n);
-        let batch = par_map_indices(end - start, |off| eval(start + off));
-        for (off, value) in batch.into_iter().enumerate() {
-            if let ControlFlow::Break(()) = visit(start + off, value) {
-                return;
-            }
-        }
-    }
-}
-
-/// Runs two closures concurrently, returning both results. Each branch
-/// inherits half the caller's thread budget (so its own inner `par_map`
-/// calls stay within the total). Under a budget of 1 both run serially on
-/// the calling thread, in order.
-pub fn join<A: Send, B: Send>(
-    fa: impl FnOnce() -> A + Send,
-    fb: impl FnOnce() -> B + Send,
-) -> (A, B) {
-    let threads = current_threads();
-    if threads <= 1 {
-        if let Some(r) = obs() {
-            r.incr("par.serial_ops");
-        }
-        return (fa(), fb());
-    }
-    if let Some(r) = obs() {
-        r.incr("par.joins");
-    }
-    let inner = (threads / 2).max(1);
-    std::thread::scope(|s| {
-        let hb = s.spawn(move || {
-            BUDGET.with(|b| b.set(Some(inner)));
-            fb()
-        });
-        let ra = with_threads(inner, fa);
-        match hb.join() {
-            Ok(rb) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn parse_threads_handles_env_forms() {
@@ -356,8 +236,6 @@ mod tests {
         let empty: [u32; 0] = [];
         assert!(with_threads(8, || par_map(&empty, |x| *x)).is_empty());
         assert!(with_threads(8, || par_map_indices(0, |i| i)).is_empty());
-        let mut nothing: [f64; 0] = [];
-        with_threads(8, || par_for_rows(&mut nothing, 3, |_, _| panic!("no rows to visit")));
     }
 
     #[test]
@@ -412,75 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn par_scan_visits_in_order_and_stops_at_break() {
-        use std::ops::ControlFlow;
-        // The scan must visit 0..=break point in order at every width, with
-        // the same stopping index as the serial loop.
-        for threads in 1..=8 {
-            let mut visited = Vec::new();
-            with_threads(threads, || {
-                par_scan_chunked(
-                    1000,
-                    threads * 8,
-                    |i| i * 3,
-                    |i, v| {
-                        assert_eq!(v, i * 3);
-                        visited.push(i);
-                        if i == 137 {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    },
-                );
-            });
-            assert_eq!(visited, (0..=137).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_scan_without_break_visits_everything() {
-        use std::ops::ControlFlow;
-        let mut sum = 0usize;
-        with_threads(4, || {
-            par_scan_chunked(
-                257,
-                16,
-                |i| i,
-                |_, v| {
-                    sum += v;
-                    ControlFlow::Continue(())
-                },
-            );
-        });
-        assert_eq!(sum, 257 * 256 / 2);
-        // Empty range: visit must never run.
-        with_threads(4, || {
-            par_scan_chunked(0, 8, |i| i, |_, _| -> ControlFlow<()> { panic!("nothing to visit") });
-        });
-    }
-
-    #[test]
-    fn par_scan_serial_budget_is_lazy() {
-        use std::ops::ControlFlow;
-        // Under a budget of 1 evaluation is index-at-a-time: breaking at k
-        // means eval was called exactly k+1 times, regardless of chunk size.
-        let evals = AtomicUsize::new(0);
-        with_threads(1, || {
-            par_scan_chunked(
-                1000,
-                64,
-                |i| {
-                    evals.fetch_add(1, Ordering::Relaxed);
-                    i
-                },
-                |i, _| if i == 9 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) },
-            );
-        });
-        assert_eq!(evals.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
     #[should_panic]
     fn worker_panic_propagates_from_par_map() {
         let items: Vec<u32> = (0..64).collect();
@@ -492,62 +301,6 @@ mod tests {
                 x
             })
         });
-    }
-
-    #[test]
-    #[should_panic]
-    fn worker_panic_propagates_from_par_for_rows() {
-        let mut data = vec![0u8; 64];
-        with_threads(4, || {
-            par_for_rows(&mut data, 8, |v, _| {
-                if v == 5 {
-                    panic!("row worker failed");
-                }
-            })
-        });
-    }
-
-    #[test]
-    fn par_for_rows_visits_every_row_once_with_its_index() {
-        let mut data = vec![0usize; 7 * 5 + 3]; // ragged final row
-        with_threads(8, || {
-            par_for_rows(&mut data, 5, |v, row| {
-                for x in row.iter_mut() {
-                    *x += v * 10 + 1;
-                }
-            })
-        });
-        for (i, &x) in data.iter().enumerate() {
-            assert_eq!(x, (i / 5) * 10 + 1, "cell {i}");
-        }
-    }
-
-    #[test]
-    fn join_returns_both_and_splits_budget() {
-        let (a, b) =
-            with_threads(8, || join(|| (current_threads(), 7u32), || (current_threads(), 11u32)));
-        assert_eq!((a.1, b.1), (7, 11));
-        assert_eq!(a.0, 4);
-        assert_eq!(b.0, 4);
-        // Serial path under budget 1 still runs both, in order.
-        let order = AtomicBool::new(false);
-        let (x, y) = with_threads(1, || {
-            join(
-                || {
-                    order.store(true, Ordering::SeqCst);
-                    1
-                },
-                || order.load(Ordering::SeqCst),
-            )
-        });
-        assert_eq!(x, 1);
-        assert!(y, "serial join must run the first branch first");
-    }
-
-    #[test]
-    #[should_panic]
-    fn join_propagates_spawned_branch_panic() {
-        let _ = with_threads(4, || join(|| 1, || -> i32 { panic!("branch failed") }));
     }
 
     #[test]

@@ -1,15 +1,32 @@
 //! Per-frame stage-1 features through the service: when one frame per
 //! vehicle is submitted to every peer's session, each frame computes its
 //! MIM and keypoints once, and every pair recovers exactly what it
-//! recovers from frames of its own.
+//! recovers from frames of its own. The batch workers also record every
+//! per-recovery figure as a distribution, the same at any thread budget.
 
 use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, RecoverError, Recovery};
 use bba_dataset::{AgentFrame, FleetDataset, FleetDatasetConfig, FleetFrame};
-use bba_obs::Recorder;
+use bba_obs::{MetricsSnapshot, Recorder};
 use bba_serve::{FrameSubmission, PairId, PoseService, ServiceConfig};
 use std::sync::Arc;
 
 const VEHICLES: usize = 4;
+
+/// The engine's per-recovery figures. Batch workers record them
+/// concurrently, so each must be a distribution, never a last-writer-wins
+/// gauge.
+const PER_RECOVERY: [&str; 10] = [
+    "stage1.keypoints_ego",
+    "stage1.keypoints_other",
+    "stage1.matches",
+    "stage1.inliers_bv",
+    "stage2.box_pairs",
+    "stage2.inliers_box",
+    "stage2.residual_t_m",
+    "stage2.residual_r_rad",
+    "warmstart.inliers_bv",
+    "warmstart.alignment",
+];
 
 /// 128² rasters at 1.6 m/px with a reduced descriptor patch: recovers
 /// platoon pairs reliably at a fraction of the production cost.
@@ -47,6 +64,8 @@ struct Served {
     frames: u64,
     /// The engine's `features.computed` count.
     computed: u64,
+    /// The recorder shared by engine and service, after the run.
+    metrics: MetricsSnapshot,
 }
 
 /// Serves every ordered pair of every tick at `threads`, one batch per
@@ -57,8 +76,9 @@ fn serve(ticks: &[FleetFrame], threads: usize, warm_start: bool, share: bool) ->
     let recorder = Recorder::enabled();
     let engine = Arc::new(BbAlign::new(engine_config()).with_recorder(recorder.clone()));
     let config = ServiceConfig { seed: 5, warm_start, ..ServiceConfig::default() };
-    let service = PoseService::new(Arc::clone(&engine), config);
-    let mut served = Served { outcomes: Vec::new(), frames: 0, computed: 0 };
+    let service = PoseService::new(Arc::clone(&engine), config).with_recorder(recorder.clone());
+    let mut recovered = Vec::new();
+    let mut frames = 0;
     for (seq, tick) in ticks.iter().enumerate() {
         let frame = |v: usize| perception(&engine, &tick.agents[v]);
         let shared: Vec<_> = if share { (0..VEHICLES).map(frame).collect() } else { Vec::new() };
@@ -69,18 +89,19 @@ fn serve(ticks: &[FleetFrame], threads: usize, warm_start: bool, share: bool) ->
             let (ego, other) = if share {
                 (Arc::clone(&shared[i]), Arc::clone(&shared[j]))
             } else {
-                served.frames += 2;
+                frames += 2;
                 (frame(i), frame(j))
             };
             let submission = FrameSubmission { seq: seq as u64, timestamp: tick.time, ego, other };
             service.submit(PairId::new(i as u32, j as u32), submission, tick.time);
         }
-        served.frames += shared.len() as u64;
+        frames += shared.len() as u64;
         let outcomes = bba_par::with_threads(threads, || service.process_batch(tick.time));
-        served.outcomes.extend(outcomes.into_iter().map(|o| (o.pair, o.seq, o.result)));
+        recovered.extend(outcomes.into_iter().map(|o| (o.pair, o.seq, o.result)));
     }
-    served.computed = recorder.snapshot().counter("features.computed").unwrap_or(0);
-    served
+    let metrics = recorder.snapshot();
+    let computed = metrics.counter("features.computed").unwrap_or(0);
+    Served { outcomes: recovered, frames, computed, metrics }
 }
 
 #[test]
@@ -105,6 +126,7 @@ fn shared_frames_recover_like_per_pair_frames_and_compute_features_once() {
 #[test]
 fn warm_start_never_computes_more_features_than_frames() {
     let ticks = platoon(3);
+    let mut counts = Vec::new();
     for threads in [1, 4] {
         let served = serve(&ticks, threads, true, true);
         assert_eq!(served.outcomes.len(), ticks.len() * VEHICLES * (VEHICLES - 1));
@@ -114,5 +136,15 @@ fn warm_start_never_computes_more_features_than_frames() {
             served.computed,
             served.frames
         );
+        let per_recovery: Vec<(&str, u64)> = PER_RECOVERY
+            .iter()
+            .map(|&name| {
+                assert!(served.metrics.gauge(name).is_none(), "{name} is a gauge at {threads}");
+                (name, served.metrics.value(name).map_or(0, |h| h.count))
+            })
+            .collect();
+        assert!(per_recovery.iter().all(|&(_, n)| n > 0), "unrecorded: {per_recovery:?}");
+        counts.push(per_recovery);
     }
+    assert_eq!(counts[0], counts[1], "per-recovery histogram counts differ between budgets");
 }

@@ -97,11 +97,8 @@ pub fn fft2d(img: &Grid<f64>) -> Result<Grid<Complex>, FftError> {
     Ok(spec)
 }
 
-/// Row pass then column pass of a 2-D FFT, both parallelised: rows are
-/// disjoint `&mut` slices ([`bba_par::par_for_rows`]); columns are
-/// transposed into a scratch grid whose rows are again disjoint, transformed
-/// there, and scattered back row by row. Each 1-D transform sees exactly the
-/// serial loop's data, so the result is bit-identical at every thread count.
+/// Row pass then column pass of a 2-D FFT: columns are transposed into a
+/// scratch grid, transformed there as rows, and scattered back.
 fn fft2d_passes(spec: &mut Grid<Complex>, inverse: bool) -> Result<(), FftError> {
     let w = spec.width();
     let h = spec.height();
@@ -114,23 +111,22 @@ fn fft2d_passes(spec: &mut Grid<Complex>, inverse: bool) -> Result<(), FftError>
             plan.forward(buf);
         }
     };
-    bba_par::par_for_rows(spec.as_mut_slice(), w, |_, row| run(&plan_w, row));
+    for row in spec.as_mut_slice().chunks_mut(w) {
+        run(&plan_w, row);
+    }
     // Transposed scratch: row `u` of `t` is column `u` of `spec`.
     let mut t = Grid::new(h, w, Complex::ZERO);
-    {
-        let spec = &*spec;
-        bba_par::par_for_rows(t.as_mut_slice(), h, |u, trow| {
-            for (v, z) in trow.iter_mut().enumerate() {
-                *z = spec[(u, v)];
-            }
-            run(&plan_h, trow);
-        });
+    for (u, trow) in t.as_mut_slice().chunks_mut(h).enumerate() {
+        for (v, z) in trow.iter_mut().enumerate() {
+            *z = spec[(u, v)];
+        }
+        run(&plan_h, trow);
     }
-    bba_par::par_for_rows(spec.as_mut_slice(), w, |v, row| {
+    for (v, row) in spec.as_mut_slice().chunks_mut(w).enumerate() {
         for (u, z) in row.iter_mut().enumerate() {
             *z = t[(v, u)];
         }
-    });
+    }
     Ok(())
 }
 
@@ -181,8 +177,7 @@ pub fn rfft2d(img: &Grid<f64>) -> Result<Grid<Complex>, FftError> {
 /// Allocation-free core of [`rfft2d`]: writes the full complex spectrum of
 /// `img` into `spec` using caller-provided scratch (`pack` of length `W`,
 /// `col` of length at least `H`; `2·H` unlocks the paired-column fast
-/// path). Serial by design — the MIM hot path calls this once per frame and
-/// spends its thread budget on the 24 filter lanes instead.
+/// path).
 ///
 /// # Panics
 ///

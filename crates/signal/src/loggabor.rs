@@ -263,10 +263,9 @@ impl LogGaborBank {
     /// packed inverse transforms — scales `2p` and `2p+1` share one inverse
     /// FFT because their filter responses are real (even-symmetric transfer
     /// functions), landing in the real and imaginary parts respectively.
-    /// Orientations are the unit of parallelism: each `bba-par` worker owns
-    /// a disjoint workspace lane, scales accumulate in ascending order, and
-    /// the `1/(W·H)` inverse normalisation is fused into the accumulation,
-    /// so results are bit-identical at every thread count.
+    /// Each orientation owns a workspace lane, scales accumulate in
+    /// ascending order, and the `1/(W·H)` inverse normalisation is fused
+    /// into the accumulation.
     ///
     /// # Errors
     ///
@@ -288,16 +287,11 @@ impl LogGaborBank {
         ws.ensure(self.width, self.height, self.config.num_orientations)?;
         let FftWorkspace { plans, spectrum, pack, col, lanes, .. } = ws;
         let (plan_w, plan_h) = plans.as_ref().expect("ensure always sets plans");
-        // The forward transform is a small fraction of the work (1 image
-        // transform vs ⌈N_s/2⌉·N_o inverse ones); run it serially and spend
-        // the thread budget on the orientation lanes below.
         rfft2d_into(img, plan_w, plan_h, spectrum, pack, col);
-        let spectrum = &*spectrum;
         let num_scales = self.config.num_scales;
         let scale = 1.0 / (self.width * self.height) as f64;
-        bba_par::par_for_rows(lanes, 1, |o, lane| {
-            let lane = &mut lane[0];
-            for (p, pair) in self.packed[o].iter().enumerate() {
+        for (lane, pairs) in lanes.iter_mut().zip(&self.packed) {
+            for (p, pair) in pairs.iter().enumerate() {
                 // Frequency-domain product F·(L_a + i·L_b) = F_a + i·F_b,
                 // vectorised with scalar-identical rounding.
                 bba_simd::cmul(
@@ -325,23 +319,21 @@ impl LogGaborBank {
                     p == 0,
                 );
             }
-        });
+        }
         Ok(())
     }
 
     /// Fused streaming MIM reduction — the Eq. (9)–(10) argmax without ever
     /// materialising the per-orientation amplitude grids.
     ///
-    /// Each worker lane owns a contiguous chunk of orientations. Per
-    /// orientation, the non-final packed scale pairs accumulate into the
-    /// lane's running sum exactly as on the full path; the final pair folds
-    /// the completed amplitude straight into the lane's `(max_amp, max_idx)`
-    /// running argmax with strict `>` (first orientation wins ties). A
-    /// serial ascending merge across lanes — lane 0 seeds the output, later
-    /// lanes fold in with the same strict `>` — reproduces one serial pass
-    /// over all orientations, so results are bit-identical to
-    /// [`MaxIndexMap::compute_via_amplitudes`](crate::MaxIndexMap::compute_via_amplitudes)
-    /// at every thread count.
+    /// The output grids carry the running argmax. Per orientation, in
+    /// ascending order, the non-final packed scale pairs accumulate into
+    /// one workspace lane's running sum exactly as on the full path; the
+    /// final pair folds the completed amplitude straight into
+    /// `(amplitude, index)` with strict `>` (first orientation wins ties).
+    /// That is one serial argmax pass over all orientations, so results are
+    /// bit-identical to
+    /// [`MaxIndexMap::compute_via_amplitudes`](crate::MaxIndexMap::compute_via_amplitudes).
     ///
     /// With caller-provided output grids this is the fully allocation-free
     /// MIM entry point: once `ws` has seen the image size, steady-state
@@ -369,71 +361,57 @@ impl LogGaborBank {
         );
         assert_eq!((index.width(), index.height()), (self.width, self.height));
         assert_eq!((amplitude.width(), amplitude.height()), (self.width, self.height));
-        let n_o = self.config.num_orientations;
-        let workers = bba_par::current_threads().clamp(1, n_o);
-        let chunk = n_o.div_ceil(workers);
-        let n_lanes = n_o.div_ceil(chunk);
-        ws.ensure_fused(self.width, self.height, n_lanes)?;
+        ws.ensure(self.width, self.height, 1)?;
         let FftWorkspace { plans, spectrum, pack, col, lanes, .. } = ws;
         let (plan_w, plan_h) = plans.as_ref().expect("ensure always sets plans");
         rfft2d_into(img, plan_w, plan_h, spectrum, pack, col);
-        let spectrum = &*spectrum;
         let num_scales = self.config.num_scales;
         let n_pairs = num_scales.div_ceil(2);
         let scale = 1.0 / (self.width * self.height) as f64;
-        bba_par::par_for_rows(lanes, 1, |lane_i, lane| {
-            let lane = &mut lane[0];
-            lane.max_amp.fill(f64::NEG_INFINITY);
-            lane.max_idx.fill(0);
-            let lo = lane_i * chunk;
-            let hi = ((lane_i + 1) * chunk).min(n_o);
-            for o in lo..hi {
-                for (p, pair) in self.packed[o].iter().enumerate() {
-                    bba_simd::cmul(
-                        as_floats_mut(&mut lane.filtered),
-                        as_floats(spectrum.as_slice()),
-                        as_floats(pair.as_slice()),
+        let lane = &mut lanes[0];
+        let max_amp = amplitude.as_mut_slice();
+        let max_idx = index.as_mut_slice();
+        max_amp.fill(f64::NEG_INFINITY);
+        max_idx.fill(0);
+        for (o, pairs) in self.packed.iter().enumerate() {
+            for (p, pair) in pairs.iter().enumerate() {
+                bba_simd::cmul(
+                    as_floats_mut(&mut lane.filtered),
+                    as_floats(spectrum.as_slice()),
+                    as_floats(pair.as_slice()),
+                );
+                ifft2d_unscaled_into(
+                    &mut lane.filtered,
+                    self.width,
+                    self.height,
+                    plan_w,
+                    plan_h,
+                    &mut lane.col,
+                );
+                let both = 2 * p + 1 < num_scales;
+                if p + 1 < n_pairs {
+                    bba_simd::amp_accumulate(
+                        lane.acc.as_mut_slice(),
+                        as_floats(&lane.filtered),
+                        scale,
+                        both,
+                        p == 0,
                     );
-                    ifft2d_unscaled_into(
-                        &mut lane.filtered,
-                        self.width,
-                        self.height,
-                        plan_w,
-                        plan_h,
-                        &mut lane.col,
+                } else {
+                    // Final pair: complete the amplitude in-register and
+                    // fold it into the running argmax.
+                    let partial = (p > 0).then_some(lane.acc.as_slice());
+                    bba_simd::amp_max_fold(
+                        max_amp,
+                        max_idx,
+                        as_floats(&lane.filtered),
+                        scale,
+                        both,
+                        partial,
+                        o as u8,
                     );
-                    let both = 2 * p + 1 < num_scales;
-                    if p + 1 < n_pairs {
-                        bba_simd::amp_accumulate(
-                            lane.acc.as_mut_slice(),
-                            as_floats(&lane.filtered),
-                            scale,
-                            both,
-                            p == 0,
-                        );
-                    } else {
-                        // Final pair: complete the amplitude in-register and
-                        // fold it into the running argmax.
-                        let partial = (p > 0).then_some(lane.acc.as_slice());
-                        bba_simd::amp_max_fold(
-                            &mut lane.max_amp,
-                            &mut lane.max_idx,
-                            as_floats(&lane.filtered),
-                            scale,
-                            both,
-                            partial,
-                            o as u8,
-                        );
-                    }
                 }
             }
-        });
-        let amp_out = amplitude.as_mut_slice();
-        let idx_out = index.as_mut_slice();
-        amp_out.copy_from_slice(&lanes[0].max_amp);
-        idx_out.copy_from_slice(&lanes[0].max_idx);
-        for lane in &lanes[1..] {
-            bba_simd::max_merge(amp_out, idx_out, &lane.max_amp, &lane.max_idx);
         }
         Ok(())
     }

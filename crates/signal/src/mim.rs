@@ -71,16 +71,14 @@ impl MaxIndexMap {
     /// [`FftWorkspace`] — the steady-state fast path: once the workspace has
     /// seen this image size, the Log-Gabor filtering performs zero heap
     /// allocation per frame (only the output grids are allocated). Results
-    /// are identical to [`MaxIndexMap::compute_with_bank`] at every thread
-    /// count.
+    /// are identical to [`MaxIndexMap::compute_with_bank`].
     ///
     /// This is the **fused streaming reduction**: per-orientation amplitude
     /// grids are never materialised — each filtered scale pair streams from
-    /// the packed inverse FFT through amplitude into a running per-lane
-    /// `(max_amp, max_idx)` fold (see
+    /// the packed inverse FFT through amplitude into the running
+    /// `(amplitude, index)` argmax held in the output grids (see
     /// [`LogGaborBank::orientation_amplitudes_into`] for the full-amplitude
-    /// sibling). Bit-identical to [`MaxIndexMap::compute_via_amplitudes`]
-    /// at every thread count.
+    /// sibling). Bit-identical to [`MaxIndexMap::compute_via_amplitudes`].
     ///
     /// # Panics
     ///
@@ -122,30 +120,21 @@ impl MaxIndexMap {
         let h = img.height();
         let mut index = Grid::new(w, h, 0u8);
         let mut amplitude = Grid::new(w, h, 0.0f64);
-        // The per-pixel argmax is independent per row; the amplitude rows
-        // are filled afterwards from the same winners, keeping both grids
-        // bit-identical to the serial scan at any thread count.
-        bba_par::par_for_rows(index.as_mut_slice(), w, |v, row| {
-            for (u, cell) in row.iter_mut().enumerate() {
-                let i = v * w + u;
-                let mut best_o = 0u8;
-                let mut best_a = f64::NEG_INFINITY;
-                for (o, amp) in amps.iter().enumerate() {
-                    let a = amp.as_slice()[i];
-                    if a > best_a {
-                        best_a = a;
-                        best_o = o as u8;
-                    }
+        for (i, (cell, amp_out)) in
+            index.as_mut_slice().iter_mut().zip(amplitude.as_mut_slice()).enumerate()
+        {
+            let mut best_o = 0u8;
+            let mut best_a = f64::NEG_INFINITY;
+            for (o, amp) in amps.iter().enumerate() {
+                let a = amp.as_slice()[i];
+                if a > best_a {
+                    best_a = a;
+                    best_o = o as u8;
                 }
-                *cell = best_o;
             }
-        });
-        bba_par::par_for_rows(amplitude.as_mut_slice(), w, |v, row| {
-            for (u, cell) in row.iter_mut().enumerate() {
-                let i = v * w + u;
-                *cell = amps[usize::from(index.as_slice()[i])].as_slice()[i];
-            }
-        });
+            *cell = best_o;
+            *amp_out = amps[usize::from(best_o)].as_slice()[i];
+        }
         MaxIndexMap { index, amplitude, num_orientations: bank.config().num_orientations }
     }
 
@@ -245,39 +234,25 @@ mod tests {
     fn fused_matches_reference_bitwise_at_thread_widths_1_to_8() {
         // The fused streaming reduction must reproduce the two-pass
         // reference bit-for-bit: same winning index, same winning amplitude
-        // bits, at every thread width and scale-pair parity (odd scale
-        // counts exercise the half-packed final pair; num_scales=1 and 2
-        // exercise the no-partial fold).
+        // bits, at every scale-pair parity (odd scale counts exercise the
+        // half-packed final pair; num_scales=1 and 2 exercise the
+        // no-partial fold).
         let img = line_image(32, 40.0);
         for num_scales in [1, 2, 3, 4] {
             let cfg = LogGaborConfig { num_scales, ..LogGaborConfig::default() };
             let bank = crate::loggabor::LogGaborBank::new(32, 32, cfg);
-            let mut ws_ref = FftWorkspace::new();
-            let reference = bba_par::with_threads(1, || {
-                MaxIndexMap::compute_via_amplitudes(&img, &bank, &mut ws_ref)
-            });
-            for threads in 1..=8 {
-                let mut ws = FftWorkspace::new();
-                let fused = bba_par::with_threads(threads, || {
-                    MaxIndexMap::compute_with_workspace(&img, &bank, &mut ws)
-                });
+            let reference =
+                MaxIndexMap::compute_via_amplitudes(&img, &bank, &mut FftWorkspace::new());
+            let fused = MaxIndexMap::compute_with_workspace(&img, &bank, &mut FftWorkspace::new());
+            assert_eq!(fused.index, reference.index, "index diverged (scales={num_scales})");
+            for (i, (a, b)) in
+                fused.amplitude.as_slice().iter().zip(reference.amplitude.as_slice()).enumerate()
+            {
                 assert_eq!(
-                    fused.index, reference.index,
-                    "index diverged (scales={num_scales}, threads={threads})"
+                    a.to_bits(),
+                    b.to_bits(),
+                    "amplitude bits diverged at pixel {i} (scales={num_scales})"
                 );
-                for (i, (a, b)) in fused
-                    .amplitude
-                    .as_slice()
-                    .iter()
-                    .zip(reference.amplitude.as_slice())
-                    .enumerate()
-                {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "amplitude bits diverged at pixel {i} (scales={num_scales}, threads={threads})"
-                    );
-                }
             }
         }
     }

@@ -7,17 +7,14 @@
 //! ~50 MB of traffic per 256² frame. An [`FftWorkspace`] owns all of that
 //! memory instead: the forward spectrum, the row-pack and column buffers of
 //! the real 2-D transform, and a set of *lanes* — one per Log-Gabor
-//! orientation on the full-amplitude path, one per worker on the fused MIM
-//! path — each holding the packed filtered spectrum, a column buffer, the
-//! amplitude accumulator and (fused only) the running argmax grids.
+//! orientation on the full-amplitude path, a single one on the fused MIM
+//! path — each holding the packed filtered spectrum, a column buffer and the
+//! amplitude accumulator.
 //!
 //! Buffers are sized on first use (the crate-private `ensure`) and reused
 //! verbatim afterwards, so the steady-state MIM computation performs **zero
 //! heap allocation on the FFT path** (proved by the counting-allocator test
-//! `crates/signal/tests/alloc_free.rs`). Lanes double as the unit of
-//! parallelism: `bba-par` hands each worker a disjoint `&mut` lane, and the
-//! per-orientation accumulation order is fixed (ascending scale), so results
-//! stay bit-identical at every thread count.
+//! `crates/signal/tests/alloc_free.rs`).
 
 use crate::complex::Complex;
 use crate::fft::FftError;
@@ -25,16 +22,14 @@ use crate::grid::Grid;
 use crate::plan::{shared_plan, FftPlan};
 use std::sync::Arc;
 
-/// Per-worker scratch: the filtered spectrum being inverse-transformed and
+/// Filtering scratch: the filtered spectrum being inverse-transformed and
 /// the amplitude accumulator it feeds.
 ///
 /// On the full-amplitude path there is one lane per orientation and `acc`
-/// is that orientation's output grid. On the fused MIM path there is one
-/// lane per worker; each lane streams a contiguous chunk of orientations
-/// through `acc` (reused as the running scale sum) and folds them into its
-/// `max_amp`/`max_idx` running argmax, which a serial ascending merge then
-/// combines — so the per-orientation amplitude grids are never
-/// materialised.
+/// is that orientation's output grid. On the fused MIM path one lane
+/// streams every orientation through `acc` (reused as the running scale
+/// sum) and folds it into the caller's output grids — so the
+/// per-orientation amplitude grids are never materialised.
 #[derive(Debug, Clone)]
 pub(crate) struct OrientationLane {
     /// Packed filtered spectrum / spatial response, `width × height`.
@@ -45,12 +40,6 @@ pub(crate) struct OrientationLane {
     /// Amplitude summed over scales — the per-orientation output grid on
     /// the full path, the per-orientation running sum on the fused path.
     pub(crate) acc: Grid<f64>,
-    /// Fused path only: running maximum amplitude per pixel over the lane's
-    /// orientation chunk. Empty on the full-amplitude path.
-    pub(crate) max_amp: Vec<f64>,
-    /// Fused path only: orientation index attaining `max_amp`. Empty on the
-    /// full-amplitude path.
-    pub(crate) max_idx: Vec<u8>,
 }
 
 /// Reusable scratch buffers for [`LogGaborBank`](crate::LogGaborBank)
@@ -87,8 +76,8 @@ pub struct FftWorkspace {
     /// Column buffer of the forward transform (`2·height`, sized for the
     /// paired-column transform).
     pub(crate) col: Vec<Complex>,
-    /// One lane per Log-Gabor orientation (full-amplitude path) or per
-    /// worker (fused MIM path).
+    /// One lane per Log-Gabor orientation (full-amplitude path) or a single
+    /// lane (fused MIM path).
     pub(crate) lanes: Vec<OrientationLane>,
 }
 
@@ -112,9 +101,12 @@ impl FftWorkspace {
         FftWorkspace::default()
     }
 
-    /// Sizes every buffer for `width × height` images filtered by a bank
-    /// with `num_orientations` orientations. A no-op (and allocation-free)
-    /// when the workspace already matches.
+    /// Sizes every buffer for `width × height` images with `n_lanes`
+    /// filtering lanes: one per orientation for the full-amplitude path,
+    /// one for the fused MIM reduction. A no-op (and allocation-free) when
+    /// the workspace already matches; alternating one workspace between the
+    /// two paths reallocates the lanes on every switch, so keep one
+    /// workspace per path if both are hot.
     ///
     /// # Errors
     ///
@@ -124,38 +116,7 @@ impl FftWorkspace {
         &mut self,
         width: usize,
         height: usize,
-        num_orientations: usize,
-    ) -> Result<(), FftError> {
-        self.ensure_lanes(width, height, num_orientations, false)
-    }
-
-    /// Sizes the workspace for the fused MIM reduction: `n_lanes` worker
-    /// lanes, each carrying the running `max_amp`/`max_idx` grids in
-    /// addition to the shared scratch. A no-op when already matching.
-    ///
-    /// Alternating a single workspace between the fused and full-amplitude
-    /// paths reallocates the lanes on every switch — keep one workspace per
-    /// path if both are hot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::NotPowerOfTwo`] if either dimension is not a
-    /// power of two.
-    pub(crate) fn ensure_fused(
-        &mut self,
-        width: usize,
-        height: usize,
         n_lanes: usize,
-    ) -> Result<(), FftError> {
-        self.ensure_lanes(width, height, n_lanes, true)
-    }
-
-    fn ensure_lanes(
-        &mut self,
-        width: usize,
-        height: usize,
-        n_lanes: usize,
-        fused: bool,
     ) -> Result<(), FftError> {
         if self.width != width || self.height != height || self.plans.is_none() {
             let plan_w = shared_plan(width)?;
@@ -169,20 +130,14 @@ impl FftWorkspace {
             self.lanes.clear();
         }
         let len = width * height;
-        let max_len = if fused { len } else { 0 };
         if self.lanes.len() != n_lanes
-            || self
-                .lanes
-                .first()
-                .is_some_and(|l| l.filtered.len() != len || l.max_amp.len() != max_len)
+            || self.lanes.first().is_some_and(|l| l.filtered.len() != len)
         {
             self.lanes = (0..n_lanes)
                 .map(|_| OrientationLane {
                     filtered: vec![Complex::ZERO; len],
                     col: vec![Complex::ZERO; 4 * height],
                     acc: Grid::new(width, height, 0.0),
-                    max_amp: vec![0.0; max_len],
-                    max_idx: vec![0; max_len],
                 })
                 .collect();
         }
@@ -192,7 +147,7 @@ impl FftWorkspace {
     /// Number of per-orientation amplitude grids currently held. Only
     /// meaningful after
     /// [`LogGaborBank::orientation_amplitudes_into`](crate::LogGaborBank::orientation_amplitudes_into);
-    /// the fused MIM path sizes lanes per worker instead.
+    /// the fused MIM path holds a single lane.
     pub fn num_orientations(&self) -> usize {
         self.lanes.len()
     }

@@ -3,9 +3,8 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! frame has sized the [`FftWorkspace`], further
 //! `orientation_amplitudes_into` / `mim_fused_into` calls must perform
-//! **zero** allocations. This is its own integration binary (single-threaded
-//! pool, tests serialised on a mutex) so no other allocations pollute the
-//! counter.
+//! **zero** allocations. This is its own integration binary (tests
+//! serialised on a mutex) so no other allocations pollute the counter.
 
 use bba_signal::{FftWorkspace, Grid, LogGaborBank, LogGaborConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -43,57 +42,51 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 #[test]
 fn steady_state_mim_fft_path_allocates_nothing() {
     let _guard = SERIAL.lock().unwrap();
-    // Serial pool: with worker threads the pool's task handoff machinery
-    // would allocate; the claim under test is about the FFT path itself.
-    bba_par::with_threads(1, || {
-        let size = 64;
-        let bank = LogGaborBank::new(size, size, LogGaborConfig::default());
-        let images: Vec<Grid<f64>> = (0..3)
-            .map(|k| Grid::from_fn(size, size, |u, v| ((u * 5 + v * 3 + k * 11) % 7) as f64))
-            .collect();
-        let mut ws = FftWorkspace::new();
-        // Warm-up: sizes the workspace and populates the plan cache.
-        bank.orientation_amplitudes_into(&images[0], &mut ws).unwrap();
+    let size = 64;
+    let bank = LogGaborBank::new(size, size, LogGaborConfig::default());
+    let images: Vec<Grid<f64>> = (0..3)
+        .map(|k| Grid::from_fn(size, size, |u, v| ((u * 5 + v * 3 + k * 11) % 7) as f64))
+        .collect();
+    let mut ws = FftWorkspace::new();
+    // Warm-up: sizes the workspace and populates the plan cache.
+    bank.orientation_amplitudes_into(&images[0], &mut ws).unwrap();
 
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for img in &images {
-            bank.orientation_amplitudes_into(img, &mut ws).unwrap();
-        }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(after - before, 0, "steady-state orientation_amplitudes_into must not allocate");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for img in &images {
+        bank.orientation_amplitudes_into(img, &mut ws).unwrap();
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "steady-state orientation_amplitudes_into must not allocate");
 
-        // Sanity: the warm runs actually computed something.
-        assert!(ws.amplitude(0).max_value() > 0.0);
-    });
+    // Sanity: the warm runs actually computed something.
+    assert!(ws.amplitude(0).max_value() > 0.0);
 }
 
 #[test]
 fn steady_state_fused_mim_allocates_nothing() {
     let _guard = SERIAL.lock().unwrap();
     // The fused streaming reduction with caller-provided output grids must
-    // be end-to-end heap-free once the (slimmer, per-worker) lanes are
-    // sized: spectrum → filter product → inverse FFT → amplitude →
-    // running argmax, with no per-orientation amplitude grids at all.
-    bba_par::with_threads(1, || {
-        let size = 64;
-        let bank = LogGaborBank::new(size, size, LogGaborConfig::default());
-        let images: Vec<Grid<f64>> = (0..3)
-            .map(|k| Grid::from_fn(size, size, |u, v| ((u * 3 + v * 7 + k * 13) % 5) as f64))
-            .collect();
-        let mut ws = FftWorkspace::new();
-        let mut index = Grid::new(size, size, 0u8);
-        let mut amplitude = Grid::new(size, size, 0.0f64);
-        // Warm-up: sizes the fused lanes and populates the plan cache.
-        bank.mim_fused_into(&images[0], &mut ws, &mut index, &mut amplitude).unwrap();
+    // be end-to-end heap-free once its single lane is sized: spectrum →
+    // filter product → inverse FFT → amplitude → running argmax, with no
+    // per-orientation amplitude grids at all.
+    let size = 64;
+    let bank = LogGaborBank::new(size, size, LogGaborConfig::default());
+    let images: Vec<Grid<f64>> = (0..3)
+        .map(|k| Grid::from_fn(size, size, |u, v| ((u * 3 + v * 7 + k * 13) % 5) as f64))
+        .collect();
+    let mut ws = FftWorkspace::new();
+    let mut index = Grid::new(size, size, 0u8);
+    let mut amplitude = Grid::new(size, size, 0.0f64);
+    // Warm-up: sizes the fused lane and populates the plan cache.
+    bank.mim_fused_into(&images[0], &mut ws, &mut index, &mut amplitude).unwrap();
 
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for img in &images {
-            bank.mim_fused_into(img, &mut ws, &mut index, &mut amplitude).unwrap();
-        }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(after - before, 0, "steady-state mim_fused_into must not allocate");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for img in &images {
+        bank.mim_fused_into(img, &mut ws, &mut index, &mut amplitude).unwrap();
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "steady-state mim_fused_into must not allocate");
 
-        // Sanity: the warm runs actually computed something.
-        assert!(amplitude.max_value() > 0.0);
-    });
+    // Sanity: the warm runs actually computed something.
+    assert!(amplitude.max_value() > 0.0);
 }

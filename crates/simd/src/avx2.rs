@@ -250,29 +250,6 @@ pub unsafe fn amp_max_fold(
     );
 }
 
-/// AVX2 [`max_merge`](crate::max_merge).
-#[target_feature(enable = "avx2")]
-pub unsafe fn max_merge(amp: &mut [f64], idx: &mut [u8], cand_amp: &[f64], cand_idx: &[u8]) {
-    let n = amp.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let a = _mm256_loadu_pd(amp.as_ptr().add(i));
-        let c = _mm256_loadu_pd(cand_amp.as_ptr().add(i));
-        let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(c, a);
-        _mm256_storeu_pd(amp.as_mut_ptr().add(i), _mm256_blendv_pd(a, c, gt));
-        let mask = _mm256_movemask_pd(gt);
-        if mask != 0 {
-            for j in 0..4 {
-                if mask & (1 << j) != 0 {
-                    idx[i + j] = cand_idx[i + j];
-                }
-            }
-        }
-        i += 4;
-    }
-    crate::portable::max_merge(&mut amp[i..], &mut idx[i..], &cand_amp[i..], &cand_idx[i..]);
-}
-
 /// SIMD [`dot_f32`](crate::dot_f32): a single 128-bit `f32x4` accumulator
 /// performs the scalar kernel's four per-lane running sums (`acc[j] +=
 /// a·b`, one rounded multiply + one rounded add each), combined in the same

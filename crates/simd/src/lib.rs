@@ -263,22 +263,6 @@ pub fn amp_max_fold(
     dispatch!(amp_max_fold(max_amp, max_idx, z, scale, both, partial, o))
 }
 
-/// Merges a candidate (amplitude, index) map into the running one with
-/// strict `>` — the serial cross-lane step of the fused MIM. Candidate
-/// lanes must be merged in ascending orientation order for first-index-wins
-/// tie-breaking to match the serial argmax scan.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn max_merge(amp: &mut [f64], idx: &mut [u8], cand_amp: &[f64], cand_idx: &[u8]) {
-    assert!(
-        amp.len() == idx.len() && amp.len() == cand_amp.len() && amp.len() == cand_idx.len(),
-        "max_merge length mismatch"
-    );
-    dispatch!(max_merge(amp, idx, cand_amp, cand_idx))
-}
-
 /// Dot product of two `f32` descriptor rows with the matcher's fixed
 /// 4-lane blocking: four running sums over strided elements, combined as
 /// `(acc0 + acc1) + (acc2 + acc3)`, then a scalar tail. The AVX2 path uses

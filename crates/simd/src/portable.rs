@@ -122,16 +122,6 @@ pub fn amp_max_fold(
     }
 }
 
-/// Scalar [`max_merge`](crate::max_merge).
-pub fn max_merge(amp: &mut [f64], idx: &mut [u8], cand_amp: &[f64], cand_idx: &[u8]) {
-    for i in 0..amp.len() {
-        if cand_amp[i] > amp[i] {
-            amp[i] = cand_amp[i];
-            idx[i] = cand_idx[i];
-        }
-    }
-}
-
 /// Scalar [`dot_f32`](crate::dot_f32) — the matcher's original 4-lane
 /// blocked kernel, verbatim.
 pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {

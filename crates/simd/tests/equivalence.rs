@@ -239,21 +239,6 @@ proptest! {
             bits64("amp_max_fold avx2 amp", &amp_a, &amp_c);
             prop_assert_eq!(&idx_a, &idx_c, "amp_max_fold avx2 idx");
         }
-
-        // Merge the folded candidate back into the seed state.
-        let (mut m_amp_a, mut m_idx_a) = (amp0.clone(), idx0.clone());
-        bba_simd::portable::max_merge(&mut m_amp_a, &mut m_idx_a, &amp_a, &idx_a);
-        let (mut m_amp_b, mut m_idx_b) = (amp0.clone(), idx0.clone());
-        bba_simd::max_merge(&mut m_amp_b, &mut m_idx_b, &amp_a, &idx_a);
-        bits64("max_merge amp", &m_amp_a, &m_amp_b);
-        prop_assert_eq!(&m_idx_a, &m_idx_b, "max_merge idx");
-        #[cfg(target_arch = "x86_64")]
-        if bba_simd::avx2_detected() {
-            let (mut m_amp_c, mut m_idx_c) = (amp0.clone(), idx0.clone());
-            unsafe { bba_simd::avx2::max_merge(&mut m_amp_c, &mut m_idx_c, &amp_a, &idx_a) };
-            bits64("max_merge avx2 amp", &m_amp_a, &m_amp_c);
-            prop_assert_eq!(&m_idx_a, &m_idx_c, "max_merge avx2 idx");
-        }
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn transmitted_payload_is_much_smaller_than_raw_cloud() {
 /// One observability recorder across the whole cooperative loop: an
 /// obs-enabled end-to-end run must emit the full health record — stage-1
 /// phase spans nested under the recovery span, the stage-2 span, inlier
-/// gauges, link/fusion/harness counters — and the snapshot's JSON export
+/// distributions, link/fusion/harness counters — and the snapshot's JSON export
 /// must be strict enough for the workspace parser to read back.
 #[test]
 fn observed_link_run_emits_full_metrics_snapshot() {
@@ -226,8 +226,11 @@ fn observed_link_run_emits_full_metrics_snapshot() {
     ] {
         assert!(snap.span(path).is_some(), "missing span {path}");
     }
-    assert!(snap.gauge("stage1.inliers_bv").is_some(), "missing inlier gauge");
-    assert!(snap.value("stage1.inliers_bv").is_some(), "missing inlier histogram");
+    // Per-recovery figures are distributions, not last-writer-wins gauges.
+    for name in ["stage1.inliers_bv", "stage1.matches", "harness.pose_error_t_m"] {
+        assert!(snap.value(name).is_some(), "missing {name} histogram");
+        assert!(snap.gauge(name).is_none(), "{name} must not be a gauge");
+    }
     assert!(snap.counter("recover.calls").unwrap_or(0) >= 1);
     // Sweep counters: hypotheses re-binned and matched, and the share of
     // them whose RANSAC the consensus bound skipped.

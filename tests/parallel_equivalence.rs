@@ -1,17 +1,11 @@
-//! Serial ≡ parallel equivalence suite for the `bba-par` substrate.
-//!
-//! Every parallel injection point in the stage-1 pipeline promises
-//! *bit-identical* results at any thread count (see DESIGN.md, "Parallel
-//! execution model"). These properties drive each stage with random inputs
-//! under a scoped 1-thread budget and again under a random 2–8-thread
-//! budget, and require exact equality — not tolerance — between the two.
+//! Bit-identity suite: a whole recovery is identical at every `bba-par`
+//! thread budget (see DESIGN.md, "Parallel execution model"), and the MIM
+//! workspace and guided-RANSAC fast paths match their references exactly —
+//! not within a tolerance.
 
 use bb_align::{BbAlign, BbAlignConfig};
 use bba_dataset::{Dataset, DatasetConfig};
-use bba_features::{
-    describe_keypoints, detect_keypoints, match_descriptors, ransac_rigid, ransac_rigid_guided,
-    ransac_rigid_naive, DescriptorConfig, KeypointConfig, MatcherConfig, RansacConfig,
-};
+use bba_features::{ransac_rigid_guided, ransac_rigid_naive, RansacConfig};
 use bba_geometry::{Iso2, Vec2};
 use bba_signal::{FftWorkspace, Grid, LogGaborBank, LogGaborConfig, MaxIndexMap};
 use proptest::prelude::*;
@@ -38,117 +32,29 @@ fn spikes() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    #[test]
-    fn mim_pixels_bit_identical_across_thread_counts(
-        sp in spikes(),
-        threads in 2usize..9,
-    ) {
-        let img = image_from_spikes(&sp);
-        let cfg = LogGaborConfig::default();
-        let serial = bba_par::with_threads(1, || MaxIndexMap::compute(&img, &cfg));
-        let wide = bba_par::with_threads(threads, || MaxIndexMap::compute(&img, &cfg));
-        prop_assert_eq!(serial, wide);
-    }
-
     /// The workspace fast path (planned real FFT, packed inverse pairs,
-    /// per-orientation lanes) at every width 1–8 against the serial
-    /// fresh-workspace run — and workspace reuse must not change bits
-    /// either.
+    /// one fused lane) against a fresh-workspace run: reusing a workspace,
+    /// including one last sized for the full-amplitude path, must not
+    /// change bits.
     #[test]
     fn workspace_mim_bit_identical_across_thread_counts(
         sp in spikes(),
     ) {
         let img = image_from_spikes(&sp);
         let bank = LogGaborBank::new(SIZE, SIZE, LogGaborConfig::default());
-        let serial = bba_par::with_threads(1, || {
-            MaxIndexMap::compute_with_workspace(&img, &bank, &mut FftWorkspace::new())
-        });
+        let fresh = MaxIndexMap::compute_with_workspace(&img, &bank, &mut FftWorkspace::new());
         let mut ws = FftWorkspace::new();
-        for threads in 1usize..=8 {
-            let wide = bba_par::with_threads(threads, || {
-                MaxIndexMap::compute_with_workspace(&img, &bank, &mut ws)
-            });
-            prop_assert_eq!(&serial, &wide, "diverged at {} threads", threads);
+        for _ in 0..2 {
+            let reused = MaxIndexMap::compute_with_workspace(&img, &bank, &mut ws);
+            prop_assert_eq!(&fresh, &reused);
+            MaxIndexMap::compute_via_amplitudes(&img, &bank, &mut ws);
         }
-    }
-
-    #[test]
-    fn descriptors_bit_identical_across_thread_counts(
-        sp in spikes(),
-        threads in 2usize..9,
-    ) {
-        let img = image_from_spikes(&sp);
-        let mim_cfg = LogGaborConfig::default();
-        let kp_cfg = KeypointConfig::default();
-        let desc_cfg = DescriptorConfig { patch_size: 16, grid_size: 4, ..Default::default() };
-        let run = || {
-            let mim = MaxIndexMap::compute(&img, &mim_cfg);
-            let kps = detect_keypoints(&img, &kp_cfg);
-            describe_keypoints(&mim, &kps, &desc_cfg)
-        };
-        let serial = bba_par::with_threads(1, run);
-        let wide = bba_par::with_threads(threads, run);
-        prop_assert_eq!(serial, wide);
-    }
-
-    #[test]
-    fn match_sets_bit_identical_across_thread_counts(
-        sp_a in spikes(),
-        sp_b in spikes(),
-        threads in 2usize..9,
-    ) {
-        let desc_cfg = DescriptorConfig { patch_size: 16, grid_size: 4, ..Default::default() };
-        let describe = |sp: &[(usize, usize, f64)]| {
-            let img = image_from_spikes(sp);
-            let mim = MaxIndexMap::compute(&img, &LogGaborConfig::default());
-            let kps = detect_keypoints(&img, &KeypointConfig::default());
-            describe_keypoints(&mim, &kps, &desc_cfg)
-        };
-        let (a, b) = (describe(&sp_a), describe(&sp_b));
-        // A lax matcher config emits multi-candidate lists, exercising the
-        // ordered flatten + stable sort path.
-        let m_cfg = MatcherConfig { ratio: 1.0, mutual: true, max_distance: 2.0, keep_top_k: 2 };
-        let serial = bba_par::with_threads(1, || match_descriptors(&a, &b, &m_cfg));
-        let wide = bba_par::with_threads(threads, || match_descriptors(&a, &b, &m_cfg));
-        prop_assert_eq!(serial, wide);
-    }
-
-    #[test]
-    fn ransac_results_bit_identical_across_thread_counts(
-        pts in prop::collection::vec((-20.0..20.0f64, -20.0..20.0f64, 0..4u8), 10..40),
-        angle in -3.0..3.0f64,
-        tx in -10.0..10.0f64,
-        ty in -10.0..10.0f64,
-        seed in 0..u64::MAX,
-        threads in 2usize..9,
-    ) {
-        let truth = Iso2::new(angle, Vec2::new(tx, ty));
-        let src: Vec<Vec2> = pts.iter().map(|&(x, y, _)| Vec2::new(x, y)).collect();
-        // flag == 0 marks an outlier (expected rate 1/4): its destination
-        // is displaced far outside the inlier threshold.
-        let dst: Vec<Vec2> = pts
-            .iter()
-            .map(|&(x, y, flag)| {
-                let p = truth.apply(Vec2::new(x, y));
-                if flag == 0 { p + Vec2::new(100.0 + x, -80.0 + y) } else { p }
-            })
-            .collect();
-        let cfg = RansacConfig::default();
-        let run = |budget: usize| {
-            bba_par::with_threads(budget, || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                ransac_rigid(&src, &dst, &cfg, &mut rng)
-            })
-        };
-        // RansacError is PartialEq too, so compare success AND failure.
-        prop_assert_eq!(run(1), run(threads));
     }
 
     /// The guided fast path under its production config: a mostly-clean
     /// correspondence set makes the 70% early exit fire within the first
-    /// few hypotheses, so the chunked scan breaks mid-stream — the exit
-    /// index, winner and pose bits must match the naive scan and stay
-    /// bit-identical at every thread width.
+    /// few hypotheses, so the scan breaks mid-stream — the exit index,
+    /// winner and pose bits must match the naive scan.
     #[test]
     fn guided_ransac_early_exit_bit_identical_across_thread_counts(
         pts in prop::collection::vec((-20.0..20.0f64, -20.0..20.0f64, 0..8u8), 12..48),
@@ -172,17 +78,15 @@ proptest! {
         let quality: Vec<f64> =
             pts.iter().map(|&(_, _, flag)| if flag == 0 { 9.0 } else { 0.5 }).collect();
         let cfg = RansacConfig::default();
-        let naive = bba_par::with_threads(1, || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            ransac_rigid_naive(&src, &dst, &cfg, &mut rng)
-        });
-        for threads in 1usize..=8 {
-            let fast = bba_par::with_threads(threads, || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                ransac_rigid_guided(&src, &dst, Some(&quality), &cfg, &mut rng)
-            });
-            prop_assert_eq!(&naive, &fast, "diverged at {} threads", threads);
-        }
+        let naive = ransac_rigid_naive(&src, &dst, &cfg, &mut StdRng::seed_from_u64(seed));
+        let fast = ransac_rigid_guided(
+            &src,
+            &dst,
+            Some(&quality),
+            &cfg,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        prop_assert_eq!(&naive, &fast);
     }
 }
 
