@@ -6,8 +6,6 @@
 //!   multiply, at the production 256² BV spectrum size.
 //! * **fused amp + argmax** — the final-scale-pair amplitude completion and
 //!   running `(max_amp, max_idx)` fold of the fused MIM reduction.
-//! * **soft-bin accumulate** — the LUT-driven descriptor re-bin gather
-//!   (`rebin_row`) over a realistic gated-sample count.
 //! * **dot microkernel** — the matcher's four-lane blocked `f32` dot at the
 //!   production descriptor dimension.
 //! * **multi-row dot** — one query row against a 16-row packed pool tile
@@ -18,7 +16,6 @@
 //! `crates/simd/tests/equivalence.rs`; this bench measures the speed side.
 //! Pass `--quick` for the CI smoke run (fewer iterations, same workloads).
 
-use bba_simd::SoftBinLut;
 use criterion::{black_box, Criterion};
 
 /// Deterministic pseudo-random stream in `[-1, 1)` — no RNG dependency, and
@@ -86,58 +83,9 @@ fn main() {
         })
     });
 
-    // Soft-bin accumulate: one descriptor row re-binned from a realistic
-    // gated-sample count (production patches carry a few thousand samples).
-    let n_o = 12usize;
-    let grid = 6usize;
-    let dim = grid * grid * n_o;
-    let n_samples = 4096usize;
-    let window = 69usize; // patch 48 → reach 34 → window 69
-    let n_cells = window * window;
-    let mut lut = SoftBinLut::new();
-    let bin_shift = 2.37f64;
-    for raw in 0..n_o {
-        let shifted = (raw as f64 - bin_shift).rem_euclid(n_o as f64);
-        let lo = (shifted.floor() as usize) % n_o;
-        lut.push(lo, (lo + 1) % n_o, shifted - shifted.floor());
-    }
-    let cell_table: Vec<u8> = (0..n_cells)
-        .map(|i| if i % 7 == 0 { u8::MAX } else { ((i * 13) % (grid * grid)) as u8 })
-        .collect();
-    let weights: Vec<f64> = (0..n_samples).map(|_| lcg(&mut s).abs()).collect();
-    let offsets: Vec<u32> = (0..n_samples).map(|i| ((i * 29) % n_cells) as u32).collect();
-    let indices: Vec<u8> = (0..n_samples).map(|i| ((i * 5) % n_o) as u8).collect();
-    let mut row = vec![0.0f32; dim];
-    c.bench_function("simd_soft_bin_rebin_4096", |b| {
-        b.iter(|| {
-            bba_simd::rebin_row(
-                black_box(&mut row),
-                &weights,
-                &offsets,
-                &indices,
-                &cell_table,
-                u8::MAX,
-                n_o,
-                &lut,
-            )
-        })
-    });
-    c.bench_function("simd_soft_bin_rebin_4096_portable", |b| {
-        b.iter(|| {
-            bba_simd::portable::rebin_row(
-                black_box(&mut row),
-                &weights,
-                &offsets,
-                &indices,
-                &cell_table,
-                u8::MAX,
-                n_o,
-                &lut,
-            )
-        })
-    });
-
-    // Dot microkernel at the production descriptor dimension.
+    // Dot microkernel at the production descriptor dimension (6×6 cells ×
+    // 12 orientations).
+    let dim = 6 * 6 * 12;
     let a: Vec<f32> = (0..dim).map(|_| lcg(&mut s) as f32).collect();
     let bvec: Vec<f32> = (0..dim).map(|_| lcg(&mut s) as f32).collect();
     c.bench_function("simd_dot_432", |b| {

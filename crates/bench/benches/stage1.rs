@@ -1,36 +1,41 @@
 //! Micro-benchmarks of the stage-1 fast paths against their naive
 //! references, on descriptors extracted from a real simulated frame:
 //!
-//! * **describe** — the sample-once + per-hypothesis re-bin sweep vs the
-//!   full per-angle re-sample (`describe_keypoints_rotated`), over the
+//! * **detect** — FAST with its compass pre-test (`detect_keypoints`) on
+//!   the fixture's normalised MIM amplitude, the production keypoint image.
+//! * **describe** — the sample-once + grouped re-bin sweep
+//!   (`PatchSamples::rebin_group`, as `match_bv` runs it) vs the full
+//!   per-angle re-sample (`describe_keypoints_rotated`), over the
 //!   production rotation-hypothesis count.
 //! * **match** — the blocked dot-product kernel (`match_sets`) vs the
 //!   naive full-sort reference (`match_sets_naive`), at ~100 and ~400
 //!   keypoints.
 //!
-//! Both pairs are proven bit-identical by the proptests in
-//! `crates/features/tests/proptests.rs`; this bench measures the speed
-//! side of that equivalence. Pass `--quick` for the CI smoke run (fewer
-//! iterations, same workloads).
+//! The describe and match pairs are proven bit-identical by the proptests
+//! in `crates/features/tests/proptests.rs`, and the detector by the
+//! reference proptest in `crates/features/src/keypoints.rs`; this bench
+//! measures the speed side of those equivalences. Pass `--quick` for the
+//! CI smoke run (fewer iterations, same workloads).
 
 use bb_align::{BbAlign, BbAlignConfig};
 use bba_dataset::{Dataset, DatasetConfig};
 use bba_features::matcher::match_sets_naive;
 use bba_features::{
     describe_keypoints_rotated, detect_keypoints, match_sets, DescriptorSet, Keypoint,
-    KeypointConfig, PatchSamples, RotationSweep,
+    KeypointConfig, PatchSamples, RotationSweep, REBIN_GROUP,
 };
-use bba_signal::MaxIndexMap;
+use bba_signal::{Grid, MaxIndexMap};
 use criterion::{black_box, Criterion};
 use std::f64::consts::TAU;
 
-/// One simulated frame's MIM plus up to `max_keypoints` detected keypoints —
-/// the same inputs `match_bv` feeds the describe/match hot path.
+/// One simulated frame's MIM, its normalised amplitude (the detector's
+/// image) and up to `max_keypoints` keypoints detected on it — the same
+/// inputs `match_bv` feeds the detect/describe/match hot path.
 fn fixture(
     engine: &BbAlignConfig,
     seed: u64,
     max_keypoints: usize,
-) -> (MaxIndexMap, Vec<Keypoint>) {
+) -> (MaxIndexMap, Grid<f64>, Vec<Keypoint>) {
     let aligner = BbAlign::new(engine.clone());
     let mut ds = Dataset::new(DatasetConfig::standard(), seed);
     let pair = ds.next_pair().unwrap();
@@ -44,7 +49,7 @@ fn fixture(
     let normalised = mim.amplitude.map(|&a| a / max.max(f64::MIN_POSITIVE));
     let kp_cfg = KeypointConfig { max_keypoints, ..engine.keypoints.clone() };
     let kps = detect_keypoints(&normalised, &kp_cfg);
-    (mim, kps)
+    (mim, normalised, kps)
 }
 
 /// A `DescriptorSet` truncated to its first `n` rows.
@@ -60,7 +65,7 @@ fn main() {
         .map(|k| k as f64 * TAU / engine.rotation_hypotheses as f64)
         .collect();
 
-    let (mim, kps) = fixture(&engine, 7, 400);
+    let (mim, normalised, kps) = fixture(&engine, 7, 400);
     println!(
         "stage1 fast-path benches: {} keypoints, {} rotation hypotheses{}",
         kps.len(),
@@ -72,6 +77,11 @@ fn main() {
     let dcfg = &engine.descriptor;
     let sweep = RotationSweep::new(dcfg, mim.num_orientations, &angles);
 
+    let kp_cfg = KeypointConfig { max_keypoints: 400, ..engine.keypoints.clone() };
+    c.bench_function("detect_keypoints_normalised_amplitude", |b| {
+        b.iter(|| black_box(detect_keypoints(black_box(&normalised), &kp_cfg)))
+    });
+
     // Describe: one full sweep of every hypothesis, both ways.
     c.bench_function("describe_full_resample_sweep", |b| {
         b.iter(|| {
@@ -81,13 +91,14 @@ fn main() {
         })
     });
     let mut samples = PatchSamples::new();
-    let mut set = DescriptorSet::new(sweep.dim());
+    let mut group: [DescriptorSet; REBIN_GROUP] = Default::default();
     c.bench_function("describe_sample_once_rebin_sweep", |b| {
         b.iter(|| {
-            samples.sample(&mim, &kps, dcfg);
-            for k in 0..angles.len() {
-                samples.rebin_into(&sweep, k, &mut set);
-                black_box(set.len());
+            samples.sample(&mim, &kps, &sweep);
+            for first in (0..angles.len()).step_by(REBIN_GROUP) {
+                let sets = &mut group[..REBIN_GROUP.min(angles.len() - first)];
+                samples.rebin_group(&sweep, first, sets);
+                black_box(sets[0].len());
             }
         })
     });
@@ -101,11 +112,15 @@ fn main() {
     let mut src = DescriptorSet::new(sweep.dim());
     let mut first_frame = Some((mim, kps));
     for seed in 7.. {
-        let (mim, kps) = first_frame.take().unwrap_or_else(|| fixture(&engine, seed, 400));
+        let (mim, kps) = first_frame.take().unwrap_or_else(|| {
+            let (mim, _, kps) = fixture(&engine, seed, 400);
+            (mim, kps)
+        });
         let mut smp = PatchSamples::new();
-        smp.sample(&mim, &kps, dcfg);
+        smp.sample(&mim, &kps, &sweep);
         for (hyp, pool) in [(0, &mut dst), (1 % angles.len(), &mut src)] {
-            let set = smp.rebin(&sweep, hyp);
+            let mut set = DescriptorSet::default();
+            smp.rebin_group(&sweep, hyp, std::slice::from_mut(&mut set));
             for i in 0..set.len() {
                 pool.push(*set.keypoint(i), set.row(i));
             }

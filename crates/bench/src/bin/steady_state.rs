@@ -11,7 +11,7 @@
 //! `warm_start` on, and we report the amortized per-frame cost, the
 //! warm-hit rate, and warm-vs-cold latency medians per sweep point.
 //!
-//! Artifacts: `results/steady_state.txt` (the table below),
+//! Artifacts: `results/steady_state.txt` (stdout, captured by redirect),
 //! `results/steady_state.json` (sweep summary) and
 //! `results/metrics_steady_state.json` (shared engine + service
 //! recorder: `warmstart.*` counters, `serve.recovery_{warm,cold}_ms`
@@ -212,12 +212,6 @@ fn main() {
 
     let table = render_table(&rows);
     print!("{table}");
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("failed to create results/: {e}");
-    }
-    if let Err(e) = std::fs::write("results/steady_state.txt", &table) {
-        eprintln!("failed to write results/steady_state.txt: {e}");
-    }
 
     // The ledger CI asserts: every frame the services processed went
     // through exactly one of the warm-start counters.

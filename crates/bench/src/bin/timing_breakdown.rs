@@ -5,7 +5,7 @@
 //! the pipeline on real simulated frames: BV rasterisation, then stage 1
 //! split into its in-situ phases via [`BbAlign::match_bv_timed`] — MIM
 //! computation (the FFT-bound part), keypoint detection, descriptor work
-//! (the sample-once pass plus every per-hypothesis re-bin), descriptor
+//! (the sample-once pass plus the grouped re-bins), descriptor
 //! matching (the blocked dot-product kernel), and RANSAC — and finally box
 //! alignment (stage 2). A recovery runs on its caller's thread (the
 //! workspace parallelises across recoveries, never inside one), so every
@@ -202,7 +202,7 @@ fn main() {
     println!(
         "\nNote: the stage-1 rows are measured in situ by match_bv_timed, so\n\
          they sum to slightly less than the stage-1 total (frame glue). The\n\
-         describe row covers the sample-once pass plus every per-hypothesis\n\
-         re-bin; matching runs the blocked dot-product kernel."
+         describe row covers the sample-once pass plus the re-bins, four\n\
+         hypotheses per pass; matching runs the blocked dot-product kernel."
     );
 }

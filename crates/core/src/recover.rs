@@ -5,7 +5,7 @@ use crate::frame::{FrameBox, FrameFeatures, PerceptionFrame};
 use bba_bev::{BevConfig, BevImage};
 use bba_features::{
     detect_keypoints, match_sets, ransac_rigid, ransac_rigid_hinted, DescriptorSet, Keypoint,
-    PatchSamples, RansacError, RansacResult, RotationSweep,
+    PatchSamples, RansacError, RansacResult, RotationSweep, REBIN_GROUP,
 };
 use bba_geometry::{BevBox, Box3, Iso2, Iso3, Vec2, Vec3};
 use bba_obs::Recorder;
@@ -53,7 +53,7 @@ pub struct Stage1Timing {
     pub detect_ms: f64,
     /// Descriptor work (ms): the ego side's hypothesis-0 descriptors when
     /// this call computed them, the other side's sample-once pass, and
-    /// every per-hypothesis re-bin.
+    /// the re-bin of every group of hypotheses the sweep reached.
     pub describe_ms: f64,
     /// Descriptor matching across all hypotheses (ms).
     pub match_ms: f64,
@@ -230,10 +230,10 @@ pub struct BbAlign {
     /// buffers are dropped, and hit/miss/drop counts surface through the
     /// recorder as `pool.workspace.*` counters.
     workspaces: crate::pool::BoundedPool<FftWorkspace>,
-    /// Pool of stage-1 describe scratch (a patch-sample buffer + a
-    /// descriptor set), recycled for the same reason; one is in flight per
-    /// `match_bv` call. Bounded like the workspace pool, with
-    /// `pool.stage1.*` counters.
+    /// Pool of stage-1 describe scratch (a patch-sample buffer + one
+    /// re-bin group of descriptor sets), recycled for the same reason; one
+    /// is in flight per `match_bv` call. Bounded like the workspace pool,
+    /// with `pool.stage1.*` counters.
     stage1_scratch: crate::pool::BoundedPool<Stage1Scratch>,
     /// Observability sink (disabled by default — and then free). Records
     /// per-phase spans, per-recovery distributions (keypoints, matches,
@@ -243,13 +243,13 @@ pub struct BbAlign {
 }
 
 /// Reusable stage-1 buffers: the hypothesis-invariant patch samples of the
-/// other image and the descriptor set they are re-binned into. The ego
+/// other image and the descriptor sets one re-bin group fills. The ego
 /// side's descriptors are a per-frame product kept by the frame; its
 /// samples pass through `samples` once, when they are first computed.
 #[derive(Debug, Default)]
 struct Stage1Scratch {
     samples: PatchSamples,
-    other_set: DescriptorSet,
+    group: [DescriptorSet; REBIN_GROUP],
 }
 
 /// Time (ms) one call spent computing per-frame features; zero for
@@ -455,8 +455,10 @@ impl BbAlign {
         samples: &mut PatchSamples,
     ) -> &'a DescriptorSet {
         features.ego_set.get_or_init(|| {
-            samples.sample(&features.mim, &features.keypoints, &self.config.descriptor);
-            samples.rebin(self.sweep(), 0)
+            samples.sample(&features.mim, &features.keypoints, self.sweep());
+            let mut set = DescriptorSet::default();
+            samples.rebin_group(self.sweep(), 0, std::slice::from_mut(&mut set));
+            set
         })
     }
 
@@ -567,15 +569,16 @@ impl BbAlign {
         // is *sampled* exactly once — the per-hypothesis work is only the
         // cheap re-binning of the cached samples. The ego side is binned
         // once at hypothesis 0 (angle 0) and kept by the frame; the other
-        // side is sampled per pair and re-binned once per swept hypothesis.
+        // side is sampled per pair and re-binned a group of hypotheses at a
+        // time, each group ahead of its matching.
         let sweep = self.sweep();
-        let Stage1Scratch { samples, other_set } = scratch;
+        let Stage1Scratch { samples, group } = scratch;
         let t = Instant::now();
         let ego_set = self.ego_set(&ego_features, samples);
         if ego_set.is_empty() {
             return Err(RecoverError::NoKeypoints { side: "ego" });
         }
-        samples.sample(&other_features.mim, kp_other, &cfg.descriptor);
+        samples.sample(&other_features.mim, kp_other, sweep);
         timing.describe_ms = ms_since(t);
         let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
 
@@ -587,16 +590,22 @@ impl BbAlign {
         // exit can neither win nor end the sweep, so its RANSAC is skipped;
         // the skipped call still advances `rng` exactly as the full one
         // would, so every later draw — later hypotheses, stage 2 — is
-        // unchanged (DESIGN.md → *Sweep pruning*).
+        // unchanged (DESIGN.md → *Sweep pruning*). Re-bins are pure, so
+        // binning a group ahead of its matches changes nothing, and a
+        // `strong` exit inside a group only discards the re-bins after it.
         let mut best: Option<(RansacResult, usize)> = None;
         let mut any_descriptors = false;
         let mut any_matches = false;
         let mut last_ransac_err = None;
         for k in 0..sweep.hypotheses() {
             timing.hypotheses_swept = k + 1;
-            let t = Instant::now();
-            samples.rebin_into(sweep, k, other_set);
-            timing.describe_ms += ms_since(t);
+            if k % REBIN_GROUP == 0 {
+                let t = Instant::now();
+                let sets = &mut group[..REBIN_GROUP.min(sweep.hypotheses() - k)];
+                samples.rebin_group(sweep, k, sets);
+                timing.describe_ms += ms_since(t);
+            }
+            let other_set = &group[k % REBIN_GROUP];
             if other_set.is_empty() {
                 continue;
             }
@@ -1199,6 +1208,7 @@ impl AlignmentScorer {
 mod tests {
     use super::*;
     use crate::config::BbAlignConfig;
+    use bba_features::describe_keypoints_rotated;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1621,9 +1631,10 @@ mod tests {
         aligner.place_descriptor(&frame, &bba_place::PlaceConfig::default());
     }
 
-    /// Reference for the pruned sweep: stage 1 as it ran before pruning —
-    /// RANSAC on every swept hypothesis, the last maximum over all their
-    /// results — then stage 2 on the same RNG, as in `recover_with_hint`.
+    /// Reference for the pruned, grouped sweep: stage 1 as it ran before
+    /// pruning — descriptors from the naive per-angle path, RANSAC on every
+    /// swept hypothesis, the last maximum over all their results — then
+    /// stage 2 on the same RNG, as in `recover_with_hint`.
     fn unpruned_recover(
         aligner: &BbAlign,
         ego: &PerceptionFrame,
@@ -1634,15 +1645,26 @@ mod tests {
         let cfg = aligner.config();
         let ego_features = aligner.features(ego, &mut FeatureCost::default()).unwrap();
         let other_features = aligner.features(other, &mut FeatureCost::default()).unwrap();
-        let mut samples = PatchSamples::new();
-        let ego_set = aligner.ego_set(&ego_features, &mut samples);
-        samples.sample(&other_features.mim, &other_features.keypoints, &cfg.descriptor);
+        let describe = |features: &FrameFeatures, k: usize| {
+            let angle = aligner.sweep().angle(k);
+            let naive = describe_keypoints_rotated(
+                &features.mim,
+                &features.keypoints,
+                &cfg.descriptor,
+                angle,
+            );
+            DescriptorSet::from_descriptors(&naive)
+        };
+        let ego_set = describe(&ego_features, 0);
         let hint_pix = hint.map(|t| aligner.world_to_pixel_transform(t));
         let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
         let mut candidates = Vec::new();
         for k in 0..aligner.sweep().hypotheses() {
-            let other_set = samples.rebin(aligner.sweep(), k);
-            let matches = match_sets(&other_set, ego_set, &cfg.matcher);
+            let other_set = describe(&other_features, k);
+            if other_set.is_empty() {
+                continue;
+            }
+            let matches = match_sets(&other_set, &ego_set, &cfg.matcher);
             if matches.len() < 2 {
                 continue;
             }

@@ -157,9 +157,9 @@ pub(crate) fn sample_weight(amp: f64, weighting: SampleWeighting) -> f64 {
 /// The split of one raw orientation index under a continuous `bin_shift`:
 /// `(lo, hi, frac)`, with weight fraction `1 − frac` going to bin `lo` and
 /// `frac` to bin `hi`. Factored out of [`soft_bin`] so the sweep's
-/// per-hypothesis lookup table ([`bba_simd::SoftBinLut`]) is built from the
-/// exact arithmetic applied per sample — the LUT-driven re-bin kernel is
-/// then bit-identical to the naive path by construction.
+/// per-hypothesis orientation tables ([`crate::sweep::RotationSweep`]) are
+/// built from the exact arithmetic applied per sample — the table-driven
+/// re-bin kernel is then bit-identical to the naive path by construction.
 pub(crate) fn soft_bin_split(raw_index: u8, bin_shift: f64, n_o: usize) -> (usize, usize, f64) {
     let shifted = (raw_index as f64 - bin_shift).rem_euclid(n_o as f64);
     let lo = (shifted.floor() as usize) % n_o;
@@ -239,9 +239,9 @@ fn describe_all(
 ///
 /// This is the naive reference implementation: it re-scans the patch per
 /// angle. The production sweep path samples each patch once and re-bins it
-/// per hypothesis ([`crate::sweep::PatchSamples`]), producing bit-identical
-/// descriptors — the `sweep_matches_naive_describe` proptest holds the two
-/// together.
+/// per group of hypotheses ([`crate::sweep::PatchSamples`]), producing
+/// bit-identical descriptors — the `sweep_rebin_equals_naive_describe`
+/// proptest holds the two together.
 pub fn describe_keypoints_rotated(
     mim: &MaxIndexMap,
     keypoints: &[Keypoint],

@@ -73,39 +73,72 @@ impl Default for KeypointConfig {
 ///
 /// Returns keypoints sorted by descending score, capped at
 /// [`KeypointConfig::max_keypoints`].
+///
+/// Every run of `n` contiguous circle pixels covers at least `⌊n/4⌋` of the
+/// four compass pixels (circle indices 0, 4, 8 and 12). A pixel with fewer
+/// than `⌊arc_length/4⌋` compass pixels brighter than `center + threshold`
+/// and fewer than that many darker than `center − threshold` — the
+/// classifier's own comparisons — therefore has no qualifying arc, and is
+/// skipped before the 16-pixel classification. The pre-test rejects no
+/// corner, so positions, order and scores are those of classifying every
+/// pixel; below an arc length of 4 it rejects nothing.
 pub fn detect_keypoints(img: &Grid<f64>, config: &KeypointConfig) -> Vec<Keypoint> {
+    let need = config.arc_length / 4;
+    let t = config.threshold;
     let w = img.width() as i32;
     let h = img.height() as i32;
     let border = (config.border.max(3)) as i32;
     let mut raw: Vec<Keypoint> = Vec::new();
 
     for v in border..h - border {
+        let (up, row, down) =
+            (img.row((v - 3) as usize), img.row(v as usize), img.row((v + 3) as usize));
         for u in border..w - border {
-            let center = img[(u as usize, v as usize)];
-            let t = config.threshold;
-            // Classify the 16 circle pixels: +1 brighter, -1 darker, 0 same.
-            let mut states = [0i8; 16];
-            let mut diffs = [0.0f64; 16];
-            for (k, &(dx, dy)) in CIRCLE.iter().enumerate() {
-                let p = img[((u + dx) as usize, (v + dy) as usize)];
-                let d = p - center;
-                diffs[k] = d;
-                states[k] = if d > t {
-                    1
-                } else if d < -t {
-                    -1
-                } else {
-                    0
-                };
+            let x = u as usize;
+            let center = row[x];
+            let compass = [up[x], row[x + 3], down[x], row[x - 3]];
+            let bright = compass.iter().filter(|&&p| p - center > t).count();
+            let dark = compass.iter().filter(|&&p| p - center < -t).count();
+            if bright < need && dark < need {
+                continue;
             }
-            // Longest contiguous run (circular) of all-bright or all-dark.
-            let score = longest_run_score(&states, &diffs, config.arc_length);
-            if let Some(score) = score {
-                raw.push(Keypoint { u: u as usize, v: v as usize, score });
+            if let Some(score) = corner_score(img, u, v, config) {
+                raw.push(Keypoint { u: x, v: v as usize, score });
             }
         }
     }
+    suppress(raw, config)
+}
 
+/// Classifies the 16 circle pixels around `(u, v)` — brighter than
+/// `center + threshold`, darker than `center − threshold`, or neither —
+/// and returns the corner score when an arc of at least
+/// [`KeypointConfig::arc_length`] qualifies.
+fn corner_score(img: &Grid<f64>, u: i32, v: i32, config: &KeypointConfig) -> Option<f64> {
+    let center = img[(u as usize, v as usize)];
+    let t = config.threshold;
+    let mut states = [0i8; 16];
+    let mut diffs = [0.0f64; 16];
+    for (k, &(dx, dy)) in CIRCLE.iter().enumerate() {
+        let p = img[((u + dx) as usize, (v + dy) as usize)];
+        let d = p - center;
+        diffs[k] = d;
+        states[k] = if d > t {
+            1
+        } else if d < -t {
+            -1
+        } else {
+            0
+        };
+    }
+    // Longest contiguous run (circular) of all-bright or all-dark.
+    longest_run_score(&states, &diffs, config.arc_length)
+}
+
+/// Sorts corners by descending score (stable), suppresses every corner
+/// within [`KeypointConfig::nms_radius`] of a stronger kept one, and caps
+/// the result at [`KeypointConfig::max_keypoints`].
+fn suppress(mut raw: Vec<Keypoint>, config: &KeypointConfig) -> Vec<Keypoint> {
     // Non-maximum suppression on a coarse occupancy grid.
     raw.sort_by(|a, b| b.score.total_cmp(&a.score));
     let mut kept: Vec<Keypoint> = Vec::new();
@@ -130,6 +163,23 @@ pub fn detect_keypoints(img: &Grid<f64>, config: &KeypointConfig) -> Vec<Keypoin
     }
     kept.truncate(config.max_keypoints);
     kept
+}
+
+/// The detector without the compass pre-test: every pixel classified.
+#[cfg(test)]
+fn detect_keypoints_reference(img: &Grid<f64>, config: &KeypointConfig) -> Vec<Keypoint> {
+    let w = img.width() as i32;
+    let h = img.height() as i32;
+    let border = (config.border.max(3)) as i32;
+    let mut raw: Vec<Keypoint> = Vec::new();
+    for v in border..h - border {
+        for u in border..w - border {
+            if let Some(score) = corner_score(img, u, v, config) {
+                raw.push(Keypoint { u: u as usize, v: v as usize, score });
+            }
+        }
+    }
+    suppress(raw, config)
 }
 
 /// Returns the corner score when a contiguous run of at least `min_len`
@@ -169,6 +219,7 @@ fn longest_run_score(states: &[i8; 16], diffs: &[f64; 16], min_len: usize) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A bright square on dark background: corners at the square's corners.
     fn square_image(size: usize, lo: usize, hi: usize) -> Grid<f64> {
@@ -257,5 +308,56 @@ mod tests {
         img[(1, 1)] = 10.0; // inside the border margin
         let kps = detect_keypoints(&img, &KeypointConfig::default());
         assert!(kps.is_empty());
+    }
+
+    /// A pixel code: background 0, a value on the `0.25` lattice (so
+    /// differences to the centre land exactly on `± threshold` for the
+    /// lattice thresholds), or NaN.
+    fn pixel(code: u8, m: i32) -> f64 {
+        match code {
+            0..=8 => 0.0,
+            9..=18 => m as f64 * 0.25,
+            _ => f64::NAN,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The compass pre-test only skips pixels the full classification
+        /// rejects: the detector returns the reference's keypoints — order,
+        /// position and score bits — for every arc length 0–17 (below 4
+        /// the pre-test rejects nothing), lattice, zero and negative
+        /// thresholds, NaN pixels, NMS on and off and small caps.
+        #[test]
+        fn compass_pretest_keeps_every_corner(
+            pixels in proptest::collection::vec((0u8..20, -8i32..9), 576..577),
+            width in 7usize..25,
+            height in 7usize..25,
+            block in 1usize..4,
+            threshold in prop_oneof![
+                Just(-0.5f64), Just(-0.25), Just(0.0), Just(0.25), Just(0.5), Just(0.75),
+                -1.0..2.0f64,
+            ],
+            arc_length in 0usize..18,
+            nms_radius in 0usize..4,
+            max_keypoints in prop_oneof![1usize..6, Just(1500usize)],
+            border in 0usize..6,
+        ) {
+            // Blocks of `block²` equal pixels give long bright and dark arcs
+            // at their corners; single pixels give short ones.
+            let img = Grid::from_fn(width, height, |u, v| {
+                let (code, m) = pixels[(v / block) * 24 + u / block];
+                pixel(code, m)
+            });
+            let cfg = KeypointConfig { threshold, arc_length, nms_radius, max_keypoints, border };
+            let key = |kps: Vec<Keypoint>| -> Vec<(usize, usize, u64)> {
+                kps.iter().map(|k| (k.u, k.v, k.score.to_bits())).collect()
+            };
+            prop_assert_eq!(
+                key(detect_keypoints(&img, &cfg)),
+                key(detect_keypoints_reference(&img, &cfg))
+            );
+        }
     }
 }

@@ -14,9 +14,10 @@
 //! 3. [`match_descriptors`] — brute-force nearest-neighbour matching with
 //!    Lowe ratio test and optional mutual-consistency check. The production
 //!    rotation-hypothesis sweep uses the [`sweep`] fast path instead:
-//!    sample each patch once ([`PatchSamples`]), re-bin per hypothesis into
-//!    a flat [`DescriptorSet`], and match with the blocked dot-product
-//!    kernel [`match_sets`] — bit-identical to the naive pipeline.
+//!    sample each patch once ([`PatchSamples`]), re-bin it per group of
+//!    [`REBIN_GROUP`] hypotheses into flat [`DescriptorSet`]s, and match
+//!    with the blocked dot-product kernel [`match_sets`] — bit-identical
+//!    to the naive pipeline.
 //! 4. [`ransac_rigid`] — RANSAC over 2-point samples fitting a rigid 2-D
 //!    transform; the inlier count it returns is the paper's `Inliers_bv` /
 //!    `Inliers_box` confidence signal.
@@ -55,4 +56,4 @@ pub use ransac::{
     ransac_rigid, ransac_rigid_guided, ransac_rigid_hinted, ransac_rigid_naive, RansacConfig,
     RansacError, RansacResult,
 };
-pub use sweep::{DescriptorSet, PatchSamples, RotationSweep};
+pub use sweep::{DescriptorSet, PatchSamples, RotationSweep, REBIN_GROUP};

@@ -1,18 +1,21 @@
 //! Property-based tests for keypoints, matching and RANSAC — including the
 //! equivalence properties pinning the stage-1 fast paths to their naive
-//! references (sample-once/re-bin describe, dot-product kernel matcher).
+//! references (sample-once/grouped re-bin describe, dot-product kernel
+//! matcher).
 
 use bba_features::matcher::match_sets_naive;
 use bba_features::{
     describe_keypoints_rotated, detect_keypoints, match_descriptors, match_sets, ransac_rigid,
     ransac_rigid_guided, ransac_rigid_naive, Descriptor, DescriptorConfig, DescriptorSet, Keypoint,
     KeypointConfig, MatcherConfig, PatchSamples, RansacConfig, RotationSweep, SampleWeighting,
+    REBIN_GROUP,
 };
 use bba_geometry::{Iso2, Vec2};
 use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::f64::consts::TAU;
 
 /// Random L2-normalised descriptor sets for the matcher properties.
 fn descriptor_set(max: usize) -> impl Strategy<Value = DescriptorSet> {
@@ -165,24 +168,48 @@ proptest! {
         }
     }
 
-    /// Sample-once + re-bin descriptors are *bit-identical* to the naive
-    /// per-angle `describe_keypoints_rotated` for random images, angles and
-    /// descriptor configurations — the tentpole equivalence claim.
+    /// Sample-once + grouped re-bin descriptors are *bit-identical* to the
+    /// naive per-angle `describe_keypoints_rotated` — every hypothesis of
+    /// every group, compared by `to_bits` — for random images and
+    /// descriptor configurations, group sizes 1–4 (with a partial last
+    /// group), and angles drawn both from the production `k·2π/24` grid
+    /// (where most hypotheses are hard, whole-bin shifts) and at random
+    /// (soft, two-bin splits). A sparse MIM leaves some patches with no
+    /// in-patch sample at some hypotheses, so dropped rows are covered.
     #[test]
     fn sweep_rebin_equals_naive_describe(
         spikes in proptest::collection::vec((0usize..64, 0usize..64, 0.5..10.0f64), 5..50),
+        sparse in any::<bool>(),
         kps_uv in proptest::collection::vec((0usize..64, 0usize..64), 1..8),
-        angles in proptest::collection::vec(-7.0..7.0f64, 1..4),
+        angles in proptest::collection::vec(
+            prop_oneof![(0usize..24).prop_map(|k| k as f64 * TAU / 24.0), -7.0..7.0f64],
+            1..10,
+        ),
+        group in 1usize..REBIN_GROUP + 1,
         patch_size in prop_oneof![Just(12usize), Just(16usize), Just(24usize)],
         grid_size in 2usize..5,
         amplitude_gate in 0.0..0.3f64,
         weighting in weighting(),
     ) {
-        let mut img = Grid::new(64, 64, 0.0);
-        for &(u, v, z) in &spikes {
-            img[(u, v)] = z;
-        }
-        let mim = MaxIndexMap::compute(&img, &LogGaborConfig::default());
+        let mim = if sparse {
+            // The spikes themselves as the MIM: zero amplitude elsewhere.
+            let mut mim = MaxIndexMap {
+                index: Grid::new(64, 64, 0u8),
+                amplitude: Grid::new(64, 64, 0.0),
+                num_orientations: 12,
+            };
+            for &(u, v, z) in &spikes {
+                mim.amplitude[(u, v)] = z;
+                mim.index[(u, v)] = (z * 7.0) as u8 % 12;
+            }
+            mim
+        } else {
+            let mut img = Grid::new(64, 64, 0.0);
+            for &(u, v, z) in &spikes {
+                img[(u, v)] = z;
+            }
+            MaxIndexMap::compute(&img, &LogGaborConfig::default())
+        };
         let cfg = DescriptorConfig {
             patch_size,
             grid_size,
@@ -198,11 +225,24 @@ proptest! {
 
         let sweep = RotationSweep::new(&cfg, mim.num_orientations, &angles);
         let mut samples = PatchSamples::new();
-        samples.sample(&mim, &kps, &cfg);
-        for (k, &angle) in angles.iter().enumerate() {
-            let fast = samples.rebin(&sweep, k).to_descriptors();
+        samples.sample(&mim, &kps, &sweep);
+        let mut sets = vec![DescriptorSet::default(); angles.len()];
+        for (g, chunk) in sets.chunks_mut(group).enumerate() {
+            samples.rebin_group(&sweep, g * group, chunk);
+        }
+        let bits = |d: &[Descriptor]| -> Vec<(Keypoint, Vec<u32>)> {
+            d.iter().map(|d| (d.keypoint, d.vector.iter().map(|x| x.to_bits()).collect())).collect()
+        };
+        for (k, (set, &angle)) in sets.iter().zip(&angles).enumerate() {
             let naive = describe_keypoints_rotated(&mim, &kps, &cfg, angle);
-            prop_assert_eq!(fast, naive, "hypothesis {} (angle {})", k, angle);
+            prop_assert_eq!(
+                bits(&set.to_descriptors()),
+                bits(&naive),
+                "hypothesis {} (angle {}, group {})",
+                k,
+                angle,
+                group
+            );
         }
     }
 

@@ -24,7 +24,7 @@
 #![allow(clippy::missing_safety_doc)] // one shared contract, documented below
 #![allow(clippy::too_many_arguments)]
 
-use crate::{PackedRows, SoftBinLut};
+use crate::PackedRows;
 use core::arch::x86_64::*;
 
 // Shared safety contract for every function in this module:
@@ -325,59 +325,4 @@ pub unsafe fn dot_f32_rows(a: &[f32], rows: &PackedRows, lo: usize, out: &mut [f
     for (k, o) in out.iter_mut().enumerate().skip(r - lo) {
         *o = crate::portable::dot_packed_row(a, rows, lo + k);
     }
-}
-
-/// AVX2 [`rebin_row`](crate::rebin_row): the `weight·omf` / `weight·frac`
-/// products and `f64 → f32` conversions are vectorised four samples at a
-/// time (multiply and convert round exactly like the scalar expressions);
-/// the histogram scatter stays scalar and in sample order because colliding
-/// bins make the `f32` accumulation order observable.
-#[target_feature(enable = "avx2")]
-pub unsafe fn rebin_row(
-    row: &mut [f32],
-    weights: &[f64],
-    offsets: &[u32],
-    indices: &[u8],
-    cell_table: &[u8],
-    out_sentinel: u8,
-    n_o: usize,
-    lut: &SoftBinLut,
-) {
-    let n = weights.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let r = [
-            indices[i] as usize,
-            indices[i + 1] as usize,
-            indices[i + 2] as usize,
-            indices[i + 3] as usize,
-        ];
-        let w = _mm256_loadu_pd(weights.as_ptr().add(i));
-        let omf = _mm256_set_pd(lut.omf[r[3]], lut.omf[r[2]], lut.omf[r[1]], lut.omf[r[0]]);
-        let frac = _mm256_set_pd(lut.frac[r[3]], lut.frac[r[2]], lut.frac[r[1]], lut.frac[r[0]]);
-        let mut w1 = [0.0f32; 4];
-        let mut w2 = [0.0f32; 4];
-        _mm_storeu_ps(w1.as_mut_ptr(), _mm256_cvtpd_ps(_mm256_mul_pd(w, omf)));
-        _mm_storeu_ps(w2.as_mut_ptr(), _mm256_cvtpd_ps(_mm256_mul_pd(w, frac)));
-        for j in 0..4 {
-            let cell = cell_table[offsets[i + j] as usize];
-            if cell == out_sentinel {
-                continue;
-            }
-            let base = cell as usize * n_o;
-            row[base + lut.lo[r[j]] as usize] += w1[j];
-            row[base + lut.hi[r[j]] as usize] += w2[j];
-        }
-        i += 4;
-    }
-    crate::portable::rebin_row(
-        row,
-        &weights[i..],
-        &offsets[i..],
-        &indices[i..],
-        cell_table,
-        out_sentinel,
-        n_o,
-        lut,
-    );
 }

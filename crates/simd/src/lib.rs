@@ -345,82 +345,6 @@ pub fn dot_f32_rows(a: &[f32], rows: &PackedRows, lo: usize, out: &mut [f32]) {
     dispatch!(dot_f32_rows(a, rows, lo, out))
 }
 
-/// Per-hypothesis soft-bin lookup table: for every raw MIM orientation
-/// index `r` in `0..n_o`, the precomputed split of the shifted continuous
-/// index into neighbouring bins `lo`/`hi` with blend weights
-/// `omf = 1 − frac` and `frac`.
-///
-/// The *caller* fills the table with the same arithmetic as its scalar
-/// soft-bin helper (one evaluation per raw index instead of one per
-/// sample), so table-driven binning is bit-identical to the scalar path.
-#[derive(Debug, Clone, Default)]
-pub struct SoftBinLut {
-    /// Lower bin per raw index.
-    pub lo: Vec<u16>,
-    /// Upper (wrapped) bin per raw index.
-    pub hi: Vec<u16>,
-    /// `1 − frac` per raw index.
-    pub omf: Vec<f64>,
-    /// Fractional blend weight per raw index.
-    pub frac: Vec<f64>,
-}
-
-impl SoftBinLut {
-    /// An empty table; push one entry per raw orientation index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends the split of one raw index.
-    pub fn push(&mut self, lo: usize, hi: usize, frac: f64) {
-        self.lo.push(lo as u16);
-        self.hi.push(hi as u16);
-        self.omf.push(1.0 - frac);
-        self.frac.push(frac);
-    }
-
-    /// Number of raw-index entries.
-    pub fn len(&self) -> usize {
-        self.lo.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lo.is_empty()
-    }
-}
-
-/// Re-bins one descriptor row (the per-hypothesis describe inner loop):
-/// for each cached sample `(weight, offset, index)`, looks the window
-/// offset up in `cell_table` (skipping `out_sentinel` hits), splits the
-/// orientation via `lut`, and accumulates
-/// `row[cell·n_o + lo] += (weight · omf) as f32` /
-/// `row[cell·n_o + hi] += (weight · frac) as f32` in sample order
-/// (scatters stay scalar and in order — colliding bins make the sum order
-/// observable in `f32`).
-///
-/// # Panics
-///
-/// Panics if the sample slices differ in length, `lut` has fewer entries
-/// than some `indices[i]`, or a table cell points past `row`.
-#[allow(clippy::too_many_arguments)]
-pub fn rebin_row(
-    row: &mut [f32],
-    weights: &[f64],
-    offsets: &[u32],
-    indices: &[u8],
-    cell_table: &[u8],
-    out_sentinel: u8,
-    n_o: usize,
-    lut: &SoftBinLut,
-) {
-    assert!(
-        weights.len() == offsets.len() && weights.len() == indices.len(),
-        "rebin_row sample slices length mismatch"
-    );
-    dispatch!(rebin_row(row, weights, offsets, indices, cell_table, out_sentinel, n_o, lut))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

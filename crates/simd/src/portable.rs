@@ -6,7 +6,7 @@
 //! order). They are `pub` so the equivalence proptests (and any non-x86_64
 //! host) can run them directly.
 
-use crate::{PackedRows, SoftBinLut};
+use crate::PackedRows;
 
 /// Scalar [`cmul`](crate::cmul).
 pub fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
@@ -170,29 +170,4 @@ pub(crate) fn dot_packed_row(a: &[f32], rows: &PackedRows, r: usize) -> f32 {
         s += x * y;
     }
     s
-}
-
-/// Scalar [`rebin_row`](crate::rebin_row): table-driven soft binning with
-/// in-order scalar scatter.
-#[allow(clippy::too_many_arguments)]
-pub fn rebin_row(
-    row: &mut [f32],
-    weights: &[f64],
-    offsets: &[u32],
-    indices: &[u8],
-    cell_table: &[u8],
-    out_sentinel: u8,
-    n_o: usize,
-    lut: &SoftBinLut,
-) {
-    for ((&w, &off), &r) in weights.iter().zip(offsets).zip(indices) {
-        let cell = cell_table[off as usize];
-        if cell == out_sentinel {
-            continue;
-        }
-        let r = r as usize;
-        let base = cell as usize * n_o;
-        row[base + lut.lo[r] as usize] += (w * lut.omf[r]) as f32;
-        row[base + lut.hi[r] as usize] += (w * lut.frac[r]) as f32;
-    }
 }

@@ -285,45 +285,4 @@ proptest! {
             prop_assert_eq!(&want, &bits(&got), "dot rows avx2");
         }
     }
-
-    #[test]
-    fn rebin_row_bitwise(
-        samples in proptest::collection::vec((0.0f64..10.0, 0u32..64, 0u8..12), 0..50),
-        cells in proptest::collection::vec(prop_oneof![0u8..16, Just(u8::MAX)], 64..65),
-        shift in -12.0f64..12.0,
-    ) {
-        let n_o = 12usize;
-        let weights: Vec<f64> = samples.iter().map(|s| s.0).collect();
-        let offsets: Vec<u32> = samples.iter().map(|s| s.1).collect();
-        let indices: Vec<u8> = samples.iter().map(|s| s.2).collect();
-        // Build the LUT with the canonical soft-bin arithmetic.
-        let mut lut = bba_simd::SoftBinLut::new();
-        for r in 0..n_o {
-            let shifted = (r as f64 - shift).rem_euclid(n_o as f64);
-            let lo = (shifted.floor() as usize) % n_o;
-            lut.push(lo, (lo + 1) % n_o, shifted - shifted.floor());
-        }
-        let dim = 16 * n_o;
-        let mut want = vec![0.0f32; dim];
-        bba_simd::portable::rebin_row(
-            &mut want, &weights, &offsets, &indices, &cells, u8::MAX, n_o, &lut,
-        );
-        let mut got = vec![0.0f32; dim];
-        bba_simd::rebin_row(&mut got, &weights, &offsets, &indices, &cells, u8::MAX, n_o, &lut);
-        for (i, (a, b)) in want.iter().zip(&got).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "rebin dispatched bin {}", i);
-        }
-        #[cfg(target_arch = "x86_64")]
-        if bba_simd::avx2_detected() {
-            let mut got = vec![0.0f32; dim];
-            unsafe {
-                bba_simd::avx2::rebin_row(
-                    &mut got, &weights, &offsets, &indices, &cells, u8::MAX, n_o, &lut,
-                )
-            };
-            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "rebin avx2 bin {}", i);
-            }
-        }
-    }
 }
