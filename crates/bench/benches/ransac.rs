@@ -14,7 +14,7 @@
 //! `crates/features/tests/proptests.rs`; this bench measures the speed
 //! side. Pass `--quick` for the CI smoke run.
 
-use bba_features::{ransac_rigid_guided, ransac_rigid_naive, RansacConfig};
+use bba_features::{ransac_rigid, ransac_rigid_naive, RansacConfig};
 use bba_geometry::{Iso2, Vec2};
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
@@ -72,13 +72,14 @@ fn main() {
             c.bench_function(&format!("ransac_fast_{n}pts_{regime}"), |b| {
                 b.iter(|| {
                     let mut rng = StdRng::seed_from_u64(7);
-                    black_box(ransac_rigid_guided(&src, &dst, None, cfg, &mut rng))
+                    black_box(ransac_rigid(&src, &dst, None, None, 0, cfg, &mut rng))
                 })
             });
             c.bench_function(&format!("ransac_fast_guided_{n}pts_{regime}"), |b| {
                 b.iter(|| {
                     let mut rng = StdRng::seed_from_u64(7);
-                    black_box(ransac_rigid_guided(&src, &dst, Some(&quality), cfg, &mut rng))
+                    let quality = Some(quality.as_slice());
+                    black_box(ransac_rigid(&src, &dst, quality, None, 0, cfg, &mut rng))
                 })
             });
         }

@@ -54,8 +54,11 @@ fn fixture(
 
 /// A `DescriptorSet` truncated to its first `n` rows.
 fn truncated(set: &DescriptorSet, n: usize) -> DescriptorSet {
-    let descs = set.to_descriptors();
-    DescriptorSet::from_descriptors(&descs[..n.min(descs.len())])
+    let mut out = DescriptorSet::new(set.dim());
+    for i in 0..n.min(set.len()) {
+        out.push(*set.keypoint(i), set.row(i));
+    }
+    out
 }
 
 fn main() {

@@ -70,7 +70,13 @@ fn bench_mim(c: &mut Criterion) {
     let img = BevImage::height_map(points, &cfg);
     let bank = LogGaborBank::new(256, 256, LogGaborConfig::default());
     c.bench_function("mim_256_4scales_12orient", |b| {
-        b.iter(|| MaxIndexMap::compute_with_bank(black_box(img.grid()), &bank))
+        b.iter(|| {
+            MaxIndexMap::compute_with_workspace(
+                black_box(img.grid()),
+                &bank,
+                &mut FftWorkspace::new(),
+            )
+        })
     });
     // Steady-state variant: the workspace is warm, so the Log-Gabor
     // filtering allocates nothing per iteration.
@@ -86,7 +92,7 @@ fn bench_features(c: &mut Criterion) {
     let cfg = BevConfig::wide();
     let img = BevImage::height_map(points, &cfg);
     let bank = LogGaborBank::new(256, 256, LogGaborConfig::default());
-    let mim = MaxIndexMap::compute_with_bank(img.grid(), &bank);
+    let mim = MaxIndexMap::compute_with_workspace(img.grid(), &bank, &mut FftWorkspace::new());
     let max = mim.amplitude.max_value();
     let norm = mim.amplitude.map(|&a| a / max);
     let kp_cfg = KeypointConfig { threshold: 0.05, ..Default::default() };
@@ -121,7 +127,7 @@ fn bench_ransac(c: &mut Criterion) {
     c.bench_function("ransac_rigid_120pts_33pct_outliers", |b| {
         b.iter_batched(
             || StdRng::seed_from_u64(5),
-            |mut rng| ransac_rigid(black_box(&src), &dst, &cfg, &mut rng).unwrap(),
+            |mut rng| ransac_rigid(black_box(&src), &dst, None, None, 0, &cfg, &mut rng).unwrap(),
             BatchSize::SmallInput,
         )
     });

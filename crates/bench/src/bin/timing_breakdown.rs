@@ -3,11 +3,14 @@
 //! The paper calls BB-Align "lightweight" and names the time efficiency of
 //! BV image matching as future work. This binary measures each phase of
 //! the pipeline on real simulated frames: BV rasterisation, then stage 1
-//! split into its in-situ phases via [`BbAlign::match_bv_timed`] — MIM
-//! computation (the FFT-bound part), keypoint detection, descriptor work
-//! (the sample-once pass plus the grouped re-bins), descriptor
-//! matching (the blocked dot-product kernel), and RANSAC — and finally box
-//! alignment (stage 2). A recovery runs on its caller's thread (the
+//! split into its in-situ phases — MIM computation (the FFT-bound part),
+//! keypoint detection, descriptor work (the sample-once pass plus the
+//! grouped re-bins), descriptor matching (the blocked dot-product kernel),
+//! and RANSAC — and finally box alignment (stage 2). The phase times are
+//! the engine's own `stage1/<phase>` spans: each pair's share is what the
+//! span sums gained across its [`BbAlign::match_bv`] call, read from two
+//! recorder snapshots taken outside the timed region. A recovery runs on
+//! its caller's thread (the
 //! workspace parallelises across recoveries, never inside one), so every
 //! phase is timed once, under a 1-thread budget. See also
 //! `cargo bench -p bba-bench --bench stage1` for kernel-vs-naive
@@ -19,7 +22,7 @@ use bba_bench::harness::frames_of;
 use bba_bench::report::{banner, opt, print_table, write_metrics_json, write_results_json};
 use bba_bench::stats::percentile;
 use bba_dataset::{Dataset, DatasetConfig};
-use bba_obs::Recorder;
+use bba_obs::{MetricsSnapshot, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -36,6 +39,12 @@ struct Samples {
     stage1: Vec<f64>,
     stage2: Vec<f64>,
     total: Vec<f64>,
+}
+
+/// Milliseconds the span at `path` gained between two snapshots.
+fn span_delta_ms(before: &MetricsSnapshot, after: &MetricsSnapshot, path: &str) -> f64 {
+    let sum = |snap: &MetricsSnapshot| snap.span(path).map_or(0.0, |s| s.sum);
+    sum(after) - sum(before)
 }
 
 fn main() {
@@ -80,13 +89,16 @@ fn main() {
             );
             let ms_bev = t0.elapsed().as_secs_f64() * 1e3;
 
-            // Stage 1, with the in-situ per-phase breakdown.
+            // Stage 1; its phases land in the recorder's stage-1 spans.
+            let before = recorder.snapshot();
             let t0 = Instant::now();
-            let Ok((bv, timing)) = aligner.match_bv_timed(&ego, &other, &mut rng) else {
+            let Ok(bv) = aligner.match_bv(&ego, &other, &mut rng) else {
                 eprintln!("  [pair {s}: stage 1 failed, skipping]");
                 continue;
             };
             let ms_stage1 = t0.elapsed().as_secs_f64() * 1e3;
+            let after = recorder.snapshot();
+            let phase_ms = |phase: &str| span_delta_ms(&before, &after, &format!("stage1/{phase}"));
 
             // Stage 2.
             let t0 = Instant::now();
@@ -94,11 +106,11 @@ fn main() {
             let ms_stage2 = t0.elapsed().as_secs_f64() * 1e3;
 
             samples.bev.push(ms_bev);
-            samples.mim.push(timing.mim_ms);
-            samples.detect.push(timing.detect_ms);
-            samples.describe.push(timing.describe_ms);
-            samples.matching.push(timing.match_ms);
-            samples.ransac.push(timing.ransac_ms);
+            samples.mim.push(phase_ms("mim"));
+            samples.detect.push(phase_ms("detect"));
+            samples.describe.push(phase_ms("describe"));
+            samples.matching.push(phase_ms("match"));
+            samples.ransac.push(phase_ms("ransac"));
             samples.stage1.push(ms_stage1);
             samples.stage2.push(ms_stage2);
             samples.total.push(ms_bev + ms_stage1 + ms_stage2);
@@ -200,8 +212,8 @@ fn main() {
     );
 
     println!(
-        "\nNote: the stage-1 rows are measured in situ by match_bv_timed, so\n\
-         they sum to slightly less than the stage-1 total (frame glue). The\n\
+        "\nNote: the stage-1 rows are the engine's in-situ stage-1 phase spans,\n\
+         so they sum to slightly less than the stage-1 total (frame glue). The\n\
          describe row covers the sample-once pass plus the re-bins, four\n\
          hypotheses per pass; matching runs the blocked dot-product kernel."
     );

@@ -135,17 +135,9 @@ impl Default for BbAlignConfig {
             keypoints: KeypointConfig { threshold: 0.05, ..Default::default() },
             descriptor: DescriptorConfig::default(),
             rotation_hypotheses: 24,
-            matcher: MatcherConfig {
-                // Stage 1 feeds RANSAC, which rejects outliers itself, so
-                // matching is tuned for recall: no ratio test, no mutual
-                // check, two candidates per keypoint. Strict matching
-                // starves RANSAC of the (scarce) true correspondences
-                // between viewpoints tens of metres apart.
-                ratio: 1.0,
-                mutual: false,
-                max_distance: 1.5,
-                keep_top_k: 2,
-            },
+            // Tuned for recall (two candidates per keypoint): RANSAC
+            // rejects the outliers itself.
+            matcher: MatcherConfig::default(),
             ransac_bv: RansacConfig {
                 max_iterations: 3000,
                 inlier_threshold: 2.0, // pixels = 1.6 m at 0.8 m/px

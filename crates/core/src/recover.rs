@@ -4,8 +4,8 @@ use crate::config::BbAlignConfig;
 use crate::frame::{FrameBox, FrameFeatures, PerceptionFrame};
 use bba_bev::{BevConfig, BevImage};
 use bba_features::{
-    detect_keypoints, match_sets, ransac_rigid, ransac_rigid_hinted, DescriptorSet, Keypoint,
-    PatchSamples, RansacError, RansacResult, RotationSweep, REBIN_GROUP,
+    detect_keypoints, match_sets, ransac_rigid, DescriptorSet, Keypoint, PatchSamples, RansacError,
+    RansacResult, RotationSweep, REBIN_GROUP,
 };
 use bba_geometry::{BevBox, Box3, Iso2, Iso3, Vec2, Vec3};
 use bba_obs::Recorder;
@@ -32,40 +32,6 @@ pub struct BvMatch {
     pub matches: usize,
     /// Keypoints detected on the ego / other BV image.
     pub keypoints: (usize, usize),
-}
-
-/// Wall-clock breakdown of one stage-1 run, phase by phase.
-///
-/// Filled by [`BbAlign::match_bv_timed`]; the describe / match / RANSAC
-/// entries accumulate over every rotation hypothesis actually swept. Pure
-/// instrumentation — the timed and untimed paths execute the same
-/// operations on the same data, so results are unaffected.
-///
-/// The MIM, the keypoints and the ego descriptor set are per-frame
-/// products, computed once and kept by the frame (see
-/// [`PerceptionFrame`]). Each entry counts only work this call did, so a
-/// call whose frames were already used reads 0 for MIM and detection.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Stage1Timing {
-    /// Log-Gabor MIM computation this call performed (ms).
-    pub mim_ms: f64,
-    /// Keypoint detection this call performed (ms).
-    pub detect_ms: f64,
-    /// Descriptor work (ms): the ego side's hypothesis-0 descriptors when
-    /// this call computed them, the other side's sample-once pass, and
-    /// the re-bin of every group of hypotheses the sweep reached.
-    pub describe_ms: f64,
-    /// Descriptor matching across all hypotheses (ms).
-    pub match_ms: f64,
-    /// RANSAC model extraction across all hypotheses (ms), including the
-    /// consensus bounds of pruned hypotheses.
-    pub ransac_ms: f64,
-    /// Rotation hypotheses actually swept (re-binned and matched) before
-    /// the early exit.
-    pub hypotheses_swept: usize,
-    /// Swept hypotheses whose RANSAC was skipped because their consensus
-    /// bound could neither win nor end the sweep.
-    pub hypotheses_pruned: usize,
 }
 
 /// Stage-2 result: the box-corner refinement.
@@ -174,7 +140,8 @@ pub enum RecoverError {
         /// Which side was featureless: `"ego"` or `"other"`.
         side: &'static str,
     },
-    /// No descriptor matches survived the ratio/mutual tests.
+    /// No rotation hypothesis gave two descriptor matches within the
+    /// matcher's distance cap.
     NoMatches,
     /// Stage-1 RANSAC found no consensus.
     NoConsensus(RansacError),
@@ -478,73 +445,50 @@ impl BbAlign {
         other: &PerceptionFrame,
         rng: &mut R,
     ) -> Result<BvMatch, RecoverError> {
-        self.match_bv_timed(ego, other, rng).map(|(bv, _)| bv)
+        self.stage1(ego, other, None, rng)
     }
 
-    /// [`BbAlign::match_bv`] plus a per-phase wall-clock breakdown.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`BbAlign::match_bv`].
-    pub fn match_bv_timed<R: Rng + ?Sized>(
-        &self,
-        ego: &PerceptionFrame,
-        other: &PerceptionFrame,
-        rng: &mut R,
-    ) -> Result<(BvMatch, Stage1Timing), RecoverError> {
-        self.match_bv_timed_hinted(ego, other, None, rng)
-    }
-
-    /// [`BbAlign::match_bv_timed`] with an optional pixel-space warm hint
-    /// offered to stage-1 RANSAC as hypothesis zero. With `None` this is
-    /// exactly the plain path (the hinted RANSAC entry consumes no RNG and
-    /// delegates verbatim when there is no hint).
-    fn match_bv_timed_hinted<R: Rng + ?Sized>(
+    /// Stage 1 under the `stage1` span, with an optional pixel-space warm
+    /// hint offered to RANSAC as hypothesis zero (the cold path's entry;
+    /// with `None` it is [`BbAlign::match_bv`]). Takes and returns the
+    /// pooled describe scratch and counts `stage1.failures`.
+    fn stage1<R: Rng + ?Sized>(
         &self,
         ego: &PerceptionFrame,
         other: &PerceptionFrame,
         hint_pix: Option<&Iso2>,
         rng: &mut R,
-    ) -> Result<(BvMatch, Stage1Timing), RecoverError> {
-        let span = self.obs.span("stage1");
+    ) -> Result<BvMatch, RecoverError> {
+        let _span = self.obs.span("stage1");
         let mut scratch = self.stage1_scratch.take(&self.obs);
-        let out = self.match_bv_inner(ego, other, hint_pix, rng, &mut scratch);
+        let out = self.stage1_body(ego, other, hint_pix, rng, &mut scratch);
         self.stage1_scratch.put(scratch, &self.obs);
-        // Re-publish the phase breakdown (measured inside the inner run
-        // regardless) as nested spans while the stage-1 span is still
-        // open, so they land under its path.
-        if self.obs.is_enabled() {
-            match &out {
-                Ok((bv, timing)) => {
-                    self.obs.record_span_ms("mim", timing.mim_ms);
-                    self.obs.record_span_ms("detect", timing.detect_ms);
-                    self.obs.record_span_ms("describe", timing.describe_ms);
-                    self.obs.record_span_ms("match", timing.match_ms);
-                    self.obs.record_span_ms("ransac", timing.ransac_ms);
-                    self.obs.add("stage1.hypotheses", timing.hypotheses_swept as u64);
-                    self.obs.add("stage1.hypotheses_pruned", timing.hypotheses_pruned as u64);
-                    self.obs.observe("stage1.keypoints_ego", bv.keypoints.0 as f64);
-                    self.obs.observe("stage1.keypoints_other", bv.keypoints.1 as f64);
-                    self.obs.observe("stage1.matches", bv.matches as f64);
-                    self.obs.observe("stage1.inliers_bv", bv.inliers as f64);
-                }
-                Err(_) => self.obs.incr("stage1.failures"),
-            }
+        if out.is_err() {
+            self.obs.incr("stage1.failures");
         }
-        drop(span);
         out
     }
 
-    fn match_bv_inner<R: Rng + ?Sized>(
+    /// The one stage-1 body. Times its phases as it goes and, when stage 1
+    /// completes, files them as `mim` / `detect` / `describe` / `match` /
+    /// `ransac` spans under the open `stage1` span: one record per phase
+    /// per completed stage 1, summed over every hypothesis swept. Pure
+    /// instrumentation — the results do not depend on it.
+    ///
+    /// The MIM, the keypoints and the ego descriptor set are per-frame
+    /// products, computed once and kept by the frame (see
+    /// [`PerceptionFrame`]). Each phase counts only work this call did, so
+    /// a call whose frames were already used records 0 ms for MIM and
+    /// detection.
+    fn stage1_body<R: Rng + ?Sized>(
         &self,
         ego: &PerceptionFrame,
         other: &PerceptionFrame,
         hint_pix: Option<&Iso2>,
         rng: &mut R,
         scratch: &mut Stage1Scratch,
-    ) -> Result<(BvMatch, Stage1Timing), RecoverError> {
+    ) -> Result<BvMatch, RecoverError> {
         let cfg = &self.config;
-        let mut timing = Stage1Timing::default();
 
         // Per-frame features: the MIM (needed for descriptors, and by
         // default also as the keypoint-detection image) and the keypoints,
@@ -552,8 +496,6 @@ impl BbAlign {
         let mut cost = FeatureCost::default();
         let ego_features = self.features(ego, &mut cost)?;
         let other_features = self.features(other, &mut cost)?;
-        timing.mim_ms = cost.mim_ms;
-        timing.detect_ms = cost.detect_ms;
         let (kp_ego, kp_other) = (&ego_features.keypoints, &other_features.keypoints);
         if kp_ego.is_empty() {
             return Err(RecoverError::NoKeypoints { side: "ego" });
@@ -562,15 +504,15 @@ impl BbAlign {
             return Err(RecoverError::NoKeypoints { side: "other" });
         }
 
-        // Descriptors. Per-patch orientation normalisation is deliberately
-        // avoided: estimating an angle from view-dependent samples is
-        // unstable, while a global rotation hypothesis (RIFT-style, swept
-        // below) keeps the descriptors raw and discriminative. Each image
-        // is *sampled* exactly once — the per-hypothesis work is only the
-        // cheap re-binning of the cached samples. The ego side is binned
-        // once at hypothesis 0 (angle 0) and kept by the frame; the other
-        // side is sampled per pair and re-binned a group of hypotheses at a
-        // time, each group ahead of its matching.
+        // Descriptors under a global rotation hypothesis (RIFT-style,
+        // swept below) rather than a per-patch orientation, which view-
+        // dependent samples make unstable. Each image is *sampled* exactly
+        // once — the per-hypothesis work is only the cheap re-binning of
+        // the cached samples. The ego side is binned once at hypothesis 0
+        // (angle 0) and kept by the frame; the other side is sampled per
+        // pair and re-binned a group of hypotheses at a time, each group
+        // ahead of its matching. The describe time covers the ego set when
+        // this call computed it, the sample pass and every re-bin.
         let sweep = self.sweep();
         let Stage1Scratch { samples, group } = scratch;
         let t = Instant::now();
@@ -579,7 +521,8 @@ impl BbAlign {
             return Err(RecoverError::NoKeypoints { side: "ego" });
         }
         samples.sample(&other_features.mim, kp_other, sweep);
-        timing.describe_ms = ms_since(t);
+        let mut describe_ms = ms_since(t);
+        let (mut match_ms, mut ransac_ms) = (0.0, 0.0);
         let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
 
         // The sweep keeps the best RANSAC result so far; a later hypothesis
@@ -594,16 +537,17 @@ impl BbAlign {
         // binning a group ahead of its matches changes nothing, and a
         // `strong` exit inside a group only discards the re-bins after it.
         let mut best: Option<(RansacResult, usize)> = None;
+        let (mut swept, mut pruned) = (0usize, 0usize);
         let mut any_descriptors = false;
         let mut any_matches = false;
         let mut last_ransac_err = None;
         for k in 0..sweep.hypotheses() {
-            timing.hypotheses_swept = k + 1;
+            swept = k + 1;
             if k % REBIN_GROUP == 0 {
                 let t = Instant::now();
                 let sets = &mut group[..REBIN_GROUP.min(sweep.hypotheses() - k)];
                 samples.rebin_group(sweep, k, sets);
-                timing.describe_ms += ms_since(t);
+                describe_ms += ms_since(t);
             }
             let other_set = &group[k % REBIN_GROUP];
             if other_set.is_empty() {
@@ -612,7 +556,7 @@ impl BbAlign {
             any_descriptors = true;
             let t = Instant::now();
             let matches = match_sets(other_set, ego_set, &cfg.matcher);
-            timing.match_ms += ms_since(t);
+            match_ms += ms_since(t);
             if matches.len() < 2 {
                 continue;
             }
@@ -633,8 +577,8 @@ impl BbAlign {
 
             let t = Instant::now();
             let outcome =
-                ransac_rigid_hinted(&src, &dst, Some(&qual), hint_pix, floor, &cfg.ransac_bv, rng);
-            timing.ransac_ms += ms_since(t);
+                ransac_rigid(&src, &dst, Some(&qual), hint_pix, floor, &cfg.ransac_bv, rng);
+            ransac_ms += ms_since(t);
             match outcome {
                 Ok(result) => {
                     let strong = result.num_inliers >= strong_min;
@@ -645,7 +589,7 @@ impl BbAlign {
                         break;
                     }
                 }
-                Err(RansacError::Pruned { .. }) => timing.hypotheses_pruned += 1,
+                Err(RansacError::Pruned { .. }) => pruned += 1,
                 Err(e) => last_ransac_err = Some(e),
             }
         }
@@ -662,16 +606,27 @@ impl BbAlign {
             ));
         };
 
-        Ok((
-            BvMatch {
-                transform: self.pixel_to_world_transform(&result.transform),
-                transform_pixels: result.transform,
-                inliers: result.num_inliers,
-                matches,
-                keypoints: (kp_ego.len(), kp_other.len()),
-            },
-            timing,
-        ))
+        let bv = BvMatch {
+            transform: self.pixel_to_world_transform(&result.transform),
+            transform_pixels: result.transform,
+            inliers: result.num_inliers,
+            matches,
+            keypoints: (kp_ego.len(), kp_other.len()),
+        };
+        if self.obs.is_enabled() {
+            self.obs.record_span_ms("mim", cost.mim_ms);
+            self.obs.record_span_ms("detect", cost.detect_ms);
+            self.obs.record_span_ms("describe", describe_ms);
+            self.obs.record_span_ms("match", match_ms);
+            self.obs.record_span_ms("ransac", ransac_ms);
+            self.obs.add("stage1.hypotheses", swept as u64);
+            self.obs.add("stage1.hypotheses_pruned", pruned as u64);
+            self.obs.observe("stage1.keypoints_ego", bv.keypoints.0 as f64);
+            self.obs.observe("stage1.keypoints_other", bv.keypoints.1 as f64);
+            self.obs.observe("stage1.matches", bv.matches as f64);
+            self.obs.observe("stage1.inliers_bv", bv.inliers as f64);
+        }
+        Ok(bv)
     }
 
     /// Converts a rigid transform expressed in continuous pixel coordinates
@@ -785,7 +740,7 @@ impl BbAlign {
             return None;
         }
 
-        let result = ransac_rigid(&src, &dst, &cfg.ransac_box, rng).ok()?;
+        let result = ransac_rigid(&src, &dst, None, None, 0, &cfg.ransac_box, rng).ok()?;
         // With few box pairs the rotation is poorly constrained by noisy
         // corners; restrict the refinement to translation (the dominant
         // self-motion-distortion component per the paper's Fig. 14).
@@ -843,8 +798,8 @@ impl BbAlign {
         // across rotation hypotheses (only descriptor binning rotates), so
         // one pixel-space hint is valid for every hypothesis.
         let hint_pix = warm_hint.map(|t| self.world_to_pixel_transform(t));
-        let bv = match self.match_bv_timed_hinted(ego, other, hint_pix.as_ref(), rng) {
-            Ok((bv, _)) => bv,
+        let bv = match self.stage1(ego, other, hint_pix.as_ref(), rng) {
+            Ok(bv) => bv,
             Err(e) => {
                 self.obs.incr("recover.failures");
                 return Err(e);
@@ -1344,6 +1299,35 @@ mod tests {
         assert!(matches!(e, RecoverError::NoKeypoints { .. }), "{e}");
     }
 
+    /// perfbench's `*_ms_per_stage1` divides each `stage1/<phase>` span
+    /// total by its record count: one record per phase per *completed*
+    /// stage 1, also when the frames' features were already computed.
+    #[test]
+    fn stage1_phase_spans_count_completed_stage1s() {
+        let recorder = bba_obs::Recorder::enabled();
+        let aligner = BbAlign::new(BbAlignConfig::test_small()).with_recorder(recorder.clone());
+        let (ego, other) = frame_pair(&aligner, &Iso2::new(0.1, Vec2::new(4.0, 2.0)));
+        let mut rng = StdRng::seed_from_u64(3);
+        aligner.recover(&ego, &other, &mut rng).unwrap();
+        // The second call reads the frames' stored features.
+        aligner.recover(&ego, &other, &mut rng).unwrap();
+        let empty = aligner.frame_from_parts(std::iter::empty(), std::iter::empty());
+        let e = aligner.recover(&empty, &empty, &mut rng).unwrap_err();
+        assert_eq!(e, RecoverError::NoKeypoints { side: "ego" });
+
+        let snap = recorder.snapshot();
+        let count = |path: &str| snap.span(path).map(|s| s.count);
+        for phase in ["mim", "detect", "describe", "match", "ransac"] {
+            assert_eq!(count(&format!("recover/stage1/{phase}")), Some(2), "{phase}");
+        }
+        assert_eq!(count("recover/stage1"), Some(3));
+        assert_eq!(snap.counter("stage1.failures"), Some(1));
+        for phase in ["mim", "detect"] {
+            let span = snap.span(&format!("recover/stage1/{phase}")).unwrap();
+            assert_eq!(span.min, 0.0, "the second {phase} read stored features");
+        }
+    }
+
     #[test]
     fn mismatched_geometry_is_rejected() {
         let small = BbAlign::new(BbAlignConfig::test_small());
@@ -1647,13 +1631,7 @@ mod tests {
         let other_features = aligner.features(other, &mut FeatureCost::default()).unwrap();
         let describe = |features: &FrameFeatures, k: usize| {
             let angle = aligner.sweep().angle(k);
-            let naive = describe_keypoints_rotated(
-                &features.mim,
-                &features.keypoints,
-                &cfg.descriptor,
-                angle,
-            );
-            DescriptorSet::from_descriptors(&naive)
+            describe_keypoints_rotated(&features.mim, &features.keypoints, &cfg.descriptor, angle)
         };
         let ego_set = describe(&ego_features, 0);
         let hint_pix = hint.map(|t| aligner.world_to_pixel_transform(t));
@@ -1672,9 +1650,7 @@ mod tests {
             let dst: Vec<Vec2> = matches.iter().map(|m| pix(ego_set.keypoint(m.dst))).collect();
             let qual: Vec<f64> = matches.iter().map(|m| m.distance).collect();
             let hint = hint_pix.as_ref();
-            if let Ok(r) =
-                ransac_rigid_hinted(&src, &dst, Some(&qual), hint, 0, &cfg.ransac_bv, rng)
-            {
+            if let Ok(r) = ransac_rigid(&src, &dst, Some(&qual), hint, 0, &cfg.ransac_bv, rng) {
                 let strong =
                     r.num_inliers > cfg.min_inliers_bv && 2 * r.num_inliers >= matches.len();
                 candidates.push((r, matches.len()));

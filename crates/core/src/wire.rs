@@ -65,6 +65,8 @@ pub enum DecodeError {
     BadHeader,
     /// A cell index lay outside the declared raster.
     CellOutOfRange,
+    /// A box field (centre, extent, yaw or confidence) was NaN or ±∞.
+    NonFiniteBox,
 }
 
 impl fmt::Display for DecodeError {
@@ -73,6 +75,7 @@ impl fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "payload truncated"),
             DecodeError::BadHeader => write!(f, "bad magic or unsupported version"),
             DecodeError::CellOutOfRange => write!(f, "cell index outside raster"),
+            DecodeError::NonFiniteBox => write!(f, "box field is NaN or infinite"),
         }
     }
 }
@@ -151,8 +154,8 @@ pub fn box_wire_bytes() -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on truncation, bad header, or out-of-raster
-/// cell indices.
+/// Returns [`DecodeError`] on truncation, bad header, out-of-raster cell
+/// indices, or a box field that is NaN or infinite.
 pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
     let mut cursor = 0usize;
     let take = |cursor: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
@@ -191,6 +194,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
         let mut vals = [0.0f64; 6];
         for v in &mut vals {
             *v = f32_at(take(&mut cursor, 4)?) as f64;
+            if !v.is_finite() {
+                return Err(DecodeError::NonFiniteBox);
+            }
         }
         boxes.push(FrameBox {
             bev: BevBox::new(
@@ -311,6 +317,55 @@ mod tests {
         let frame = frame_with_occupancy(50);
         let bytes = encode_frame(&frame);
         assert_eq!(decode_frame(&bytes[..bytes.len() - 3]).unwrap_err(), DecodeError::Truncated);
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_box_fields() {
+        let bytes = encode_frame(&frame_with_occupancy(50));
+        // The frame's one box record closes the payload: cx, cy, ex, ey,
+        // yaw, confidence.
+        let record = bytes.len() - box_wire_bytes();
+        assert!(decode_frame(&bytes).is_ok());
+        for field in 0..6 {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut corrupt = bytes.clone();
+                let at = record + 4 * field;
+                corrupt[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    decode_frame(&corrupt).unwrap_err(),
+                    DecodeError::NonFiniteBox,
+                    "field {field} = {bad}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A valid header followed by arbitrary bytes never panics, and
+        /// whatever decodes carries only finite boxes.
+        #[test]
+        fn arbitrary_payload_after_a_valid_header_decodes_only_finite_boxes(
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+        ) {
+            let cfg = BevConfig::test_small();
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&cfg.range.to_le_bytes());
+            bytes.extend_from_slice(&cfg.resolution.to_le_bytes());
+            bytes.extend_from_slice(&tail);
+            if let Ok(frame) = decode_frame(&bytes) {
+                for b in frame.boxes() {
+                    let fields = [
+                        b.bev.center.x,
+                        b.bev.center.y,
+                        b.bev.extents.x,
+                        b.bev.extents.y,
+                        b.bev.yaw,
+                        b.confidence,
+                    ];
+                    proptest::prop_assert!(fields.iter().all(|v| v.is_finite()), "{:?}", b);
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! orientation histograms with `N_o` bins each (paper §IV-A, "Detecting
 //! Keypoints & Computing Descriptors"). Because MIM values are orientation
 //! *indices*, rotating the image rotates both the patch content **and** the
-//! index values; the descriptor therefore (1) estimates the patch's
-//! dominant orientation, (2) assigns every pixel to a grid cell of the
-//! rotated patch frame, and (3) shifts every sampled index by the dominant
-//! orientation — the BVFT/ORB-style normalisation the paper adopts from
-//! \[27\]/\[34\].
+//! index values; a descriptor taken under a global rotation hypothesis
+//! therefore (1) assigns every pixel to a grid cell of the rotated patch
+//! frame and (2) shifts every sampled index by the hypothesis angle. The
+//! caller sweeps the hypotheses (RIFT's approach) instead of estimating a
+//! per-patch dominant orientation, which is unstable across real viewpoint
+//! changes (DESIGN.md, deviation 2).
 //!
 //! # Sampling convention
 //!
@@ -22,24 +23,15 @@
 //! orientation-index shift depend on the angle. That is what the sweep fast
 //! path ([`crate::sweep`]) exploits to sample each patch once and re-bin it
 //! per rotation hypothesis.
+//!
+//! Each sample weighs `√amplitude`, which compresses the near/far
+//! asymmetry between two viewpoints of the same structure.
 
 use crate::keypoints::Keypoint;
+use crate::sweep::DescriptorSet;
 use bba_signal::MaxIndexMap;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
-
-/// How each MIM sample contributes to its histogram bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SampleWeighting {
-    /// Weight by Log-Gabor amplitude (raw evidence strength).
-    Amplitude,
-    /// Weight by √amplitude — compresses the near/far asymmetry between
-    /// two viewpoints of the same structure. Default.
-    #[default]
-    SqrtAmplitude,
-    /// Count samples equally (pure occupancy of orientations).
-    Binary,
-}
 
 /// Descriptor parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,54 +41,14 @@ pub struct DescriptorConfig {
     pub patch_size: usize,
     /// Grid subdivision `l` (paper default 6).
     pub grid_size: usize,
-    /// Normalise patches to their dominant orientation (rotation
-    /// invariance). Disable only for the ablation study.
-    pub rotation_invariant: bool,
     /// Ignore samples whose MIM amplitude falls below this fraction of the
     /// patch's maximum amplitude.
     pub amplitude_gate: f64,
-    /// Histogram contribution of each sample.
-    pub weighting: SampleWeighting,
 }
 
 impl Default for DescriptorConfig {
     fn default() -> Self {
-        DescriptorConfig {
-            patch_size: 48,
-            grid_size: 6,
-            rotation_invariant: true,
-            amplitude_gate: 0.05,
-            weighting: SampleWeighting::default(),
-        }
-    }
-}
-
-/// A descriptor vector plus the keypoint it belongs to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Descriptor {
-    /// The keypoint this descriptor was computed at.
-    pub keypoint: Keypoint,
-    /// L2-normalised feature vector of length `l·l·N_o`.
-    pub vector: Vec<f32>,
-}
-
-impl Descriptor {
-    /// Squared Euclidean distance between two descriptor vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors have different lengths (descriptors from
-    /// differently-configured pipelines are not comparable).
-    pub fn distance_sq(&self, other: &Descriptor) -> f64 {
-        assert_eq!(self.vector.len(), other.vector.len(), "descriptor dimensionality mismatch");
-        self.vector
-            .iter()
-            .zip(&other.vector)
-            .map(|(a, b)| {
-                let d = (*a - *b) as f64;
-                d * d
-            })
-            .sum()
+        DescriptorConfig { patch_size: 48, grid_size: 6, amplitude_gate: 0.05 }
     }
 }
 
@@ -145,15 +97,6 @@ pub(crate) fn grid_cell(
     Some(gv * l + gu)
 }
 
-/// The histogram contribution of a sample with amplitude `amp`.
-pub(crate) fn sample_weight(amp: f64, weighting: SampleWeighting) -> f64 {
-    match weighting {
-        SampleWeighting::Amplitude => amp,
-        SampleWeighting::SqrtAmplitude => amp.sqrt(),
-        SampleWeighting::Binary => 1.0,
-    }
-}
-
 /// The split of one raw orientation index under a continuous `bin_shift`:
 /// `(lo, hi, frac)`, with weight fraction `1 − frac` going to bin `lo` and
 /// `frac` to bin `hi`. Factored out of [`soft_bin`] so the sweep's
@@ -169,9 +112,8 @@ pub(crate) fn soft_bin_split(raw_index: u8, bin_shift: f64, n_o: usize) -> (usiz
 }
 
 /// Soft-bins one sample: the orientation index is shifted by the continuous
-/// `bin_shift` and the weight split linearly between the two adjacent bins —
-/// hard binning would reintroduce the quantisation the continuous dominant-
-/// orientation estimate removed.
+/// `bin_shift` and the weight split linearly between the two adjacent bins,
+/// so an angle off the `π / N_o` grid is split between bins, not rounded.
 pub(crate) fn soft_bin(
     vector: &mut [f32],
     cell_base: usize,
@@ -198,106 +140,57 @@ pub(crate) fn l2_normalize(vector: &mut [f32]) -> bool {
     true
 }
 
-/// Computes descriptors for all keypoints far enough from the border to fit
-/// a full patch. Keypoints whose patch contains no significant MIM samples
-/// are dropped.
-///
-/// With [`DescriptorConfig::rotation_invariant`] set, each patch is
-/// normalised to its own dominant orientation (ORB-style). The alternative
-/// — and the default strategy of the BB-Align pipeline — is
-/// [`describe_keypoints_rotated`], which applies one *global* rotation
-/// hypothesis to every patch and lets the caller sweep hypotheses (RIFT's
-/// approach): per-patch angle estimation is unstable across real viewpoint
-/// changes, while a global hypothesis keeps descriptors raw and
-/// discriminative.
-pub fn describe_keypoints(
-    mim: &MaxIndexMap,
-    keypoints: &[Keypoint],
-    config: &DescriptorConfig,
-) -> Vec<Descriptor> {
-    describe_all(mim, keypoints, config, None)
-}
-
-/// Shared driver: one independent patch per keypoint, kept in keypoint
-/// order.
-fn describe_all(
-    mim: &MaxIndexMap,
-    keypoints: &[Keypoint],
-    config: &DescriptorConfig,
-    rotation_override: Option<f64>,
-) -> Vec<Descriptor> {
-    keypoints.iter().filter_map(|kp| describe_one(mim, *kp, config, rotation_override)).collect()
-}
-
 /// Computes descriptors with a fixed global patch rotation of `angle`
-/// radians (per-patch orientation estimation disabled).
+/// radians, for every keypoint far enough from the border to fit a patch
+/// at any rotation. Keypoints whose patch contains no significant MIM
+/// sample inside the rotated square are dropped.
 ///
 /// Matching a set described at angle `δ` against a set described at angle
 /// `0` finds correspondences between images that differ by a rotation of
 /// `δ`; sweeping `δ` over multiples of `π / N_o` gives exact MIM index
 /// shifts and covers all relative headings.
 ///
-/// This is the naive reference implementation: it re-scans the patch per
-/// angle. The production sweep path samples each patch once and re-bins it
-/// per group of hypotheses ([`crate::sweep::PatchSamples`]), producing
-/// bit-identical descriptors — the `sweep_rebin_equals_naive_describe`
-/// proptest holds the two together.
+/// This is the naive reference implementation, kept as the test oracle of
+/// the sweep: it re-scans the patch per angle. Production samples each
+/// patch once and re-bins it per group of hypotheses
+/// ([`crate::sweep::PatchSamples`]), producing bit-identical descriptors —
+/// the `sweep_rebin_equals_naive_describe` proptest holds the two together.
 pub fn describe_keypoints_rotated(
     mim: &MaxIndexMap,
     keypoints: &[Keypoint],
     config: &DescriptorConfig,
     angle: f64,
-) -> Vec<Descriptor> {
-    describe_all(mim, keypoints, config, Some(angle))
+) -> DescriptorSet {
+    let mut set = DescriptorSet::new(config.grid_size * config.grid_size * mim.num_orientations);
+    for kp in keypoints {
+        if let Some(vector) = describe_one(mim, *kp, config, angle) {
+            set.push(*kp, &vector);
+        }
+    }
+    set
 }
 
-/// First pass over the axis-aligned `J×J` window: the gating maximum
-/// amplitude, plus (only when a dominant orientation is needed) the
-/// circular-mean trig sums and the amplitude centroid.
-pub(crate) struct PatchStats {
-    pub max_amp: f64,
-    pub sin2: f64,
-    pub cos2: f64,
-    pub centroid_x: f64,
-    pub centroid_y: f64,
-}
-
-pub(crate) fn patch_stats(
-    mim: &MaxIndexMap,
-    cu: isize,
-    cv: isize,
-    half: isize,
-    with_orientation: bool,
-) -> PatchStats {
-    let n_o = mim.num_orientations;
-    let mut s = PatchStats { max_amp: 0.0, sin2: 0.0, cos2: 0.0, centroid_x: 0.0, centroid_y: 0.0 };
+/// The gating maximum: the largest positive amplitude in the axis-aligned
+/// `J×J` window around `(cu, cv)` (`0.0` for an empty window).
+pub(crate) fn patch_max_amplitude(mim: &MaxIndexMap, cu: isize, cv: isize, half: isize) -> f64 {
+    let mut max_amp = 0.0f64;
     for dv in -half..half {
         for du in -half..half {
-            let (u, v) = ((cu + du) as usize, (cv + dv) as usize);
-            let amp = mim.amplitude[(u, v)];
+            let amp = mim.amplitude[((cu + du) as usize, (cv + dv) as usize)];
             if amp > 0.0 {
-                if with_orientation {
-                    // Orientations are π-periodic, so the circular mean is
-                    // taken on doubled angles.
-                    let theta = (mim.index[(u, v)] as f64 + 0.5) * PI / n_o as f64;
-                    s.sin2 += amp * (2.0 * theta).sin();
-                    s.cos2 += amp * (2.0 * theta).cos();
-                    s.centroid_x += amp * du as f64;
-                    s.centroid_y += amp * dv as f64;
-                }
-                s.max_amp = s.max_amp.max(amp);
+                max_amp = max_amp.max(amp);
             }
         }
     }
-    s
+    max_amp
 }
 
 fn describe_one(
     mim: &MaxIndexMap,
     kp: Keypoint,
     config: &DescriptorConfig,
-    rotation_override: Option<f64>,
-) -> Option<Descriptor> {
+    rotation: f64,
+) -> Option<Vec<f32>> {
     let j = config.patch_size;
     let l = config.grid_size;
     let n_o = mim.num_orientations;
@@ -313,38 +206,12 @@ fn describe_one(
         return None;
     }
 
-    // Pass 1: gating maximum, and — only when this patch normalises to its
-    // own orientation — the dominant-orientation estimate. A *continuous*
-    // estimate (rather than the strongest bin) is essential: bin-quantised
-    // normalisation leaves up to half a bin (7.5° at N_o = 12) of
-    // uncompensated rotation, which destroys matches between views rotated
-    // by odd angles.
-    let needs_orientation = rotation_override.is_none() && config.rotation_invariant;
-    let stats = patch_stats(mim, cu, cv, half as isize, needs_orientation);
-    if stats.max_amp <= 0.0 {
+    // Pass 1: the gating maximum.
+    let max_amp = patch_max_amplitude(mim, cu, cv, half as isize);
+    if max_amp <= 0.0 {
         return None; // empty patch: nothing to describe
     }
-    let gate = stats.max_amp * config.amplitude_gate;
-
-    let rotation = if let Some(angle) = rotation_override {
-        angle
-    } else if needs_orientation && (stats.sin2 != 0.0 || stats.cos2 != 0.0) {
-        // Orientations are π-periodic, so the circular mean fixes the
-        // canonical frame only modulo π. The amplitude centroid (ORB's
-        // intensity-centroid idea) supplies the missing polarity bit: pick
-        // the half-turn that points along the centroid direction, which
-        // rotates with the content and is therefore consistent across
-        // views rotated by ~180°.
-        let base = (0.5 * stats.sin2.atan2(stats.cos2)).rem_euclid(PI);
-        let psi = stats.centroid_y.atan2(stats.centroid_x);
-        if (base - psi).cos() < 0.0 {
-            base + PI
-        } else {
-            base
-        }
-    } else {
-        0.0
-    };
+    let gate = max_amp * config.amplitude_gate;
     let bin_shift = bin_shift_of(rotation, n_o);
     let (rs, rc) = rotation.sin_cos();
 
@@ -364,15 +231,11 @@ fn describe_one(
             let Some(cell) = grid_cell(du, dv, rs, rc, half, cell_px, l) else {
                 continue;
             };
-            let weight = sample_weight(amp, config.weighting);
-            soft_bin(&mut vector, cell * n_o, mim.index[(u, v)], bin_shift, n_o, weight);
+            soft_bin(&mut vector, cell * n_o, mim.index[(u, v)], bin_shift, n_o, amp.sqrt());
         }
     }
 
-    if !l2_normalize(&mut vector) {
-        return None;
-    }
-    Some(Descriptor { keypoint: kp, vector })
+    l2_normalize(&mut vector).then_some(vector)
 }
 
 #[cfg(test)]
@@ -411,14 +274,23 @@ mod tests {
         DescriptorConfig { patch_size: 24, grid_size: 4, ..Default::default() }
     }
 
+    /// Descriptors of `kps` at hypothesis 0 (no rotation).
+    fn describe(mim: &MaxIndexMap, kps: &[Keypoint], cfg: &DescriptorConfig) -> DescriptorSet {
+        describe_keypoints_rotated(mim, kps, cfg, 0.0)
+    }
+
+    fn distance_sq(a: &[f32], b: &[f32]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| ((x - y) as f64).powi(2)).sum()
+    }
+
     #[test]
     fn descriptor_has_expected_dimension_and_norm() {
         let img = l_shape_image(128, 0.0);
         let mim = mim_of(&img);
-        let desc = describe_keypoints(&mim, &[center_kp(128)], &small_cfg());
+        let desc = describe(&mim, &[center_kp(128)], &small_cfg());
         assert_eq!(desc.len(), 1);
-        assert_eq!(desc[0].vector.len(), 4 * 4 * 12);
-        let norm: f32 = desc[0].vector.iter().map(|x| x * x).sum::<f32>().sqrt();
+        assert_eq!(desc.row(0).len(), 4 * 4 * 12);
+        let norm: f32 = desc.row(0).iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-5);
     }
 
@@ -427,36 +299,42 @@ mod tests {
         let img = l_shape_image(128, 0.0);
         let mim = mim_of(&img);
         let kp = Keypoint { u: 2, v: 2, score: 1.0 };
-        assert!(describe_keypoints(&mim, &[kp], &small_cfg()).is_empty());
+        assert!(describe(&mim, &[kp], &small_cfg()).is_empty());
     }
 
     #[test]
     fn empty_patch_is_dropped() {
         let img = Grid::new(128, 128, 0.0);
         let mim = mim_of(&img);
-        assert!(describe_keypoints(&mim, &[center_kp(128)], &small_cfg()).is_empty());
+        assert!(describe(&mim, &[center_kp(128)], &small_cfg()).is_empty());
     }
 
     #[test]
     fn rotation_invariance_brings_rotated_structures_close() {
-        // The same L-shape at 0° and rotated 45°: with rotation
-        // normalisation the descriptors should be much closer than two
-        // different structures.
+        // The same L-shape at 0° and rotated 45°: described under the
+        // matching global hypothesis (45°), the rotated structure should
+        // be much closer to the original than a different structure is.
         let cfg = small_cfg();
-        let d0 = describe_keypoints(&mim_of(&l_shape_image(128, 0.0)), &[center_kp(128)], &cfg);
-        let d45 = describe_keypoints(&mim_of(&l_shape_image(128, 45.0)), &[center_kp(128)], &cfg);
+        let kp = [center_kp(128)];
+        let d0 = describe(&mim_of(&l_shape_image(128, 0.0)), &kp, &cfg);
+        let d45 = describe_keypoints_rotated(
+            &mim_of(&l_shape_image(128, 45.0)),
+            &kp,
+            &cfg,
+            45f64.to_radians(),
+        );
         // A different structure: single line only.
         let mut other = Grid::new(128, 128, 0.0);
         for u in 40..90 {
             other[(u, 64)] = 8.0;
             other[(u, 70)] = 8.0;
         }
-        let d_other = describe_keypoints(&mim_of(&other), &[center_kp(128)], &cfg);
+        let d_other = describe(&mim_of(&other), &kp, &cfg);
         assert_eq!(d0.len(), 1);
         assert_eq!(d45.len(), 1);
         assert_eq!(d_other.len(), 1);
-        let same = d0[0].distance_sq(&d45[0]);
-        let diff = d0[0].distance_sq(&d_other[0]);
+        let same = distance_sq(d0.row(0), d45.row(0));
+        let diff = distance_sq(d0.row(0), d_other.row(0));
         assert!(
             same < diff,
             "rotated same-structure distance {same} should beat different-structure {diff}"
@@ -465,28 +343,29 @@ mod tests {
 
     #[test]
     fn non_invariant_mode_differs_under_rotation() {
-        let mut cfg = small_cfg();
-        cfg.rotation_invariant = false;
-        let d0 = describe_keypoints(&mim_of(&l_shape_image(128, 0.0)), &[center_kp(128)], &cfg);
-        let d45 = describe_keypoints(&mim_of(&l_shape_image(128, 45.0)), &[center_kp(128)], &cfg);
-        let dist = d0[0].distance_sq(&d45[0]);
+        // One fixed hypothesis is not rotation invariant: that is why the
+        // pipeline sweeps hypotheses.
+        let cfg = small_cfg();
+        let d0 = describe(&mim_of(&l_shape_image(128, 0.0)), &[center_kp(128)], &cfg);
+        let d45 = describe(&mim_of(&l_shape_image(128, 45.0)), &[center_kp(128)], &cfg);
+        let dist = distance_sq(d0.row(0), d45.row(0));
         assert!(dist > 0.1, "raw descriptors should diverge under rotation, got {dist}");
     }
 
     #[test]
     #[should_panic(expected = "dimensionality mismatch")]
     fn mismatched_descriptor_lengths_panic() {
-        let a = Descriptor { keypoint: center_kp(10), vector: vec![0.0; 8] };
-        let b = Descriptor { keypoint: center_kp(10), vector: vec![0.0; 16] };
-        let _ = a.distance_sq(&b);
+        let mut set = DescriptorSet::new(8);
+        set.push(center_kp(10), &[0.0; 16]);
     }
 
     #[test]
     fn identical_patches_have_zero_distance() {
         let img = l_shape_image(128, 20.0);
         let mim = mim_of(&img);
-        let d = describe_keypoints(&mim, &[center_kp(128)], &small_cfg());
-        assert_eq!(d[0].distance_sq(&d[0]), 0.0);
+        let d = describe(&mim, &[center_kp(128), center_kp(128)], &small_cfg());
+        assert_eq!(d.len(), 2);
+        assert_eq!(distance_sq(d.row(0), d.row(1)), 0.0);
     }
 
     #[test]

@@ -2,25 +2,31 @@
 //! the computer-vision toolbox behind BB-Align's stage 1 (and the RANSAC
 //! shared by stage 2).
 //!
-//! The pipeline follows the paper's §IV-A:
+//! The pipeline follows the paper's §IV-A, one production entry point per
+//! step:
 //!
 //! 1. [`detect_keypoints`] — a FAST-style segment-test corner detector with
 //!    non-maximum suppression, run on the BV image.
-//! 2. [`describe_keypoints`] — BVFT-style descriptors on the Maximum Index
-//!    Map: a `J×J` patch around the keypoint is rotated to its dominant
-//!    orientation (ORB-style rotation normalisation), subdivided into `l×l`
-//!    grids, and each grid contributes an `N_o`-bin orientation histogram
-//!    (`l·l·N_o` dimensions total).
-//! 3. [`match_descriptors`] — brute-force nearest-neighbour matching with
-//!    Lowe ratio test and optional mutual-consistency check. The production
-//!    rotation-hypothesis sweep uses the [`sweep`] fast path instead:
-//!    sample each patch once ([`PatchSamples`]), re-bin it per group of
-//!    [`REBIN_GROUP`] hypotheses into flat [`DescriptorSet`]s, and match
-//!    with the blocked dot-product kernel [`match_sets`] — bit-identical
-//!    to the naive pipeline.
+//! 2. BVFT-style descriptors on the Maximum Index Map under a sweep of
+//!    global rotation hypotheses: a `J×J` patch around each keypoint is
+//!    subdivided into `l×l` grids, each contributing an `N_o`-bin
+//!    orientation histogram (`l·l·N_o` dimensions total). The [`sweep`]
+//!    fast path samples each patch once ([`PatchSamples`]) and re-bins it
+//!    per group of [`REBIN_GROUP`] hypotheses into flat
+//!    [`DescriptorSet`]s.
+//! 3. [`match_sets`] — nearest-neighbour matching by Euclidean distance
+//!    with the blocked dot-product kernel: up to `keep_top_k` candidates
+//!    per keypoint within `max_distance`.
 //! 4. [`ransac_rigid`] — RANSAC over 2-point samples fitting a rigid 2-D
 //!    transform; the inlier count it returns is the paper's `Inliers_bv` /
 //!    `Inliers_box` confidence signal.
+//!
+//! Three naive references stay public only as test oracles, for the
+//! equivalence proptests of this and other crates and for the Criterion
+//! benches: [`describe_keypoints_rotated`] (re-samples every patch per
+//! angle), `matcher::match_sets_naive` (full sort) and
+//! [`ransac_rigid_naive`] (unlayered scan). Each fast path is bit-identical
+//! to its reference.
 //!
 //! # Example
 //!
@@ -34,7 +40,7 @@
 //! let mut dst: Vec<Vec2> = src.iter().map(|&p| truth.apply(p)).collect();
 //! dst[5] = Vec2::new(500.0, 500.0); // an outlier
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let result = ransac_rigid(&src, &dst, &RansacConfig::default(), &mut rng).unwrap();
+//! let result = ransac_rigid(&src, &dst, None, None, 0, &RansacConfig::default(), &mut rng).unwrap();
 //! assert!(result.transform.approx_eq(&truth, 1e-6, 1e-6));
 //! assert_eq!(result.num_inliers, 29);
 //! ```
@@ -47,13 +53,8 @@ pub mod matcher;
 pub mod ransac;
 pub mod sweep;
 
-pub use descriptor::{
-    describe_keypoints, describe_keypoints_rotated, Descriptor, DescriptorConfig, SampleWeighting,
-};
+pub use descriptor::{describe_keypoints_rotated, DescriptorConfig};
 pub use keypoints::{detect_keypoints, Keypoint, KeypointConfig};
-pub use matcher::{match_descriptors, match_sets, Match, MatcherConfig};
-pub use ransac::{
-    ransac_rigid, ransac_rigid_guided, ransac_rigid_hinted, ransac_rigid_naive, RansacConfig,
-    RansacError, RansacResult,
-};
+pub use matcher::{match_sets, Match, MatcherConfig};
+pub use ransac::{ransac_rigid, ransac_rigid_naive, RansacConfig, RansacError, RansacResult};
 pub use sweep::{DescriptorSet, PatchSamples, RotationSweep, REBIN_GROUP};

@@ -1,10 +1,12 @@
-//! Brute-force descriptor matching with ratio test.
+//! Brute-force descriptor matching by Euclidean distance.
 //!
 //! Paper §IV-A: "we match these keypoints based on the similarity of their
-//! descriptors ... measured by the Euclidean distance". The classic Lowe
-//! ratio test rejects ambiguous matches (best ≈ second best), and an
-//! optional mutual-consistency check keeps only pairs that are each other's
-//! nearest neighbours.
+//! descriptors ... measured by the Euclidean distance". Each source
+//! descriptor keeps its `keep_top_k` nearest destination descriptors within
+//! `max_distance`. Stage 1 feeds RANSAC, which rejects outliers itself, so
+//! no ratio test or mutual check thins the candidates: between viewpoints
+//! tens of metres apart the true correspondences are scarce, and strict
+//! matching starves RANSAC of them.
 //!
 //! # Dot-product kernel
 //!
@@ -15,12 +17,12 @@
 //! [`DescriptorSet`] layout: blocked row×row dot-product loops (one pool
 //! block stays cache-hot across a block of query rows, and each query row
 //! takes a whole block's dot products in one multi-row kernel call), a
-//! top-(k+1) insertion select instead of sorting the full distance row,
+//! top-k insertion select instead of sorting the full distance row,
 //! and the distance materialised only for the surviving candidates. A
-//! naive reference ([`match_sets_naive`]) computes the same candidates
-//! with one-row dots and a full sort; the multi-row kernel returns the
-//! one-row dot's bits for every row and both share the selection logic, so
-//! their outputs are bit-identical (pinned by the
+//! naive reference ([`match_sets_naive`], the test oracle) computes the
+//! same candidates with one-row dots and a full sort; the multi-row kernel
+//! returns the one-row dot's bits for every row and both share the
+//! selection logic, so their outputs are bit-identical (pinned by the
 //! `kernel_matcher_equals_naive` proptest).
 //!
 //! Numerics: dot products accumulate in `f32` (that is the kernel's speed),
@@ -28,7 +30,6 @@
 //! irrelevant against matching thresholds, but exact zeros are not
 //! preserved the way the old subtract-and-square distance did.
 
-use crate::descriptor::Descriptor;
 use crate::sweep::DescriptorSet;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -47,24 +48,19 @@ pub struct Match {
 /// Matching parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatcherConfig {
-    /// Lowe ratio: accept only when `best / second_best < ratio`.
-    /// Set to 1.0 to disable.
-    pub ratio: f64,
-    /// Require the match to be mutual (src's best is dst AND dst's best is
-    /// src).
-    pub mutual: bool,
     /// Absolute distance cap; matches farther than this are rejected.
     pub max_distance: f64,
     /// Emit up to this many nearest candidates per source descriptor
     /// (k > 1 trades precision for recall; RANSAC downstream rejects the
-    /// extra outliers). The ratio test compares candidate `k` against
-    /// candidate `k+1`; the mutual check applies only to `k = 0`.
+    /// extra outliers).
     pub keep_top_k: usize,
 }
 
 impl Default for MatcherConfig {
+    /// The stage-1 engine's matching: two candidates per keypoint within a
+    /// distance of 1.5 (unit descriptors lie at most 2 apart).
     fn default() -> Self {
-        MatcherConfig { ratio: 0.85, mutual: true, max_distance: 1.2, keep_top_k: 1 }
+        MatcherConfig { max_distance: 1.5, keep_top_k: 2 }
     }
 }
 
@@ -149,38 +145,25 @@ fn blocked_topk(q: &DescriptorSet, pool: &DescriptorSet, cap: usize) -> Vec<Vec<
     tops
 }
 
-/// Applies cap / ratio / mutual selection to one query row's best-first
-/// candidates. Shared verbatim between the kernel and the naive reference.
-fn select_matches(
-    i: usize,
-    cands: &[(u32, f32)],
-    k: usize,
-    config: &MatcherConfig,
-    dst_best: Option<&[u32]>,
-    out: &mut Vec<Match>,
-) {
-    for rank in 0..k.min(cands.len()) {
-        let (j, d) = cands[rank];
-        let d1 = dot_distance(d);
-        if d1 > config.max_distance {
-            break; // candidates are best-first; the rest are farther
-        }
-        if config.ratio < 1.0 {
-            if let Some(&(_, d_next)) = cands.get(rank + 1) {
-                if d1 >= config.ratio * dot_distance(d_next) {
-                    break;
-                }
+/// Emits every query row's best-first candidates up to the distance cap,
+/// then sorts the matches by distance. Shared verbatim between the kernel
+/// and the naive reference.
+fn select_matches(per_src: &[Vec<(u32, f32)>], config: &MatcherConfig) -> Vec<Match> {
+    let mut out = Vec::new();
+    for (i, cands) in per_src.iter().enumerate() {
+        for &(j, d) in cands {
+            let distance = dot_distance(d);
+            if distance > config.max_distance {
+                break; // candidates are best-first; the rest are farther
             }
+            out.push(Match { src: i, dst: j as usize, distance });
         }
-        if rank == 0 {
-            if let Some(best) = dst_best {
-                if best[j as usize] != i as u32 {
-                    break;
-                }
-            }
-        }
-        out.push(Match { src: i, dst: j as usize, distance: d1 });
     }
+    // Stable sort on a total order: ties keep query order, and NaN
+    // distances (impossible for finite descriptors, but no longer a panic)
+    // sort last instead of aborting the recovery.
+    out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+    out
 }
 
 /// Matches `src` descriptors against `dst` descriptors on the flat
@@ -196,30 +179,14 @@ pub fn match_sets(src: &DescriptorSet, dst: &DescriptorSet, config: &MatcherConf
         return Vec::new();
     }
     assert_eq!(src.dim(), dst.dim(), "descriptor dimensionality mismatch");
-    let k = config.keep_top_k.max(1);
-
-    // dst→src best indices for the mutual check (top-1 with the same
-    // kernel, directions swapped).
-    let dst_best: Option<Vec<u32>> =
-        config.mutual.then(|| blocked_topk(dst, src, 1).into_iter().map(|c| c[0].0).collect());
-
-    let per_src = blocked_topk(src, dst, k + 1);
-    let mut out = Vec::new();
-    for (i, cands) in per_src.iter().enumerate() {
-        select_matches(i, cands, k, config, dst_best.as_deref(), &mut out);
-    }
-    // Stable sort on a total order: ties keep query order, and NaN
-    // distances (impossible for finite descriptors, but no longer a panic)
-    // sort last instead of aborting the recovery.
-    out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-    out
+    select_matches(&blocked_topk(src, dst, config.keep_top_k.max(1)), config)
 }
 
-/// Serial reference matcher: full dot-product rows and a stable sort in
-/// place of the blocked top-k select. Same `dot`, same selection logic,
-/// same output bits as [`match_sets`] — kept public (but hidden) so the
-/// equivalence proptests and the `stage1` bench can pit the kernel against
-/// it from outside the crate.
+/// Serial reference matcher, the test oracle of [`match_sets`]: full
+/// dot-product rows and a stable sort in place of the blocked top-k
+/// select. Same `dot`, same selection logic, same output bits — kept
+/// public (but hidden) so the equivalence proptests and the `stage1` bench
+/// can pit the kernel against it from outside the crate.
 #[doc(hidden)]
 pub fn match_sets_naive(
     src: &DescriptorSet,
@@ -230,44 +197,16 @@ pub fn match_sets_naive(
         return Vec::new();
     }
     assert_eq!(src.dim(), dst.dim(), "descriptor dimensionality mismatch");
-    let k = config.keep_top_k.max(1);
-
-    let topk = |q: &DescriptorSet, pool: &DescriptorSet, cap: usize| -> Vec<Vec<(u32, f32)>> {
-        (0..q.len())
-            .map(|i| {
-                let mut all: Vec<(u32, f32)> =
-                    (0..pool.len()).map(|j| (j as u32, dot(q.row(i), pool.row(j)))).collect();
-                all.sort_by(|a, b| b.1.total_cmp(&a.1));
-                all.truncate(cap);
-                all
-            })
-            .collect()
-    };
-
-    let dst_best: Option<Vec<u32>> =
-        config.mutual.then(|| topk(dst, src, 1).into_iter().map(|c| c[0].0).collect());
-    let per_src = topk(src, dst, k + 1);
-    let mut out = Vec::new();
-    for (i, cands) in per_src.iter().enumerate() {
-        select_matches(i, cands, k, config, dst_best.as_deref(), &mut out);
-    }
-    out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-    out
-}
-
-/// Matches `src` descriptors against `dst` descriptors (AoS convenience
-/// wrapper over [`match_sets`]).
-///
-/// Returns matches sorted by ascending distance.
-pub fn match_descriptors(
-    src: &[Descriptor],
-    dst: &[Descriptor],
-    config: &MatcherConfig,
-) -> Vec<Match> {
-    if src.is_empty() || dst.is_empty() {
-        return Vec::new();
-    }
-    match_sets(&DescriptorSet::from_descriptors(src), &DescriptorSet::from_descriptors(dst), config)
+    let per_src: Vec<Vec<(u32, f32)>> = (0..src.len())
+        .map(|i| {
+            let mut all: Vec<(u32, f32)> =
+                (0..dst.len()).map(|j| (j as u32, dot(src.row(i), dst.row(j)))).collect();
+            all.sort_by(|a, b| b.1.total_cmp(&a.1));
+            all.truncate(config.keep_top_k.max(1));
+            all
+        })
+        .collect();
+    select_matches(&per_src, config)
 }
 
 #[cfg(test)]
@@ -275,30 +214,35 @@ mod tests {
     use super::*;
     use crate::keypoints::Keypoint;
 
-    fn desc(at: usize, v: &[f32]) -> Descriptor {
-        // L2-normalise to mirror real descriptors.
-        let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-        Descriptor {
-            keypoint: Keypoint { u: at, v: at, score: 1.0 },
-            vector: v.iter().map(|x| x / norm.max(1e-12)).collect(),
+    /// A set of L2-normalised rows (mirroring real descriptors), row `i`
+    /// at keypoint `(i, i)`.
+    fn set(rows: &[&[f32]]) -> DescriptorSet {
+        let mut set = DescriptorSet::new(rows.first().map_or(0, |r| r.len()));
+        for (i, v) in rows.iter().enumerate() {
+            let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+            let unit: Vec<f32> = v.iter().map(|x| x / norm.max(1e-12)).collect();
+            set.push(Keypoint { u: i, v: i, score: 1.0 }, &unit);
         }
+        set
+    }
+
+    /// One candidate per source, uncapped distance.
+    fn top1() -> MatcherConfig {
+        MatcherConfig { max_distance: 10.0, keep_top_k: 1 }
     }
 
     #[test]
     fn empty_inputs_give_no_matches() {
-        let a = [desc(0, &[1.0, 0.0])];
-        assert!(match_descriptors(&[], &a, &MatcherConfig::default()).is_empty());
-        assert!(match_descriptors(&a, &[], &MatcherConfig::default()).is_empty());
+        let a = set(&[&[1.0, 0.0]]);
+        let empty = DescriptorSet::new(2);
+        assert!(match_sets(&empty, &a, &MatcherConfig::default()).is_empty());
+        assert!(match_sets(&a, &empty, &MatcherConfig::default()).is_empty());
     }
 
     #[test]
     fn identical_sets_match_one_to_one() {
-        let set: Vec<Descriptor> = vec![
-            desc(0, &[1.0, 0.0, 0.0, 0.0]),
-            desc(1, &[0.0, 1.0, 0.0, 0.0]),
-            desc(2, &[0.0, 0.0, 1.0, 0.0]),
-        ];
-        let matches = match_descriptors(&set, &set, &MatcherConfig::default());
+        let set = set(&[&[1.0, 0.0, 0.0, 0.0], &[0.0, 1.0, 0.0, 0.0], &[0.0, 0.0, 1.0, 0.0]]);
+        let matches = match_sets(&set, &set, &top1());
         assert_eq!(matches.len(), 3);
         for m in matches {
             assert_eq!(m.src, m.dst);
@@ -309,50 +253,18 @@ mod tests {
     }
 
     #[test]
-    fn ratio_test_rejects_ambiguous() {
-        // dst contains two near-identical candidates: ambiguous for src[0].
-        let src = [desc(0, &[1.0, 0.05, 0.0, 0.0])];
-        let dst = [desc(0, &[1.0, 0.0, 0.0, 0.0]), desc(1, &[1.0, 0.1, 0.0, 0.0])];
-        let strict = MatcherConfig { ratio: 0.5, mutual: false, max_distance: 10.0, keep_top_k: 1 };
-        assert!(match_descriptors(&src, &dst, &strict).is_empty());
-        let lax = MatcherConfig { ratio: 1.0, mutual: false, max_distance: 10.0, keep_top_k: 1 };
-        assert_eq!(match_descriptors(&src, &dst, &lax).len(), 1);
-    }
-
-    #[test]
-    fn mutual_check_rejects_one_sided() {
-        // src[1] is closer to dst[0] than src[0] is, so src[0]→dst[0] is
-        // not mutual.
-        let src = [desc(0, &[1.0, 0.3, 0.0, 0.0]), desc(1, &[1.0, 0.05, 0.0, 0.0])];
-        let dst = [desc(0, &[1.0, 0.0, 0.0, 0.0])];
-        let cfg = MatcherConfig { ratio: 1.0, mutual: true, max_distance: 10.0, keep_top_k: 1 };
-        let matches = match_descriptors(&src, &dst, &cfg);
-        assert_eq!(matches.len(), 1);
-        assert_eq!(matches[0].src, 1);
-    }
-
-    #[test]
     fn max_distance_caps_matches() {
-        let src = [desc(0, &[1.0, 0.0, 0.0, 0.0])];
-        let dst = [desc(0, &[0.0, 1.0, 0.0, 0.0])]; // distance √2
-        let cfg = MatcherConfig { ratio: 1.0, mutual: false, max_distance: 1.0, keep_top_k: 1 };
-        assert!(match_descriptors(&src, &dst, &cfg).is_empty());
+        let src = set(&[&[1.0, 0.0, 0.0, 0.0]]);
+        let dst = set(&[&[0.0, 1.0, 0.0, 0.0]]); // distance √2
+        let cfg = MatcherConfig { max_distance: 1.0, keep_top_k: 1 };
+        assert!(match_sets(&src, &dst, &cfg).is_empty());
     }
 
     #[test]
     fn output_sorted_by_distance() {
-        let src = [
-            desc(0, &[1.0, 0.0, 0.0, 0.0]),
-            desc(1, &[0.0, 1.0, 0.02, 0.0]),
-            desc(2, &[0.0, 0.0, 1.0, 0.1]),
-        ];
-        let dst = [
-            desc(0, &[1.0, 0.01, 0.0, 0.0]),
-            desc(1, &[0.0, 1.0, 0.0, 0.0]),
-            desc(2, &[0.0, 0.0, 1.0, 0.0]),
-        ];
-        let cfg = MatcherConfig { ratio: 1.0, mutual: false, max_distance: 10.0, keep_top_k: 1 };
-        let matches = match_descriptors(&src, &dst, &cfg);
+        let src = set(&[&[1.0, 0.0, 0.0, 0.0], &[0.0, 1.0, 0.02, 0.0], &[0.0, 0.0, 1.0, 0.1]]);
+        let dst = set(&[&[1.0, 0.01, 0.0, 0.0], &[0.0, 1.0, 0.0, 0.0], &[0.0, 0.0, 1.0, 0.0]]);
+        let matches = match_sets(&src, &dst, &top1());
         assert_eq!(matches.len(), 3);
         for pair in matches.windows(2) {
             assert!(pair[0].distance <= pair[1].distance);
@@ -370,15 +282,18 @@ mod tests {
             state ^= state << 17;
             (state >> 40) as f32 / (1u32 << 24) as f32
         };
-        let make = |n: usize, dim: usize, next: &mut dyn FnMut() -> f32| -> Vec<Descriptor> {
-            (0..n).map(|i| desc(i, &(0..dim).map(|_| next() - 0.5).collect::<Vec<_>>())).collect()
+        let mut make = |n: usize, dim: usize| -> DescriptorSet {
+            let rows: Vec<Vec<f32>> =
+                (0..n).map(|_| (0..dim).map(|_| next() - 0.5).collect()).collect();
+            set(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>())
         };
-        let src = DescriptorSet::from_descriptors(&make(70, 24, &mut next));
-        let dst = DescriptorSet::from_descriptors(&make(90, 24, &mut next));
+        let src = make(70, 24);
+        let dst = make(90, 24);
         for cfg in [
             MatcherConfig::default(),
-            MatcherConfig { ratio: 1.0, mutual: false, max_distance: 1.5, keep_top_k: 2 },
-            MatcherConfig { ratio: 0.97, mutual: true, max_distance: 2.0, keep_top_k: 3 },
+            top1(),
+            MatcherConfig { max_distance: 1.2, keep_top_k: 1 },
+            MatcherConfig { max_distance: 2.0, keep_top_k: 3 },
         ] {
             assert_eq!(match_sets(&src, &dst, &cfg), match_sets_naive(&src, &dst, &cfg));
         }

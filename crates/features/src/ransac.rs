@@ -7,10 +7,11 @@
 //!
 //! Two implementations share one contract:
 //!
-//! * [`ransac_rigid_naive`] — the reference scan: fit every pre-drawn
-//!   minimal sample, score it against all `n` correspondences, keep the
-//!   strict running best, stop at the adaptive early-exit fraction.
-//! * [`ransac_rigid`] / [`ransac_rigid_guided`] — the layered fast path:
+//! * [`ransac_rigid_naive`] — the reference scan and test oracle: fit every
+//!   pre-drawn minimal sample, score it against all `n` correspondences,
+//!   keep the strict running best, stop at the adaptive early-exit
+//!   fraction.
+//! * [`ransac_rigid`] — the layered fast path both stages run:
 //!   SoA transform-and-count kernel with a hoisted `sin_cos`, max-consensus
 //!   bail (a hypothesis is abandoned the moment the unscored remainder
 //!   cannot lift it above a provably safe bound — the SPRT-flavoured
@@ -22,7 +23,7 @@
 //!   seed; `DESIGN.md` → *RANSAC fast path* carries the determinism
 //!   argument and the proptests in this crate pin it.
 //!
-//! [`ransac_rigid_hinted`] can also skip the scan altogether: given the
+//! [`ransac_rigid`] can also skip the scan altogether: given the
 //! smallest inlier count its caller can use, it first computes an exact
 //! upper bound on the inliers any rigid transform can reach on the
 //! correspondences and, when the bound falls short, returns
@@ -99,8 +100,7 @@ pub enum RansacError {
         required: usize,
     },
     /// No rigid transform can reach the caller's `floor` on these
-    /// correspondences, so the scan was skipped (see
-    /// [`ransac_rigid_hinted`]).
+    /// correspondences, so the scan was skipped (see [`ransac_rigid`]).
     Pruned {
         /// Proven upper bound on any transform's inlier count.
         bound: usize,
@@ -281,9 +281,10 @@ fn refit_and_expand(
 
 /// The reference scorer: fits and fully scores every drawn sample in order.
 ///
-/// This is the bit-exactness oracle for [`ransac_rigid`]; it stays in-tree
-/// so the equivalence proptests (and the `ransac` Criterion bench) always
-/// have the naive semantics to compare against.
+/// This is the bit-exactness oracle for [`ransac_rigid`], kept only to be
+/// tested against: it stays public so the equivalence proptests of other
+/// crates and the `ransac` Criterion bench have the naive semantics to
+/// compare against.
 ///
 /// # Errors
 ///
@@ -333,36 +334,30 @@ pub fn ransac_rigid_naive<R: Rng + ?Sized>(
 /// Estimates the rigid transform mapping `src[i]` near `dst[i]` in the
 /// presence of outliers.
 ///
-/// Runs the layered fast path (see the module docs); the result is
-/// bit-identical to [`ransac_rigid_naive`] on the same inputs and seed.
+/// Runs the layered fast path (see the module docs). Stage 2 passes
+/// `None, None, 0`; stage 1 passes all three:
 ///
-/// # Errors
+/// * `quality` — optional per-correspondence quality weights (lower is
+///   better; matcher descriptor distances plug in directly). Quality only
+///   *schedules* work: the `PREVIEW_SAMPLES` distinct samples with the
+///   smallest summed quality are scored first so the bail bound starts
+///   high. A `quality` slice whose length differs from the correspondence
+///   count is ignored.
+/// * `hint` — an optional externally-predicted transform evaluated as
+///   *hypothesis zero* before any sampling (the temporal warm start's
+///   fallback). The hint is scored with the exact consensus predicate
+///   **without consuming the RNG**. When its inlier count clears both
+///   `min_inliers` and the `early_exit_fraction` bar — i.e. when the
+///   reference serial scan would have stopped on it immediately had it
+///   been drawn first — the hint's consensus set is refit and returned
+///   with `iterations == 0`, skipping sampling entirely. Otherwise the
+///   hint is discarded.
+/// * `floor` — the smallest inlier count the caller can use (below).
 ///
-/// Returns [`RansacError`] on malformed input or when no model reaches
-/// `min_inliers`.
-pub fn ransac_rigid<R: Rng + ?Sized>(
-    src: &[Vec2],
-    dst: &[Vec2],
-    config: &RansacConfig,
-    rng: &mut R,
-) -> Result<RansacResult, RansacError> {
-    ransac_rigid_guided(src, dst, None, config, rng)
-}
-
-/// [`ransac_rigid_guided`] with an optional externally-predicted transform
-/// evaluated as *hypothesis zero* before any sampling — the entry point of
-/// the temporal warm start's guided fallback — and an optional `floor`
-/// below which the caller has no use for a result.
-///
-/// The hint is scored with the exact consensus predicate **without
-/// consuming the RNG**. When its inlier count clears both `min_inliers`
-/// and the `early_exit_fraction` bar — i.e. when the reference serial scan
-/// would have stopped on it immediately had it been drawn first — the
-/// hint's consensus set is refit and returned with `iterations == 0`,
-/// skipping sampling entirely. Otherwise the hint is discarded and the
-/// call behaves **bit for bit** like [`ransac_rigid_guided`]: same RNG
-/// consumption, same result, same errors. Passing `hint: None` is exactly
-/// [`ransac_rigid_guided`].
+/// Without a winning hint the result is **bit-identical** to
+/// [`ransac_rigid_naive`] on the same inputs and seed — same inlier set,
+/// pose bits, iteration count, errors and RNG consumption — with or
+/// without `quality`.
 ///
 /// With `floor > 0`, the call first bounds the inliers any rigid transform
 /// can reach on the correspondences (a clique bound on their pairwise
@@ -378,7 +373,7 @@ pub fn ransac_rigid<R: Rng + ?Sized>(
 ///
 /// Returns [`RansacError`] on malformed input, when no model reaches
 /// `min_inliers`, or when the call was pruned.
-pub fn ransac_rigid_hinted<R: Rng + ?Sized>(
+pub fn ransac_rigid<R: Rng + ?Sized>(
     src: &[Vec2],
     dst: &[Vec2],
     quality: Option<&[f64]>,
@@ -413,41 +408,24 @@ pub fn ransac_rigid_hinted<R: Rng + ?Sized>(
     if let Some(inliers) = winning_hint {
         return refit_and_expand(src, dst, inliers, 0, config, thresh_sq);
     }
-    ransac_rigid_guided(src, dst, quality, config, rng)
+    scan(src, dst, quality, config, rng)
 }
 
 /// How many of the best-quality distinct samples are fully pre-scored to
 /// seed the bail bound before the scan starts (the PROSAC-style layer).
 const PREVIEW_SAMPLES: usize = 16;
 
-/// [`ransac_rigid`] with optional per-correspondence quality weights
-/// (lower is better — matcher descriptor distances plug in directly).
-///
-/// Quality only *schedules* work: the `PREVIEW_SAMPLES` distinct samples
-/// with the smallest summed quality are scored first so the bail bound
-/// starts high. The returned result is bit-identical to
-/// [`ransac_rigid_naive`] with or without `quality`. A `quality` slice
-/// whose length differs from the correspondence count is ignored.
-///
-/// # Errors
-///
-/// Returns [`RansacError`] on malformed input or when no model reaches
-/// `min_inliers`.
-pub fn ransac_rigid_guided<R: Rng + ?Sized>(
+/// The sampling scan of [`ransac_rigid`] on validated input (`n ≥ 2`
+/// correspondences of equal length): the naive scan's draws, winner and
+/// iteration count, reached through the fast-path layers.
+fn scan<R: Rng + ?Sized>(
     src: &[Vec2],
     dst: &[Vec2],
     quality: Option<&[f64]>,
     config: &RansacConfig,
     rng: &mut R,
 ) -> Result<RansacResult, RansacError> {
-    if src.len() != dst.len() {
-        return Err(RansacError::LengthMismatch { src: src.len(), dst: dst.len() });
-    }
     let n = src.len();
-    if n < 2 {
-        return Err(RansacError::TooFewCorrespondences { got: n });
-    }
-
     let thresh_sq = config.inlier_threshold * config.inlier_threshold;
     let samples = draw_samples(n, config.max_iterations, rng);
     let n_samples = samples.len();
@@ -682,7 +660,7 @@ mod tests {
         seed: u64,
     ) {
         let naive = ransac_rigid_naive(src, dst, cfg, &mut StdRng::seed_from_u64(seed));
-        let fast = ransac_rigid_guided(src, dst, quality, cfg, &mut StdRng::seed_from_u64(seed));
+        let fast = ransac_rigid(src, dst, quality, None, 0, cfg, &mut StdRng::seed_from_u64(seed));
         assert_eq!(naive, fast);
     }
 
@@ -690,13 +668,14 @@ mod tests {
     fn recovers_exact_transform_without_outliers() {
         let (src, dst) = clean_pairs(25);
         let mut rng = StdRng::seed_from_u64(1);
-        let r = ransac_rigid(&src, &dst, &RansacConfig::default(), &mut rng).unwrap();
+        let r =
+            ransac_rigid(&src, &dst, None, None, 0, &RansacConfig::default(), &mut rng).unwrap();
         assert!(r.transform.approx_eq(&truth(), 1e-9, 1e-9));
         assert_eq!(r.num_inliers, 25);
     }
 
     #[test]
-    fn hinted_without_hint_is_guided_bitwise_including_rng_stream() {
+    fn unhinted_call_matches_naive_including_rng_stream() {
         let (src, mut dst) = clean_pairs(40);
         for k in 0..12 {
             dst[3 * k] = Vec2::new(900.0 + k as f64 * 11.0, -700.0);
@@ -706,8 +685,8 @@ mod tests {
         for seed in [0u64, 7, 91] {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let a = ransac_rigid_hinted(&src, &dst, Some(&qual), None, 0, &cfg, &mut rng_a);
-            let b = ransac_rigid_guided(&src, &dst, Some(&qual), &cfg, &mut rng_b);
+            let a = ransac_rigid(&src, &dst, Some(&qual), None, 0, &cfg, &mut rng_a);
+            let b = ransac_rigid_naive(&src, &dst, &cfg, &mut rng_b);
             assert_eq!(a, b);
             assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
         }
@@ -725,8 +704,8 @@ mod tests {
         for seed in [1u64, 42] {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let a = ransac_rigid_hinted(&src, &dst, None, Some(&bad), 0, &cfg, &mut rng_a);
-            let b = ransac_rigid_guided(&src, &dst, None, &cfg, &mut rng_b);
+            let a = ransac_rigid(&src, &dst, None, Some(&bad), 0, &cfg, &mut rng_a);
+            let b = ransac_rigid_naive(&src, &dst, &cfg, &mut rng_b);
             assert_eq!(a, b);
             assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
         }
@@ -737,16 +716,9 @@ mod tests {
         let (src, dst) = clean_pairs(30);
         let mut rng = StdRng::seed_from_u64(5);
         let mut untouched = rng.clone();
-        let r = ransac_rigid_hinted(
-            &src,
-            &dst,
-            None,
-            Some(&truth()),
-            0,
-            &RansacConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let r =
+            ransac_rigid(&src, &dst, None, Some(&truth()), 0, &RansacConfig::default(), &mut rng)
+                .unwrap();
         assert_eq!(r.iterations, 0, "a winning hint reports zero sampling iterations");
         assert_eq!(r.num_inliers, 30);
         assert!(r.transform.approx_eq(&truth(), 1e-9, 1e-9));
@@ -771,8 +743,8 @@ mod tests {
         assert!(cfg.early_exit_fraction > 0.5);
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let a = ransac_rigid_hinted(&src, &dst, None, Some(&truth()), 0, &cfg, &mut rng_a);
-        let b = ransac_rigid_guided(&src, &dst, None, &cfg, &mut rng_b);
+        let a = ransac_rigid(&src, &dst, None, Some(&truth()), 0, &cfg, &mut rng_a);
+        let b = ransac_rigid_naive(&src, &dst, &cfg, &mut rng_b);
         assert_eq!(a, b);
         assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
     }
@@ -781,19 +753,11 @@ mod tests {
     fn hinted_validation_errors_precede_hint_use() {
         let mut rng = StdRng::seed_from_u64(0);
         let cfg = RansacConfig::default();
-        let e = ransac_rigid_hinted(&[Vec2::ZERO], &[], None, Some(&truth()), 1, &cfg, &mut rng)
-            .unwrap_err();
+        let e =
+            ransac_rigid(&[Vec2::ZERO], &[], None, Some(&truth()), 1, &cfg, &mut rng).unwrap_err();
         assert_eq!(e, RansacError::LengthMismatch { src: 1, dst: 0 });
-        let e = ransac_rigid_hinted(
-            &[Vec2::ZERO],
-            &[Vec2::ZERO],
-            None,
-            Some(&truth()),
-            1,
-            &cfg,
-            &mut rng,
-        )
-        .unwrap_err();
+        let e = ransac_rigid(&[Vec2::ZERO], &[Vec2::ZERO], None, Some(&truth()), 1, &cfg, &mut rng)
+            .unwrap_err();
         assert_eq!(e, RansacError::TooFewCorrespondences { got: 1 });
     }
 
@@ -804,7 +768,8 @@ mod tests {
             dst[2 * k] = Vec2::new(1000.0 + k as f64 * 17.0, -500.0 - k as f64 * 3.0);
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let r = ransac_rigid(&src, &dst, &RansacConfig::default(), &mut rng).unwrap();
+        let r =
+            ransac_rigid(&src, &dst, None, None, 0, &RansacConfig::default(), &mut rng).unwrap();
         assert!(r.transform.approx_eq(&truth(), 1e-6, 1e-6));
         assert_eq!(r.num_inliers, 20);
         // Inlier list contains exactly the odd indices.
@@ -824,7 +789,7 @@ mod tests {
             .collect();
         let cfg = RansacConfig { inlier_threshold: 1.0, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(3);
-        let r = ransac_rigid(&src, &dst, &cfg, &mut rng).unwrap();
+        let r = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut rng).unwrap();
         let (dt, dr) = r.transform.error_to(&truth());
         assert!(dt < 0.2, "translation error {dt}");
         assert!(dr < 0.02, "rotation error {dr}");
@@ -833,15 +798,24 @@ mod tests {
     #[test]
     fn too_few_points_error() {
         let mut rng = StdRng::seed_from_u64(0);
-        let e = ransac_rigid(&[Vec2::ZERO], &[Vec2::ZERO], &RansacConfig::default(), &mut rng)
-            .unwrap_err();
+        let e = ransac_rigid(
+            &[Vec2::ZERO],
+            &[Vec2::ZERO],
+            None,
+            None,
+            0,
+            &RansacConfig::default(),
+            &mut rng,
+        )
+        .unwrap_err();
         assert_eq!(e, RansacError::TooFewCorrespondences { got: 1 });
     }
 
     #[test]
     fn length_mismatch_error() {
         let mut rng = StdRng::seed_from_u64(0);
-        let e = ransac_rigid(&[Vec2::ZERO], &[], &RansacConfig::default(), &mut rng).unwrap_err();
+        let e = ransac_rigid(&[Vec2::ZERO], &[], None, None, 0, &RansacConfig::default(), &mut rng)
+            .unwrap_err();
         assert_eq!(e, RansacError::LengthMismatch { src: 1, dst: 0 });
     }
 
@@ -853,7 +827,7 @@ mod tests {
             (0..30).map(|i| Vec2::new((i * i * 7) as f64 % 97.0, -(i as f64) * 5.3)).collect();
         let cfg = RansacConfig { inlier_threshold: 0.05, min_inliers: 10, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(4);
-        match ransac_rigid(&src, &dst, &cfg, &mut rng) {
+        match ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut rng) {
             Err(RansacError::NoConsensus { best, required }) => {
                 assert!(best < required);
             }
@@ -867,7 +841,7 @@ mod tests {
         let cfg =
             RansacConfig { max_iterations: 1000, early_exit_fraction: 0.5, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(5);
-        let r = ransac_rigid(&src, &dst, &cfg, &mut rng).unwrap();
+        let r = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut rng).unwrap();
         assert!(r.iterations < 1000, "clean data should exit early, took {}", r.iterations);
     }
 
@@ -944,7 +918,8 @@ mod tests {
         for seed in 0..12 {
             assert_fast_matches_naive(&src, &dst, None, &cfg, seed);
         }
-        let r = ransac_rigid(&src, &dst, &cfg, &mut StdRng::seed_from_u64(3)).unwrap();
+        let r =
+            ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(3)).unwrap();
         assert_eq!(r.iterations, 300);
     }
 
@@ -962,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_matches_naive_at_every_thread_width() {
+    fn fast_matches_naive_with_quality_on_a_large_outlier_mix() {
         let (src, mut dst) = clean_pairs(60);
         for k in 0..25 {
             dst[2 * k] = Vec2::new(300.0 + k as f64 * 7.0, -200.0 + k as f64 * 13.0);
@@ -986,7 +961,7 @@ mod tests {
         let dst = vec![Vec2::new(40.0, 7.0); 9];
         assert_eq!(consensus_bound(&src, &dst, 2.0), 9);
         let cfg = RansacConfig { min_inliers: 2, ..Default::default() };
-        let r = ransac_rigid_hinted(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(1));
+        let r = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(1));
         assert_eq!(r, Err(RansacError::NoConsensus { best: 0, required: 2 }));
     }
 
@@ -1055,9 +1030,8 @@ mod tests {
         for seed in [0u64, 7, 91] {
             let mut rng_full = StdRng::seed_from_u64(seed);
             let mut rng_pruned = StdRng::seed_from_u64(seed);
-            let full = ransac_rigid_hinted(&src, &dst, qual, hint, 0, &cfg, &mut rng_full);
-            let pruned =
-                ransac_rigid_hinted(&src, &dst, qual, hint, usize::MAX, &cfg, &mut rng_pruned);
+            let full = ransac_rigid(&src, &dst, qual, hint, 0, &cfg, &mut rng_full);
+            let pruned = ransac_rigid(&src, &dst, qual, hint, usize::MAX, &cfg, &mut rng_pruned);
             let Err(RansacError::Pruned { bound, floor }) = pruned else {
                 panic!("expected a pruned call, got {pruned:?}");
             };
@@ -1106,7 +1080,7 @@ mod tests {
         let (src, dst) = clean_pairs(40);
         let mut rng = StdRng::seed_from_u64(3);
         let untouched = rng.clone();
-        let e = ransac_rigid_hinted(
+        let e = ransac_rigid(
             &src,
             &dst,
             None,
@@ -1127,10 +1101,9 @@ mod tests {
         }
         let cfg = RansacConfig::default();
         let bound = consensus_bound(&src, &dst, cfg.inlier_threshold);
-        let full =
-            ransac_rigid_hinted(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(4));
+        let full = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(4));
         let at_bound =
-            ransac_rigid_hinted(&src, &dst, None, None, bound, &cfg, &mut StdRng::seed_from_u64(4));
+            ransac_rigid(&src, &dst, None, None, bound, &cfg, &mut StdRng::seed_from_u64(4));
         assert_eq!(full, at_bound);
         assert_eq!(full.unwrap().num_inliers, 28);
     }
@@ -1139,7 +1112,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
         /// The consensus bound is at least the inlier count of every
-        /// result `ransac_rigid_hinted` returns — with no hint, the true
+        /// result `ransac_rigid` returns — with no hint, the true
         /// transform or a random one as hint — over mixes of exact
         /// inliers, inliers displaced by exactly the threshold along an
         /// axis (pairs of them sit at the `2·threshold` edge of the
@@ -1196,7 +1169,7 @@ mod tests {
             let bound = consensus_bound(&src, &dst, threshold);
             proptest::prop_assert!(bound <= src.len());
             let mut rng = StdRng::seed_from_u64(seed);
-            if let Ok(r) = ransac_rigid_hinted(&src, &dst, None, hint.as_ref(), 0, &cfg, &mut rng) {
+            if let Ok(r) = ransac_rigid(&src, &dst, None, hint.as_ref(), 0, &cfg, &mut rng) {
                 proptest::prop_assert!(
                     r.num_inliers <= bound,
                     "{} inliers above the bound {}", r.num_inliers, bound

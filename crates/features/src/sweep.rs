@@ -22,8 +22,8 @@
 //!
 //! Both passes keep the arithmetic of the naive
 //! [`describe_keypoints_rotated`](crate::descriptor::describe_keypoints_rotated)
-//! path (`patch_stats`, `grid_cell`, `sample_weight`, `soft_bin_split`,
-//! the sequential L2 norm) and the order in which every bin receives its
+//! path (`patch_max_amplitude`, `grid_cell`, the `√amplitude` weight,
+//! `soft_bin_split`, the sequential L2 norm) and the order in which every bin receives its
 //! adds, so the produced descriptors are **bit-identical** to the naive
 //! reference — the `sweep_rebin_equals_naive_describe` proptest pins that
 //! claim, and DESIGN.md (*Stage-1 matching fast path*) gives the argument
@@ -34,8 +34,7 @@
 //! matcher kernel ([`crate::matcher::match_sets`]) runs on.
 
 use crate::descriptor::{
-    bin_shift_of, grid_cell, patch_reach, patch_stats, sample_weight, soft_bin_split, Descriptor,
-    DescriptorConfig,
+    bin_shift_of, grid_cell, patch_max_amplitude, patch_reach, soft_bin_split, DescriptorConfig,
 };
 use crate::keypoints::Keypoint;
 use bba_signal::MaxIndexMap;
@@ -49,9 +48,9 @@ pub const REBIN_GROUP: usize = 4;
 /// A set of descriptors in flat row-major storage: row `i` is the
 /// `dim`-length L2-normalised vector of `keypoints[i]`.
 ///
-/// Compared to `Vec<Descriptor>` this keeps all vectors contiguous (one
-/// allocation, reusable across the hypothesis sweep) and lets the matcher
-/// kernel stream rows without pointer chasing.
+/// All vectors are contiguous (one allocation, reusable across the
+/// hypothesis sweep), so the matcher kernel streams rows without pointer
+/// chasing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DescriptorSet {
     dim: usize,
@@ -117,31 +116,6 @@ impl DescriptorSet {
         self.dim = dim;
         self.keypoints.clear();
         self.data.clear();
-    }
-
-    /// Converts to the AoS `Descriptor` representation (copies).
-    pub fn to_descriptors(&self) -> Vec<Descriptor> {
-        (0..self.len())
-            .map(|i| Descriptor { keypoint: self.keypoints[i], vector: self.row(i).to_vec() })
-            .collect()
-    }
-
-    /// Builds a set from AoS descriptors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the descriptors do not all share one vector length.
-    pub fn from_descriptors(descriptors: &[Descriptor]) -> Self {
-        let dim = descriptors.first().map_or(0, |d| d.vector.len());
-        let mut set = DescriptorSet {
-            dim,
-            keypoints: Vec::with_capacity(descriptors.len()),
-            data: Vec::with_capacity(descriptors.len() * dim),
-        };
-        for d in descriptors {
-            set.push(d.keypoint, &d.vector);
-        }
-        set
     }
 }
 
@@ -297,9 +271,9 @@ pub struct PatchSamples {
     /// Raw MIM orientation index per sample.
     indices: Vec<u8>,
     /// Every weight is finite. A hard hypothesis skips the `(w·0.0) as f32`
-    /// add, which is a zero only for finite `w` (it is NaN for infinite or
-    /// NaN `w`), so a set with a non-finite weight re-bins every hypothesis
-    /// with the two-bin split.
+    /// add, which is a zero only for finite `w` (it is NaN for the weight
+    /// of an infinite or NaN amplitude), so a set with a non-finite weight
+    /// re-bins every hypothesis with the two-bin split.
     finite: bool,
     patch_size: usize,
     grid_size: usize,
@@ -329,9 +303,6 @@ impl PatchSamples {
     /// Border rejection, amplitude gating and sample order are identical to
     /// the naive describe path; pixels outside the rotated patch at every
     /// hypothesis of `sweep` are not read, since no hypothesis bins them.
-    /// Per-patch dominant-orientation estimation does not apply (the sweep
-    /// is the global-hypothesis strategy, which always overrides patch
-    /// orientation).
     pub fn sample(&mut self, mim: &MaxIndexMap, keypoints: &[Keypoint], sweep: &RotationSweep) {
         self.keypoints.clear();
         self.spans.clear();
@@ -354,11 +325,11 @@ impl PatchSamples {
             if cu - reach < 0 || cv - reach < 0 || cu + reach >= w || cv + reach >= h {
                 continue;
             }
-            let stats = patch_stats(mim, cu, cv, half, false);
-            if stats.max_amp <= 0.0 {
+            let max_amp = patch_max_amplitude(mim, cu, cv, half);
+            if max_amp <= 0.0 {
                 continue;
             }
-            let gate = stats.max_amp * config.amplitude_gate;
+            let gate = max_amp * config.amplitude_gate;
             let start = self.weights.len() as u32;
             for &(at, du, dv) in &sweep.live {
                 let (u, v) = ((cu + du as isize) as usize, (cv + dv as isize) as usize);
@@ -366,7 +337,7 @@ impl PatchSamples {
                 if amp <= gate {
                     continue;
                 }
-                let weight = sample_weight(amp, config.weighting);
+                let weight = amp.sqrt();
                 self.finite &= weight.is_finite();
                 self.weights.push(weight);
                 self.offsets.push(at);
@@ -547,10 +518,11 @@ mod tests {
         sets
     }
 
-    fn bits(descriptors: &[Descriptor]) -> Vec<(Keypoint, Vec<u32>)> {
-        descriptors
-            .iter()
-            .map(|d| (d.keypoint, d.vector.iter().map(|x| x.to_bits()).collect()))
+    /// Every row's keypoint and vector bits (the derived `==` would let
+    /// `-0.0` stand in for `0.0`).
+    fn bits(set: &DescriptorSet) -> Vec<(Keypoint, Vec<u32>)> {
+        (0..set.len())
+            .map(|i| (*set.keypoint(i), set.row(i).iter().map(|x| x.to_bits()).collect()))
             .collect()
     }
 
@@ -566,7 +538,7 @@ mod tests {
         for group in 1..=REBIN_GROUP {
             for (k, set) in rebin_all(&samples, &sweep, group).iter().enumerate() {
                 let naive = describe_keypoints_rotated(&mim, &kps, &cfg, angles[k]);
-                assert_eq!(bits(&set.to_descriptors()), bits(&naive), "group {group}, hyp {k}");
+                assert_eq!(bits(set), bits(&naive), "group {group}, hyp {k}");
             }
         }
     }
@@ -602,19 +574,19 @@ mod tests {
         let sets = rebin_all(&samples, &sweep, 2);
         assert_eq!((sets[0].len(), sets[1].len()), (1, 0));
         for (set, &angle) in sets.iter().zip(&angles) {
-            assert_eq!(set.to_descriptors(), describe_keypoints_rotated(&mim, &kps, &cfg, angle));
+            assert_eq!(bits(set), bits(&describe_keypoints_rotated(&mim, &kps, &cfg, angle)));
         }
     }
 
     #[test]
     fn non_finite_weights_keep_the_two_bin_split() {
         // An infinite amplitude outside the axis-aligned patch (so the gate
-        // stays finite) but inside it at 45°: the naive path adds
-        // `inf·0.0 = NaN` to the upper bin there, which a hard hypothesis
-        // would skip.
+        // stays finite) but inside it at 45°: its weight `√∞ = ∞` makes the
+        // naive path add `∞·0.0 = NaN` to the upper bin there, which a hard
+        // hypothesis would skip.
         let mut mim = test_mim(128);
         mim.amplitude[(64, 64 + 15)] = f64::INFINITY;
-        let cfg = DescriptorConfig { weighting: crate::SampleWeighting::Amplitude, ..cfg() };
+        let cfg = cfg();
         let kps = [Keypoint { u: 64, v: 64, score: 1.0 }];
         let angles = grid_angles(8);
         let sweep = RotationSweep::new(&cfg, mim.num_orientations, &angles);
@@ -623,7 +595,7 @@ mod tests {
         assert!(!samples.finite);
         for (k, set) in rebin_all(&samples, &sweep, REBIN_GROUP).iter().enumerate() {
             let naive = describe_keypoints_rotated(&mim, &kps, &cfg, angles[k]);
-            assert_eq!(bits(&set.to_descriptors()), bits(&naive), "hyp {k}");
+            assert_eq!(bits(set), bits(&naive), "hyp {k}");
         }
     }
 
@@ -649,15 +621,14 @@ mod tests {
     #[test]
     fn descriptor_set_round_trips() {
         let mim = test_mim(128);
-        let cfg = cfg();
-        let naive = describe_keypoints_rotated(&mim, &kps(128), &cfg, 0.7);
-        let set = DescriptorSet::from_descriptors(&naive);
-        assert_eq!(set.len(), naive.len());
-        assert_eq!(set.to_descriptors(), naive);
-        for (i, d) in naive.iter().enumerate() {
-            assert_eq!(set.row(i), &d.vector[..]);
-            assert_eq!(set.keypoint(i), &d.keypoint);
+        let naive = describe_keypoints_rotated(&mim, &kps(128), &cfg(), 0.7);
+        let mut set = DescriptorSet::new(naive.dim());
+        for i in 0..naive.len() {
+            set.push(*naive.keypoint(i), naive.row(i));
         }
+        assert_eq!(set.len(), naive.len());
+        assert_eq!(bits(&set), bits(&naive));
+        assert_eq!(set.keypoints(), naive.keypoints());
     }
 
     #[test]

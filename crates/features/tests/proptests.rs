@@ -5,10 +5,9 @@
 
 use bba_features::matcher::match_sets_naive;
 use bba_features::{
-    describe_keypoints_rotated, detect_keypoints, match_descriptors, match_sets, ransac_rigid,
-    ransac_rigid_guided, ransac_rigid_naive, Descriptor, DescriptorConfig, DescriptorSet, Keypoint,
-    KeypointConfig, MatcherConfig, PatchSamples, RansacConfig, RotationSweep, SampleWeighting,
-    REBIN_GROUP,
+    describe_keypoints_rotated, detect_keypoints, match_sets, ransac_rigid, ransac_rigid_naive,
+    DescriptorConfig, DescriptorSet, Keypoint, KeypointConfig, MatcherConfig, PatchSamples,
+    RansacConfig, RotationSweep, REBIN_GROUP,
 };
 use bba_geometry::{Iso2, Vec2};
 use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
@@ -17,32 +16,29 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
 
-/// Random L2-normalised descriptor sets for the matcher properties.
-fn descriptor_set(max: usize) -> impl Strategy<Value = DescriptorSet> {
-    proptest::collection::vec(proptest::collection::vec(-1.0f32..1.0, 12), 1..max).prop_map(
-        |vecs| {
-            let descs: Vec<Descriptor> = vecs
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
-                    Descriptor {
-                        keypoint: Keypoint { u: i, v: i, score: 1.0 },
-                        vector: v.iter().map(|x| x / norm).collect(),
-                    }
-                })
-                .collect();
-            DescriptorSet::from_descriptors(&descs)
-        },
-    )
+/// A set of the L2-normalised `vecs`, row `i` at keypoint `(i, i)`.
+fn unit_rows(vecs: &[Vec<f32>]) -> DescriptorSet {
+    let mut set = DescriptorSet::new(vecs.first().map_or(0, Vec::len));
+    for (i, v) in vecs.iter().enumerate() {
+        let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
+        let unit: Vec<f32> = v.iter().map(|x| x / norm).collect();
+        set.push(Keypoint { u: i, v: i, score: 1.0 }, &unit);
+    }
+    set
 }
 
-fn weighting() -> impl Strategy<Value = SampleWeighting> {
-    prop_oneof![
-        Just(SampleWeighting::Amplitude),
-        Just(SampleWeighting::SqrtAmplitude),
-        Just(SampleWeighting::Binary),
-    ]
+/// Random L2-normalised descriptor sets for the matcher properties.
+fn descriptor_set(max: usize) -> impl Strategy<Value = DescriptorSet> {
+    proptest::collection::vec(proptest::collection::vec(-1.0f32..1.0, 12), 1..max)
+        .prop_map(|vecs| unit_rows(&vecs))
+}
+
+/// Every row's keypoint and vector bits (the derived `==` would let
+/// `-0.0` stand in for `0.0`).
+fn bits(set: &DescriptorSet) -> Vec<(Keypoint, Vec<u32>)> {
+    (0..set.len())
+        .map(|i| (*set.keypoint(i), set.row(i).iter().map(|x| x.to_bits()).collect()))
+        .collect()
 }
 
 fn any_iso2() -> impl Strategy<Value = Iso2> {
@@ -95,7 +91,7 @@ proptest! {
             .collect();
         let cfg = RansacConfig { inlier_threshold: 0.5, min_inliers: 8, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(seed);
-        let r = ransac_rigid(&pts, &dst, &cfg, &mut rng).unwrap();
+        let r = ransac_rigid(&pts, &dst, None, None, 0, &cfg, &mut rng).unwrap();
         prop_assert!(r.transform.approx_eq(&t, 1e-5, 1e-5), "got {} want {}", r.transform, t);
         prop_assert_eq!(r.num_inliers, inlier_pts.len());
     }
@@ -120,19 +116,9 @@ proptest! {
     fn matcher_respects_one_best_per_source(
         vecs in proptest::collection::vec(proptest::collection::vec(0.0f32..1.0, 8), 2..12),
     ) {
-        let descs: Vec<Descriptor> = vecs
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
-                Descriptor {
-                    keypoint: Keypoint { u: i, v: i, score: 1.0 },
-                    vector: v.iter().map(|x| x / norm).collect(),
-                }
-            })
-            .collect();
-        let cfg = MatcherConfig { ratio: 1.0, mutual: false, max_distance: 10.0, keep_top_k: 1 };
-        let matches = match_descriptors(&descs, &descs, &cfg);
+        let descs = unit_rows(&vecs);
+        let cfg = MatcherConfig { max_distance: 10.0, keep_top_k: 1 };
+        let matches = match_sets(&descs, &descs, &cfg);
         // k = 1: at most one match per source index.
         let mut seen = std::collections::HashSet::new();
         for m in &matches {
@@ -145,21 +131,11 @@ proptest! {
     fn top_k_is_superset_of_top_1(
         vecs in proptest::collection::vec(proptest::collection::vec(0.0f32..1.0, 6), 3..10),
     ) {
-        let descs: Vec<Descriptor> = vecs
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
-                Descriptor {
-                    keypoint: Keypoint { u: i, v: i, score: 1.0 },
-                    vector: v.iter().map(|x| x / norm).collect(),
-                }
-            })
-            .collect();
-        let base = MatcherConfig { ratio: 1.0, mutual: false, max_distance: 10.0, keep_top_k: 1 };
+        let descs = unit_rows(&vecs);
+        let base = MatcherConfig { max_distance: 10.0, keep_top_k: 1 };
         let wide = MatcherConfig { keep_top_k: 3, ..base.clone() };
-        let m1 = match_descriptors(&descs, &descs, &base);
-        let m3 = match_descriptors(&descs, &descs, &wide);
+        let m1 = match_sets(&descs, &descs, &base);
+        let m3 = match_sets(&descs, &descs, &wide);
         for m in &m1 {
             prop_assert!(
                 m3.iter().any(|x| x.src == m.src && x.dst == m.dst),
@@ -169,8 +145,8 @@ proptest! {
     }
 
     /// Sample-once + grouped re-bin descriptors are *bit-identical* to the
-    /// naive per-angle `describe_keypoints_rotated` — every hypothesis of
-    /// every group, compared by `to_bits` — for random images and
+    /// naive per-angle `describe_keypoints_rotated` — every row's keypoint
+    /// and `to_bits`, every hypothesis of every group — for random images and
     /// descriptor configurations, group sizes 1–4 (with a partial last
     /// group), and angles drawn both from the production `k·2π/24` grid
     /// (where most hypotheses are hard, whole-bin shifts) and at random
@@ -189,7 +165,6 @@ proptest! {
         patch_size in prop_oneof![Just(12usize), Just(16usize), Just(24usize)],
         grid_size in 2usize..5,
         amplitude_gate in 0.0..0.3f64,
-        weighting in weighting(),
     ) {
         let mim = if sparse {
             // The spikes themselves as the MIM: zero amplitude elsewhere.
@@ -210,13 +185,7 @@ proptest! {
             }
             MaxIndexMap::compute(&img, &LogGaborConfig::default())
         };
-        let cfg = DescriptorConfig {
-            patch_size,
-            grid_size,
-            amplitude_gate,
-            weighting,
-            ..Default::default()
-        };
+        let cfg = DescriptorConfig { patch_size, grid_size, amplitude_gate };
         // Random keypoints — some will fail the border check, exercising
         // the drop paths — plus the centre, which always fits.
         let mut kps: Vec<Keypoint> =
@@ -230,13 +199,10 @@ proptest! {
         for (g, chunk) in sets.chunks_mut(group).enumerate() {
             samples.rebin_group(&sweep, g * group, chunk);
         }
-        let bits = |d: &[Descriptor]| -> Vec<(Keypoint, Vec<u32>)> {
-            d.iter().map(|d| (d.keypoint, d.vector.iter().map(|x| x.to_bits()).collect())).collect()
-        };
         for (k, (set, &angle)) in sets.iter().zip(&angles).enumerate() {
             let naive = describe_keypoints_rotated(&mim, &kps, &cfg, angle);
             prop_assert_eq!(
-                bits(&set.to_descriptors()),
+                bits(set),
                 bits(&naive),
                 "hypothesis {} (angle {}, group {})",
                 k,
@@ -249,8 +215,9 @@ proptest! {
     /// The layered RANSAC fast path returns the exact `Result` of the naive
     /// reference scan — same pose bits, inlier set, iteration count and
     /// error variant — for random correspondence sets (outliers, exact
-    /// duplicates, tiny inputs), random configurations and any quality
-    /// schedule (absent, random, or wrong-length).
+    /// duplicates, tiny inputs), random configurations, any quality
+    /// schedule (absent, random, or wrong-length) and with or without a
+    /// hint that explains no correspondence (so it never wins).
     #[test]
     fn ransac_fast_path_equals_naive_bit_for_bit(
         pts in prop::collection::vec((-60.0..60.0f64, -60.0..60.0f64, 0..5u8), 0..40),
@@ -264,6 +231,7 @@ proptest! {
         seed in any::<u64>(),
         qmode in 0u8..3,
         qseed in any::<u64>(),
+        far_hint in any::<bool>(),
     ) {
         let truth = Iso2::new(angle, Vec2::new(tx, ty));
         let mut src: Vec<Vec2> = Vec::new();
@@ -298,30 +266,32 @@ proptest! {
                 Some((0..len).map(|_| qrng.random_range(0.0..10.0)).collect())
             }
         };
+        let far = Iso2::new(angle, Vec2::new(tx + 1e4, ty - 1e4));
+        let hint = far_hint.then_some(&far);
         let naive = ransac_rigid_naive(&src, &dst, &cfg, &mut StdRng::seed_from_u64(seed));
-        let fast = ransac_rigid_guided(
+        let fast = ransac_rigid(
             &src,
             &dst,
             quality.as_deref(),
+            hint,
+            0,
             &cfg,
             &mut StdRng::seed_from_u64(seed),
         );
-        prop_assert_eq!(&naive, &fast, "diverged (qmode {})", qmode);
+        prop_assert_eq!(&naive, &fast, "diverged (qmode {}, hint {})", qmode, far_hint);
     }
 
     /// The blocked dot-product kernel returns exactly the match set of the
-    /// naive full-sort reference across random ratio / mutual /
-    /// max_distance / keep_top_k configurations.
+    /// naive full-sort reference across random max_distance / keep_top_k
+    /// configurations.
     #[test]
     fn kernel_matcher_equals_naive(
         src in descriptor_set(40),
         dst in descriptor_set(40),
-        ratio in prop_oneof![Just(1.0f64), 0.5..1.0f64],
-        mutual in any::<bool>(),
         max_distance in 0.5..2.5f64,
         keep_top_k in 1usize..4,
     ) {
-        let cfg = MatcherConfig { ratio, mutual, max_distance, keep_top_k };
+        let cfg = MatcherConfig { max_distance, keep_top_k };
         let kernel = match_sets(&src, &dst, &cfg);
         let naive = match_sets_naive(&src, &dst, &cfg);
         prop_assert_eq!(&kernel, &naive);

@@ -84,8 +84,7 @@ pub fn ifft_inplace(x: &mut [Complex]) -> Result<(), FftError> {
 /// Forward 2-D FFT of a real-valued grid, returning the complex spectrum.
 ///
 /// Both dimensions must be powers of two (BB-Align BV images are generated
-/// at power-of-two resolutions, e.g. 256² or 512²; use
-/// [`pad_to_pow2`] otherwise). For real input, [`rfft2d`] computes the same
+/// at power-of-two resolutions, e.g. 256² or 512²). For real input, [`rfft2d`] computes the same
 /// spectrum in roughly half the work.
 ///
 /// # Errors
@@ -335,23 +334,6 @@ pub(crate) fn ifft2d_unscaled_into(
     }
 }
 
-/// Zero-pads a grid up to the next power-of-two dimensions.
-///
-/// Returns the original grid unchanged when it is already power-of-two
-/// sized.
-pub fn pad_to_pow2(img: &Grid<f64>) -> Grid<f64> {
-    let w = img.width().next_power_of_two();
-    let h = img.height().next_power_of_two();
-    if w == img.width() && h == img.height() {
-        return img.clone();
-    }
-    let mut out = Grid::new(w, h, 0.0);
-    for (u, v, &x) in img.iter_cells() {
-        out[(u, v)] = x;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,18 +485,5 @@ mod tests {
                 assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{w}x{h} bin {i}: {a:?} vs {b:?}");
             }
         }
-    }
-
-    #[test]
-    fn pad_to_pow2_extends_with_zeros() {
-        let img = Grid::from_fn(5, 3, |u, v| (u + v) as f64 + 1.0);
-        let padded = pad_to_pow2(&img);
-        assert_eq!(padded.width(), 8);
-        assert_eq!(padded.height(), 4);
-        assert_eq!(padded[(2, 1)], img[(2, 1)]);
-        assert_eq!(padded[(7, 3)], 0.0);
-        // Already a power of two: unchanged.
-        let sq = Grid::new(4, 4, 1.0);
-        assert_eq!(pad_to_pow2(&sq), sq);
     }
 }

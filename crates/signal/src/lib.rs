@@ -36,7 +36,6 @@
 
 pub mod complex;
 pub mod fft;
-pub mod filter;
 pub mod grid;
 pub mod loggabor;
 pub mod mim;
@@ -45,8 +44,7 @@ pub mod plan;
 pub mod workspace;
 
 pub use complex::Complex;
-pub use fft::{fft2d, fft2d_inverse, fft_inplace, ifft_inplace, pad_to_pow2, rfft2d, FftError};
-pub use filter::{gaussian_blur, gaussian_kernel};
+pub use fft::{fft2d, fft2d_inverse, fft_inplace, ifft_inplace, rfft2d, FftError};
 pub use grid::Grid;
 pub use loggabor::{LogGaborBank, LogGaborConfig};
 pub use mim::MaxIndexMap;

@@ -96,10 +96,12 @@ impl LogGaborConfig {
 ///
 /// ```
 /// use bba_signal::{Grid, LogGaborBank, LogGaborConfig};
+/// use bba_signal::FftWorkspace;
 /// let bank = LogGaborBank::new(64, 64, LogGaborConfig::default());
 /// let img = Grid::new(64, 64, 0.0);
-/// let amplitudes = bank.orientation_amplitudes(&img)?;
-/// assert_eq!(amplitudes.len(), 12);
+/// let mut ws = FftWorkspace::new();
+/// bank.orientation_amplitudes_into(&img, &mut ws)?;
+/// assert_eq!(ws.amplitudes().count(), 12);
 /// # Ok::<(), bba_signal::FftError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -236,27 +238,13 @@ impl LogGaborBank {
     /// Amplitude response per orientation, summed over scales — the paper's
     /// Eq. (8)–(9): `A(ρ,θ,o) = Σ_s ‖B * L(·,·,s,o)‖`.
     ///
-    /// Returns `N_o` grids of per-pixel amplitudes. Allocates a fresh
-    /// [`FftWorkspace`] per call; hot loops should hold one and use
-    /// [`LogGaborBank::orientation_amplitudes_into`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError`] if the image dimensions are not powers of two.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image shape differs from the bank's.
-    pub fn orientation_amplitudes(&self, img: &Grid<f64>) -> Result<Vec<Grid<f64>>, FftError> {
-        let mut ws = FftWorkspace::new();
-        self.orientation_amplitudes_into(img, &mut ws)?;
-        Ok(ws.take_amplitudes())
-    }
-
-    /// Allocation-free amplitude computation: fills the workspace's
-    /// per-orientation accumulators (read them back via
-    /// [`FftWorkspace::amplitude`] / [`FftWorkspace::amplitudes`]) without
-    /// touching the heap once `ws` has seen this image size.
+    /// Allocation-free: fills the workspace's `N_o` per-orientation
+    /// accumulators (read them back via [`FftWorkspace::amplitude`] /
+    /// [`FftWorkspace::amplitudes`]) without touching the heap once `ws`
+    /// has seen this image size. Production never materialises the
+    /// amplitudes (see [`LogGaborBank::mim_fused_into`]); this is the
+    /// first pass of the reference MIM
+    /// ([`MaxIndexMap::compute_via_amplitudes`](crate::MaxIndexMap::compute_via_amplitudes)).
     ///
     /// This is the frequency-domain fast path: one real forward transform
     /// ([`rfft2d`](crate::rfft2d) packing), then per orientation `⌈N_s/2⌉`
@@ -421,6 +409,13 @@ impl LogGaborBank {
 mod tests {
     use super::*;
 
+    /// Per-orientation amplitudes of `img`, copied out of a fresh workspace.
+    fn amplitudes(bank: &LogGaborBank, img: &Grid<f64>) -> Vec<Grid<f64>> {
+        let mut ws = FftWorkspace::new();
+        bank.orientation_amplitudes_into(img, &mut ws).unwrap();
+        ws.amplitudes().cloned().collect()
+    }
+
     #[test]
     fn default_config_matches_paper() {
         let c = LogGaborConfig::default();
@@ -472,7 +467,7 @@ mod tests {
     fn zero_image_gives_zero_amplitude() {
         let bank = LogGaborBank::new(16, 16, LogGaborConfig::default());
         let img = Grid::new(16, 16, 0.0);
-        let amps = bank.orientation_amplitudes(&img).unwrap();
+        let amps = amplitudes(&bank, &img);
         assert_eq!(amps.len(), 12);
         for a in amps {
             assert!(a.max_value() < 1e-12);
@@ -488,7 +483,7 @@ mod tests {
         }
         let cfg = LogGaborConfig::default();
         let bank = LogGaborBank::new(64, 64, cfg.clone());
-        let amps = bank.orientation_amplitudes(&img).unwrap();
+        let amps = amplitudes(&bank, &img);
         // Response at the line centre, per orientation.
         let responses: Vec<f64> = amps.iter().map(|a| a[(32, 32)]).collect();
         let best = responses.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).unwrap().0;
@@ -511,8 +506,8 @@ mod tests {
         }
         let img2 = img.map(|&x| x * 3.0);
         let bank = LogGaborBank::new(32, 32, LogGaborConfig::default());
-        let a1 = bank.orientation_amplitudes(&img).unwrap();
-        let a2 = bank.orientation_amplitudes(&img2).unwrap();
+        let a1 = amplitudes(&bank, &img);
+        let a2 = amplitudes(&bank, &img2);
         for (g1, g2) in a1.iter().zip(&a2) {
             for (x, y) in g1.as_slice().iter().zip(g2.as_slice()) {
                 assert!((y - 3.0 * x).abs() < 1e-9 * (1.0 + x.abs()));
@@ -525,7 +520,7 @@ mod tests {
     fn shape_mismatch_panics() {
         let bank = LogGaborBank::new(16, 16, LogGaborConfig::default());
         let img = Grid::new(32, 32, 0.0);
-        let _ = bank.orientation_amplitudes(&img);
+        let _ = bank.orientation_amplitudes_into(&img, &mut FftWorkspace::new());
     }
 
     #[test]

@@ -38,11 +38,12 @@ pub struct MaxIndexMap {
 }
 
 impl MaxIndexMap {
-    /// Computes the MIM of `img` with a freshly built filter bank.
+    /// Computes the MIM of `img` with a freshly built filter bank and
+    /// workspace: the one-shot entry point.
     ///
     /// Build the bank once with [`LogGaborBank::new`] and use
-    /// [`MaxIndexMap::compute_with_bank`] when processing many images of the
-    /// same size.
+    /// [`MaxIndexMap::compute_with_workspace`] when processing many images
+    /// of the same size.
     ///
     /// # Panics
     ///
@@ -50,28 +51,13 @@ impl MaxIndexMap {
     /// rasteriser always produces power-of-two images).
     pub fn compute(img: &Grid<f64>, config: &LogGaborConfig) -> MaxIndexMap {
         let bank = LogGaborBank::new(img.width(), img.height(), config.clone());
-        Self::compute_with_bank(img, &bank)
-    }
-
-    /// Computes the MIM using a pre-built filter bank.
-    ///
-    /// Allocates a fresh [`FftWorkspace`] per call; hot loops should hold
-    /// one and use [`MaxIndexMap::compute_with_workspace`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image shape differs from the bank's, or the dimensions
-    /// are not powers of two.
-    pub fn compute_with_bank(img: &Grid<f64>, bank: &LogGaborBank) -> MaxIndexMap {
-        let mut ws = FftWorkspace::new();
-        Self::compute_with_workspace(img, bank, &mut ws)
+        Self::compute_with_workspace(img, &bank, &mut FftWorkspace::new())
     }
 
     /// Computes the MIM using a pre-built filter bank and a reusable
-    /// [`FftWorkspace`] — the steady-state fast path: once the workspace has
-    /// seen this image size, the Log-Gabor filtering performs zero heap
-    /// allocation per frame (only the output grids are allocated). Results
-    /// are identical to [`MaxIndexMap::compute_with_bank`].
+    /// [`FftWorkspace`] — the production path: once the workspace has seen
+    /// this image size, the Log-Gabor filtering performs zero heap
+    /// allocation per frame (only the output grids are allocated).
     ///
     /// This is the **fused streaming reduction**: per-orientation amplitude
     /// grids are never materialised — each filtered scale pair streams from
@@ -98,12 +84,13 @@ impl MaxIndexMap {
         MaxIndexMap { index, amplitude, num_orientations: bank.config().num_orientations }
     }
 
-    /// Reference two-pass MIM: materialises every per-orientation amplitude
-    /// grid via [`LogGaborBank::orientation_amplitudes_into`], then scans
-    /// the per-pixel argmax. Kept in-tree as the readable specification the
-    /// fused path ([`MaxIndexMap::compute_with_workspace`]) is
-    /// equivalence-tested against; callers that also need the full
-    /// amplitude grids (workspace [`FftWorkspace::amplitudes`]) use it too.
+    /// Reference two-pass MIM, the test oracle of the fused path: it
+    /// materialises every per-orientation amplitude grid via
+    /// [`LogGaborBank::orientation_amplitudes_into`], then scans the
+    /// per-pixel argmax. Kept as the readable specification the fused path
+    /// ([`MaxIndexMap::compute_with_workspace`]) is equivalence-tested
+    /// against; it leaves the full amplitude grids in the workspace
+    /// ([`FftWorkspace::amplitudes`]).
     ///
     /// # Panics
     ///
@@ -231,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_reference_bitwise_at_thread_widths_1_to_8() {
+    fn fused_matches_reference_bitwise_at_every_scale_count() {
         // The fused streaming reduction must reproduce the two-pass
         // reference bit-for-bit: same winning index, same winning amplitude
         // bits, at every scale-pair parity (odd scale counts exercise the
@@ -263,7 +250,8 @@ mod tests {
         let img = line_image(32, 30.0);
         let fresh = MaxIndexMap::compute(&img, &cfg);
         let bank = crate::loggabor::LogGaborBank::new(32, 32, cfg);
-        let reused = MaxIndexMap::compute_with_bank(&img, &bank);
+        let mut ws = FftWorkspace::new();
+        let reused = MaxIndexMap::compute_with_workspace(&img, &bank, &mut ws);
         assert_eq!(fresh, reused);
     }
 }

@@ -168,13 +168,6 @@ impl FftWorkspace {
     pub fn amplitudes(&self) -> impl Iterator<Item = &Grid<f64>> {
         self.lanes.iter().map(|l| &l.acc)
     }
-
-    /// Moves the per-orientation amplitude grids out of the workspace
-    /// (leaving empty grids behind) — the allocation-compatible path used by
-    /// [`LogGaborBank::orientation_amplitudes`](crate::LogGaborBank::orientation_amplitudes).
-    pub(crate) fn take_amplitudes(&mut self) -> Vec<Grid<f64>> {
-        self.lanes.iter_mut().map(|l| std::mem::replace(&mut l.acc, Grid::new(0, 0, 0.0))).collect()
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 
 use bb_align::{BbAlign, BbAlignConfig};
 use bba_dataset::{Dataset, DatasetConfig};
-use bba_signal::{write_pgm, Grid, LogGaborBank, MaxIndexMap};
+use bba_signal::{write_pgm, FftWorkspace, Grid, LogGaborBank, MaxIndexMap};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -43,8 +43,9 @@ fn main() -> std::io::Result<()> {
     // Panels (c)/(f): MIM maps.
     let h = engine.bev.image_size();
     let bank = LogGaborBank::new(h, h, engine.log_gabor.clone());
+    let mut ws = FftWorkspace::new();
     for (name, frame) in [("ego", &ego), ("other", &other)] {
-        let mim = MaxIndexMap::compute_with_bank(frame.bev().grid(), &bank);
+        let mim = MaxIndexMap::compute_with_workspace(frame.bev().grid(), &bank, &mut ws);
         write_pgm(&mim.amplitude, out.join(format!("{name}_mim_amplitude.pgm")))?;
         write_pgm(&mim.index.map(|&i| i as f64), out.join(format!("{name}_mim_index.pgm")))?;
     }

@@ -4,7 +4,7 @@
 use bb_align::{BbAlign, BbAlignConfig, RecoverError};
 use bba_dataset::{Dataset, DatasetConfig};
 use bba_detect::{Detector, DetectorModel};
-use bba_features::{ransac_rigid_guided, ransac_rigid_naive, RansacConfig, RansacError};
+use bba_features::{ransac_rigid, ransac_rigid_naive, RansacConfig, RansacError};
 use bba_geometry::Vec2;
 use bba_lidar::{LidarConfig, Scanner};
 use bba_scene::{Scenario, ScenarioConfig, ScenarioPreset, Trajectory, World};
@@ -138,7 +138,7 @@ fn assert_ransac_failure_parity(
     let quality: Vec<f64> = (0..src.len()).map(|i| i as f64).collect();
     for q in [None, Some(quality.as_slice())] {
         let mut rng = StdRng::seed_from_u64(99);
-        let fast = ransac_rigid_guided(src, dst, q, cfg, &mut rng);
+        let fast = ransac_rigid(src, dst, q, None, 0, cfg, &mut rng);
         assert_eq!(naive, fast, "{label}: fast path diverged (quality: {})", q.is_some());
     }
     naive

@@ -1,11 +1,11 @@
 //! Bit-identity suite: a whole recovery is identical at every `bba-par`
 //! thread budget (see DESIGN.md, "Parallel execution model"), and the MIM
-//! workspace and guided-RANSAC fast paths match their references exactly —
-//! not within a tolerance.
+//! workspace and quality-guided RANSAC fast paths match their references
+//! exactly — not within a tolerance.
 
 use bb_align::{BbAlign, BbAlignConfig};
 use bba_dataset::{Dataset, DatasetConfig};
-use bba_features::{ransac_rigid_guided, ransac_rigid_naive, RansacConfig};
+use bba_features::{ransac_rigid, ransac_rigid_naive, RansacConfig};
 use bba_geometry::{Iso2, Vec2};
 use bba_signal::{FftWorkspace, Grid, LogGaborBank, LogGaborConfig, MaxIndexMap};
 use proptest::prelude::*;
@@ -37,7 +37,7 @@ proptest! {
     /// including one last sized for the full-amplitude path, must not
     /// change bits.
     #[test]
-    fn workspace_mim_bit_identical_across_thread_counts(
+    fn reused_workspace_mim_bit_identical_to_fresh_workspace(
         sp in spikes(),
     ) {
         let img = image_from_spikes(&sp);
@@ -51,12 +51,12 @@ proptest! {
         }
     }
 
-    /// The guided fast path under its production config: a mostly-clean
+    /// The quality-guided fast path under its production config: a mostly-clean
     /// correspondence set makes the 70% early exit fire within the first
     /// few hypotheses, so the scan breaks mid-stream — the exit index,
     /// winner and pose bits must match the naive scan.
     #[test]
-    fn guided_ransac_early_exit_bit_identical_across_thread_counts(
+    fn guided_ransac_early_exit_bit_identical_to_naive_scan(
         pts in prop::collection::vec((-20.0..20.0f64, -20.0..20.0f64, 0..8u8), 12..48),
         angle in -3.0..3.0f64,
         tx in -10.0..10.0f64,
@@ -79,10 +79,12 @@ proptest! {
             pts.iter().map(|&(_, _, flag)| if flag == 0 { 9.0 } else { 0.5 }).collect();
         let cfg = RansacConfig::default();
         let naive = ransac_rigid_naive(&src, &dst, &cfg, &mut StdRng::seed_from_u64(seed));
-        let fast = ransac_rigid_guided(
+        let fast = ransac_rigid(
             &src,
             &dst,
             Some(&quality),
+            None,
+            0,
             &cfg,
             &mut StdRng::seed_from_u64(seed),
         );
