@@ -14,11 +14,13 @@
 //! of the column spectrum ([`rfft2d`]); and every folded Log-Gabor transfer
 //! function is even-symmetric, so each filter response is real and two
 //! responses ride one inverse transform (see
-//! [`crate::LogGaborBank::orientation_amplitudes_into`]).
+//! [`crate::LogGaborBank::orientation_amplitudes_into`]). Those inverse
+//! transforms run on a spectrum held in 2-D bit-reversed order, so they
+//! reorder nothing and sweep their columns as whole rows.
 
 use crate::complex::Complex;
 use crate::grid::Grid;
-use crate::plan::{shared_plan, FftPlan};
+use crate::plan::{shared_plan, Direction, FftPlan};
 use std::error::Error;
 use std::fmt;
 
@@ -168,15 +170,13 @@ pub fn rfft2d(img: &Grid<f64>) -> Result<Grid<Complex>, FftError> {
     let plan_h = shared_plan(h)?;
     let mut spec = Grid::new(w, h, Complex::ZERO);
     let mut pack = vec![Complex::ZERO; w];
-    let mut col = vec![Complex::ZERO; 4 * h];
-    rfft2d_into(img, &plan_w, &plan_h, &mut spec, &mut pack, &mut col);
+    rfft2d_into(img, &plan_w, &plan_h, &mut spec, &mut pack);
     Ok(spec)
 }
 
 /// Allocation-free core of [`rfft2d`]: writes the full complex spectrum of
-/// `img` into `spec` using caller-provided scratch (`pack` of length `W`,
-/// `col` of length at least `H`; `2·H` unlocks the paired-column fast
-/// path).
+/// `img` into `spec` using the caller's row-pack scratch (`pack`, length
+/// `W`).
 ///
 /// # Panics
 ///
@@ -188,7 +188,6 @@ pub(crate) fn rfft2d_into(
     plan_h: &FftPlan,
     spec: &mut Grid<Complex>,
     pack: &mut [Complex],
-    col: &mut [Complex],
 ) {
     let w = img.width();
     let h = img.height();
@@ -219,119 +218,88 @@ pub(crate) fn rfft2d_into(
             spec[(k, v1)] = Complex::new(d.im, -d.re);
         }
     }
-    // Column pass on bins 0..=W/2; the upper half follows from the
-    // Hermitian symmetry of the full real-input 2-D spectrum. When the
-    // scratch has room for two interleaved columns, adjacent bins ride one
-    // two-stream transform ([`FftPlan::forward_pair`]) so the butterflies
-    // see contiguous vector lanes; each stream is bit-identical to its
-    // single-column transform.
-    let top = w / 2;
-    let mut u = 0;
-    if col.len() >= 2 * h {
-        let pair = &mut col[..2 * h];
-        while u < top {
-            for v in 0..h {
-                pair[2 * v] = spec[(u, v)];
-                pair[2 * v + 1] = spec[(u + 1, v)];
-            }
-            plan_h.forward_pair(pair);
-            for v in 0..h {
-                spec[(u, v)] = pair[2 * v];
-                spec[(u + 1, v)] = pair[2 * v + 1];
-            }
-            u += 2;
+    // Column pass on bins 0..=W/2, run as whole-row butterflies over the
+    // row prefixes once those are swapped into bit-reversed row order; the
+    // upper half follows from the Hermitian symmetry of the full
+    // real-input 2-D spectrum.
+    let prefix = w / 2 + 1;
+    let data = spec.as_mut_slice();
+    for (v, &r) in plan_h.bitrev().iter().enumerate() {
+        let r = r as usize;
+        if v < r {
+            let (head, tail) = data.split_at_mut(r * w);
+            head[v * w..v * w + prefix].swap_with_slice(&mut tail[..prefix]);
         }
     }
-    while u <= top {
-        let single = &mut col[..h];
-        for (v, z) in single.iter_mut().enumerate() {
-            *z = spec[(u, v)];
-        }
-        plan_h.forward(single);
-        for (v, &z) in single.iter().enumerate() {
-            spec[(u, v)] = z;
-        }
-        u += 1;
-    }
-    for u in w / 2 + 1..w {
-        for v in 0..h {
-            spec[(u, v)] = spec[(w - u, (h - v) & (h - 1))].conj();
+    plan_h.columns_bitrev(data, w, prefix, Direction::Forward);
+    for v in 0..h {
+        let mirror = (h - v) & (h - 1);
+        for u in prefix..w {
+            spec[(u, v)] = spec[(w - u, mirror)].conj();
         }
     }
 }
 
-/// Serial in-place unnormalised inverse 2-D FFT over a row-major buffer,
-/// using caller-provided column scratch (`col` of length at least `H`;
-/// `2·H` unlocks the paired-column fast path, `4·H` the quad-column gather). The caller applies the
-/// `1/(W·H)` normalisation, typically fused into whatever pass consumes
-/// the result.
-pub(crate) fn ifft2d_unscaled_into(
+/// Moves the `W × H` row-major grid `data` in place into 2-D bit-reversed
+/// order: the element at `(u, v)` trades places with the one at
+/// `(rev_W(u), rev_H(v))`. Bit reversal is its own inverse on each axis,
+/// so the 2-D permutation is an involution — every element has exactly
+/// one partner (possibly itself), one sweep of pair swaps applies it, and
+/// a second application restores natural order.
+pub(crate) fn bitrev_permute(data: &mut [Complex], plan_w: &FftPlan, plan_h: &FftPlan) {
+    let (w, rev_w) = (plan_w.size(), plan_w.bitrev());
+    debug_assert_eq!(data.len(), w * plan_h.size());
+    for (v, &r) in plan_h.bitrev().iter().enumerate() {
+        let r = r as usize;
+        if v < r {
+            let (head, tail) = data.split_at_mut(r * w);
+            let (row_v, row_r) = (&mut head[v * w..(v + 1) * w], &mut tail[..w]);
+            for (z, &ru) in row_v.iter_mut().zip(rev_w) {
+                std::mem::swap(z, &mut row_r[ru as usize]);
+            }
+        } else if v == r {
+            let row = &mut data[v * w..(v + 1) * w];
+            for (u, &ru) in rev_w.iter().enumerate() {
+                if u < ru as usize {
+                    row.swap(u, ru as usize);
+                }
+            }
+        }
+    }
+}
+
+/// The same map as [`bitrev_permute`], listed: for each cell of a grid in
+/// 2-D bit-reversed order, row-major, the natural-order index of the bin
+/// it holds, given the per-axis bit reversals `rev_w` and `rev_h`. Being
+/// an involution, it equally lists where the permuted grid holds each
+/// natural-order cell.
+pub(crate) fn bitrev_cells<'a>(
+    rev_w: &'a [u32],
+    rev_h: &'a [u32],
+) -> impl Iterator<Item = usize> + Clone + 'a {
+    let w = rev_w.len();
+    rev_h.iter().flat_map(move |&rv| rev_w.iter().map(move |&ru| rv as usize * w + ru as usize))
+}
+
+/// Unnormalised inverse 2-D FFT of a `W × H` spectrum held in 2-D
+/// bit-reversed order ([`bitrev_permute`]), in place; the result is the
+/// spatial grid in natural order. Decimation-in-time butterflies take
+/// bit-reversed input to natural-order output, so neither pass reorders
+/// anything: the row pass runs its levels straight over all rows, and the
+/// column pass butterflies whole rows. Every element goes through the
+/// operations of the natural-layout inverse (bit reversal, then the same
+/// levels with the same twiddles), so the result is bit-identical to it.
+/// The caller applies the `1/(W·H)` normalisation, typically fused into
+/// whatever pass consumes the result.
+pub(crate) fn ifft2d_bitrev_unscaled_into(
     data: &mut [Complex],
-    w: usize,
-    h: usize,
     plan_w: &FftPlan,
     plan_h: &FftPlan,
-    col: &mut [Complex],
 ) {
-    debug_assert_eq!(data.len(), w * h);
-    // Row pass, all rows in one batched transform: each butterfly level is
-    // a single kernel call over the whole buffer (bit-identical per row to
-    // transforming it alone).
-    plan_w.inverse_unscaled_many(data);
-    // Column pass: four columns per sweep when the scratch allows (one
-    // 64-byte line holds four complexes, so the strided gather/scatter
-    // touches each line once for all four), as two independent paired
-    // transforms — bit-identical per column to transforming it alone.
-    let mut u = 0;
-    if col.len() >= 4 * h {
-        let quad = &mut col[..4 * h];
-        while u + 4 <= w {
-            for v in 0..h {
-                let base = v * w + u;
-                quad[2 * v] = data[base];
-                quad[2 * v + 1] = data[base + 1];
-                quad[2 * h + 2 * v] = data[base + 2];
-                quad[2 * h + 2 * v + 1] = data[base + 3];
-            }
-            let (p0, p1) = quad.split_at_mut(2 * h);
-            plan_h.inverse_unscaled_pair(p0);
-            plan_h.inverse_unscaled_pair(p1);
-            for v in 0..h {
-                let base = v * w + u;
-                data[base] = p0[2 * v];
-                data[base + 1] = p0[2 * v + 1];
-                data[base + 2] = p1[2 * v];
-                data[base + 3] = p1[2 * v + 1];
-            }
-            u += 4;
-        }
-    }
-    if col.len() >= 2 * h {
-        let pair = &mut col[..2 * h];
-        while u + 2 <= w {
-            for v in 0..h {
-                pair[2 * v] = data[v * w + u];
-                pair[2 * v + 1] = data[v * w + u + 1];
-            }
-            plan_h.inverse_unscaled_pair(pair);
-            for v in 0..h {
-                data[v * w + u] = pair[2 * v];
-                data[v * w + u + 1] = pair[2 * v + 1];
-            }
-            u += 2;
-        }
-    }
-    while u < w {
-        let single = &mut col[..h];
-        for (v, z) in single.iter_mut().enumerate() {
-            *z = data[v * w + u];
-        }
-        plan_h.inverse_unscaled(single);
-        for (v, &z) in single.iter().enumerate() {
-            data[v * w + u] = z;
-        }
-        u += 1;
-    }
+    let w = plan_w.size();
+    debug_assert_eq!(data.len(), w * plan_h.size());
+    plan_w.rows_bitrev(data, Direction::Inverse);
+    plan_h.columns_bitrev(data, w, w, Direction::Inverse);
 }
 
 #[cfg(test)]
@@ -470,6 +438,55 @@ mod tests {
                 let conj_u = (8 - u) % 8;
                 let conj_v = (8 - v) % 8;
                 assert_close(spec[(u, v)], spec[(conj_u, conj_v)].conj(), 1e-9);
+            }
+        }
+    }
+
+    /// A deterministic complex grid with mixed signs and magnitudes.
+    fn complex_grid(w: usize, h: usize) -> Grid<Complex> {
+        Grid::from_fn(w, h, |u, v| {
+            let t = (u * 131 + v * 71) as f64;
+            Complex::new((t * 0.37).sin() * 3.0, ((t * 0.11).cos() - 0.2) * 0.5)
+        })
+    }
+
+    #[test]
+    fn bitrev_permute_is_an_involution() {
+        for (w, h) in [(1, 8), (8, 1), (2, 2), (16, 4), (4, 16)] {
+            let (plan_w, plan_h) = (shared_plan(w).unwrap(), shared_plan(h).unwrap());
+            let grid = complex_grid(w, h);
+            let mut data = grid.as_slice().to_vec();
+            bitrev_permute(&mut data, &plan_w, &plan_h);
+            for (u, v, &z) in grid.iter_cells() {
+                let (ru, rv) = (plan_w.bitrev()[u] as usize, plan_h.bitrev()[v] as usize);
+                assert_eq!(data[rv * w + ru], z, "{w}x{h} ({u},{v})");
+            }
+            for (c, bin) in bitrev_cells(plan_w.bitrev(), plan_h.bitrev()).enumerate() {
+                assert_eq!(data[c], grid.as_slice()[bin], "{w}x{h}: cell list at {c}");
+            }
+            bitrev_permute(&mut data, &plan_w, &plan_h);
+            assert_eq!(data, grid.as_slice(), "{w}x{h}: twice must restore the order");
+        }
+    }
+
+    #[test]
+    fn bitrev_inverse_matches_reference_inverse_bitwise() {
+        // The production inverse (permute, then DIT rows and whole-row
+        // columns) against the natural-layout reference, which bit-reverses
+        // every 1-D transform itself and runs columns through a transposed
+        // scratch grid.
+        for (w, h) in [(1, 8), (8, 1), (2, 2), (16, 4), (4, 16), (64, 32), (256, 256)] {
+            let (plan_w, plan_h) = (shared_plan(w).unwrap(), shared_plan(h).unwrap());
+            let spec = complex_grid(w, h);
+            let reference = fft2d_inverse(&spec).unwrap();
+            let mut data = spec.as_slice().to_vec();
+            bitrev_permute(&mut data, &plan_w, &plan_h);
+            ifft2d_bitrev_unscaled_into(&mut data, &plan_w, &plan_h);
+            let scale = 1.0 / (w * h) as f64;
+            for (i, (z, r)) in data.iter().zip(reference.as_slice()).enumerate() {
+                let z = z.scale(scale);
+                assert_eq!(z.re.to_bits(), r.re.to_bits(), "{w}x{h} re at {i}");
+                assert_eq!(z.im.to_bits(), r.im.to_bits(), "{w}x{h} im at {i}");
             }
         }
     }

@@ -15,8 +15,10 @@
 //! a radial log-Gaussian (scale selectivity, the `ρ` factor of Eq. (6)) and
 //! an angular Gaussian (orientation selectivity, the `θ` factor). The hot
 //! path exploits real input ([`rfft2d`]) and even-symmetric filters (packed
-//! inverse pairs), and reuses scratch memory through an [`FftWorkspace`] so
-//! the steady-state MIM computation allocates nothing per frame.
+//! inverse pairs), keeps the bank and each image spectrum in 2-D
+//! bit-reversed order so no inverse transform reorders anything, and
+//! reuses scratch memory through an [`FftWorkspace`] so the steady-state
+//! MIM computation allocates nothing per frame.
 //!
 //! # Example
 //!

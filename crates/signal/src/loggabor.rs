@@ -18,11 +18,16 @@
 //!
 //! Applying the bank (Eq. (8)) is a frequency-domain product followed by an
 //! inverse FFT; the complex magnitude of the result is the amplitude
-//! `A(ρ, θ, s, o)` used in Eq. (9)–(10).
+//! `A(ρ, θ, s, o)` used in Eq. (9)–(10). The bank and the image spectrum
+//! are both held in 2-D bit-reversed order, the input order of the
+//! decimation-in-time inverse, so no inverse transform reorders anything.
 
 use crate::complex::{as_floats, as_floats_mut, Complex};
-use crate::fft::{ifft2d_unscaled_into, rfft2d_into, FftError};
+use crate::fft::{
+    bitrev_cells, bitrev_permute, ifft2d_bitrev_unscaled_into, rfft2d_into, FftError,
+};
 use crate::grid::Grid;
+use crate::plan::bitrev_order;
 use crate::workspace::FftWorkspace;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
@@ -89,8 +94,9 @@ impl LogGaborConfig {
 /// Construction is `O(N_s · N_o · H · W)`; the bank can be reused across
 /// every image of the same size. It stores only the packed complex form of
 /// the transfer functions (`N_o · ⌈N_s/2⌉` grids, 24 MiB at 256² with the
-/// default 4 scales × 12 orientations); [`LogGaborBank::filter`] unpacks a
-/// single real-valued transfer function on demand.
+/// default 4 scales × 12 orientations), in 2-D bit-reversed order;
+/// [`LogGaborBank::filter`] unpacks a single real-valued transfer function
+/// in natural order on demand.
 ///
 /// # Example
 ///
@@ -113,7 +119,9 @@ pub struct LogGaborBank {
     /// `L_{2p} + i·L_{2p+1}` (imaginary part zero for a trailing odd scale).
     /// Because both transfer functions are real and even-symmetric, one
     /// inverse FFT of `F·packed` yields both spatial responses at once:
-    /// scale `2p` in the real part, `2p+1` in the imaginary part.
+    /// scale `2p` in the real part, `2p+1` in the imaginary part. Each
+    /// grid is in 2-D bit-reversed order: cell `(u, v)` holds frequency bin
+    /// `(rev_W(u), rev_H(v))`, matching the permuted image spectrum.
     packed: Vec<Vec<Grid<Complex>>>,
 }
 
@@ -183,8 +191,13 @@ impl LogGaborBank {
         };
 
         // Orientations are independent: each builds its scales' transfer
-        // functions, packs them pairwise and drops the real-valued grids,
-        // so at most one orientation's real grids per worker coexist.
+        // functions, packs them pairwise — reading each cell's bin through
+        // the bit-reversal permutation, so the single packed copy is built
+        // straight in the order the inverse transforms consume — and drops
+        // the real-valued grids, so at most one orientation's real grids
+        // per worker coexist.
+        let (rev_w, rev_h) = (bitrev_order(width), bitrev_order(height));
+        let source = bitrev_cells(&rev_w, &rev_h);
         let packed = bba_par::par_map_indices(config.num_orientations, |o| {
             let per_scale: Vec<Grid<f64>> =
                 (0..config.num_scales).map(|s| transfer(o, s)).collect();
@@ -194,7 +207,8 @@ impl LogGaborBank {
                     Grid::from_vec(
                         width,
                         height,
-                        (0..width * height)
+                        source
+                            .clone()
                             .map(|i| {
                                 let re = pair[0].as_slice()[i];
                                 let im = pair.get(1).map_or(0.0, |f| f.as_slice()[i]);
@@ -223,16 +237,20 @@ impl LogGaborBank {
         self.height
     }
 
-    /// The frequency-domain transfer function of filter `(s, o)`: the
-    /// real (even `s`) or imaginary (odd `s`) half of its packed grid,
-    /// exactly the values the fast path multiplies by.
+    /// The frequency-domain transfer function of filter `(s, o)` in
+    /// natural bin order: the real (even `s`) or imaginary (odd `s`) half
+    /// of its packed grid, exactly the values the fast path multiplies by.
     ///
     /// # Panics
     ///
     /// Panics if `s` or `o` is out of range.
     pub fn filter(&self, s: usize, o: usize) -> Grid<f64> {
         assert!(s < self.config.num_scales, "scale {s} out of range");
-        self.packed[o][s / 2].map(|z| if s.is_multiple_of(2) { z.re } else { z.im })
+        let packed = self.packed[o][s / 2].as_slice();
+        let part = |z: Complex| if s.is_multiple_of(2) { z.re } else { z.im };
+        let (rev_w, rev_h) = (bitrev_order(self.width), bitrev_order(self.height));
+        let cells = bitrev_cells(&rev_w, &rev_h);
+        Grid::from_vec(self.width, self.height, cells.map(|i| part(packed[i])).collect())
     }
 
     /// Amplitude response per orientation, summed over scales — the paper's
@@ -247,9 +265,10 @@ impl LogGaborBank {
     /// ([`MaxIndexMap::compute_via_amplitudes`](crate::MaxIndexMap::compute_via_amplitudes)).
     ///
     /// This is the frequency-domain fast path: one real forward transform
-    /// ([`rfft2d`](crate::rfft2d) packing), then per orientation `⌈N_s/2⌉`
-    /// packed inverse transforms — scales `2p` and `2p+1` share one inverse
-    /// FFT because their filter responses are real (even-symmetric transfer
+    /// ([`rfft2d`](crate::rfft2d) packing), permuted once in place into the
+    /// bank's 2-D bit-reversed order, then per orientation `⌈N_s/2⌉` packed
+    /// inverse transforms — scales `2p` and `2p+1` share one inverse FFT
+    /// because their filter responses are real (even-symmetric transfer
     /// functions), landing in the real and imaginary parts respectively.
     /// Each orientation owns a workspace lane, scales accumulate in
     /// ascending order, and the `1/(W·H)` inverse normalisation is fused
@@ -273,9 +292,10 @@ impl LogGaborBank {
             "image shape does not match filter bank"
         );
         ws.ensure(self.width, self.height, self.config.num_orientations)?;
-        let FftWorkspace { plans, spectrum, pack, col, lanes, .. } = ws;
+        let FftWorkspace { plans, spectrum, pack, lanes, .. } = ws;
         let (plan_w, plan_h) = plans.as_ref().expect("ensure always sets plans");
-        rfft2d_into(img, plan_w, plan_h, spectrum, pack, col);
+        rfft2d_into(img, plan_w, plan_h, spectrum, pack);
+        bitrev_permute(spectrum.as_mut_slice(), plan_w, plan_h);
         let num_scales = self.config.num_scales;
         let scale = 1.0 / (self.width * self.height) as f64;
         for (lane, pairs) in lanes.iter_mut().zip(&self.packed) {
@@ -287,14 +307,7 @@ impl LogGaborBank {
                     as_floats(spectrum.as_slice()),
                     as_floats(pair.as_slice()),
                 );
-                ifft2d_unscaled_into(
-                    &mut lane.filtered,
-                    self.width,
-                    self.height,
-                    plan_w,
-                    plan_h,
-                    &mut lane.col,
-                );
+                ifft2d_bitrev_unscaled_into(&mut lane.filtered, plan_w, plan_h);
                 // Split the packed pair and accumulate, fusing the 1/(W·H)
                 // normalisation. The responses are mathematically real, so
                 // amplitude ‖·‖ reduces to |re| (and |im| for the partner).
@@ -350,9 +363,10 @@ impl LogGaborBank {
         assert_eq!((index.width(), index.height()), (self.width, self.height));
         assert_eq!((amplitude.width(), amplitude.height()), (self.width, self.height));
         ws.ensure(self.width, self.height, 1)?;
-        let FftWorkspace { plans, spectrum, pack, col, lanes, .. } = ws;
+        let FftWorkspace { plans, spectrum, pack, lanes, .. } = ws;
         let (plan_w, plan_h) = plans.as_ref().expect("ensure always sets plans");
-        rfft2d_into(img, plan_w, plan_h, spectrum, pack, col);
+        rfft2d_into(img, plan_w, plan_h, spectrum, pack);
+        bitrev_permute(spectrum.as_mut_slice(), plan_w, plan_h);
         let num_scales = self.config.num_scales;
         let n_pairs = num_scales.div_ceil(2);
         let scale = 1.0 / (self.width * self.height) as f64;
@@ -368,14 +382,7 @@ impl LogGaborBank {
                     as_floats(spectrum.as_slice()),
                     as_floats(pair.as_slice()),
                 );
-                ifft2d_unscaled_into(
-                    &mut lane.filtered,
-                    self.width,
-                    self.height,
-                    plan_w,
-                    plan_h,
-                    &mut lane.col,
-                );
+                ifft2d_bitrev_unscaled_into(&mut lane.filtered, plan_w, plan_h);
                 let both = 2 * p + 1 < num_scales;
                 if p + 1 < n_pairs {
                     bba_simd::amp_accumulate(
@@ -461,6 +468,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn filters_are_even_symmetric_in_natural_order() {
+        // `L[k] = L[−k]` on a non-square bank: the property the packed
+        // inverse pairs rest on, and one that a bin order mixed up on
+        // either axis would break.
+        let (w, h) = (32, 16);
+        let bank = LogGaborBank::new(w, h, LogGaborConfig::default());
+        for o in 0..12 {
+            for s in 0..4 {
+                let f = bank.filter(s, o);
+                for (u, v, &x) in f.iter_cells() {
+                    let m = f[((w - u) % w, (h - v) % h)];
+                    assert_eq!(x.to_bits(), m.to_bits(), "s={s} o={o} ({u},{v})");
+                }
+            }
+        }
+        // Orientation 0 selects the horizontal frequency axis: the scale-0
+        // peak sits at `v = 0`, `|u| ≈ f₀·W = 32/3`.
+        let f = bank.filter(0, 0);
+        let (u, v, _) = f.iter_cells().max_by(|a, b| a.2.total_cmp(b.2)).unwrap();
+        assert_eq!(v, 0);
+        assert!([10, 11].contains(&u.min(w - u)), "peak at u={u}");
     }
 
     #[test]

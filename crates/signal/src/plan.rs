@@ -16,6 +16,12 @@
 //! them process-wide behind an `Arc`. Stage 1 of BB-Align runs hundreds of
 //! same-length 1-D transforms per frame, which is exactly the workload
 //! planning (FFTW-style) exists for.
+//!
+//! Every transform is radix-2 decimation in time (DIT): its butterfly
+//! levels take input in bit-reversed order to output in natural order. A
+//! 1-D transform swaps its input into that order first; the 2-D passes of
+//! the Log-Gabor path receive data already stored bit-reversed and skip
+//! the swaps, and their column pass butterflies whole rows.
 
 use crate::complex::Complex;
 use crate::fft::FftError;
@@ -56,6 +62,27 @@ pub struct FftPlan {
     inv: Vec<Complex>,
 }
 
+/// Transform direction of a planned pass: which twiddle table it reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Direction {
+    /// `e^{-2πi·j/N}` twiddles.
+    Forward,
+    /// Conjugated twiddles, unnormalised.
+    Inverse,
+}
+
+/// The bit-reversal permutation of `0..n`: index `i` maps to `i` with its
+/// `log₂ n` bits reversed. Reversing twice restores `i`, so the
+/// permutation is its own inverse. A length no FFT takes (not a power of
+/// two) gets the identity.
+pub(crate) fn bitrev_order(n: usize) -> Vec<u32> {
+    if n < 2 || !n.is_power_of_two() {
+        return (0..n as u32).collect();
+    }
+    let shift = usize::BITS - n.trailing_zeros();
+    (0..n).map(|i| (i.reverse_bits() >> shift) as u32).collect()
+}
+
 impl FftPlan {
     /// Builds a plan for transforms of length `n`.
     ///
@@ -66,16 +93,6 @@ impl FftPlan {
         if n == 0 || !n.is_power_of_two() {
             return Err(FftError::NotPowerOfTwo { len: n });
         }
-        let bits = n.trailing_zeros();
-        let bitrev = (0..n)
-            .map(|i| {
-                if n == 1 {
-                    0
-                } else {
-                    ((i.reverse_bits() >> (usize::BITS - bits)) & (n - 1)) as u32
-                }
-            })
-            .collect();
         // Each twiddle is evaluated directly at its own angle — no
         // recurrence, so the table is correctly rounded entry by entry.
         let dense: Vec<Complex> =
@@ -90,12 +107,17 @@ impl FftPlan {
             half *= 2;
         }
         let inv = fwd.iter().map(|w| w.conj()).collect();
-        Ok(FftPlan { n, bitrev, fwd, inv })
+        Ok(FftPlan { n, bitrev: bitrev_order(n), fwd, inv })
     }
 
     /// The transform length this plan was built for.
     pub fn size(&self) -> usize {
         self.n
+    }
+
+    /// The bit-reversal permutation of `0..N` (see [`bitrev_order`]).
+    pub(crate) fn bitrev(&self) -> &[u32] {
+        &self.bitrev
     }
 
     /// In-place forward FFT (unnormalised: `X[k] = Σ_n x[n]·e^{-2πi·kn/N}`).
@@ -104,7 +126,7 @@ impl FftPlan {
     ///
     /// Panics if `x.len()` differs from the plan's length.
     pub fn forward(&self, x: &mut [Complex]) {
-        self.butterflies(x, &self.fwd);
+        self.butterflies(x, Direction::Forward);
     }
 
     /// In-place inverse FFT, normalised by `1/N` so that
@@ -114,7 +136,7 @@ impl FftPlan {
     ///
     /// Panics if `x.len()` differs from the plan's length.
     pub fn inverse(&self, x: &mut [Complex]) {
-        self.butterflies(x, &self.inv);
+        self.butterflies(x, Direction::Inverse);
         let scale = 1.0 / self.n as f64;
         for z in x.iter_mut() {
             *z = z.scale(scale);
@@ -131,131 +153,140 @@ impl FftPlan {
     ///
     /// Panics if `x.len()` differs from the plan's length.
     pub fn inverse_unscaled(&self, x: &mut [Complex]) {
-        self.butterflies(x, &self.inv);
+        self.butterflies(x, Direction::Inverse);
     }
 
-    /// Shared butterfly kernel over a precomputed twiddle table: one
-    /// [`bba_simd::fft_pass`] call per level (the block loop lives inside
-    /// the dispatched kernel — AVX2 or the portable scalar twin,
-    /// bit-identical either way; the portable path *is* the original scalar
-    /// loop).
-    fn butterflies(&self, x: &mut [Complex], twiddles: &[Complex]) {
+    /// Natural-order 1-D transform: the bit-reversal swaps, then the
+    /// decimation-in-time levels of [`FftPlan::dit`].
+    fn butterflies(&self, x: &mut [Complex], dir: Direction) {
         assert_eq!(x.len(), self.n, "buffer length does not match plan length");
-        self.butterflies_many(x, twiddles);
-    }
-
-    /// [`FftPlan::butterflies`] over any whole number of contiguous
-    /// length-`N` chunks. Chunks are processed in cache-sized groups: per
-    /// group, bit-reversal runs per chunk, then each butterfly level sweeps
-    /// the group in a single kernel call (blocks of `2·half` elements tile
-    /// every chunk exactly, so per chunk the op sequence is identical to
-    /// transforming it alone — grouping changes neither the arithmetic nor
-    /// its order, only call overhead and cache residency).
-    fn butterflies_many(&self, x: &mut [Complex], twiddles: &[Complex]) {
-        let n = self.n;
-        assert_eq!(x.len() % n, 0, "buffer length must be a multiple of the plan length");
-        if n <= 1 {
-            return;
-        }
-        // ~32 KiB of complexes per group: big enough to amortise the
-        // per-level kernel call, small enough that a group stays L1/L2-hot
-        // across all log₂ N levels.
-        let group = (2048 / n).max(1) * n;
-        let tw = crate::complex::as_floats(twiddles);
-        for slab in x.chunks_mut(group) {
-            for chunk in slab.chunks_exact_mut(n) {
-                for (i, &j) in self.bitrev.iter().enumerate() {
-                    let j = j as usize;
-                    if i < j {
-                        chunk.swap(i, j);
-                    }
-                }
-            }
-            let xf = crate::complex::as_floats_mut(slab);
-            let mut half = 1usize;
-            while half < n {
-                bba_simd::fft_pass(xf, &tw[2 * (half - 1)..2 * (2 * half - 1)], half, 1);
-                half *= 2;
-            }
-        }
-    }
-
-    /// Forward FFT of every contiguous length-`N` chunk of `data` (e.g. all
-    /// rows of a row-major 2-D pass), batched: each butterfly level is one
-    /// kernel call over the whole buffer, bit-identical per chunk to
-    /// [`FftPlan::forward`] on that chunk alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a multiple of the plan's length.
-    pub fn forward_many(&self, data: &mut [Complex]) {
-        self.butterflies_many(data, &self.fwd);
-    }
-
-    /// Batched unnormalised inverse, the multi-chunk twin of
-    /// [`FftPlan::inverse_unscaled`]; see [`FftPlan::forward_many`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a multiple of the plan's length.
-    pub fn inverse_unscaled_many(&self, data: &mut [Complex]) {
-        self.butterflies_many(data, &self.inv);
-    }
-
-    /// In-place forward FFT of **two interleaved signals**: `x` holds `2N`
-    /// complexes laid out as `[a_0, b_0, a_1, b_1, …]`, and both streams
-    /// are transformed as if [`FftPlan::forward`] ran on each separately —
-    /// bit-identically so (the paired butterfly applies the identical
-    /// scalar op sequence per stream; pinned by the `butterfly_x2`
-    /// equivalence proptests).
-    ///
-    /// This is the paired-column kernel of the 2-D transforms: gathering
-    /// two adjacent columns keeps every access contiguous (one cache line
-    /// serves both streams) and lets AVX2 run one full butterfly per
-    /// 256-bit op, with no scalar remainder at any pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from twice the plan's length.
-    pub fn forward_pair(&self, x: &mut [Complex]) {
-        self.butterflies_pair(x, &self.fwd);
-    }
-
-    /// Paired-stream inverse FFT *without* the `1/N` normalisation; see
-    /// [`FftPlan::forward_pair`] for the layout and
-    /// [`FftPlan::inverse_unscaled`] for the scaling convention.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from twice the plan's length.
-    pub fn inverse_unscaled_pair(&self, x: &mut [Complex]) {
-        self.butterflies_pair(x, &self.inv);
-    }
-
-    /// Butterfly passes over interleaved stream pairs: element `i` of the
-    /// logical transform is the complex *pair* `x[2i..2i+2]`. One
-    /// [`bba_simd::fft_pass_x2`] call per level.
-    fn butterflies_pair(&self, x: &mut [Complex], twiddles: &[Complex]) {
-        let n = self.n;
-        assert_eq!(x.len(), 2 * n, "buffer length does not match paired plan length");
-        if n <= 1 {
-            return;
-        }
         for (i, &j) in self.bitrev.iter().enumerate() {
             let j = j as usize;
             if i < j {
-                x.swap(2 * i, 2 * j);
-                x.swap(2 * i + 1, 2 * j + 1);
+                x.swap(i, j);
             }
         }
-        let tw = crate::complex::as_floats(twiddles);
+        self.dit(x, dir);
+    }
+
+    /// The twiddles of the level with half size `half`, as interleaved
+    /// floats: `e^{∓2πi·j/(2·half)}` for `j` in `0..half`.
+    fn level(&self, half: usize, dir: Direction) -> &[f64] {
+        let table = match dir {
+            Direction::Forward => &self.fwd,
+            Direction::Inverse => &self.inv,
+        };
+        crate::complex::as_floats(&table[half - 1..2 * half - 1])
+    }
+
+    /// The radix-2 decimation-in-time levels `half = 1, 2, …, N/2` over
+    /// every contiguous length-`N` chunk of `x`, whose chunks must already
+    /// be in bit-reversed order; each chunk comes out as the transform in
+    /// natural order. An odd level count runs `half = 1` alone
+    /// ([`bba_simd::fft_pass`]); every other level pair shares one sweep
+    /// ([`bba_simd::fft_pass2`]). Blocks of `2·half` elements tile every
+    /// chunk, so each element sees the butterflies of transforming its
+    /// chunk alone, in the same order — grouping and fusing change
+    /// neither the arithmetic nor its order.
+    fn dit(&self, x: &mut [Complex], dir: Direction) {
+        let n = self.n;
+        if n <= 1 {
+            return;
+        }
         let xf = crate::complex::as_floats_mut(x);
-        let mut half = 1usize;
+        let mut half = 1;
+        if n.trailing_zeros() % 2 == 1 {
+            bba_simd::fft_pass(xf, self.level(1, dir), 1);
+            half = 2;
+        }
         while half < n {
-            bba_simd::fft_pass_x2(xf, &tw[2 * (half - 1)..2 * (2 * half - 1)], half, 1);
-            half *= 2;
+            bba_simd::fft_pass2(xf, self.level(half, dir), self.level(2 * half, dir), half);
+            half *= 4;
         }
     }
+
+    /// Transforms every contiguous length-`N` row of `data`, whose rows
+    /// are already in bit-reversed order (no swaps run), leaving natural
+    /// order. Rows go through [`FftPlan::dit`] in ~32 KiB groups, so every
+    /// level sweep of a group stays in L1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a multiple of the plan's length.
+    pub(crate) fn rows_bitrev(&self, data: &mut [Complex], dir: Direction) {
+        let n = self.n;
+        assert_eq!(data.len() % n, 0, "buffer length must be a multiple of the plan length");
+        for slab in data.chunks_mut((2048 / n).max(1) * n) {
+            self.dit(slab, dir);
+        }
+    }
+
+    /// Transforms the first `width` columns of the `N`-row grid `data`
+    /// (rows `stride` complexes apart) along its columns, with its rows
+    /// already in bit-reversed order; the output rows are in natural order.
+    ///
+    /// The columns are butterflied as whole rows: level `half` pairs row
+    /// `r` with row `r + half` and applies the level's twiddle for
+    /// `r mod half` to every column ([`bba_simd::row_butterfly2`], two levels per sweep;
+    /// [`bba_simd::row_butterfly`] for the first level of an odd count).
+    /// Each column sees the butterflies of its own 1-D transform, in the
+    /// same order, with no gather, scatter or column scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != N · stride` or `width > stride`.
+    pub(crate) fn columns_bitrev(
+        &self,
+        data: &mut [Complex],
+        stride: usize,
+        width: usize,
+        dir: Direction,
+    ) {
+        let n = self.n;
+        assert_eq!(data.len(), n * stride, "grid does not have the plan's row count");
+        assert!(width <= stride, "column range exceeds the row stride");
+        if n <= 1 {
+            return;
+        }
+        let twiddle = |tw: &[f64], j: usize| [tw[2 * j], tw[2 * j + 1]];
+        let mut half = 1;
+        if n.trailing_zeros() % 2 == 1 {
+            let w = twiddle(self.level(1, dir), 0);
+            for pair in data.chunks_exact_mut(2 * stride) {
+                let (r0, r1) = pair.split_at_mut(stride);
+                bba_simd::row_butterfly(row_prefix(r0, width), row_prefix(r1, width), w);
+            }
+            half = 2;
+        }
+        while half < n {
+            let (tw_lo, tw_hi) = (self.level(half, dir), self.level(2 * half, dir));
+            for block in data.chunks_exact_mut(4 * half * stride) {
+                let (q01, q23) = block.split_at_mut(2 * half * stride);
+                let (q0, q1) = q01.split_at_mut(half * stride);
+                let (q2, q3) = q23.split_at_mut(half * stride);
+                let rows = q0
+                    .chunks_exact_mut(stride)
+                    .zip(q1.chunks_exact_mut(stride))
+                    .zip(q2.chunks_exact_mut(stride).zip(q3.chunks_exact_mut(stride)));
+                for (j, ((r0, r1), (r2, r3))) in rows.enumerate() {
+                    bba_simd::row_butterfly2(
+                        row_prefix(r0, width),
+                        row_prefix(r1, width),
+                        row_prefix(r2, width),
+                        row_prefix(r3, width),
+                        twiddle(tw_lo, j),
+                        [twiddle(tw_hi, j), twiddle(tw_hi, j + half)],
+                    );
+                }
+            }
+            half *= 4;
+        }
+    }
+}
+
+/// The first `width` complexes of `row`, as interleaved floats.
+fn row_prefix(row: &mut [Complex], width: usize) -> &mut [f64] {
+    crate::complex::as_floats_mut(&mut row[..width])
 }
 
 /// The process-wide plan cache: one [`FftPlan`] per length, built on first
@@ -340,35 +371,67 @@ mod tests {
         plan.forward(&mut x);
     }
 
+    fn assert_bits(a: Complex, b: Complex, what: &str) {
+        assert_eq!(a.re.to_bits(), b.re.to_bits(), "{what}");
+        assert_eq!(a.im.to_bits(), b.im.to_bits(), "{what}");
+    }
+
+    /// Swaps the `len`-element units of `x` into bit-reversed order.
+    fn bitrev_units(x: &mut [Complex], plan: &FftPlan, len: usize) {
+        for (i, &j) in plan.bitrev().iter().enumerate() {
+            let j = j as usize;
+            if i < j {
+                let (head, tail) = x.split_at_mut(j * len);
+                head[i * len..(i + 1) * len].swap_with_slice(&mut tail[..len]);
+            }
+        }
+    }
+
     #[test]
-    fn paired_transforms_match_single_streams_bitwise() {
+    fn bitrev_order_is_an_involution() {
+        for n in [1usize, 2, 8, 64] {
+            let rev = bitrev_order(n);
+            for (i, &j) in rev.iter().enumerate() {
+                assert_eq!(rev[j as usize] as usize, i, "n={n}");
+            }
+        }
+        assert_eq!(bitrev_order(8), [0, 4, 2, 6, 1, 5, 3, 7]);
+        assert_eq!(bitrev_order(6), [0, 1, 2, 3, 4, 5], "no FFT length: identity");
+    }
+
+    #[test]
+    fn column_pass_matches_per_column_transforms_bitwise() {
+        // Rows of `stride` complexes, of which the first `width` columns
+        // are transformed; odd and even level counts.
+        let (stride, width) = (5usize, 3usize);
         for n in [1usize, 2, 8, 32, 64] {
             let plan = FftPlan::new(n).unwrap();
-            let a: Vec<Complex> = (0..n)
+            let data: Vec<Complex> = (0..n * stride)
                 .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
                 .collect();
-            let b: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.2).cos(), -(i as f64 * 0.9).sin()))
-                .collect();
-            let mut pair: Vec<Complex> = (0..n).flat_map(|i| [a[i], b[i]]).collect();
-            let (mut fa, mut fb) = (a.clone(), b.clone());
-            plan.forward_pair(&mut pair);
-            plan.forward(&mut fa);
-            plan.forward(&mut fb);
-            let assert_bits = |x: Complex, y: Complex| {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "n={n}");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "n={n}");
-            };
-            for i in 0..n {
-                assert_bits(pair[2 * i], fa[i]);
-                assert_bits(pair[2 * i + 1], fb[i]);
-            }
-            plan.inverse_unscaled_pair(&mut pair);
-            plan.inverse_unscaled(&mut fa);
-            plan.inverse_unscaled(&mut fb);
-            for i in 0..n {
-                assert_bits(pair[2 * i], fa[i]);
-                assert_bits(pair[2 * i + 1], fb[i]);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut grid = data.clone();
+                bitrev_units(&mut grid, &plan, stride);
+                plan.columns_bitrev(&mut grid, stride, width, dir);
+                for u in 0..stride {
+                    let mut col: Vec<Complex> = (0..n).map(|v| data[v * stride + u]).collect();
+                    if u < width {
+                        match dir {
+                            Direction::Forward => plan.forward(&mut col),
+                            Direction::Inverse => plan.inverse_unscaled(&mut col),
+                        }
+                    } else {
+                        // Columns past `width` stay where the row swap put them.
+                        bitrev_units(&mut col, &plan, 1);
+                    }
+                    for v in 0..n {
+                        assert_bits(
+                            grid[v * stride + u],
+                            col[v],
+                            &format!("n={n} {dir:?} ({u},{v})"),
+                        );
+                    }
+                }
             }
         }
     }
@@ -381,22 +444,21 @@ mod tests {
             let data: Vec<Complex> = (0..n * chunks)
                 .map(|i| Complex::new((i as f64 * 0.31).sin(), (i as f64 * 0.17).cos()))
                 .collect();
-            let mut fwd = data.clone();
-            plan.forward_many(&mut fwd);
-            let mut inv = data.clone();
-            plan.inverse_unscaled_many(&mut inv);
-            for c in 0..chunks {
-                let mut one_f = data[c * n..(c + 1) * n].to_vec();
-                plan.forward(&mut one_f);
-                let mut one_i = data[c * n..(c + 1) * n].to_vec();
-                plan.inverse_unscaled(&mut one_i);
-                for k in 0..n {
-                    let (a, b) = (fwd[c * n + k], one_f[k]);
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n} chunk={c}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "n={n} chunk={c}");
-                    let (a, b) = (inv[c * n + k], one_i[k]);
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n} chunk={c}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "n={n} chunk={c}");
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut many = data.clone();
+                for chunk in many.chunks_exact_mut(n) {
+                    bitrev_units(chunk, &plan, 1);
+                }
+                plan.rows_bitrev(&mut many, dir);
+                for c in 0..chunks {
+                    let mut one = data[c * n..(c + 1) * n].to_vec();
+                    match dir {
+                        Direction::Forward => plan.forward(&mut one),
+                        Direction::Inverse => plan.inverse_unscaled(&mut one),
+                    }
+                    for k in 0..n {
+                        assert_bits(many[c * n + k], one[k], &format!("n={n} {dir:?} chunk={c}"));
+                    }
                 }
             }
         }
@@ -407,7 +469,7 @@ mod tests {
     fn many_rejects_partial_chunks() {
         let plan = FftPlan::new(8).unwrap();
         let mut x = vec![Complex::ZERO; 12];
-        plan.forward_many(&mut x);
+        plan.rows_bitrev(&mut x, Direction::Forward);
     }
 
     #[test]

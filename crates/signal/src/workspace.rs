@@ -5,11 +5,12 @@
 //! transform, a `Vec<Vec<Complex>>` column gather inside every 2-D pass and
 //! one amplitude grid per filter — roughly a hundred heap allocations and
 //! ~50 MB of traffic per 256² frame. An [`FftWorkspace`] owns all of that
-//! memory instead: the forward spectrum, the row-pack and column buffers of
-//! the real 2-D transform, and a set of *lanes* — one per Log-Gabor
-//! orientation on the full-amplitude path, a single one on the fused MIM
-//! path — each holding the packed filtered spectrum, a column buffer and the
-//! amplitude accumulator.
+//! memory instead: the forward spectrum, the row-pack buffer of the real
+//! 2-D transform, and a set of *lanes* — one per Log-Gabor orientation on
+//! the full-amplitude path, a single one on the fused MIM path — each
+//! holding the packed filtered spectrum and the amplitude accumulator. The
+//! transforms themselves need no further scratch: the spectrum is permuted
+//! in place and the column passes butterfly whole rows.
 //!
 //! Buffers are sized on first use (the crate-private `ensure`) and reused
 //! verbatim afterwards, so the steady-state MIM computation performs **zero
@@ -32,11 +33,9 @@ use std::sync::Arc;
 /// per-orientation amplitude grids are never materialised.
 #[derive(Debug, Clone)]
 pub(crate) struct OrientationLane {
-    /// Packed filtered spectrum / spatial response, `width × height`.
+    /// Packed filtered spectrum (2-D bit-reversed order) / spatial
+    /// response (natural order), `width × height`.
     pub(crate) filtered: Vec<Complex>,
-    /// Column buffer for the inverse transform's second pass (`2·height`,
-    /// sized for the paired-column transform).
-    pub(crate) col: Vec<Complex>,
     /// Amplitude summed over scales — the per-orientation output grid on
     /// the full path, the per-orientation running sum on the fused path.
     pub(crate) acc: Grid<f64>,
@@ -69,13 +68,11 @@ pub struct FftWorkspace {
     pub(crate) height: usize,
     /// Row/column plans for the current size (`None` until first `ensure`).
     pub(crate) plans: Option<(Arc<FftPlan>, Arc<FftPlan>)>,
-    /// Forward spectrum of the current image.
+    /// Forward spectrum of the current image, in 2-D bit-reversed order
+    /// once filtering starts.
     pub(crate) spectrum: Grid<Complex>,
     /// Row-pair packing buffer of the real forward transform (`width`).
     pub(crate) pack: Vec<Complex>,
-    /// Column buffer of the forward transform (`2·height`, sized for the
-    /// paired-column transform).
-    pub(crate) col: Vec<Complex>,
     /// One lane per Log-Gabor orientation (full-amplitude path) or a single
     /// lane (fused MIM path).
     pub(crate) lanes: Vec<OrientationLane>,
@@ -89,7 +86,6 @@ impl Default for FftWorkspace {
             plans: None,
             spectrum: Grid::new(0, 0, Complex::ZERO),
             pack: Vec::new(),
-            col: Vec::new(),
             lanes: Vec::new(),
         }
     }
@@ -126,7 +122,6 @@ impl FftWorkspace {
             self.height = height;
             self.spectrum = Grid::new(width, height, Complex::ZERO);
             self.pack = vec![Complex::ZERO; width];
-            self.col = vec![Complex::ZERO; 4 * height];
             self.lanes.clear();
         }
         let len = width * height;
@@ -136,7 +131,6 @@ impl FftWorkspace {
             self.lanes = (0..n_lanes)
                 .map(|_| OrientationLane {
                     filtered: vec![Complex::ZERO; len],
-                    col: vec![Complex::ZERO; 4 * height],
                     acc: Grid::new(width, height, 0.0),
                 })
                 .collect();

@@ -3,7 +3,8 @@
 //! The planned FFT, the real-input 2-D transform and the packed inverse
 //! pairs are all verified against mathematics rather than against the old
 //! implementation: a naive `O(N²)` reference DFT, the defining scaling
-//! identities, and the pair-packing algebra.
+//! identities, and the pair-packing algebra. The production MIM is also
+//! pinned bit for bit to the natural-layout reference transforms.
 
 use bba_signal::{
     fft2d, fft2d_inverse, fft_inplace, ifft_inplace, rfft2d, shared_plan, Complex, FftPlan,
@@ -185,6 +186,57 @@ fn packed_inverse_pairs_match_single_inverses() {
                 (e - g).abs() <= 1e-9 * (1.0 + e.abs()),
                 "orientation {o} pixel {i}: {e} vs {g}"
             );
+        }
+    }
+}
+
+/// The production MIM — spectrum and bank in 2-D bit-reversed order,
+/// inverse transforms on that layout, fused amplitude argmax — against the
+/// same quantities built on the natural layout from public references:
+/// `rfft2d`, each packed product `F·(L_{2p} + i·L_{2p+1})` from
+/// `LogGaborBank::filter`, `fft2d_inverse` (which bit-reverses every 1-D
+/// transform itself), then the scale sums and the strict-`>` argmax in the
+/// fused kernels' order. Index and amplitude must agree to the bit.
+#[test]
+fn fused_mim_matches_argmax_over_reference_inverses_bitwise() {
+    let cfg = LogGaborConfig::default();
+    for (w, h) in [(32usize, 32usize), (64, 32), (256, 256)] {
+        let img = Grid::from_fn(w, h, |u, v| {
+            if (u * 7 + v * 3) % 11 < 3 {
+                ((u * 5 + v * 13) % 17) as f64
+            } else {
+                0.0
+            }
+        });
+        let bank = LogGaborBank::new(w, h, cfg.clone());
+        let mim = MaxIndexMap::compute_with_workspace(&img, &bank, &mut FftWorkspace::new());
+
+        let spectrum = rfft2d(&img).unwrap();
+        let mut best = vec![(f64::NEG_INFINITY, 0u8); w * h];
+        for o in 0..cfg.num_orientations {
+            let mut amp = vec![0.0f64; w * h];
+            for p in 0..cfg.num_scales.div_ceil(2) {
+                let re = bank.filter(2 * p, o);
+                let im = (2 * p + 1 < cfg.num_scales).then(|| bank.filter(2 * p + 1, o));
+                let product = Grid::from_fn(w, h, |u, v| {
+                    let pair = Complex::new(re[(u, v)], im.as_ref().map_or(0.0, |f| f[(u, v)]));
+                    spectrum[(u, v)] * pair
+                });
+                let response = fft2d_inverse(&product).unwrap();
+                for (a, z) in amp.iter_mut().zip(response.as_slice()) {
+                    let sum = if p == 0 { z.re.abs() } else { *a + z.re.abs() };
+                    *a = if im.is_some() { sum + z.im.abs() } else { sum };
+                }
+            }
+            for (b, &a) in best.iter_mut().zip(&amp) {
+                if a > b.0 {
+                    *b = (a, o as u8);
+                }
+            }
+        }
+        for (i, &(a, o)) in best.iter().enumerate() {
+            assert_eq!(mim.index.as_slice()[i], o, "{w}x{h} index at {i}");
+            assert_eq!(mim.amplitude.as_slice()[i].to_bits(), a.to_bits(), "{w}x{h} amp at {i}");
         }
     }
 }

@@ -62,57 +62,40 @@ pub unsafe fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
     crate::portable::cmul(&mut dst[i..], &a[i..], &b[i..]);
 }
 
-/// AVX2 [`butterfly`](crate::butterfly): two butterflies per vector.
-/// Strided twiddles are gathered with `set_pd`; the contiguous `stride == 1`
-/// case (the final, dominant FFT pass) uses a straight load.
+/// Radix-2 butterfly on two-complex vectors: `b = hi·w`, `(lo + b, lo − b)`
+/// — per lane the scalar butterfly of [`crate::portable`].
 #[inline]
 #[target_feature(enable = "avx2")]
-pub unsafe fn butterfly(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64], stride: usize) {
-    let half = lo.len() / 2;
-    let mut k = 0;
-    while k + 2 <= half {
-        let w = if stride == 1 {
-            _mm256_loadu_pd(twiddles.as_ptr().add(2 * k))
-        } else {
-            _mm256_set_pd(
-                twiddles[2 * (k + 1) * stride + 1],
-                twiddles[2 * (k + 1) * stride],
-                twiddles[2 * k * stride + 1],
-                twiddles[2 * k * stride],
-            )
-        };
-        let h = _mm256_loadu_pd(hi.as_ptr().add(2 * k));
-        let l = _mm256_loadu_pd(lo.as_ptr().add(2 * k));
-        let b = cmul_pd(h, w);
-        _mm256_storeu_pd(lo.as_mut_ptr().add(2 * k), _mm256_add_pd(l, b));
-        _mm256_storeu_pd(hi.as_mut_ptr().add(2 * k), _mm256_sub_pd(l, b));
-        k += 2;
-    }
-    // Odd remainder: only the half == 1 pass (power-of-two halves).
-    if k < half {
-        crate::portable::butterfly(
-            &mut lo[2 * k..],
-            &mut hi[2 * k..],
-            &twiddles[2 * k * stride..],
-            stride,
-        );
-    }
+unsafe fn bfly_pd(lo: __m256d, hi: __m256d, w: __m256d) -> (__m256d, __m256d) {
+    let b = cmul_pd(hi, w);
+    (_mm256_add_pd(lo, b), _mm256_sub_pd(lo, b))
 }
 
-/// AVX2 [`butterfly_x2`](crate::butterfly_x2): one paired butterfly (two
-/// streams × one complex) per vector, twiddle broadcast to both streams —
-/// every pass fully vectorises, including `half == 1`.
+/// One complex `[re, im]` broadcast to both halves of a vector.
 #[inline]
 #[target_feature(enable = "avx2")]
-pub unsafe fn butterfly_x2(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64], stride: usize) {
-    let half = lo.len() / 4;
-    for k in 0..half {
-        let w = _mm256_broadcast_pd(&*(twiddles.as_ptr().add(2 * k * stride) as *const __m128d));
-        let h = _mm256_loadu_pd(hi.as_ptr().add(4 * k));
-        let l = _mm256_loadu_pd(lo.as_ptr().add(4 * k));
-        let b = cmul_pd(h, w);
-        _mm256_storeu_pd(lo.as_mut_ptr().add(4 * k), _mm256_add_pd(l, b));
-        _mm256_storeu_pd(hi.as_mut_ptr().add(4 * k), _mm256_sub_pd(l, b));
+unsafe fn splat_c(w: [f64; 2]) -> __m256d {
+    _mm256_setr_pd(w[0], w[1], w[0], w[1])
+}
+
+/// AVX2 [`butterfly`](crate::butterfly): two butterflies per vector, the
+/// odd remainder (only the `half == 1` level) through the portable twin.
+#[inline]
+#[target_feature(enable = "avx2")]
+pub unsafe fn butterfly(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64]) {
+    let n = lo.len();
+    let mut i = 0;
+    while i + 4 <= n {
+        let w = _mm256_loadu_pd(twiddles.as_ptr().add(i));
+        let h = _mm256_loadu_pd(hi.as_ptr().add(i));
+        let l = _mm256_loadu_pd(lo.as_ptr().add(i));
+        let (l, h) = bfly_pd(l, h, w);
+        _mm256_storeu_pd(lo.as_mut_ptr().add(i), l);
+        _mm256_storeu_pd(hi.as_mut_ptr().add(i), h);
+        i += 4;
+    }
+    if i < n {
+        crate::portable::butterfly(&mut lo[i..], &mut hi[i..], &twiddles[i..]);
     }
 }
 
@@ -124,9 +107,9 @@ pub unsafe fn butterfly_x2(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64], str
 /// sharing the level's single twiddle (per element, exactly the scalar op
 /// sequence).
 #[target_feature(enable = "avx2")]
-pub unsafe fn fft_pass(x: &mut [f64], twiddles: &[f64], half: usize, stride: usize) {
+pub unsafe fn fft_pass(x: &mut [f64], twiddles: &[f64], half: usize) {
     if half == 1 {
-        let w = _mm256_broadcast_pd(&*(twiddles.as_ptr() as *const __m128d));
+        let w = splat_c([twiddles[0], twiddles[1]]);
         let n = x.len();
         let mut i = 0;
         while i + 8 <= n {
@@ -134,33 +117,138 @@ pub unsafe fn fft_pass(x: &mut [f64], twiddles: &[f64], half: usize, stride: usi
             let v1 = _mm256_loadu_pd(x.as_ptr().add(i + 4)); // [lo1, hi1]
             let lo = _mm256_permute2f128_pd::<0x20>(v0, v1);
             let hi = _mm256_permute2f128_pd::<0x31>(v0, v1);
-            let b = cmul_pd(hi, w);
-            let nlo = _mm256_add_pd(lo, b);
-            let nhi = _mm256_sub_pd(lo, b);
+            let (nlo, nhi) = bfly_pd(lo, hi, w);
             _mm256_storeu_pd(x.as_mut_ptr().add(i), _mm256_permute2f128_pd::<0x20>(nlo, nhi));
             _mm256_storeu_pd(x.as_mut_ptr().add(i + 4), _mm256_permute2f128_pd::<0x31>(nlo, nhi));
             i += 8;
         }
         if i < n {
             let (lo, hi) = x[i..].split_at_mut(2);
-            crate::portable::butterfly(lo, hi, twiddles, stride);
+            crate::portable::butterfly(lo, hi, twiddles);
         }
         return;
     }
     for block in x.chunks_exact_mut(4 * half) {
         let (lo, hi) = block.split_at_mut(2 * half);
-        butterfly(lo, hi, twiddles, stride);
+        butterfly(lo, hi, twiddles);
     }
 }
 
-/// AVX2 [`fft_pass_x2`](crate::fft_pass_x2): one whole paired-stream
-/// butterfly level per call ([`butterfly_x2`] already fully vectorises
-/// every `half`, including 1).
+/// AVX2 [`fft_pass2`](crate::fft_pass2): two levels per sweep, with the
+/// four quarters of a block held in registers between them. For
+/// `half ≥ 2` each vector holds two consecutive `j`; the `half == 1` level
+/// pair works on one four-complex block at a time, shuffling `[a0, a1]`,
+/// `[a2, a3]` into `[a0, a2]` / `[a1, a3]` for the first level and back
+/// for the second. Per element, the scalar op sequence either way.
 #[target_feature(enable = "avx2")]
-pub unsafe fn fft_pass_x2(x: &mut [f64], twiddles: &[f64], half: usize, stride: usize) {
-    for block in x.chunks_exact_mut(8 * half) {
-        let (lo, hi) = block.split_at_mut(4 * half);
-        butterfly_x2(lo, hi, twiddles, stride);
+pub unsafe fn fft_pass2(x: &mut [f64], tw_lo: &[f64], tw_hi: &[f64], half: usize) {
+    if half == 1 {
+        let w_lo = splat_c([tw_lo[0], tw_lo[1]]);
+        let w_hi = _mm256_loadu_pd(tw_hi.as_ptr());
+        for block in x.chunks_exact_mut(8) {
+            let p = block.as_mut_ptr();
+            let v0 = _mm256_loadu_pd(p); // [a0, a1]
+            let v1 = _mm256_loadu_pd(p.add(4)); // [a2, a3]
+            let (l, h) = bfly_pd(
+                _mm256_permute2f128_pd::<0x20>(v0, v1),
+                _mm256_permute2f128_pd::<0x31>(v0, v1),
+                w_lo,
+            ); // l = [a0, a2], h = [a1, a3]
+            let (l, h) = bfly_pd(
+                _mm256_permute2f128_pd::<0x20>(l, h),
+                _mm256_permute2f128_pd::<0x31>(l, h),
+                w_hi,
+            ); // l = [a0, a1], h = [a2, a3]
+            _mm256_storeu_pd(p, l);
+            _mm256_storeu_pd(p.add(4), h);
+        }
+        return;
+    }
+    let q = 2 * half; // floats per quarter block
+    for block in x.chunks_exact_mut(4 * q) {
+        let p = block.as_mut_ptr();
+        let mut i = 0;
+        while i < q {
+            let w_lo = _mm256_loadu_pd(tw_lo.as_ptr().add(i));
+            let w_hi0 = _mm256_loadu_pd(tw_hi.as_ptr().add(i));
+            let w_hi1 = _mm256_loadu_pd(tw_hi.as_ptr().add(q + i));
+            let a0 = _mm256_loadu_pd(p.add(i));
+            let a1 = _mm256_loadu_pd(p.add(q + i));
+            let a2 = _mm256_loadu_pd(p.add(2 * q + i));
+            let a3 = _mm256_loadu_pd(p.add(3 * q + i));
+            let (a0, a1) = bfly_pd(a0, a1, w_lo);
+            let (a2, a3) = bfly_pd(a2, a3, w_lo);
+            let (a0, a2) = bfly_pd(a0, a2, w_hi0);
+            let (a1, a3) = bfly_pd(a1, a3, w_hi1);
+            _mm256_storeu_pd(p.add(i), a0);
+            _mm256_storeu_pd(p.add(q + i), a1);
+            _mm256_storeu_pd(p.add(2 * q + i), a2);
+            _mm256_storeu_pd(p.add(3 * q + i), a3);
+            i += 4;
+        }
+    }
+}
+
+/// AVX2 [`row_butterfly`](crate::row_butterfly): two butterflies per
+/// vector under the broadcast twiddle, an odd last complex through the
+/// portable twin.
+#[target_feature(enable = "avx2")]
+pub unsafe fn row_butterfly(lo: &mut [f64], hi: &mut [f64], w: [f64; 2]) {
+    let n = lo.len();
+    let wv = splat_c(w);
+    let mut i = 0;
+    while i + 4 <= n {
+        let l = _mm256_loadu_pd(lo.as_ptr().add(i));
+        let h = _mm256_loadu_pd(hi.as_ptr().add(i));
+        let (l, h) = bfly_pd(l, h, wv);
+        _mm256_storeu_pd(lo.as_mut_ptr().add(i), l);
+        _mm256_storeu_pd(hi.as_mut_ptr().add(i), h);
+        i += 4;
+    }
+    if i < n {
+        crate::portable::row_butterfly(&mut lo[i..], &mut hi[i..], w);
+    }
+}
+
+/// AVX2 [`row_butterfly2`](crate::row_butterfly2): both levels on two
+/// complexes of each of the four rows per iteration, an odd last complex
+/// through the portable twin.
+#[target_feature(enable = "avx2")]
+pub unsafe fn row_butterfly2(
+    r0: &mut [f64],
+    r1: &mut [f64],
+    r2: &mut [f64],
+    r3: &mut [f64],
+    w_lo: [f64; 2],
+    w_hi: [[f64; 2]; 2],
+) {
+    let n = r0.len();
+    let (wl, wh0, wh1) = (splat_c(w_lo), splat_c(w_hi[0]), splat_c(w_hi[1]));
+    let mut i = 0;
+    while i + 4 <= n {
+        let a0 = _mm256_loadu_pd(r0.as_ptr().add(i));
+        let a1 = _mm256_loadu_pd(r1.as_ptr().add(i));
+        let a2 = _mm256_loadu_pd(r2.as_ptr().add(i));
+        let a3 = _mm256_loadu_pd(r3.as_ptr().add(i));
+        let (a0, a1) = bfly_pd(a0, a1, wl);
+        let (a2, a3) = bfly_pd(a2, a3, wl);
+        let (a0, a2) = bfly_pd(a0, a2, wh0);
+        let (a1, a3) = bfly_pd(a1, a3, wh1);
+        _mm256_storeu_pd(r0.as_mut_ptr().add(i), a0);
+        _mm256_storeu_pd(r1.as_mut_ptr().add(i), a1);
+        _mm256_storeu_pd(r2.as_mut_ptr().add(i), a2);
+        _mm256_storeu_pd(r3.as_mut_ptr().add(i), a3);
+        i += 4;
+    }
+    if i < n {
+        crate::portable::row_butterfly2(
+            &mut r0[i..],
+            &mut r1[i..],
+            &mut r2[i..],
+            &mut r3[i..],
+            w_lo,
+            w_hi,
+        );
     }
 }
 

@@ -136,7 +136,7 @@ pub fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
 }
 
 /// One radix-2 butterfly pass over a split block: for `k` in
-/// `0..lo.len()/2` (complex elements), with `w = twiddles[k·stride]`,
+/// `0..lo.len()/2` (complex elements), with `w = twiddles[k]`,
 ///
 /// ```text
 /// b     = hi[k] · w
@@ -144,37 +144,17 @@ pub fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
 /// hi[k] = lo[k] − b      (original lo[k])
 /// ```
 ///
-/// All slices are interleaved complex; `stride` counts complex elements in
-/// `twiddles`.
+/// All slices are interleaved complex.
 ///
 /// # Panics
 ///
 /// Panics if `lo`/`hi` differ in length, the length is odd, or `twiddles`
-/// is too short for the strided accesses.
-pub fn butterfly(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64], stride: usize) {
+/// is shorter than `lo`.
+pub fn butterfly(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64]) {
     assert_eq!(lo.len(), hi.len(), "butterfly half length mismatch");
     assert_eq!(lo.len() % 2, 0, "butterfly needs interleaved complex data");
-    let half = lo.len() / 2;
-    assert!(half == 0 || (half - 1) * stride * 2 + 1 < twiddles.len(), "twiddle table too short");
-    dispatch!(butterfly(lo, hi, twiddles, stride))
-}
-
-/// [`butterfly`] over a *pair* of interleaved streams: element `k` is two
-/// adjacent complexes `[c0, c1]` (4 `f64`s) sharing one twiddle — the
-/// layout of the paired-column 2-D FFT pass. The portable path applies the
-/// scalar butterfly to `c0` then `c1`, so per stream the arithmetic is
-/// identical to transforming each column alone.
-///
-/// # Panics
-///
-/// Panics if `lo`/`hi` differ in length, the length is not a multiple of
-/// 4, or `twiddles` is too short.
-pub fn butterfly_x2(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64], stride: usize) {
-    assert_eq!(lo.len(), hi.len(), "butterfly_x2 half length mismatch");
-    assert_eq!(lo.len() % 4, 0, "butterfly_x2 needs paired complex data");
-    let half = lo.len() / 4;
-    assert!(half == 0 || (half - 1) * stride * 2 + 1 < twiddles.len(), "twiddle table too short");
-    dispatch!(butterfly_x2(lo, hi, twiddles, stride))
+    assert!(twiddles.len() >= lo.len(), "twiddle table too short");
+    dispatch!(butterfly(lo, hi, twiddles))
 }
 
 /// One whole radix-2 butterfly level over contiguous transform blocks:
@@ -190,27 +170,69 @@ pub fn butterfly_x2(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64], stride: us
 /// # Panics
 ///
 /// Panics if `half == 0`, `x.len()` is not a multiple of `4·half`, or
-/// `twiddles` is too short for the strided accesses.
-pub fn fft_pass(x: &mut [f64], twiddles: &[f64], half: usize, stride: usize) {
+/// `twiddles` holds fewer than `half` complexes.
+pub fn fft_pass(x: &mut [f64], twiddles: &[f64], half: usize) {
     assert!(half >= 1, "fft_pass needs half >= 1");
     assert_eq!(x.len() % (4 * half), 0, "fft_pass buffer must tile into blocks");
-    assert!((half - 1) * stride * 2 + 1 < twiddles.len(), "twiddle table too short");
-    dispatch!(fft_pass(x, twiddles, half, stride))
+    assert!(twiddles.len() >= 2 * half, "twiddle table too short");
+    dispatch!(fft_pass(x, twiddles, half))
 }
 
-/// [`fft_pass`] over paired interleaved streams: blocks of `2·half`
-/// stream-pairs (`8·half` `f64`s), each through the [`butterfly_x2`]
-/// update — one call per level of a paired-column transform.
+/// Two consecutive butterfly levels in one sweep: bit for bit
+/// `fft_pass(x, tw_lo, half)` followed by `fft_pass(x, tw_hi, 2·half)`.
+/// `x` tiles into blocks of `4·half` complexes; for each `j < half` the
+/// block's elements `j`, `j + half`, `j + 2·half`, `j + 3·half` get the
+/// level-`half` butterflies (twiddle `tw_lo[j]`) and then the
+/// level-`2·half` ones (`tw_hi[j]` and `tw_hi[j + half]`) while they sit
+/// in registers, halving the passes over the buffer.
 ///
 /// # Panics
 ///
-/// Panics if `half == 0`, `x.len()` is not a multiple of `8·half`, or
-/// `twiddles` is too short for the strided accesses.
-pub fn fft_pass_x2(x: &mut [f64], twiddles: &[f64], half: usize, stride: usize) {
-    assert!(half >= 1, "fft_pass_x2 needs half >= 1");
-    assert_eq!(x.len() % (8 * half), 0, "fft_pass_x2 buffer must tile into blocks");
-    assert!((half - 1) * stride * 2 + 1 < twiddles.len(), "twiddle table too short");
-    dispatch!(fft_pass_x2(x, twiddles, half, stride))
+/// Panics if `half == 0`, `x.len()` is not a multiple of `8·half`, or a
+/// twiddle table is too short (`half` and `2·half` complexes).
+pub fn fft_pass2(x: &mut [f64], tw_lo: &[f64], tw_hi: &[f64], half: usize) {
+    assert!(half >= 1, "fft_pass2 needs half >= 1");
+    assert_eq!(x.len() % (8 * half), 0, "fft_pass2 buffer must tile into blocks");
+    assert!(tw_lo.len() >= 2 * half && tw_hi.len() >= 4 * half, "twiddle table too short");
+    dispatch!(fft_pass2(x, tw_lo, tw_hi, half))
+}
+
+/// Whole-row butterfly: [`butterfly`] with one twiddle `w = [re, im]` for
+/// every element. This is one level of a column transform run across
+/// whole rows — rows `r` and `r + half` of a row-major grid pair up
+/// column by column under a single twiddle, so the columns need no gather,
+/// scatter or scratch.
+///
+/// # Panics
+///
+/// Panics if `lo`/`hi` differ in length or the length is odd.
+pub fn row_butterfly(lo: &mut [f64], hi: &mut [f64], w: [f64; 2]) {
+    assert_eq!(lo.len(), hi.len(), "row_butterfly row length mismatch");
+    assert_eq!(lo.len() % 2, 0, "row_butterfly needs interleaved complex data");
+    dispatch!(row_butterfly(lo, hi, w))
+}
+
+/// Two whole-row levels in one sweep: bit for bit
+/// `row_butterfly(r0, r1, w_lo)`, `row_butterfly(r2, r3, w_lo)`, then
+/// `row_butterfly(r0, r2, w_hi[0])`, `row_butterfly(r1, r3, w_hi[1])`.
+/// For a column transform these are rows `j`, `j + half`, `j + 2·half`
+/// and `j + 3·half` of one block, through levels `half` and `2·half`.
+///
+/// # Panics
+///
+/// Panics if the rows differ in length or the length is odd.
+pub fn row_butterfly2(
+    r0: &mut [f64],
+    r1: &mut [f64],
+    r2: &mut [f64],
+    r3: &mut [f64],
+    w_lo: [f64; 2],
+    w_hi: [[f64; 2]; 2],
+) {
+    let n = r0.len();
+    assert!(r1.len() == n && r2.len() == n && r3.len() == n, "row_butterfly2 row length mismatch");
+    assert_eq!(n % 2, 0, "row_butterfly2 needs interleaved complex data");
+    dispatch!(row_butterfly2(r0, r1, r2, r3, w_lo, w_hi))
 }
 
 /// Scale-pair amplitude accumulation, the Log-Gabor per-orientation inner

@@ -19,22 +19,9 @@ pub fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
 }
 
 /// Scalar [`butterfly`](crate::butterfly).
-pub fn butterfly(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64], stride: usize) {
+pub fn butterfly(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64]) {
     for k in 0..lo.len() / 2 {
-        let wr = twiddles[2 * k * stride];
-        let wi = twiddles[2 * k * stride + 1];
-        butterfly_one(lo, hi, 2 * k, wr, wi);
-    }
-}
-
-/// Scalar [`butterfly_x2`](crate::butterfly_x2): per twiddle, stream 0 then
-/// stream 1 — each stream sees exactly the single-stream op sequence.
-pub fn butterfly_x2(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64], stride: usize) {
-    for k in 0..lo.len() / 4 {
-        let wr = twiddles[2 * k * stride];
-        let wi = twiddles[2 * k * stride + 1];
-        butterfly_one(lo, hi, 4 * k, wr, wi);
-        butterfly_one(lo, hi, 4 * k + 2, wr, wi);
+        butterfly_one(lo, hi, 2 * k, twiddles[2 * k], twiddles[2 * k + 1]);
     }
 }
 
@@ -55,20 +42,42 @@ fn butterfly_one(lo: &mut [f64], hi: &mut [f64], at: usize, wr: f64, wi: f64) {
 
 /// Scalar [`fft_pass`](crate::fft_pass): the per-block loop of one whole
 /// butterfly level, each block through the scalar [`butterfly`].
-pub fn fft_pass(x: &mut [f64], twiddles: &[f64], half: usize, stride: usize) {
+pub fn fft_pass(x: &mut [f64], twiddles: &[f64], half: usize) {
     for block in x.chunks_exact_mut(4 * half) {
         let (lo, hi) = block.split_at_mut(2 * half);
-        butterfly(lo, hi, twiddles, stride);
+        butterfly(lo, hi, twiddles);
     }
 }
 
-/// Scalar [`fft_pass_x2`](crate::fft_pass_x2): one whole butterfly level of
-/// a paired-stream transform, each block through [`butterfly_x2`].
-pub fn fft_pass_x2(x: &mut [f64], twiddles: &[f64], half: usize, stride: usize) {
-    for block in x.chunks_exact_mut(8 * half) {
-        let (lo, hi) = block.split_at_mut(4 * half);
-        butterfly_x2(lo, hi, twiddles, stride);
+/// Scalar [`fft_pass2`](crate::fft_pass2): its definition, two
+/// [`fft_pass`] sweeps.
+pub fn fft_pass2(x: &mut [f64], tw_lo: &[f64], tw_hi: &[f64], half: usize) {
+    fft_pass(x, tw_lo, half);
+    fft_pass(x, tw_hi, 2 * half);
+}
+
+/// Scalar [`row_butterfly`](crate::row_butterfly): [`butterfly`] with one
+/// twiddle for every element.
+pub fn row_butterfly(lo: &mut [f64], hi: &mut [f64], w: [f64; 2]) {
+    for k in 0..lo.len() / 2 {
+        butterfly_one(lo, hi, 2 * k, w[0], w[1]);
     }
+}
+
+/// Scalar [`row_butterfly2`](crate::row_butterfly2): its definition, four
+/// [`row_butterfly`] sweeps.
+pub fn row_butterfly2(
+    r0: &mut [f64],
+    r1: &mut [f64],
+    r2: &mut [f64],
+    r3: &mut [f64],
+    w_lo: [f64; 2],
+    w_hi: [[f64; 2]; 2],
+) {
+    row_butterfly(r0, r1, w_lo);
+    row_butterfly(r2, r3, w_lo);
+    row_butterfly(r0, r2, w_hi[0]);
+    row_butterfly(r1, r3, w_hi[1]);
 }
 
 /// Scalar [`amp_accumulate`](crate::amp_accumulate).

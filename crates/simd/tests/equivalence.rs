@@ -24,6 +24,12 @@ fn bits64(label: &str, reference: &[f64], candidate: &[f64]) {
     }
 }
 
+/// `len` values cycled from `pool`, each nudged by its position so no two
+/// elements of a block coincide.
+fn tile(pool: &[f64], len: usize, nudge: f64) -> Vec<f64> {
+    (0..len).map(|i| pool[i % pool.len()] * (1.0 + nudge * i as f64)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -47,143 +53,153 @@ proptest! {
     #[test]
     fn butterfly_bitwise(
         vals in proptest::collection::vec(finite64(), 0..32),
-        tw in proptest::collection::vec(finite64(), 64..128),
-        stride in 1usize..5,
+        tw in proptest::collection::vec(finite64(), 32..64),
     ) {
         let half = vals.len() / 2 * 2; // even f64 count per half
         let lo0: Vec<f64> = vals[..half].to_vec();
         let hi0: Vec<f64> = vals[..half].iter().map(|x| x * 0.75 - 1.0).collect();
-        // Keep the strided accesses in range.
-        let need = if half == 0 { 0 } else { (half / 2 - 1) * stride * 2 + 2 };
-        prop_assume!(need <= tw.len());
 
         let (mut lo_a, mut hi_a) = (lo0.clone(), hi0.clone());
-        bba_simd::portable::butterfly(&mut lo_a, &mut hi_a, &tw, stride);
+        bba_simd::portable::butterfly(&mut lo_a, &mut hi_a, &tw);
         let (mut lo_b, mut hi_b) = (lo0.clone(), hi0.clone());
-        bba_simd::butterfly(&mut lo_b, &mut hi_b, &tw, stride);
+        bba_simd::butterfly(&mut lo_b, &mut hi_b, &tw);
         bits64("butterfly lo", &lo_a, &lo_b);
         bits64("butterfly hi", &hi_a, &hi_b);
         #[cfg(target_arch = "x86_64")]
         if bba_simd::avx2_detected() {
             let (mut lo_c, mut hi_c) = (lo0.clone(), hi0.clone());
-            unsafe { bba_simd::avx2::butterfly(&mut lo_c, &mut hi_c, &tw, stride) };
+            unsafe { bba_simd::avx2::butterfly(&mut lo_c, &mut hi_c, &tw) };
             bits64("butterfly avx2 lo", &lo_a, &lo_c);
             bits64("butterfly avx2 hi", &hi_a, &hi_c);
         }
     }
 
     #[test]
-    fn butterfly_x2_matches_two_single_streams(
-        vals in proptest::collection::vec(finite64(), 0..32),
-        tw in proptest::collection::vec(finite64(), 64..128),
-        stride in 1usize..5,
-    ) {
-        // Build two streams, interleave them pairwise, and check the paired
-        // kernel against running the single-stream kernel on each.
-        let n = vals.len() / 2; // complexes per stream half
-        let s0: Vec<f64> = vals[..2 * n].to_vec();
-        let s1: Vec<f64> = s0.iter().map(|x| 1.0 - x).collect();
-        let hi_of = |s: &[f64]| -> Vec<f64> { s.iter().map(|x| x * 0.5 + 2.0).collect() };
-        let need = if n == 0 { 0 } else { (n - 1) * stride * 2 + 2 };
-        prop_assume!(need <= tw.len());
-
-        let interleave = |a: &[f64], b: &[f64]| -> Vec<f64> {
-            let mut out = Vec::with_capacity(a.len() * 2);
-            for k in 0..a.len() / 2 {
-                out.extend_from_slice(&a[2 * k..2 * k + 2]);
-                out.extend_from_slice(&b[2 * k..2 * k + 2]);
-            }
-            out
-        };
-        let mut lo2 = interleave(&s0, &s1);
-        let mut hi2 = interleave(&hi_of(&s0), &hi_of(&s1));
-        bba_simd::butterfly_x2(&mut lo2, &mut hi2, &tw, stride);
-
-        let (mut lo_s0, mut hi_s0) = (s0.clone(), hi_of(&s0));
-        bba_simd::portable::butterfly(&mut lo_s0, &mut hi_s0, &tw, stride);
-        let (mut lo_s1, mut hi_s1) = (s1.clone(), hi_of(&s1));
-        bba_simd::portable::butterfly(&mut lo_s1, &mut hi_s1, &tw, stride);
-
-        bits64("x2 lo", &interleave(&lo_s0, &lo_s1), &lo2);
-        bits64("x2 hi", &interleave(&hi_s0, &hi_s1), &hi2);
-        #[cfg(target_arch = "x86_64")]
-        if bba_simd::avx2_detected() {
-            let mut lo_c = interleave(&s0, &s1);
-            let mut hi_c = interleave(&hi_of(&s0), &hi_of(&s1));
-            unsafe { bba_simd::avx2::butterfly_x2(&mut lo_c, &mut hi_c, &tw, stride) };
-            bits64("x2 avx2 lo", &interleave(&lo_s0, &lo_s1), &lo_c);
-            bits64("x2 avx2 hi", &interleave(&hi_s0, &hi_s1), &hi_c);
-        }
-    }
-
-    #[test]
     fn fft_pass_matches_per_block_butterflies(
         vals in proptest::collection::vec(finite64(), 1..48),
-        tw in proptest::collection::vec(finite64(), 64..128),
+        tw in proptest::collection::vec(finite64(), 16..32),
         half_pow in 0u32..4,
-        stride in 1usize..5,
         blocks in 0usize..5,
     ) {
         let half = 1usize << half_pow; // complexes per block half
-        let need = (half - 1) * stride * 2 + 2;
-        prop_assume!(need <= tw.len());
         // Tile `blocks` blocks of 2·half complexes from the value pool.
         let step = 4 * half;
-        let mut x0 = Vec::with_capacity(blocks * step);
-        for i in 0..blocks * step {
-            x0.push(vals[i % vals.len()] * (1.0 + 0.01 * i as f64));
-        }
+        let x0 = tile(&vals, blocks * step, 0.01);
 
         // Reference: the per-block scalar butterfly loop.
         let mut want = x0.clone();
         for block in want.chunks_exact_mut(step) {
             let (lo, hi) = block.split_at_mut(2 * half);
-            bba_simd::portable::butterfly(lo, hi, &tw, stride);
+            bba_simd::portable::butterfly(lo, hi, &tw);
         }
         let mut got = x0.clone();
-        bba_simd::fft_pass(&mut got, &tw, half, stride);
+        bba_simd::fft_pass(&mut got, &tw, half);
         bits64("fft_pass dispatched", &want, &got);
         let mut got = x0.clone();
-        bba_simd::portable::fft_pass(&mut got, &tw, half, stride);
+        bba_simd::portable::fft_pass(&mut got, &tw, half);
         bits64("fft_pass portable", &want, &got);
         #[cfg(target_arch = "x86_64")]
         if bba_simd::avx2_detected() {
             let mut got = x0.clone();
-            unsafe { bba_simd::avx2::fft_pass(&mut got, &tw, half, stride) };
+            unsafe { bba_simd::avx2::fft_pass(&mut got, &tw, half) };
             bits64("fft_pass avx2", &want, &got);
         }
     }
 
     #[test]
-    fn fft_pass_x2_matches_per_block_butterflies(
+    fn fft_pass2_matches_two_single_level_passes(
         vals in proptest::collection::vec(finite64(), 1..48),
-        tw in proptest::collection::vec(finite64(), 64..128),
-        half_pow in 0u32..3,
-        stride in 1usize..5,
-        blocks in 0usize..4,
+        tw in proptest::collection::vec(finite64(), 48..64),
+        half_pow in 0u32..4,
+        blocks in 0usize..5,
     ) {
-        let half = 1usize << half_pow; // stream-pair elements per block half
-        let need = (half - 1) * stride * 2 + 2;
-        prop_assume!(need <= tw.len());
-        let step = 8 * half;
-        let mut x0 = Vec::with_capacity(blocks * step);
-        for i in 0..blocks * step {
-            x0.push(vals[i % vals.len()] * (1.0 - 0.01 * i as f64));
-        }
+        let half = 1usize << half_pow;
+        let (tw_lo, tw_hi) = tw.split_at(2 * half); // half, then 2·half complexes
+        let x0 = tile(&vals, blocks * 8 * half, -0.01);
 
         let mut want = x0.clone();
-        for block in want.chunks_exact_mut(step) {
-            let (lo, hi) = block.split_at_mut(4 * half);
-            bba_simd::portable::butterfly_x2(lo, hi, &tw, stride);
-        }
+        bba_simd::portable::fft_pass(&mut want, tw_lo, half);
+        bba_simd::portable::fft_pass(&mut want, tw_hi, 2 * half);
         let mut got = x0.clone();
-        bba_simd::fft_pass_x2(&mut got, &tw, half, stride);
-        bits64("fft_pass_x2 dispatched", &want, &got);
+        bba_simd::fft_pass2(&mut got, tw_lo, tw_hi, half);
+        bits64("fft_pass2 dispatched", &want, &got);
+        let mut got = x0.clone();
+        bba_simd::portable::fft_pass2(&mut got, tw_lo, tw_hi, half);
+        bits64("fft_pass2 portable", &want, &got);
         #[cfg(target_arch = "x86_64")]
         if bba_simd::avx2_detected() {
             let mut got = x0.clone();
-            unsafe { bba_simd::avx2::fft_pass_x2(&mut got, &tw, half, stride) };
-            bits64("fft_pass_x2 avx2", &want, &got);
+            unsafe { bba_simd::avx2::fft_pass2(&mut got, tw_lo, tw_hi, half) };
+            bits64("fft_pass2 avx2", &want, &got);
+        }
+    }
+
+    #[test]
+    fn row_butterfly_is_butterfly_with_one_twiddle(
+        vals in proptest::collection::vec(finite64(), 2..68),
+        len in 1usize..34,
+        w in (finite64(), finite64()),
+    ) {
+        // Rows of 1–33 complexes cover the vector body and the odd tail.
+        let lo0 = tile(&vals, 2 * len, 0.02);
+        let hi0 = tile(&vals[1..], 2 * len, -0.03);
+        let w = [w.0, w.1];
+        let repeated: Vec<f64> = (0..len).flat_map(|_| w).collect();
+
+        let (mut lo_a, mut hi_a) = (lo0.clone(), hi0.clone());
+        bba_simd::portable::butterfly(&mut lo_a, &mut hi_a, &repeated);
+        let (mut lo_b, mut hi_b) = (lo0.clone(), hi0.clone());
+        bba_simd::row_butterfly(&mut lo_b, &mut hi_b, w);
+        bits64("row_butterfly dispatched lo", &lo_a, &lo_b);
+        bits64("row_butterfly dispatched hi", &hi_a, &hi_b);
+        let (mut lo_b, mut hi_b) = (lo0.clone(), hi0.clone());
+        bba_simd::portable::row_butterfly(&mut lo_b, &mut hi_b, w);
+        bits64("row_butterfly portable lo", &lo_a, &lo_b);
+        bits64("row_butterfly portable hi", &hi_a, &hi_b);
+        #[cfg(target_arch = "x86_64")]
+        if bba_simd::avx2_detected() {
+            let (mut lo_c, mut hi_c) = (lo0.clone(), hi0.clone());
+            unsafe { bba_simd::avx2::row_butterfly(&mut lo_c, &mut hi_c, w) };
+            bits64("row_butterfly avx2 lo", &lo_a, &lo_c);
+            bits64("row_butterfly avx2 hi", &hi_a, &hi_c);
+        }
+    }
+
+    #[test]
+    fn row_butterfly2_matches_two_single_level_sweeps(
+        vals in proptest::collection::vec(finite64(), 4..68),
+        len in 1usize..34,
+        w in proptest::collection::vec((finite64(), finite64()), 3),
+    ) {
+        let rows0: Vec<Vec<f64>> =
+            (0..4).map(|r| tile(&vals[r..], 2 * len, 0.01 * (r as f64 - 1.5))).collect();
+        let (w_lo, w_hi) = ([w[0].0, w[0].1], [[w[1].0, w[1].1], [w[2].0, w[2].1]]);
+        let check = |label: &str, got: &[Vec<f64>], want: &[Vec<f64>]| {
+            for (r, (a, b)) in want.iter().zip(got).enumerate() {
+                bits64(&format!("{label} row {r}"), a, b);
+            }
+        };
+
+        let mut want = rows0.clone();
+        let [r0, r1, r2, r3] = &mut want[..] else { unreachable!() };
+        bba_simd::portable::row_butterfly(r0, r1, w_lo);
+        bba_simd::portable::row_butterfly(r2, r3, w_lo);
+        bba_simd::portable::row_butterfly(r0, r2, w_hi[0]);
+        bba_simd::portable::row_butterfly(r1, r3, w_hi[1]);
+        let mut got = rows0.clone();
+        let [r0, r1, r2, r3] = &mut got[..] else { unreachable!() };
+        bba_simd::row_butterfly2(r0, r1, r2, r3, w_lo, w_hi);
+        check("row_butterfly2 dispatched", &got, &want);
+        let mut got = rows0.clone();
+        let [r0, r1, r2, r3] = &mut got[..] else { unreachable!() };
+        bba_simd::portable::row_butterfly2(r0, r1, r2, r3, w_lo, w_hi);
+        check("row_butterfly2 portable", &got, &want);
+        #[cfg(target_arch = "x86_64")]
+        if bba_simd::avx2_detected() {
+            let mut got = rows0.clone();
+            let [r0, r1, r2, r3] = &mut got[..] else { unreachable!() };
+            unsafe { bba_simd::avx2::row_butterfly2(r0, r1, r2, r3, w_lo, w_hi) };
+            check("row_butterfly2 avx2", &got, &want);
         }
     }
 
