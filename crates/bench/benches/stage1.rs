@@ -22,7 +22,7 @@ use bba_dataset::{Dataset, DatasetConfig};
 use bba_features::matcher::match_sets_naive;
 use bba_features::{
     describe_keypoints_rotated, detect_keypoints, match_sets, DescriptorSet, Keypoint,
-    KeypointConfig, PatchSamples, RotationSweep, REBIN_GROUP,
+    KeypointConfig, MatchPool, PatchSamples, RotationSweep, REBIN_GROUP,
 };
 use bba_signal::{Grid, MaxIndexMap};
 use criterion::{black_box, Criterion};
@@ -140,8 +140,9 @@ fn main() {
         if label_n == 0 || !benched.insert(label_n) {
             continue;
         }
+        let pool = MatchPool::new(&d);
         c.bench_function(&format!("match_kernel_{label_n}kp"), |b| {
-            b.iter(|| black_box(match_sets(&s, &d, mcfg)))
+            b.iter(|| black_box(match_sets(&s, &pool, mcfg)))
         });
         c.bench_function(&format!("match_naive_{label_n}kp"), |b| {
             b.iter(|| black_box(match_sets_naive(&s, &d, mcfg)))

@@ -49,8 +49,26 @@ fn span_delta_ms(before: &MetricsSnapshot, after: &MetricsSnapshot, path: &str) 
     sum(after) - sum(before)
 }
 
+/// Frame pairs a run measures unless `--frames` says otherwise.
+const DEFAULT_FRAMES: usize = 12;
+
+/// The name the run's results and metrics files carry: `timing_breakdown`
+/// for the default run (the checked-in snapshot: 12 pairs on the default
+/// raster at the default seed), else one that names the run's frames, BEV
+/// size and, when not the default, seed — `timing_breakdown_f2_b128` for
+/// CI's smoke run — so no other run overwrites the snapshot.
+fn results_name(frames: usize, bev_size: usize, seed: u64) -> String {
+    let default_bev = BbAlignConfig::default().bev.image_size();
+    if (frames, bev_size, seed) == (DEFAULT_FRAMES, default_bev, cli::DEFAULT_SEED) {
+        return "timing_breakdown".into();
+    }
+    let seed = if seed == cli::DEFAULT_SEED { String::new() } else { format!("_s{seed}") };
+    format!("timing_breakdown_f{frames}_b{bev_size}{seed}")
+}
+
 fn main() {
-    let opts = cli::parse(12, "timing_breakdown — per-stage latency of the recovery pipeline");
+    let opts =
+        cli::parse(DEFAULT_FRAMES, "timing_breakdown — per-stage latency of the recovery pipeline");
     if opts.threads.is_some() {
         eprintln!("note: a recovery runs on one thread; --threads is ignored");
     }
@@ -200,9 +218,10 @@ fn main() {
 
     use serde_json::Value;
     let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
-    let metrics = write_metrics_json("timing_breakdown", &recorder.snapshot());
+    let name = results_name(opts.frames, h, opts.seed);
+    let metrics = write_metrics_json(&name, &recorder.snapshot());
     write_results_json(
-        "timing_breakdown",
+        &name,
         &Value::Map(vec![
             ("bench".into(), Value::Str("timing_breakdown".into())),
             ("frames".into(), Value::UInt(opts.frames as u64)),

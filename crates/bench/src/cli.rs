@@ -47,6 +47,9 @@ pub fn parse(default_frames: usize, description: &str) -> Options {
     })
 }
 
+/// The master seed of a run without `--seed`.
+pub const DEFAULT_SEED: u64 = 2024;
+
 /// Testable core of [`parse`].
 pub fn parse_from(
     args: impl IntoIterator<Item = String>,
@@ -58,7 +61,7 @@ pub fn parse_from(
     );
     let mut opts = Options {
         frames: default_frames,
-        seed: 2024,
+        seed: DEFAULT_SEED,
         json: None,
         threads: None,
         bev: None,

@@ -69,7 +69,7 @@ pub use frame::PerceptionFrame;
 pub use pool::BoundedPool;
 pub use recover::{
     AlignmentCheck, AlignmentScorer, BbAlign, BoxAlignment, BvMatch, RecoverError, Recovery,
-    RecoveryPath, WarmRecovery,
+    RecoveryPath, RecoveryRequest, WarmRecovery,
 };
 pub use tracking::{PoseTracker, TrackPrediction, TrackerConfig, TrackerConfigError};
 pub use wire::{decode_frame, encode_frame, DecodeError, WireReport};

@@ -4,8 +4,8 @@ use crate::config::BbAlignConfig;
 use crate::frame::{FrameBox, FrameFeatures, PerceptionFrame};
 use bba_bev::{BevConfig, BevImage};
 use bba_features::{
-    detect_keypoints, match_sets, ransac_rigid, DescriptorSet, Keypoint, PatchSamples, RansacError,
-    RansacResult, RotationSweep, REBIN_GROUP,
+    detect_keypoints, match_sets, ransac_rigid, DescriptorSet, Keypoint, MatchPool, PatchSamples,
+    RansacError, RansacResult, RotationSweep, REBIN_GROUP,
 };
 use bba_geometry::{BevBox, Box3, Iso2, Iso3, Vec2, Vec3};
 use bba_obs::Recorder;
@@ -199,8 +199,8 @@ pub struct BbAlign {
     workspaces: crate::pool::BoundedPool<FftWorkspace>,
     /// Pool of stage-1 describe scratch (a patch-sample buffer + one
     /// re-bin group of descriptor sets), recycled for the same reason; one
-    /// is in flight per `match_bv` call. Bounded like the workspace pool,
-    /// with `pool.stage1.*` counters.
+    /// is in flight per lockstep stage 1, whatever its number of lanes.
+    /// Bounded like the workspace pool, with `pool.stage1.*` counters.
     stage1_scratch: crate::pool::BoundedPool<Stage1Scratch>,
     /// Observability sink (disabled by default — and then free). Records
     /// per-phase spans, per-recovery distributions (keypoints, matches,
@@ -209,27 +209,194 @@ pub struct BbAlign {
     obs: Recorder,
 }
 
-/// Reusable stage-1 buffers: the hypothesis-invariant patch samples of the
-/// other image and the descriptor sets one re-bin group fills. The ego
-/// side's descriptors are a per-frame product kept by the frame; its
-/// samples pass through `samples` once, when they are first computed.
+/// Reusable stage-1 buffers, one set per lockstep stage 1 in flight: the
+/// hypothesis-invariant patch samples of the sending frame and the
+/// descriptor sets one re-bin group fills. The ego side's descriptors are
+/// a per-frame product kept by the frame; its samples pass through
+/// `samples` once, when they are first computed.
 #[derive(Debug, Default)]
 struct Stage1Scratch {
     samples: PatchSamples,
     group: [DescriptorSet; REBIN_GROUP],
 }
 
-/// Time (ms) one call spent computing per-frame features; zero for
-/// features read from a frame's slot.
-#[derive(Debug, Default)]
-struct FeatureCost {
-    mim_ms: f64,
-    detect_ms: f64,
-}
-
 /// Milliseconds elapsed since `t`.
 fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
+}
+
+/// One request of a [`BbAlign::recover_group`] call: a receiving
+/// vehicle's frame, its tracker's prediction, and the RNG its recovery
+/// draws from, as the lone [`BbAlign::recover_warm`] call would take them.
+#[derive(Debug)]
+pub struct RecoveryRequest<'a, R: ?Sized> {
+    /// The receiving vehicle's own frame, the pair's ego side.
+    pub ego: &'a PerceptionFrame,
+    /// The predicted other → ego transform, read only under `warm_start`.
+    pub predicted: Option<&'a Iso2>,
+    /// The recovery's RNG stream.
+    pub rng: &'a mut R,
+}
+
+/// One cold stage 1 of a lockstep group: the receiving frame, an optional
+/// world-frame hint offered to stage-1 RANSAC as hypothesis zero, and the
+/// RNG the recovery draws from.
+struct ColdLane<'a, R: ?Sized> {
+    ego: &'a PerceptionFrame,
+    hint: Option<Iso2>,
+    rng: &'a mut R,
+}
+
+/// Milliseconds one stage 1 spent by phase, its share of the work shared
+/// with the other lanes of its group included, and in all (`total`); a
+/// phase counts only work done, so features read from a frame's slot
+/// cost 0 ms.
+#[derive(Debug, Default, Clone, Copy)]
+struct PhaseTimes {
+    mim: f64,
+    detect: f64,
+    describe: f64,
+    matching: f64,
+    ransac: f64,
+    total: f64,
+}
+
+impl PhaseTimes {
+    /// The five phases' sum.
+    fn phases(&self) -> f64 {
+        self.mim + self.detect + self.describe + self.matching + self.ransac
+    }
+}
+
+/// Splits `ms` of shared work evenly over the lanes `on` selects, adding
+/// each share to the phase `phase` picks.
+fn share(times: &mut [PhaseTimes], on: &[bool], ms: f64, phase: fn(&mut PhaseTimes) -> &mut f64) {
+    let n = on.iter().filter(|&&x| x).count();
+    for (t, _) in times.iter_mut().zip(on).filter(|(_, &x)| x) {
+        *phase(t) += ms / n as f64;
+    }
+}
+
+/// One lane's rotation sweep: what a lone stage 1 keeps from hypothesis to
+/// hypothesis.
+struct LaneSweep<'s> {
+    ego_set: &'s DescriptorSet,
+    /// `ego_set` packed for the matcher, once for the whole sweep.
+    pool: MatchPool,
+    hint_pix: Option<Iso2>,
+    /// Keypoints detected on the ego / sending frame.
+    keypoints: (usize, usize),
+    /// The best RANSAC result so far and its match count.
+    best: Option<(RansacResult, usize)>,
+    swept: usize,
+    pruned: usize,
+    any_descriptors: bool,
+    any_matches: bool,
+    last_ransac_err: Option<RansacError>,
+    /// The `strong` exit fired: later hypotheses are skipped.
+    done: bool,
+}
+
+impl<'s> LaneSweep<'s> {
+    fn new(
+        ego_set: &'s DescriptorSet,
+        pool: MatchPool,
+        hint_pix: Option<Iso2>,
+        keypoints: (usize, usize),
+    ) -> Self {
+        LaneSweep {
+            ego_set,
+            pool,
+            hint_pix,
+            keypoints,
+            best: None,
+            swept: 0,
+            pruned: 0,
+            any_descriptors: false,
+            any_matches: false,
+            last_ransac_err: None,
+            done: false,
+        }
+    }
+
+    /// Hypothesis `k`, whose sending-frame descriptors are `other_set`:
+    /// match, RANSAC and keep the best.
+    ///
+    /// The sweep keeps the best RANSAC result so far; a later hypothesis
+    /// replaces it on a tie, as a last-maximum pick over all of them would.
+    /// A hypothesis whose consensus bound (the most inliers any rigid
+    /// transform could reach on its matches) is below both the best count
+    /// so far and the smallest count that fires the `strong` exit can
+    /// neither win nor end the sweep, so its RANSAC is skipped; the skipped
+    /// call still advances `rng` exactly as the full one would, so every
+    /// later draw — later hypotheses, stage 2 — is unchanged (DESIGN.md →
+    /// *Sweep pruning*).
+    fn step<R: Rng + ?Sized>(
+        &mut self,
+        k: usize,
+        other_set: &DescriptorSet,
+        cfg: &BbAlignConfig,
+        rng: &mut R,
+        t: &mut PhaseTimes,
+    ) {
+        self.swept = k + 1;
+        if other_set.is_empty() {
+            return;
+        }
+        self.any_descriptors = true;
+        let t0 = Instant::now();
+        let matches = match_sets(other_set, &self.pool, &cfg.matcher);
+        t.matching += ms_since(t0);
+        if matches.len() < 2 {
+            return;
+        }
+        self.any_matches = true;
+        let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
+        let src: Vec<Vec2> = matches.iter().map(|m| pix(other_set.keypoint(m.src))).collect();
+        let dst: Vec<Vec2> = matches.iter().map(|m| pix(self.ego_set.keypoint(m.dst))).collect();
+        // Descriptor distances rank the correspondences for RANSAC's
+        // PROSAC-style preview; they schedule work only and cannot change
+        // the result.
+        let qual: Vec<f64> = matches.iter().map(|m| m.distance).collect();
+        // `strong`: the consensus clears the success threshold AND explains
+        // at least half the matches. With two candidates per keypoint (the
+        // default `keep_top_k = 2`) usually at most half the matches can be
+        // true, so this rarely fires and the sweep usually visits every
+        // hypothesis.
+        let strong_min = (cfg.min_inliers_bv + 1).max(matches.len().div_ceil(2));
+        let floor = self.best.as_ref().map_or(0, |(b, _)| b.num_inliers.min(strong_min));
+
+        let t0 = Instant::now();
+        let hint = self.hint_pix.as_ref();
+        let outcome = ransac_rigid(&src, &dst, Some(&qual), hint, floor, &cfg.ransac_bv, rng);
+        t.ransac += ms_since(t0);
+        match outcome {
+            Ok(result) => {
+                self.done = result.num_inliers >= strong_min;
+                if self.best.as_ref().is_none_or(|(b, _)| result.num_inliers >= b.num_inliers) {
+                    self.best = Some((result, matches.len()));
+                }
+            }
+            Err(RansacError::Pruned { .. }) => self.pruned += 1,
+            Err(e) => self.last_ransac_err = Some(e),
+        }
+    }
+
+    /// The sweep's best result and its match count, or why there is none.
+    fn best(self) -> Result<(RansacResult, usize), RecoverError> {
+        self.best.ok_or_else(|| {
+            if !self.any_descriptors {
+                RecoverError::NoKeypoints { side: "other" }
+            } else if !self.any_matches {
+                RecoverError::NoMatches
+            } else {
+                RecoverError::NoConsensus(
+                    self.last_ransac_err
+                        .unwrap_or(RansacError::NoConsensus { best: 0, required: 2 }),
+                )
+            }
+        })
+    }
 }
 
 impl BbAlign {
@@ -349,7 +516,7 @@ impl BbAlign {
     ) -> bba_place::PlaceDescriptor {
         let _span = self.obs.span("place.extract");
         let features = self
-            .features(frame, &mut FeatureCost::default())
+            .features(frame, &mut PhaseTimes::default())
             .expect("place descriptors need a frame rasterised at the engine's BV geometry");
         bba_place::PlaceDescriptor::from_mim(&features.mim, config)
     }
@@ -367,7 +534,7 @@ impl BbAlign {
     fn features<'f>(
         &self,
         frame: &'f PerceptionFrame,
-        cost: &mut FeatureCost,
+        cost: &mut PhaseTimes,
     ) -> Result<Cow<'f, FrameFeatures>, RecoverError> {
         if frame.bev().config() != &self.config.bev {
             return Err(RecoverError::GeometryMismatch);
@@ -386,14 +553,14 @@ impl BbAlign {
     }
 
     /// Computes `frame`'s MIM (on one pooled workspace) and keypoints.
-    fn compute_features(&self, frame: &PerceptionFrame, cost: &mut FeatureCost) -> FrameFeatures {
+    fn compute_features(&self, frame: &PerceptionFrame, cost: &mut PhaseTimes) -> FrameFeatures {
         let cfg = &self.config;
         let bank = self.bank();
         let t = Instant::now();
         let mut ws = self.workspaces.take(&self.obs);
         let mim = MaxIndexMap::compute_with_workspace(frame.bev().grid(), bank, &mut ws);
         self.workspaces.put(ws, &self.obs);
-        cost.mim_ms += ms_since(t);
+        cost.mim += ms_since(t);
 
         let t = Instant::now();
         let keypoints = match cfg.keypoint_source {
@@ -409,7 +576,7 @@ impl BbAlign {
                 }
             }
         };
-        cost.detect_ms += ms_since(t);
+        cost.detect += ms_since(t);
         FrameFeatures { config: cfg.clone(), mim, keypoints, ego_set: OnceLock::new() }
     }
 
@@ -431,7 +598,9 @@ impl BbAlign {
 
     /// Stage 1: BV image matching (Algorithm 1, lines 5–11).
     ///
-    /// Returns the coarse other→ego alignment.
+    /// Returns the coarse other→ego alignment: a lockstep stage 1 of one
+    /// (see [`BbAlign::recover_group`]), with its `stage1` spans filed
+    /// under the caller's open span.
     ///
     /// # Errors
     ///
@@ -445,188 +614,208 @@ impl BbAlign {
         other: &PerceptionFrame,
         rng: &mut R,
     ) -> Result<BvMatch, RecoverError> {
-        self.stage1(ego, other, None, rng)
+        let mut lane = [ColdLane { ego, hint: None, rng }];
+        let (bv, times) = self.stage1_group(other, &mut lane).pop().expect("one result per lane");
+        self.file_stage1(&times, bv.is_ok());
+        bv
     }
 
-    /// Stage 1 under the `stage1` span, with an optional pixel-space warm
-    /// hint offered to RANSAC as hypothesis zero (the cold path's entry;
-    /// with `None` it is [`BbAlign::match_bv`]). Takes and returns the
-    /// pooled describe scratch and counts `stage1.failures`.
-    fn stage1<R: Rng + ?Sized>(
-        &self,
-        ego: &PerceptionFrame,
-        other: &PerceptionFrame,
-        hint_pix: Option<&Iso2>,
-        rng: &mut R,
-    ) -> Result<BvMatch, RecoverError> {
-        let _span = self.obs.span("stage1");
-        let mut scratch = self.stage1_scratch.take(&self.obs);
-        let out = self.stage1_body(ego, other, hint_pix, rng, &mut scratch);
-        self.stage1_scratch.put(scratch, &self.obs);
-        if out.is_err() {
-            self.obs.incr("stage1.failures");
-        }
-        out
-    }
-
-    /// The one stage-1 body. Times its phases as it goes and, when stage 1
-    /// completes, files them as `mim` / `detect` / `describe` / `match` /
-    /// `ransac` spans under the open `stage1` span: one record per phase
-    /// per completed stage 1, summed over every hypothesis swept. Pure
-    /// instrumentation — the results do not depend on it.
+    /// The one stage-1 body: the cold stage 1 of every lane, each lane's
+    /// ego frame against the one sending frame `other`, swept in lockstep.
     ///
-    /// The MIM, the keypoints and the ego descriptor set are per-frame
-    /// products, computed once and kept by the frame (see
-    /// [`PerceptionFrame`]). Each phase counts only work this call did, so
-    /// a call whose frames were already used records 0 ms for MIM and
-    /// detection.
-    fn stage1_body<R: Rng + ?Sized>(
+    /// The sending frame is sampled once and each group of
+    /// [`REBIN_GROUP`] rotation hypotheses is re-binned once, ahead of
+    /// every lane's matching at those hypotheses. Everything else is the
+    /// lane's own: its ego set and the pool packed from it once, its
+    /// matches, RANSAC calls and RNG draws, its pruning floor, its best
+    /// result and its `strong` exit. A lane sees exactly the inputs and
+    /// draws it would see alone, in the same order, so its result is bit
+    /// for bit its lone stage 1's (DESIGN.md → *One sweep per sending
+    /// frame*).
+    ///
+    /// Returns each lane's result and phase times. A lane's times are its
+    /// own work plus an even share of the shared work among the lanes it
+    /// served: the sending frame's features among the lanes that needed
+    /// them, its sample pass among the lanes that swept, each re-bin group
+    /// among the lanes still sweeping, the unattributed rest among all
+    /// lanes. So the times of a group sum to its work. Counts
+    /// `stage1.failures`, `stage1.sweeps` and
+    /// `stage1.ego_sets_from_sweep` and, per completed lane, the sweep
+    /// counters and per-recovery figures.
+    fn stage1_group<R: Rng + ?Sized>(
         &self,
-        ego: &PerceptionFrame,
         other: &PerceptionFrame,
-        hint_pix: Option<&Iso2>,
-        rng: &mut R,
-        scratch: &mut Stage1Scratch,
-    ) -> Result<BvMatch, RecoverError> {
+        lanes: &mut [ColdLane<'_, R>],
+    ) -> Vec<(Result<BvMatch, RecoverError>, PhaseTimes)> {
+        let start = Instant::now();
         let cfg = &self.config;
+        let sweep = self.sweep();
+        let mut times = vec![PhaseTimes::default(); lanes.len()];
+        let mut scratch = self.stage1_scratch.take(&self.obs);
+        let Stage1Scratch { samples, group } = &mut scratch;
 
         // Per-frame features: the MIM (needed for descriptors, and by
         // default also as the keypoint-detection image) and the keypoints,
-        // computed on a frame's first use and read from its slot after.
-        let mut cost = FeatureCost::default();
-        let ego_features = self.features(ego, &mut cost)?;
-        let other_features = self.features(other, &mut cost)?;
-        let (kp_ego, kp_other) = (&ego_features.keypoints, &other_features.keypoints);
-        if kp_ego.is_empty() {
-            return Err(RecoverError::NoKeypoints { side: "ego" });
-        }
-        if kp_other.is_empty() {
-            return Err(RecoverError::NoKeypoints { side: "other" });
-        }
+        // computed on a frame's first use and read from its slot after;
+        // each ego's, then the sending frame's once for the lanes whose
+        // ego has them.
+        let egos: Vec<_> =
+            lanes.iter().zip(&mut times).map(|(lane, t)| self.features(lane.ego, t)).collect();
+        let needing: Vec<bool> = egos.iter().map(Result::is_ok).collect();
+        let mut cost = PhaseTimes::default();
+        let other_features = needing.contains(&true).then(|| self.features(other, &mut cost));
+        share(&mut times, &needing, cost.mim, |t| &mut t.mim);
+        share(&mut times, &needing, cost.detect, |t| &mut t.detect);
 
-        // Descriptors under a global rotation hypothesis (RIFT-style,
-        // swept below) rather than a per-patch orientation, which view-
-        // dependent samples make unstable. Each image is *sampled* exactly
-        // once — the per-hypothesis work is only the cheap re-binning of
-        // the cached samples. The ego side is binned once at hypothesis 0
-        // (angle 0) and kept by the frame; the other side is sampled per
-        // pair and re-binned a group of hypotheses at a time, each group
-        // ahead of its matching. The describe time covers the ego set when
-        // this call computed it, the sample pass and every re-bin.
-        let sweep = self.sweep();
-        let Stage1Scratch { samples, group } = scratch;
-        let t = Instant::now();
-        let ego_set = self.ego_set(&ego_features, samples);
-        if ego_set.is_empty() {
-            return Err(RecoverError::NoKeypoints { side: "ego" });
-        }
-        samples.sample(&other_features.mim, kp_other, sweep);
-        let mut describe_ms = ms_since(t);
-        let (mut match_ms, mut ransac_ms) = (0.0, 0.0);
-        let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
+        // Each lane's checks in a lone stage 1's order, then its ego set
+        // (binned once at hypothesis 0 and kept by the frame) and the pool
+        // packed from it. Ego sets are sampled through `samples` before the
+        // sending frame's samples take it over.
+        let mut sweeps: Vec<Result<LaneSweep<'_>, RecoverError>> = egos
+            .iter()
+            .zip(lanes.iter())
+            .zip(&mut times)
+            .map(|((ego, lane), t)| {
+                let ego = ego.as_ref().map_err(Clone::clone)?;
+                let other = other_features
+                    .as_ref()
+                    .expect("computed for every lane with ego features")
+                    .as_ref()
+                    .map_err(Clone::clone)?;
+                if ego.keypoints.is_empty() {
+                    return Err(RecoverError::NoKeypoints { side: "ego" });
+                }
+                if other.keypoints.is_empty() {
+                    return Err(RecoverError::NoKeypoints { side: "other" });
+                }
+                let t0 = Instant::now();
+                let ego_set = self.ego_set(ego, samples);
+                t.describe += ms_since(t0);
+                if ego_set.is_empty() {
+                    return Err(RecoverError::NoKeypoints { side: "ego" });
+                }
+                let t0 = Instant::now();
+                let pool = MatchPool::new(ego_set);
+                t.matching += ms_since(t0);
+                // The sweep matches keypoints in pixel coordinates, so the
+                // hint is converted once here. Keypoint positions are
+                // unrotated across hypotheses (only descriptor binning
+                // rotates), so one pixel-space hint serves every hypothesis.
+                let hint_pix = lane.hint.map(|h| self.world_to_pixel_transform(&h));
+                let keypoints = (ego.keypoints.len(), other.keypoints.len());
+                Ok(LaneSweep::new(ego_set, pool, hint_pix, keypoints))
+            })
+            .collect();
 
-        // The sweep keeps the best RANSAC result so far; a later hypothesis
-        // replaces it on a tie, as a last-maximum pick over all of them
-        // would. A hypothesis whose consensus bound (the most inliers any
-        // rigid transform could reach on its matches) is below both the
-        // best count so far and the smallest count that fires the `strong`
-        // exit can neither win nor end the sweep, so its RANSAC is skipped;
-        // the skipped call still advances `rng` exactly as the full one
-        // would, so every later draw — later hypotheses, stage 2 — is
-        // unchanged (DESIGN.md → *Sweep pruning*). Re-bins are pure, so
-        // binning a group ahead of its matches changes nothing, and a
-        // `strong` exit inside a group only discards the re-bins after it.
-        let mut best: Option<(RansacResult, usize)> = None;
-        let (mut swept, mut pruned) = (0usize, 0usize);
-        let mut any_descriptors = false;
-        let mut any_matches = false;
-        let mut last_ransac_err = None;
-        for k in 0..sweep.hypotheses() {
-            swept = k + 1;
-            if k % REBIN_GROUP == 0 {
-                let t = Instant::now();
-                let sets = &mut group[..REBIN_GROUP.min(sweep.hypotheses() - k)];
-                samples.rebin_group(sweep, k, sets);
-                describe_ms += ms_since(t);
-            }
-            let other_set = &group[k % REBIN_GROUP];
-            if other_set.is_empty() {
-                continue;
-            }
-            any_descriptors = true;
-            let t = Instant::now();
-            let matches = match_sets(other_set, ego_set, &cfg.matcher);
-            match_ms += ms_since(t);
-            if matches.len() < 2 {
-                continue;
-            }
-            any_matches = true;
-            let src: Vec<Vec2> = matches.iter().map(|m| pix(other_set.keypoint(m.src))).collect();
-            let dst: Vec<Vec2> = matches.iter().map(|m| pix(ego_set.keypoint(m.dst))).collect();
-            // Descriptor distances rank the correspondences for RANSAC's
-            // PROSAC-style preview; they schedule work only and cannot
-            // change the result.
-            let qual: Vec<f64> = matches.iter().map(|m| m.distance).collect();
-            // `strong`: the consensus clears the success threshold AND
-            // explains at least half the matches. With two candidates per
-            // keypoint (the default `keep_top_k = 2`) usually at most half
-            // the matches can be true, so this rarely fires and the sweep
-            // usually visits every hypothesis.
-            let strong_min = (cfg.min_inliers_bv + 1).max(matches.len().div_ceil(2));
-            let floor = best.as_ref().map_or(0, |(b, _)| b.num_inliers.min(strong_min));
-
-            let t = Instant::now();
-            let outcome =
-                ransac_rigid(&src, &dst, Some(&qual), hint_pix, floor, &cfg.ransac_bv, rng);
-            ransac_ms += ms_since(t);
-            match outcome {
-                Ok(result) => {
-                    let strong = result.num_inliers >= strong_min;
-                    if best.as_ref().is_none_or(|(b, _)| result.num_inliers >= b.num_inliers) {
-                        best = Some((result, matches.len()));
-                    }
-                    if strong {
-                        break;
+        // Descriptors under a global rotation hypothesis (RIFT-style) rather
+        // than a per-patch orientation, which view-dependent samples make
+        // unstable. The sending frame is *sampled* once for the whole
+        // group; per hypothesis group there is one cheap re-bin of the
+        // cached samples, ahead of every lane's matching. Re-bins are pure,
+        // so binning ahead changes nothing, and a lane's `strong` exit only
+        // skips its own later hypotheses.
+        let swept_by: Vec<bool> = sweeps.iter().map(Result::is_ok).collect();
+        if let Some(Ok(other)) = other_features.as_ref().filter(|_| swept_by.contains(&true)) {
+            self.obs.incr("stage1.sweeps");
+            let t0 = Instant::now();
+            samples.sample(&other.mim, &other.keypoints, sweep);
+            share(&mut times, &swept_by, ms_since(t0), |t| &mut t.describe);
+            for first in (0..sweep.hypotheses()).step_by(REBIN_GROUP) {
+                let sweeping: Vec<bool> =
+                    sweeps.iter().map(|s| s.as_ref().is_ok_and(|s| !s.done)).collect();
+                if !sweeping.contains(&true) {
+                    break;
+                }
+                let t0 = Instant::now();
+                let sets = &mut group[..REBIN_GROUP.min(sweep.hypotheses() - first)];
+                samples.rebin_group(sweep, first, sets);
+                // Only the frame's own slot keeps the set; features this
+                // engine computed for a slot of another configuration are
+                // dropped after the call.
+                if let (0, Cow::Borrowed(slot)) = (first, other) {
+                    self.keep_ego_set(slot, &sets[0]);
+                }
+                share(&mut times, &sweeping, ms_since(t0), |t| &mut t.describe);
+                // Lane by lane through the group's hypotheses, so a lane's
+                // packed pool stays in cache across its matches.
+                for ((lane, state), t) in lanes.iter_mut().zip(&mut sweeps).zip(&mut times) {
+                    let Ok(state) = state else { continue };
+                    for (k, other_set) in (first..).zip(sets.iter()) {
+                        if !state.done {
+                            state.step(k, other_set, cfg, &mut *lane.rng, t);
+                        }
                     }
                 }
-                Err(RansacError::Pruned { .. }) => pruned += 1,
-                Err(e) => last_ransac_err = Some(e),
             }
         }
+        self.stage1_scratch.put(scratch, &self.obs);
 
-        let Some((result, matches)) = best else {
-            if !any_descriptors {
-                return Err(RecoverError::NoKeypoints { side: "other" });
-            }
-            if !any_matches {
-                return Err(RecoverError::NoMatches);
-            }
-            return Err(RecoverError::NoConsensus(
-                last_ransac_err.unwrap_or(RansacError::NoConsensus { best: 0, required: 2 }),
-            ));
-        };
-
-        let bv = BvMatch {
-            transform: self.pixel_to_world_transform(&result.transform),
-            transform_pixels: result.transform,
-            inliers: result.num_inliers,
-            matches,
-            keypoints: (kp_ego.len(), kp_other.len()),
-        };
-        if self.obs.is_enabled() {
-            self.obs.record_span_ms("mim", cost.mim_ms);
-            self.obs.record_span_ms("detect", cost.detect_ms);
-            self.obs.record_span_ms("describe", describe_ms);
-            self.obs.record_span_ms("match", match_ms);
-            self.obs.record_span_ms("ransac", ransac_ms);
-            self.obs.add("stage1.hypotheses", swept as u64);
-            self.obs.add("stage1.hypotheses_pruned", pruned as u64);
-            self.obs.observe("stage1.keypoints_ego", bv.keypoints.0 as f64);
-            self.obs.observe("stage1.keypoints_other", bv.keypoints.1 as f64);
-            self.obs.observe("stage1.matches", bv.matches as f64);
-            self.obs.observe("stage1.inliers_bv", bv.inliers as f64);
+        let results: Vec<Result<BvMatch, RecoverError>> = sweeps
+            .into_iter()
+            .map(|state| {
+                let bv = state.and_then(|state| {
+                    let (swept, pruned, keypoints) = (state.swept, state.pruned, state.keypoints);
+                    let (result, matches) = state.best()?;
+                    self.obs.add("stage1.hypotheses", swept as u64);
+                    self.obs.add("stage1.hypotheses_pruned", pruned as u64);
+                    Ok(BvMatch {
+                        transform: self.pixel_to_world_transform(&result.transform),
+                        transform_pixels: result.transform,
+                        inliers: result.num_inliers,
+                        matches,
+                        keypoints,
+                    })
+                });
+                match &bv {
+                    Ok(bv) if self.obs.is_enabled() => {
+                        self.obs.observe("stage1.keypoints_ego", bv.keypoints.0 as f64);
+                        self.obs.observe("stage1.keypoints_other", bv.keypoints.1 as f64);
+                        self.obs.observe("stage1.matches", bv.matches as f64);
+                        self.obs.observe("stage1.inliers_bv", bv.inliers as f64);
+                    }
+                    Ok(_) => {}
+                    Err(_) => self.obs.incr("stage1.failures"),
+                }
+                bv
+            })
+            .collect();
+        let unattributed = ms_since(start) - times.iter().map(PhaseTimes::phases).sum::<f64>();
+        let rest = unattributed.max(0.0) / times.len().max(1) as f64;
+        for t in &mut times {
+            t.total = t.phases() + rest;
         }
-        Ok(bv)
+        results.into_iter().zip(times).collect()
+    }
+
+    /// Stores the sending frame's hypothesis-0 descriptors, `set`, as the
+    /// ego set of its feature slot `features` when the slot has none yet:
+    /// binned from the same samples under the same hypothesis, `set` is
+    /// bit for bit what the frame's first use as ego would compute (the
+    /// re-bin proofs cover groups of 1 to [`REBIN_GROUP`] sets). Counts
+    /// `stage1.ego_sets_from_sweep`.
+    fn keep_ego_set(&self, features: &FrameFeatures, set: &DescriptorSet) {
+        if features.ego_set.get().is_none() && features.ego_set.set(set.clone()).is_ok() {
+            self.obs.incr("stage1.ego_sets_from_sweep");
+        }
+    }
+
+    /// Files one stage 1's times under the current span path: a `stage1`
+    /// record always and, when it completed, one `stage1/<phase>` record
+    /// per phase — one per completed stage 1, the count perfbench divides
+    /// the phase totals by. A phase reads 0 ms when its work was done
+    /// before (features read from a frame's slot).
+    fn file_stage1(&self, t: &PhaseTimes, completed: bool) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        self.obs.record_span_ms("stage1", t.total);
+        if completed {
+            self.obs.record_span_ms("stage1/mim", t.mim);
+            self.obs.record_span_ms("stage1/detect", t.detect);
+            self.obs.record_span_ms("stage1/describe", t.describe);
+            self.obs.record_span_ms("stage1/match", t.matching);
+            self.obs.record_span_ms("stage1/ransac", t.ransac);
+        }
     }
 
     /// Converts a rigid transform expressed in continuous pixel coordinates
@@ -760,7 +949,8 @@ impl BbAlign {
         Some(BoxAlignment { transform, inliers: result.num_inliers, box_pairs: pairs })
     }
 
-    /// Runs the full two-stage recovery (Algorithm 1).
+    /// Runs the full two-stage recovery (Algorithm 1): a group of one
+    /// cold request (see [`BbAlign::recover_group`]).
     ///
     /// Stage-2 failure (too few overlapping boxes) degrades gracefully to
     /// the stage-1 transform; such recoveries report `Inliers_box = 0` and
@@ -776,59 +966,120 @@ impl BbAlign {
         other: &PerceptionFrame,
         rng: &mut R,
     ) -> Result<Recovery, RecoverError> {
-        self.recover_with_hint(ego, other, None, rng)
+        let mut request = [RecoveryRequest { ego, predicted: None, rng }];
+        let result = self.recover_group(other, &mut request, false).pop();
+        result.expect("one result per request").map(|w| w.recovery)
     }
 
-    /// The cold pipeline, optionally seeding stage-1 RANSAC with a
-    /// world-frame warm hint as hypothesis zero. With `None` (or whenever
-    /// the hint does not win a RANSAC call outright) this is bit-identical
-    /// to the plain [`BbAlign::recover`]: same RNG consumption, same
-    /// result.
-    fn recover_with_hint<R: Rng + ?Sized>(
+    /// Recovers every request's pose of the one sending frame `other`:
+    /// the engine's entry point, of which [`BbAlign::recover`] and
+    /// [`BbAlign::recover_warm`] are groups of one.
+    ///
+    /// With `warm_start`, each request is first what
+    /// [`BbAlign::recover_warm`] makes of its prediction: a verified one
+    /// answers the request without stage 1, a failed one becomes the
+    /// request's stage-1 RANSAC hint, and every request counts one
+    /// `warmstart.hit` or `warmstart.miss`. Without `warm_start`,
+    /// predictions are ignored and every request recovers cold, as
+    /// [`BbAlign::recover`].
+    ///
+    /// The cold requests share one stage 1 that samples `other` once and
+    /// re-bins each group of rotation hypotheses once for all of them (see
+    /// `stage1_group`), then run stage 2 in order, each on its own RNG.
+    /// Every result, and every request's RNG stream, is bit for bit what
+    /// the lone call for that request gives. The `recover` span of a cold
+    /// request carries its share of the shared stage 1 plus its own stage
+    /// 2.
+    ///
+    /// # Errors
+    ///
+    /// Each request fails on its own, as its lone call would.
+    pub fn recover_group<R: Rng + ?Sized>(
         &self,
-        ego: &PerceptionFrame,
         other: &PerceptionFrame,
-        warm_hint: Option<&Iso2>,
-        rng: &mut R,
-    ) -> Result<Recovery, RecoverError> {
-        let _span = self.obs.span("recover");
-        self.obs.incr("recover.calls");
-        // The stage-1 sweep matches keypoints in pixel coordinates, so the
-        // hint is converted once here. Keypoint positions are unrotated
-        // across rotation hypotheses (only descriptor binning rotates), so
-        // one pixel-space hint is valid for every hypothesis.
-        let hint_pix = warm_hint.map(|t| self.world_to_pixel_transform(t));
-        let bv = match self.stage1(ego, other, hint_pix.as_ref(), rng) {
-            Ok(bv) => bv,
-            Err(e) => {
-                self.obs.incr("recover.failures");
-                return Err(e);
+        requests: &mut [RecoveryRequest<'_, R>],
+        warm_start: bool,
+    ) -> Vec<Result<WarmRecovery, RecoverError>> {
+        let mut out: Vec<Option<Result<WarmRecovery, RecoverError>>> = vec![None; requests.len()];
+        if warm_start {
+            for (slot, request) in out.iter_mut().zip(requests.iter()) {
+                let Some(predicted) = request.predicted else {
+                    self.obs.incr("warmstart.miss");
+                    continue;
+                };
+                if let Some(recovery) = self.warm_start(request.ego, other, predicted) {
+                    *slot = Some(Ok(WarmRecovery { recovery, path: RecoveryPath::WarmStart }));
+                }
             }
-        };
-        let box_alignment = if self.config.box_alignment {
-            self.align_boxes(ego, other, &bv.transform, rng)
-        } else {
-            None
-        };
-        let transform = match &box_alignment {
-            Some(b) => b.transform.compose(&bv.transform),
-            None => bv.transform,
-        };
-        let recovery = Recovery {
-            transform,
-            transform_3d: Iso3::from_iso2(&transform, 0.0),
-            bv,
-            box_alignment,
-            thresholds: (self.config.min_inliers_bv, self.config.min_inliers_box),
-        };
-        if recovery.is_success() {
-            self.obs.incr("recover.success");
         }
-        Ok(recovery)
+        let (slots, mut lanes): (Vec<usize>, Vec<ColdLane<'_, R>>) = requests
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| out[*i].is_none())
+            .map(|(i, r)| {
+                let hint = r.predicted.filter(|_| warm_start).copied();
+                (i, ColdLane { ego: r.ego, hint, rng: &mut *r.rng })
+            })
+            .unzip();
+        let paths: Vec<RecoveryPath> = lanes
+            .iter()
+            .map(|l| if l.hint.is_some() { RecoveryPath::ColdFallback } else { RecoveryPath::Cold })
+            .collect();
+        let cold = self.recover_cold(other, &mut lanes);
+        for ((slot, path), result) in slots.into_iter().zip(paths).zip(cold) {
+            out[slot] = Some(result.map(|recovery| WarmRecovery { recovery, path }));
+        }
+        out.into_iter().map(|r| r.expect("every request answered")).collect()
+    }
+
+    /// The cold pipeline of a lockstep group: the shared stage 1, then
+    /// each lane's stage 2 on its own RNG, under one `recover` span per
+    /// lane. A lane's world-frame hint is offered to stage-1 RANSAC as
+    /// hypothesis zero; with none (or whenever the hint does not win a
+    /// RANSAC call outright) the result is bit-identical to the plain
+    /// [`BbAlign::recover`]: same RNG consumption, same result.
+    fn recover_cold<R: Rng + ?Sized>(
+        &self,
+        other: &PerceptionFrame,
+        lanes: &mut [ColdLane<'_, R>],
+    ) -> Vec<Result<Recovery, RecoverError>> {
+        let stage1 = self.stage1_group(other, lanes);
+        lanes
+            .iter_mut()
+            .zip(stage1)
+            .map(|(lane, (bv, times))| {
+                let mut span = self.obs.span("recover");
+                span.add_ms(times.total);
+                self.obs.incr("recover.calls");
+                self.file_stage1(&times, bv.is_ok());
+                let bv = bv.inspect_err(|_| self.obs.incr("recover.failures"))?;
+                let box_alignment = if self.config.box_alignment {
+                    self.align_boxes(lane.ego, other, &bv.transform, &mut *lane.rng)
+                } else {
+                    None
+                };
+                let transform = match &box_alignment {
+                    Some(b) => b.transform.compose(&bv.transform),
+                    None => bv.transform,
+                };
+                let recovery = Recovery {
+                    transform,
+                    transform_3d: Iso3::from_iso2(&transform, 0.0),
+                    bv,
+                    box_alignment,
+                    thresholds: (self.config.min_inliers_bv, self.config.min_inliers_box),
+                };
+                if recovery.is_success() {
+                    self.obs.incr("recover.success");
+                }
+                Ok(recovery)
+            })
+            .collect()
     }
 
     /// Temporal warm start: recovery seeded by a tracker-predicted
-    /// transform (see `PoseTracker::warm_prediction`).
+    /// transform (see `PoseTracker::warm_prediction`); a group of one
+    /// request under `warm_start` (see [`BbAlign::recover_group`]).
     ///
     /// With a usable prediction the engine first *verifies it directly* —
     /// the [`AlignmentScorer`] coarse-to-fine occupancy screen against the
@@ -864,11 +1115,20 @@ impl BbAlign {
         predicted: Option<&Iso2>,
         rng: &mut R,
     ) -> Result<WarmRecovery, RecoverError> {
-        let Some(predicted) = predicted else {
-            self.obs.incr("warmstart.miss");
-            let recovery = self.recover(ego, other, rng)?;
-            return Ok(WarmRecovery { recovery, path: RecoveryPath::Cold });
-        };
+        let mut request = [RecoveryRequest { ego, predicted, rng }];
+        self.recover_group(other, &mut request, true).pop().expect("one result per request")
+    }
+
+    /// One request's warm start: its prediction verified directly, under
+    /// the `warmstart.verify` span, when both frames are at the engine's
+    /// geometry. Counts `warmstart.hit`, or `warmstart.miss` and
+    /// `warmstart.fallback` when the request falls back to the cold path.
+    fn warm_start(
+        &self,
+        ego: &PerceptionFrame,
+        other: &PerceptionFrame,
+        predicted: &Iso2,
+    ) -> Option<Recovery> {
         let native = |f: &PerceptionFrame| f.bev().config() == &self.config.bev;
         if native(ego) && native(other) {
             let span = self.obs.span("warmstart.verify");
@@ -877,13 +1137,12 @@ impl BbAlign {
             if let Some(recovery) = verified {
                 self.obs.incr("warmstart.hit");
                 self.obs.observe("warmstart.inliers_bv", recovery.bv.inliers as f64);
-                return Ok(WarmRecovery { recovery, path: RecoveryPath::WarmStart });
+                return Some(recovery);
             }
         }
         self.obs.incr("warmstart.miss");
         self.obs.incr("warmstart.fallback");
-        let recovery = self.recover_with_hint(ego, other, Some(predicted), rng)?;
-        Ok(WarmRecovery { recovery, path: RecoveryPath::ColdFallback })
+        None
     }
 
     /// Direct verification of a predicted transform, without stage 1.
@@ -1496,14 +1755,35 @@ mod tests {
             assert_eq!(&aligner.place_descriptor(frame, &place), descriptor);
             assert_eq!(&aligner.place_descriptor(&cold_copy(frame), &place), descriptor);
         }
-        let ego_set_bits = |f: &PerceptionFrame| {
-            let set = f.features().get().and_then(|x| x.ego_set.get()).expect("used as ego");
-            let bits = (0..set.len()).flat_map(|i| set.row(i).iter().map(|x| x.to_bits()));
-            (set.keypoints().to_vec(), bits.collect::<Vec<u32>>())
-        };
         let fresh_ego = cold_copy(&ego);
         recover(&fresh_ego, &cold_copy(&other));
         assert_eq!(ego_set_bits(&ego), ego_set_bits(&fresh_ego));
+    }
+
+    /// The keypoints and row bits of `frame`'s stored ego set.
+    fn ego_set_bits(frame: &PerceptionFrame) -> (Vec<Keypoint>, Vec<u32>) {
+        let set = frame.features().get().and_then(|x| x.ego_set.get()).expect("an ego set");
+        let bits = (0..set.len()).flat_map(|i| set.row(i).iter().map(|x| x.to_bits()));
+        (set.keypoints().to_vec(), bits.collect())
+    }
+
+    #[test]
+    fn the_sweep_keeps_the_sending_frames_ego_set() {
+        let recorder = bba_obs::Recorder::enabled();
+        let aligner = BbAlign::new(BbAlignConfig::test_small()).with_recorder(recorder.clone());
+        let (ego, other) = frame_pair(&aligner, &Iso2::new(0.2, Vec2::new(3.0, 1.0)));
+        aligner.recover(&ego, &other, &mut StdRng::seed_from_u64(17)).unwrap();
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("stage1.sweeps"), Some(1));
+        assert_eq!(snap.counter("stage1.ego_sets_from_sweep"), Some(1));
+        // The kept set is the one the frame's first use as ego computes
+        // (this call keeps the fresh sending frame's set too: two kept).
+        let fresh = cold_copy(&other);
+        aligner.recover(&fresh, &cold_copy(&ego), &mut StdRng::seed_from_u64(17)).unwrap();
+        assert_eq!(ego_set_bits(&other), ego_set_bits(&fresh));
+        // A sending frame already holding its ego set keeps it.
+        aligner.recover(&cold_copy(&ego), &other, &mut StdRng::seed_from_u64(17)).unwrap();
+        assert_eq!(recorder.snapshot().counter("stage1.ego_sets_from_sweep"), Some(2));
     }
 
     #[test]
@@ -1618,7 +1898,7 @@ mod tests {
     /// Reference for the pruned, grouped sweep: stage 1 as it ran before
     /// pruning — descriptors from the naive per-angle path, RANSAC on every
     /// swept hypothesis, the last maximum over all their results — then
-    /// stage 2 on the same RNG, as in `recover_with_hint`.
+    /// stage 2 on the same RNG, as in `recover_cold`.
     fn unpruned_recover(
         aligner: &BbAlign,
         ego: &PerceptionFrame,
@@ -1627,8 +1907,8 @@ mod tests {
         rng: &mut StdRng,
     ) -> Recovery {
         let cfg = aligner.config();
-        let ego_features = aligner.features(ego, &mut FeatureCost::default()).unwrap();
-        let other_features = aligner.features(other, &mut FeatureCost::default()).unwrap();
+        let ego_features = aligner.features(ego, &mut PhaseTimes::default()).unwrap();
+        let other_features = aligner.features(other, &mut PhaseTimes::default()).unwrap();
         let describe = |features: &FrameFeatures, k: usize| {
             let angle = aligner.sweep().angle(k);
             describe_keypoints_rotated(&features.mim, &features.keypoints, &cfg.descriptor, angle)
@@ -1642,7 +1922,7 @@ mod tests {
             if other_set.is_empty() {
                 continue;
             }
-            let matches = match_sets(&other_set, &ego_set, &cfg.matcher);
+            let matches = match_sets(&other_set, &MatchPool::new(&ego_set), &cfg.matcher);
             if matches.len() < 2 {
                 continue;
             }
@@ -1679,6 +1959,19 @@ mod tests {
         }
     }
 
+    /// The cold pipeline of one lane with a world-frame RANSAC hint, as a
+    /// verification-failed warm start runs it.
+    fn recover_hinted(
+        aligner: &BbAlign,
+        ego: &PerceptionFrame,
+        other: &PerceptionFrame,
+        hint: Option<&Iso2>,
+        rng: &mut StdRng,
+    ) -> Result<Recovery, RecoverError> {
+        let mut lane = [ColdLane { ego, hint: hint.copied(), rng }];
+        aligner.recover_cold(other, &mut lane).pop().unwrap()
+    }
+
     /// Recovers `truth`'s frame pair with and without pruning (and with and
     /// without a warm hint), asserting the same bits and the same next RNG
     /// draw; returns the hypotheses swept and pruned by the plain call.
@@ -1689,7 +1982,7 @@ mod tests {
         for hint in [None, Some(truth)] {
             let mut rng_pruned = StdRng::seed_from_u64(seed);
             let mut rng_full = StdRng::seed_from_u64(seed);
-            let pruned = aligner.recover_with_hint(&ego, &other, hint, &mut rng_pruned).unwrap();
+            let pruned = recover_hinted(&aligner, &ego, &other, hint, &mut rng_pruned).unwrap();
             let full = unpruned_recover(&aligner, &ego, &other, hint, &mut rng_full);
             assert_same_bits(&pruned, &full);
             assert_eq!(rng_pruned.random::<u64>(), rng_full.random::<u64>(), "hint {hint:?}");

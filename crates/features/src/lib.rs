@@ -15,8 +15,9 @@
 //!    per group of [`REBIN_GROUP`] hypotheses into flat
 //!    [`DescriptorSet`]s.
 //! 3. [`match_sets`] — nearest-neighbour matching by Euclidean distance
-//!    with the blocked dot-product kernel: up to `keep_top_k` candidates
-//!    per keypoint within `max_distance`.
+//!    with the blocked dot-product kernel against a destination set packed
+//!    once ([`MatchPool`]): up to `keep_top_k` candidates per keypoint
+//!    within `max_distance`.
 //! 4. [`ransac_rigid`] — RANSAC over 2-point samples fitting a rigid 2-D
 //!    transform; the inlier count it returns is the paper's `Inliers_bv` /
 //!    `Inliers_box` confidence signal.
@@ -55,6 +56,6 @@ pub mod sweep;
 
 pub use descriptor::{describe_keypoints_rotated, DescriptorConfig};
 pub use keypoints::{detect_keypoints, Keypoint, KeypointConfig};
-pub use matcher::{match_sets, Match, MatcherConfig};
+pub use matcher::{match_sets, Match, MatchPool, MatcherConfig};
 pub use ransac::{ransac_rigid, ransac_rigid_naive, RansacConfig, RansacError, RansacResult};
 pub use sweep::{DescriptorSet, PatchSamples, RotationSweep, REBIN_GROUP};

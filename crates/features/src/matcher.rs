@@ -14,9 +14,10 @@
 //! inner product: `‖a − b‖² = 2 − 2·⟨a, b⟩`, and because `√` is monotone,
 //! ranking by ascending distance is ranking by *descending dot product*.
 //! The production matcher ([`match_sets`]) exploits this on the flat
-//! [`DescriptorSet`] layout: blocked row×row dot-product loops (one pool
-//! block stays cache-hot across a block of query rows, and each query row
-//! takes a whole block's dot products in one multi-row kernel call), a
+//! [`DescriptorSet`] layout against a destination packed once
+//! ([`MatchPool`]): blocked row×row dot-product loops (one pool block
+//! stays cache-hot across a block of query rows, and each query row takes
+//! a whole block's dot products in one multi-row kernel call), a
 //! top-k insertion select instead of sorting the full distance row,
 //! and the distance materialised only for the surviving candidates. A
 //! naive reference ([`match_sets_naive`], the test oracle) computes the
@@ -116,15 +117,47 @@ fn push_candidate(cands: &mut Vec<(u32, f32)>, cap: usize, j: u32, d: f32) {
     }
 }
 
+/// A destination descriptor set packed once for [`match_sets`]: its rows
+/// in the [`bba_simd::PackedRows`] layout the multi-row dot kernel reads.
+/// Stage 1 packs each ego set once and matches every rotation
+/// hypothesis's set against it. Row `j` of the pool is row `j` of the set
+/// it was built from, which is what [`Match::dst`] indexes.
+#[derive(Debug, Clone)]
+pub struct MatchPool {
+    rows: bba_simd::PackedRows,
+}
+
+impl MatchPool {
+    /// Packs `set`'s rows.
+    pub fn new(set: &DescriptorSet) -> Self {
+        MatchPool { rows: bba_simd::PackedRows::new(set.data(), set.len(), set.dim()) }
+    }
+
+    /// Number of descriptors.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the pool holds no descriptors.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Vector length of every descriptor.
+    pub fn dim(&self) -> usize {
+        self.rows.dim()
+    }
+}
+
 /// For every `q` row, its `cap` best pool rows as `(pool_index, dot)`,
-/// best-first. Blocked: the pool (packed once per call) is streamed in
-/// cache-sized tiles reused across all query rows of a block; each query
-/// row takes a whole tile's dot products in one multi-row kernel call,
-/// then offers them in ascending pool order.
-fn blocked_topk(q: &DescriptorSet, pool: &DescriptorSet, cap: usize) -> Vec<Vec<(u32, f32)>> {
+/// best-first. Blocked: the packed pool is streamed in cache-sized tiles
+/// reused across all query rows of a block; each query row takes a whole
+/// tile's dot products in one multi-row kernel call, then offers them in
+/// ascending pool order.
+fn blocked_topk(q: &DescriptorSet, pool: &MatchPool, cap: usize) -> Vec<Vec<(u32, f32)>> {
     let n = q.len();
     let tile = pool_block_rows(q.dim());
-    let packed = bba_simd::PackedRows::new(pool.data(), pool.len(), pool.dim());
+    let packed = &pool.rows;
     let mut tops: Vec<Vec<(u32, f32)>> = vec![Vec::with_capacity(cap + 1); n];
     let mut dots = vec![0.0f32; tile];
     for lo in (0..n).step_by(QUERY_BLOCK) {
@@ -134,7 +167,7 @@ fn blocked_topk(q: &DescriptorSet, pool: &DescriptorSet, cap: usize) -> Vec<Vec<
             let jhi = (jlo + tile).min(pool.len());
             let dots = &mut dots[..jhi - jlo];
             for (top, i) in tops[lo..hi].iter_mut().zip(lo..hi) {
-                bba_simd::dot_f32_rows(q.row(i), &packed, jlo, dots);
+                bba_simd::dot_f32_rows(q.row(i), packed, jlo, dots);
                 for (j, &d) in (jlo..).zip(dots.iter()) {
                     push_candidate(top, cap, j as u32, d);
                 }
@@ -166,15 +199,15 @@ fn select_matches(per_src: &[Vec<(u32, f32)>], config: &MatcherConfig) -> Vec<Ma
     out
 }
 
-/// Matches `src` descriptors against `dst` descriptors on the flat
-/// [`DescriptorSet`] layout (the stage-1 production path).
+/// Matches `src` descriptors against the packed `dst` descriptors (the
+/// stage-1 production path).
 ///
 /// Returns matches sorted by ascending distance.
 ///
 /// # Panics
 ///
 /// Panics if the two non-empty sets have different descriptor dimensions.
-pub fn match_sets(src: &DescriptorSet, dst: &DescriptorSet, config: &MatcherConfig) -> Vec<Match> {
+pub fn match_sets(src: &DescriptorSet, dst: &MatchPool, config: &MatcherConfig) -> Vec<Match> {
     if src.is_empty() || dst.is_empty() {
         return Vec::new();
     }
@@ -235,14 +268,14 @@ mod tests {
     fn empty_inputs_give_no_matches() {
         let a = set(&[&[1.0, 0.0]]);
         let empty = DescriptorSet::new(2);
-        assert!(match_sets(&empty, &a, &MatcherConfig::default()).is_empty());
-        assert!(match_sets(&a, &empty, &MatcherConfig::default()).is_empty());
+        assert!(match_sets(&empty, &MatchPool::new(&a), &MatcherConfig::default()).is_empty());
+        assert!(match_sets(&a, &MatchPool::new(&empty), &MatcherConfig::default()).is_empty());
     }
 
     #[test]
     fn identical_sets_match_one_to_one() {
         let set = set(&[&[1.0, 0.0, 0.0, 0.0], &[0.0, 1.0, 0.0, 0.0], &[0.0, 0.0, 1.0, 0.0]]);
-        let matches = match_sets(&set, &set, &top1());
+        let matches = match_sets(&set, &MatchPool::new(&set), &top1());
         assert_eq!(matches.len(), 3);
         for m in matches {
             assert_eq!(m.src, m.dst);
@@ -257,14 +290,14 @@ mod tests {
         let src = set(&[&[1.0, 0.0, 0.0, 0.0]]);
         let dst = set(&[&[0.0, 1.0, 0.0, 0.0]]); // distance √2
         let cfg = MatcherConfig { max_distance: 1.0, keep_top_k: 1 };
-        assert!(match_sets(&src, &dst, &cfg).is_empty());
+        assert!(match_sets(&src, &MatchPool::new(&dst), &cfg).is_empty());
     }
 
     #[test]
     fn output_sorted_by_distance() {
         let src = set(&[&[1.0, 0.0, 0.0, 0.0], &[0.0, 1.0, 0.02, 0.0], &[0.0, 0.0, 1.0, 0.1]]);
         let dst = set(&[&[1.0, 0.01, 0.0, 0.0], &[0.0, 1.0, 0.0, 0.0], &[0.0, 0.0, 1.0, 0.0]]);
-        let matches = match_sets(&src, &dst, &top1());
+        let matches = match_sets(&src, &MatchPool::new(&dst), &top1());
         assert_eq!(matches.len(), 3);
         for pair in matches.windows(2) {
             assert!(pair[0].distance <= pair[1].distance);
@@ -295,7 +328,8 @@ mod tests {
             MatcherConfig { max_distance: 1.2, keep_top_k: 1 },
             MatcherConfig { max_distance: 2.0, keep_top_k: 3 },
         ] {
-            assert_eq!(match_sets(&src, &dst, &cfg), match_sets_naive(&src, &dst, &cfg));
+            let pool = MatchPool::new(&dst);
+            assert_eq!(match_sets(&src, &pool, &cfg), match_sets_naive(&src, &dst, &cfg));
         }
     }
 

@@ -175,12 +175,9 @@ fn skip_samples<R: Rng + ?Sized>(n: usize, iterations: usize, rng: &mut R) {
 /// `n`. Points with a NaN coordinate are never inliers and join no edge.
 fn consensus_bound(src: &[Vec2], dst: &[Vec2], threshold: f64) -> usize {
     let n = src.len();
-    let thr = threshold.abs();
-    let scale = src.iter().chain(dst).fold(0.0f64, |m, p| m.max(p.x.abs()).max(p.y.abs()));
-    if n < 2 || !(scale <= 1e100 && thr <= 1e100) {
+    let Some(reach) = edge_reach(src, dst, threshold).filter(|_| n >= 2) else {
         return n;
-    }
-    let reach = 2.0 * thr + 1e-9 * (scale + thr);
+    };
     let dist = |a: Vec2, b: Vec2| {
         let (ex, ey) = (a.x - b.x, a.y - b.y);
         (ex * ex + ey * ey).sqrt()
@@ -233,6 +230,53 @@ fn consensus_bound(src: &[Vec2], dst: &[Vec2], threshold: f64) -> usize {
         }
         level += 1;
     }
+}
+
+/// The compatibility graph's edge test allowance `2·threshold` plus the
+/// rounding slack `1e-9 · (scale + threshold)`, where `scale` is the
+/// largest coordinate magnitude; `None` when a coordinate exceeds `1e100`
+/// in magnitude or the threshold is not finite, where only the trivial
+/// bound holds.
+fn edge_reach(src: &[Vec2], dst: &[Vec2], threshold: f64) -> Option<f64> {
+    let thr = threshold.abs();
+    let scale = src.iter().chain(dst).fold(0.0f64, |m, p| m.max(p.x.abs()).max(p.y.abs()));
+    (scale <= 1e100 && thr <= 1e100).then_some(2.0 * thr + 1e-9 * (scale + thr))
+}
+
+/// The degree-count certificate: the largest `c` such that at least `c`
+/// correspondences have `c − 1` or more compatible partners, under
+/// [`consensus_bound`]'s edge test with allowance `reach`.
+///
+/// A clique of size `c` needs `c` members with `c − 1` partners each, so
+/// this bounds every transform's inlier count. It is never below
+/// [`consensus_bound`] either: a non-empty `(c − 1)`-core has at least
+/// `c` vertices of degree `c − 1` or more. Counting partners
+/// ([`bba_simd::compat_degrees`]) tests the same pairs as building the
+/// graph but keeps no adjacency and peels nothing, so it is the cheap
+/// first test: when it already falls below the caller's floor, the k-core
+/// would prune too.
+fn degree_bound(src: &[Vec2], dst: &[Vec2], reach: f64) -> usize {
+    let n = src.len();
+    let lanes = |pts: &[Vec2], f: fn(&Vec2) -> f64| pts.iter().map(f).collect::<Vec<f64>>();
+    let (sx, sy) = (lanes(src, |p| p.x), lanes(src, |p| p.y));
+    let (dx, dy) = (lanes(dst, |p| p.x), lanes(dst, |p| p.y));
+    let mut degrees = vec![0u32; n];
+    bba_simd::compat_degrees(&sx, &sy, &dx, &dy, reach, &mut degrees);
+    // with_degree[d]: correspondences with exactly `d ≤ n − 1` partners.
+    let mut with_degree = vec![0usize; n];
+    for &d in &degrees {
+        with_degree[d as usize] += 1;
+    }
+    // Walking `c` down from `n`, `at_least` counts the correspondences
+    // with `c − 1` or more partners.
+    let mut at_least = 0;
+    for c in (1..=n).rev() {
+        at_least += with_degree[c - 1];
+        if at_least >= c {
+            return c;
+        }
+    }
+    0
 }
 
 /// Shared tail of both scans: consensus check, refit on the winning set,
@@ -361,7 +405,9 @@ pub fn ransac_rigid_naive<R: Rng + ?Sized>(
 ///
 /// With `floor > 0`, the call first bounds the inliers any rigid transform
 /// can reach on the correspondences (a clique bound on their pairwise
-/// distances; DESIGN.md → *Sweep pruning*). Below `floor`, it returns
+/// distances: a degree-count certificate, then the k-core bound when the
+/// certificate does not already fall below `floor`; DESIGN.md → *Sweep
+/// pruning*). Below `floor`, it returns
 /// [`RansacError::Pruned`] without scanning, and advances `rng` exactly as
 /// the unpruned call would have: not at all after a winning hint, the
 /// whole sample draw otherwise. Every result the unpruned call could have
@@ -397,7 +443,13 @@ pub fn ransac_rigid<R: Rng + ?Sized>(
         (exits && inliers.len() >= config.min_inliers.max(2)).then_some(inliers)
     });
     if floor > 0 {
-        let bound = consensus_bound(src, dst, config.inlier_threshold);
+        let bound = match edge_reach(src, dst, config.inlier_threshold) {
+            Some(reach) => match degree_bound(src, dst, reach) {
+                certified if certified < floor => certified,
+                _ => consensus_bound(src, dst, config.inlier_threshold),
+            },
+            None => n,
+        };
         if bound < floor {
             if winning_hint.is_none() {
                 skip_samples(n, config.max_iterations, rng);
@@ -1108,8 +1160,105 @@ mod tests {
         assert_eq!(full.unwrap().num_inliers, 28);
     }
 
+    /// Correspondences of `truth` from `(x, y, flag)` triples: by flag, a
+    /// gross outlier (0), an inlier displaced by exactly the threshold
+    /// along an axis (1–3; pairs of them sit at the `2·threshold` edge of
+    /// the compatibility test), an exact duplicate of the previous one
+    /// (4), an inlier displaced inside the threshold (5) or an exact
+    /// inlier.
+    fn mixed_correspondences(
+        pts: &[(f64, f64, u8)],
+        truth: &Iso2,
+        threshold: f64,
+    ) -> (Vec<Vec2>, Vec<Vec2>) {
+        let mut src: Vec<Vec2> = Vec::new();
+        let mut dst: Vec<Vec2> = Vec::new();
+        for &(x, y, flag) in pts {
+            let p = Vec2::new(x, y);
+            let q = truth.apply(p);
+            let d = match flag {
+                4 if !src.is_empty() => {
+                    src.push(*src.last().unwrap());
+                    dst.push(*dst.last().unwrap());
+                    continue;
+                }
+                0 => Vec2::new(300.0 - y, x * 0.7 - 40.0),
+                1 => q + Vec2::new(threshold, 0.0),
+                2 => q - Vec2::new(threshold, 0.0),
+                3 => q + Vec2::new(0.0, threshold),
+                5 => q + Vec2::new(0.6 * threshold * (x / 256.0), -0.7 * threshold * (y / 256.0)),
+                _ => q,
+            };
+            src.push(p);
+            dst.push(d);
+        }
+        (src, dst)
+    }
+
+    #[test]
+    fn degree_certificate_of_a_rigid_set_is_its_size() {
+        // Every pair of an exact rigid set is compatible: each of the 40
+        // correspondences has 39 partners.
+        let (src, dst) = clean_pairs(40);
+        let reach = edge_reach(&src, &dst, 2.0).unwrap();
+        assert_eq!(degree_bound(&src, &dst, reach), 40);
+        assert_eq!(consensus_bound(&src, &dst, 2.0), 40);
+    }
+
+    #[test]
+    fn degree_certificate_prunes_scattered_outliers_without_the_k_core() {
+        // 30 of 40 destinations scattered: the 10 untouched ones form the
+        // largest clique, and few correspondences keep many partners.
+        let (src, mut dst) = clean_pairs(40);
+        for (k, d) in dst.iter_mut().take(30).enumerate() {
+            let a = k as f64 * 2.39996;
+            *d = Vec2::new(a.cos(), a.sin()) * (500.0 + 97.0 * k as f64);
+        }
+        let reach = edge_reach(&src, &dst, 1.0).unwrap();
+        let certified = degree_bound(&src, &dst, reach);
+        assert!((consensus_bound(&src, &dst, 1.0)..20).contains(&certified), "{certified}");
+        let cfg = RansacConfig { inlier_threshold: 1.0, ..Default::default() };
+        let mut rng = StdRng::seed_from_u64(8);
+        let e = ransac_rigid(&src, &dst, None, None, 20, &cfg, &mut rng);
+        assert_eq!(e, Err(RansacError::Pruned { bound: certified, floor: 20 }));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The degree-count certificate is never below the k-core bound,
+        /// so it never prunes a call the k-core bound would run: with any
+        /// floor up to the k-core bound, `ransac_rigid` returns what the
+        /// unpruned call returns and leaves the RNG where it does.
+        #[test]
+        fn degree_certificate_never_prunes_at_or_below_the_k_core_bound(
+            pts in proptest::collection::vec((0.0..256.0f64, 0.0..256.0f64, 0u8..8), 2..48),
+            truth in (-3.2..3.2f64, -80.0..80.0f64, -80.0..80.0f64),
+            threshold in proptest::prop_oneof![
+                proptest::strategy::Just(2.0),
+                proptest::strategy::Just(0.5),
+                0.1..3.0f64,
+            ],
+            floor_seed in 1usize..64,
+            seed in proptest::any::<u64>(),
+        ) {
+            let truth = Iso2::new(truth.0, Vec2::new(truth.1, truth.2));
+            let (src, dst) = mixed_correspondences(&pts, &truth, threshold);
+            let bound = consensus_bound(&src, &dst, threshold);
+            let certified = degree_bound(&src, &dst, edge_reach(&src, &dst, threshold).unwrap());
+            proptest::prop_assert!(
+                (bound..=src.len()).contains(&certified),
+                "certificate {} outside [{}, {}]", certified, bound, src.len()
+            );
+            let floor = 1 + floor_seed % bound.max(1);
+            let cfg = RansacConfig { max_iterations: 150, inlier_threshold: threshold, ..Default::default() };
+            let mut rng_full = StdRng::seed_from_u64(seed);
+            let mut rng_floor = StdRng::seed_from_u64(seed);
+            let full = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut rng_full);
+            let floored = ransac_rigid(&src, &dst, None, None, floor, &cfg, &mut rng_floor);
+            proptest::prop_assert_eq!(full, floored);
+            proptest::prop_assert_eq!(rng_full, rng_floor);
+        }
 
         /// The consensus bound is at least the inlier count of every
         /// result `ransac_rigid` returns — with no hint, the true
@@ -1134,27 +1283,7 @@ mod tests {
             seed in proptest::any::<u64>(),
         ) {
             let truth = Iso2::new(truth.0, Vec2::new(truth.1, truth.2));
-            let mut src: Vec<Vec2> = Vec::new();
-            let mut dst: Vec<Vec2> = Vec::new();
-            for &(x, y, flag) in &pts {
-                let p = Vec2::new(x, y);
-                let q = truth.apply(p);
-                let d = match flag {
-                    4 if !src.is_empty() => {
-                        src.push(*src.last().unwrap());
-                        dst.push(*dst.last().unwrap());
-                        continue;
-                    }
-                    0 => Vec2::new(300.0 - y, x * 0.7 - 40.0),
-                    1 => q + Vec2::new(threshold, 0.0),
-                    2 => q - Vec2::new(threshold, 0.0),
-                    3 => q + Vec2::new(0.0, threshold),
-                    5 => q + Vec2::new(0.6 * threshold * (x / 256.0), -0.7 * threshold * (y / 256.0)),
-                    _ => q,
-                };
-                src.push(p);
-                dst.push(d);
-            }
+            let (src, dst) = mixed_correspondences(&pts, &truth, threshold);
             let hint = match hint_mode {
                 0 => None,
                 1 => Some(truth),

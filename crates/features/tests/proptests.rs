@@ -6,8 +6,8 @@
 use bba_features::matcher::match_sets_naive;
 use bba_features::{
     describe_keypoints_rotated, detect_keypoints, match_sets, ransac_rigid, ransac_rigid_naive,
-    DescriptorConfig, DescriptorSet, Keypoint, KeypointConfig, MatcherConfig, PatchSamples,
-    RansacConfig, RotationSweep, REBIN_GROUP,
+    DescriptorConfig, DescriptorSet, Keypoint, KeypointConfig, MatchPool, MatcherConfig,
+    PatchSamples, RansacConfig, RotationSweep, REBIN_GROUP,
 };
 use bba_geometry::{Iso2, Vec2};
 use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
@@ -118,7 +118,7 @@ proptest! {
     ) {
         let descs = unit_rows(&vecs);
         let cfg = MatcherConfig { max_distance: 10.0, keep_top_k: 1 };
-        let matches = match_sets(&descs, &descs, &cfg);
+        let matches = match_sets(&descs, &MatchPool::new(&descs), &cfg);
         // k = 1: at most one match per source index.
         let mut seen = std::collections::HashSet::new();
         for m in &matches {
@@ -134,8 +134,9 @@ proptest! {
         let descs = unit_rows(&vecs);
         let base = MatcherConfig { max_distance: 10.0, keep_top_k: 1 };
         let wide = MatcherConfig { keep_top_k: 3, ..base.clone() };
-        let m1 = match_sets(&descs, &descs, &base);
-        let m3 = match_sets(&descs, &descs, &wide);
+        let pool = MatchPool::new(&descs);
+        let m1 = match_sets(&descs, &pool, &base);
+        let m3 = match_sets(&descs, &pool, &wide);
         for m in &m1 {
             prop_assert!(
                 m3.iter().any(|x| x.src == m.src && x.dst == m.dst),
@@ -292,7 +293,7 @@ proptest! {
         keep_top_k in 1usize..4,
     ) {
         let cfg = MatcherConfig { max_distance, keep_top_k };
-        let kernel = match_sets(&src, &dst, &cfg);
+        let kernel = match_sets(&src, &MatchPool::new(&dst), &cfg);
         let naive = match_sets_naive(&src, &dst, &cfg);
         prop_assert_eq!(&kernel, &naive);
     }

@@ -222,7 +222,12 @@ impl Recorder {
             prev
         });
         Span {
-            state: Some(SpanState { inner: Arc::clone(inner), prev_len, start: Instant::now() }),
+            state: Some(SpanState {
+                inner: Arc::clone(inner),
+                prev_len,
+                start: Instant::now(),
+                earlier_ms: 0.0,
+            }),
             _not_send: PhantomData,
         }
     }
@@ -302,6 +307,8 @@ struct SpanState {
     inner: Arc<Inner>,
     prev_len: usize,
     start: Instant,
+    /// Pre-measured work filed with the span (see [`Span::add_ms`]).
+    earlier_ms: f64,
 }
 
 /// RAII guard for a timed span (see [`Recorder::span`]).
@@ -313,10 +320,22 @@ pub struct Span {
     _not_send: PhantomData<*const ()>,
 }
 
+impl Span {
+    /// Adds `ms` of pre-measured work to the duration the guard files on
+    /// drop: work done for this span before it opened, such as a
+    /// recovery's share of a stage 1 it ran in lockstep with others. A
+    /// no-op on a disabled recorder's guard.
+    pub fn add_ms(&mut self, ms: f64) {
+        if let Some(state) = &mut self.state {
+            state.earlier_ms += ms;
+        }
+    }
+}
+
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(state) = self.state.take() else { return };
-        let ms = state.start.elapsed().as_secs_f64() * 1e3;
+        let ms = state.earlier_ms + state.start.elapsed().as_secs_f64() * 1e3;
         SPAN_PATH.with(|p| {
             let mut p = p.borrow_mut();
             state.inner.record_span(&p, ms);
@@ -728,6 +747,21 @@ mod tests {
             let _d = obs.span("after");
         }
         assert!(obs.snapshot().span("after").is_some());
+    }
+
+    #[test]
+    fn added_ms_join_the_guard_record() {
+        let obs = Recorder::enabled();
+        {
+            let mut span = obs.span("recover");
+            span.add_ms(1000.0);
+            span.add_ms(500.0);
+        }
+        let recover = obs.snapshot().span("recover").cloned().expect("recorded");
+        assert_eq!(recover.count, 1);
+        assert!((1500.0..1600.0).contains(&recover.sum), "{}", recover.sum);
+        // A disabled recorder's guard ignores it.
+        Recorder::disabled().span("recover").add_ms(1.0);
     }
 
     #[test]

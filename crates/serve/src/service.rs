@@ -13,15 +13,16 @@
 //! * [`PoseService::submit`] — called from link threads; sheds or queues
 //!   in O(1) under one shard lock and returns immediately;
 //! * [`PoseService::process_batch`] — called from the compute loop;
-//!   drains every session, sorts the batch by `(pair, seq)` and fans it
-//!   out over `bba_par::par_map`. Each work item derives its RNG from
+//!   drains every session, sorts the batch by `(pair, seq)`, groups the
+//!   items that share a sending frame and fans the groups out over
+//!   `bba_par::par_map`. Each work item derives its RNG from
 //!   `(service seed, pair, seq)`, so results are bit-identical at any
 //!   thread count and independent of arrival interleaving — the same
 //!   determinism contract the rest of the workspace pins.
 
 use crate::session::{AdmitOutcome, FrameSubmission, PairId, SessionConfig, SessionStats};
 use crate::shard::ShardMap;
-use bb_align::{BbAlign, RecoverError, Recovery, RecoveryPath, TrackerConfig};
+use bb_align::{BbAlign, RecoverError, Recovery, RecoveryPath, RecoveryRequest, TrackerConfig};
 use bba_obs::Recorder;
 use bba_place::{PlaceDescriptor, PlaceIndex, PlaceMatch};
 use rand::rngs::StdRng;
@@ -102,7 +103,10 @@ pub struct RecoveryOutcome {
     /// The frame's capture timestamp (s).
     pub timestamp: f64,
     /// Wall-clock recovery latency (ms) — diagnostics only, never fed
-    /// back into results.
+    /// back into results. Items recovered together because they share a
+    /// sending frame (see [`PoseService::process_batch`]) each get their
+    /// group's wall time divided by the group's size, so the latencies of
+    /// a batch sum to its recovery work and stay a per-recovery cost.
     pub latency_ms: f64,
     /// Which route produced the result: verified warm start, cold
     /// fallback seeded by a losing prediction, or plain cold recovery.
@@ -295,11 +299,18 @@ impl PoseService {
     /// deterministic for a given `(service seed, pair, seq)` regardless
     /// of thread count or arrival order.
     ///
+    /// Items that carry the same sending frame (the same
+    /// `Arc<PerceptionFrame>` in [`FrameSubmission::other`]) are recovered
+    /// together, in batch order, by one [`BbAlign::recover_group`] call:
+    /// the frame is sampled and re-binned once for all of them, and each
+    /// item's result is still bit for bit its lone recovery. Each group is
+    /// one `bba_par::par_map` grain.
+    ///
     /// With [`ServiceConfig::warm_start`] on, each work item first tries
-    /// its session tracker's prediction via [`BbAlign::recover_warm`].
-    /// Predictions are snapshotted *before* the parallel fan-out (they are
-    /// a function of previous batches only) and tracker updates are
-    /// applied *after* it, serially in `(pair, seq)` order, so the warm
+    /// its session tracker's prediction, as [`BbAlign::recover_warm`]
+    /// does. Predictions are snapshotted *before* the parallel fan-out
+    /// (they are a function of previous batches only) and tracker updates
+    /// are applied *after* it, serially in `(pair, seq)` order, so the warm
     /// path preserves the thread-count determinism contract.
     pub fn process_batch(&self, now: f64) -> Vec<RecoveryOutcome> {
         let batch = self.shards.drain_all(now, self.config.max_batch_per_session);
@@ -313,37 +324,65 @@ impl PoseService {
         } else {
             vec![None; batch.len()]
         };
+        // Groups of batch indices sharing a sending frame, in order of
+        // first appearance: a function of the batch alone.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, (_, frame)) in batch.iter().enumerate() {
+            let other = &frame.other;
+            match groups.iter_mut().find(|g| Arc::ptr_eq(&batch[g[0]].1.other, other)) {
+                Some(group) => group.push(i),
+                None => groups.push(vec![i]),
+            }
+        }
         let seed = self.config.seed;
         let engine = &self.engine;
         let warm = self.config.warm_start;
-        let items: Vec<_> = batch.iter().zip(&predictions).collect();
-        let outcomes: Vec<RecoveryOutcome> = bba_par::par_map(&items, |((pair, frame), hint)| {
-            let mut rng = StdRng::seed_from_u64(item_seed(seed, *pair, frame.seq));
+        let grouped: Vec<Vec<RecoveryOutcome>> = bba_par::par_map(&groups, |group| {
+            let mut rngs: Vec<StdRng> = group
+                .iter()
+                .map(|&i| StdRng::seed_from_u64(item_seed(seed, batch[i].0, batch[i].1.seq)))
+                .collect();
+            let mut requests: Vec<RecoveryRequest<'_, StdRng>> = group
+                .iter()
+                .zip(&mut rngs)
+                .map(|(&i, rng)| RecoveryRequest {
+                    ego: &batch[i].1.ego,
+                    predicted: predictions[i].as_ref(),
+                    rng,
+                })
+                .collect();
             let start = Instant::now();
-            let (path, result) = if warm {
-                match engine.recover_warm(&frame.ego, &frame.other, hint.as_ref(), &mut rng) {
-                    Ok(w) => (w.path, Ok(w.recovery)),
-                    Err(e) => (
-                        if hint.is_some() {
-                            RecoveryPath::ColdFallback
-                        } else {
-                            RecoveryPath::Cold
-                        },
-                        Err(e),
-                    ),
-                }
-            } else {
-                (RecoveryPath::Cold, engine.recover(&frame.ego, &frame.other, &mut rng))
-            };
-            RecoveryOutcome {
-                pair: *pair,
-                seq: frame.seq,
-                timestamp: frame.timestamp,
-                latency_ms: start.elapsed().as_secs_f64() * 1e3,
-                path,
-                result,
-            }
+            let results = engine.recover_group(&batch[group[0]].1.other, &mut requests, warm);
+            let latency_ms = start.elapsed().as_secs_f64() * 1e3 / group.len() as f64;
+            group
+                .iter()
+                .zip(results)
+                .map(|(&i, result)| {
+                    let (pair, frame) = &batch[i];
+                    let (path, result) = match result {
+                        Ok(w) => (w.path, Ok(w.recovery)),
+                        Err(e) if predictions[i].is_some() => (RecoveryPath::ColdFallback, Err(e)),
+                        Err(e) => (RecoveryPath::Cold, Err(e)),
+                    };
+                    RecoveryOutcome {
+                        pair: *pair,
+                        seq: frame.seq,
+                        timestamp: frame.timestamp,
+                        latency_ms,
+                        path,
+                        result,
+                    }
+                })
+                .collect()
         });
+        let mut slots: Vec<Option<RecoveryOutcome>> = vec![None; batch.len()];
+        for (group, outcomes) in groups.iter().zip(grouped) {
+            for (&i, outcome) in group.iter().zip(outcomes) {
+                slots[i] = Some(outcome);
+            }
+        }
+        let outcomes: Vec<RecoveryOutcome> =
+            slots.into_iter().map(|o| o.expect("every item answered")).collect();
         // Tracker updates happen on the coordinating thread, in batch
         // (pair, seq) order: a deterministic function of deterministic
         // outcomes, whatever the thread count was above.

@@ -1,13 +1,16 @@
 //! Per-frame stage-1 features through the service: when one frame per
 //! vehicle is submitted to every peer's session, each frame computes its
-//! MIM and keypoints once, and every pair recovers exactly what it
-//! recovers from frames of its own. The batch workers also record every
-//! per-recovery figure as a distribution, the same at any thread budget.
+//! MIM and keypoints once, each sending frame is swept once per batch, and
+//! every pair recovers exactly what it recovers from frames of its own.
+//! The batch workers also record every per-recovery figure as a
+//! distribution, the same at any thread budget.
 
-use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, RecoverError, Recovery};
+use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, RecoverError, Recovery, RecoveryRequest};
 use bba_dataset::{AgentFrame, FleetDataset, FleetDatasetConfig, FleetFrame};
 use bba_obs::{MetricsSnapshot, Recorder};
 use bba_serve::{FrameSubmission, PairId, PoseService, ServiceConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const VEHICLES: usize = 4;
@@ -104,6 +107,30 @@ fn serve(ticks: &[FleetFrame], threads: usize, warm_start: bool, share: bool) ->
     Served { outcomes: recovered, frames, computed, metrics }
 }
 
+/// An outcome's bits: every transform component of the recovery and of
+/// its two stages by `to_bits`, and both inlier counts.
+type Bits = (PairId, u64, Result<(Vec<u64>, usize, usize), RecoverError>);
+
+fn bits(outcomes: &[Outcome]) -> Vec<Bits> {
+    outcomes
+        .iter()
+        .map(|(pair, seq, result)| {
+            (*pair, *seq, result.as_ref().map(recovery_bits).map_err(Clone::clone))
+        })
+        .collect()
+}
+
+fn recovery_bits(r: &Recovery) -> (Vec<u64>, usize, usize) {
+    let mut transforms = vec![r.transform, r.bv.transform, r.bv.transform_pixels];
+    transforms.extend(r.box_alignment.as_ref().map(|b| b.transform));
+    let components = transforms
+        .iter()
+        .flat_map(|t| [t.yaw(), t.translation().x, t.translation().y])
+        .map(f64::to_bits)
+        .collect();
+    (components, r.inliers_bv(), r.inliers_box())
+}
+
 #[test]
 fn shared_frames_recover_like_per_pair_frames_and_compute_features_once() {
     let ticks = platoon(1);
@@ -115,11 +142,74 @@ fn shared_frames_recover_like_per_pair_frames_and_compute_features_once() {
         "the platoon should recover at least one pair"
     );
     assert_eq!(reference.computed, reference.frames, "unshared frames compute their own");
+    assert_eq!(reference.metrics.counter("stage1.sweeps"), Some(pairs as u64));
     for threads in [1, 4] {
         let shared = serve(&ticks, threads, false, true);
         assert_eq!(shared.outcomes, reference.outcomes, "diverged at {threads} threads");
         assert_eq!(shared.frames, VEHICLES as u64);
         assert_eq!(shared.computed, shared.frames, "one computation per frame at {threads}");
+        let sweeps = shared.metrics.counter("stage1.sweeps");
+        assert_eq!(sweeps, Some(VEHICLES as u64), "one sweep per sending frame at {threads}");
+    }
+}
+
+#[test]
+fn grouped_sweeps_keep_every_bit_of_per_pair_recoveries() {
+    let ticks = platoon(3);
+    for warm_start in [false, true] {
+        let reference = bits(&serve(&ticks, 1, warm_start, false).outcomes);
+        assert_eq!(reference.len(), ticks.len() * VEHICLES * (VEHICLES - 1));
+        for threads in [1, 4] {
+            let shared = bits(&serve(&ticks, threads, warm_start, true).outcomes);
+            assert_eq!(shared, reference, "warm start {warm_start}, {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn a_group_with_a_failing_and_a_strong_lane_answers_each_as_alone() {
+    let engine = BbAlign::new(engine_config());
+    let tick = &platoon(1)[0];
+    let frames: Vec<_> = (0..VEHICLES).map(|v| perception(&engine, &tick.agents[v])).collect();
+    let featureless = Arc::new(engine.frame_from_parts(std::iter::empty(), std::iter::empty()));
+    // Sender 1's frame to receiver 0, to a featureless receiver, to itself
+    // (every top match is exact, so the `strong` exit fires) and to
+    // receiver 2.
+    let other = &frames[1];
+    let egos = [&frames[0], &featureless, &frames[1], &frames[2]];
+    let fresh = |f: &PerceptionFrame| PerceptionFrame::new(f.bev().clone(), f.boxes().to_vec());
+    let seed = |k: usize| StdRng::seed_from_u64(100 + k as u64);
+
+    let recorder = Recorder::enabled();
+    let grouped_engine = BbAlign::new(engine_config()).with_recorder(recorder.clone());
+    let mut rngs: Vec<StdRng> = (0..egos.len()).map(seed).collect();
+    let mut requests: Vec<_> = egos
+        .iter()
+        .zip(&mut rngs)
+        .map(|(ego, rng)| RecoveryRequest { ego, predicted: None, rng })
+        .collect();
+    let grouped = grouped_engine.recover_group(other, &mut requests, false);
+    assert_eq!(recorder.snapshot().counter("stage1.sweeps"), Some(1));
+
+    for (k, (ego, result)) in egos.iter().zip(grouped).enumerate() {
+        let lone_recorder = Recorder::enabled();
+        let lone_engine = BbAlign::new(engine_config()).with_recorder(lone_recorder.clone());
+        let mut rng = seed(k);
+        let lone = lone_engine.recover(&fresh(ego), &fresh(other), &mut rng);
+        let result = result.map(|w| w.recovery);
+        assert_eq!(
+            result.as_ref().map(recovery_bits),
+            lone.as_ref().map(recovery_bits),
+            "lane {k}"
+        );
+        assert_eq!(result, lone, "lane {k}");
+        assert_eq!(rngs[k].random::<u64>(), rng.random::<u64>(), "lane {k}'s RNG stream");
+        let swept = lone_recorder.snapshot().counter("stage1.hypotheses");
+        match k {
+            1 => assert_eq!(lone, Err(RecoverError::NoKeypoints { side: "ego" })),
+            2 => assert!(swept.is_some_and(|h| h < 24), "no strong exit: {swept:?} swept"),
+            _ => assert!(lone.is_ok(), "lane {k}: {lone:?}"),
+        }
     }
 }
 

@@ -414,3 +414,63 @@ pub unsafe fn dot_f32_rows(a: &[f32], rows: &PackedRows, lo: usize, out: &mut [f
         *o = crate::portable::dot_packed_row(a, rows, lo + k);
     }
 }
+
+/// `‖a − b‖` of four points `b` against one broadcast point `a`, rounded
+/// as the scalar `√(ex·ex + ey·ey)`: separate multiplies and adds, and a
+/// correctly rounded square root.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn dist_pd(ax: __m256d, ay: __m256d, bx: *const f64, by: *const f64) -> __m256d {
+    let ex = _mm256_sub_pd(ax, _mm256_loadu_pd(bx));
+    let ey = _mm256_sub_pd(ay, _mm256_loadu_pd(by));
+    _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(ex, ex), _mm256_mul_pd(ey, ey)))
+}
+
+/// AVX2 [`compat_degrees`](crate::compat_degrees): row `i` tests four
+/// partners `j > i` per pass with the scalar test's operations in the
+/// same order (`_CMP_LE_OQ` is false on NaN, like `<=`). A passing
+/// lane's all-ones mask, read as −1, is subtracted from row `i`'s
+/// four-lane count and from the column counts of partners `j..j + 4`;
+/// the partners after the last whole pass take the scalar test. Row `i`'s
+/// column count is complete when the row starts, since only rows above it
+/// add to it. Beyond AVX2, the caller must guarantee that all five slices
+/// have one length (the crate-root wrapper asserts it).
+#[target_feature(enable = "avx2")]
+pub unsafe fn compat_degrees(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    reach: f64,
+    degrees: &mut [u32],
+) {
+    let n = degrees.len();
+    let mut cols = vec![0i64; n];
+    let vreach = _mm256_set1_pd(reach);
+    for i in 0..n {
+        let (six, siy) = (_mm256_set1_pd(sx[i]), _mm256_set1_pd(sy[i]));
+        let (dix, diy) = (_mm256_set1_pd(dx[i]), _mm256_set1_pd(dy[i]));
+        let mut row = _mm256_setzero_si256();
+        let mut j = i + 1;
+        while j + 4 <= n {
+            let dd = dist_pd(dix, diy, dx.as_ptr().add(j), dy.as_ptr().add(j));
+            let ds = dist_pd(six, siy, sx.as_ptr().add(j), sy.as_ptr().add(j));
+            let diff = abs_pd(_mm256_sub_pd(dd, ds));
+            let pass = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(diff, vreach));
+            row = _mm256_sub_epi64(row, pass);
+            let col = cols.as_mut_ptr().add(j).cast::<__m256i>();
+            _mm256_storeu_si256(col, _mm256_sub_epi64(_mm256_loadu_si256(col), pass));
+            j += 4;
+        }
+        let mut lanes = [0i64; 4];
+        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), row);
+        let mut count = lanes.iter().sum::<i64>() + cols[i];
+        for (j, col) in cols.iter_mut().enumerate().skip(j) {
+            if crate::portable::compatible(sx, sy, dx, dy, reach, i, j) {
+                count += 1;
+                *col += 1;
+            }
+        }
+        degrees[i] = count as u32;
+    }
+}

@@ -336,13 +336,18 @@ impl PackedRows {
     }
 
     /// Length of every row.
-    pub(crate) fn dim(&self) -> usize {
+    pub fn dim(&self) -> usize {
         self.dim
     }
 
     /// Number of rows.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether the block holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The packed floats (see the type docs for the layout).
@@ -365,6 +370,40 @@ pub fn dot_f32_rows(a: &[f32], rows: &PackedRows, lo: usize, out: &mut [f32]) {
     assert_eq!(a.len(), rows.dim(), "dot_f32_rows dimensionality mismatch");
     assert!(lo + out.len() <= rows.len(), "dot_f32_rows reads past the last row");
     dispatch!(dot_f32_rows(a, rows, lo, out))
+}
+
+/// Compatible-partner counts of a correspondence set, the sweep-pruning
+/// certificate's input: `degrees[i]` becomes the number of `j ≠ i` with
+///
+/// ```text
+/// |‖d_i − d_j‖ − ‖s_i − s_j‖| ≤ reach
+/// ```
+///
+/// for sources `s = (sx, sy)` and destinations `d = (dx, dy)`, each
+/// distance computed as `√(ex·ex + ey·ey)` of the coordinate differences
+/// (lower index minus higher), the same rounded operations as the k-core
+/// bound's edge test in `bba-features`. A pair with a NaN anywhere in the
+/// test is not compatible. The AVX2 path tests four partners per pass
+/// with IEEE-exact square roots and no FMA, so every pair's verdict is
+/// the scalar one.
+///
+/// # Panics
+///
+/// Panics if the five slices differ in length.
+pub fn compat_degrees(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    reach: f64,
+    degrees: &mut [u32],
+) {
+    let n = degrees.len();
+    assert!(
+        sx.len() == n && sy.len() == n && dx.len() == n && dy.len() == n,
+        "compat_degrees length mismatch"
+    );
+    dispatch!(compat_degrees(sx, sy, dx, dy, reach, degrees))
 }
 
 #[cfg(test)]

@@ -159,6 +159,46 @@ pub fn dot_f32_rows(a: &[f32], rows: &PackedRows, lo: usize, out: &mut [f32]) {
     }
 }
 
+/// Scalar [`compat_degrees`](crate::compat_degrees): every pair `i < j`
+/// tested once, counted for both ends.
+pub fn compat_degrees(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    reach: f64,
+    degrees: &mut [u32],
+) {
+    degrees.fill(0);
+    for i in 0..degrees.len() {
+        for j in i + 1..degrees.len() {
+            if compatible(sx, sy, dx, dy, reach, i, j) {
+                degrees[i] += 1;
+                degrees[j] += 1;
+            }
+        }
+    }
+}
+
+/// The pair test of [`compat_degrees`] for `i < j`, written as the k-core
+/// bound in `bba-features` writes it.
+#[inline]
+pub(crate) fn compatible(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    reach: f64,
+    i: usize,
+    j: usize,
+) -> bool {
+    let dist = |ax: f64, ay: f64, bx: f64, by: f64| {
+        let (ex, ey) = (ax - bx, ay - by);
+        (ex * ex + ey * ey).sqrt()
+    };
+    (dist(dx[i], dy[i], dx[j], dy[j]) - dist(sx[i], sy[i], sx[j], sy[j])).abs() <= reach
+}
+
 /// [`dot_f32`] of `a` and packed row `r`: the same four lane sums over the
 /// same chunks, combined and tailed in the same order.
 pub(crate) fn dot_packed_row(a: &[f32], rows: &PackedRows, r: usize) -> f32 {

@@ -301,4 +301,80 @@ proptest! {
             prop_assert_eq!(&want, &bits(&got), "dot rows avx2");
         }
     }
+
+    #[test]
+    fn compat_degrees_match_the_scalar_predicate(
+        points in proptest::collection::vec((finite64(), finite64(), -3.0f64..3.0, -3.0f64..3.0, 0u8..12), 0..41),
+        reach in prop_oneof![Just(0.0), Just(2.0), 0.0f64..8.0],
+    ) {
+        // Destinations near a rigid image of the sources, so both verdicts
+        // occur; kinds 10 and 11 put a NaN in a source or a destination.
+        let nan = |k: u8, at: u8, v: f64| if k == at { f64::NAN } else { v };
+        let sx: Vec<f64> = points.iter().map(|p| nan(p.4, 10, p.0)).collect();
+        let sy: Vec<f64> = points.iter().map(|p| p.1).collect();
+        let dx: Vec<f64> = points.iter().map(|p| -p.1 + p.2).collect();
+        let dy: Vec<f64> = points.iter().map(|p| nan(p.4, 11, p.0 + p.3)).collect();
+        assert_degrees(&sx, &sy, &dx, &dy, reach)?;
+    }
+
+    #[test]
+    fn compat_degrees_keep_pairs_at_the_two_threshold_edge(
+        lattice in proptest::collection::vec((0u32..64, 0u8..3), 0..41),
+        threshold in prop_oneof![Just(0.5f64), Just(1.0), Just(0.25)],
+    ) {
+        // Integer sources on a line, destinations shifted along it by 0,
+        // t or 2t: every distance is exact, and pairs whose shifts differ
+        // by 2t sit exactly on the edge `reach = 2t` and must pass.
+        let sx: Vec<f64> = lattice.iter().map(|&(x, _)| f64::from(x)).collect();
+        let sy = vec![0.0; lattice.len()];
+        let dx: Vec<f64> =
+            lattice.iter().map(|&(x, s)| f64::from(x) + f64::from(s) * threshold).collect();
+        let dy = vec![3.0; lattice.len()];
+        assert_degrees(&sx, &sy, &dx, &dy, 2.0 * threshold)?;
+    }
+}
+
+/// The partner count of every correspondence, from the pair test written
+/// out over all ordered pairs, independently of the kernels' half-matrix
+/// walk.
+fn scalar_degrees(sx: &[f64], sy: &[f64], dx: &[f64], dy: &[f64], reach: f64) -> Vec<u32> {
+    let n = sx.len();
+    let dist = |x: &[f64], y: &[f64], a: usize, b: usize| {
+        let (ex, ey) = (x[a] - x[b], y[a] - y[b]);
+        (ex * ex + ey * ey).sqrt()
+    };
+    (0..n)
+        .map(|i| {
+            let partners = (0..n).filter(|&j| {
+                let (a, b) = (i.min(j), i.max(j));
+                j != i && (dist(dx, dy, a, b) - dist(sx, sy, a, b)).abs() <= reach
+            });
+            partners.count() as u32
+        })
+        .collect()
+}
+
+/// Dispatched, portable and (where the host has it) AVX2 partner counts
+/// all equal [`scalar_degrees`].
+fn assert_degrees(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    reach: f64,
+) -> Result<(), proptest::TestCaseError> {
+    let want = scalar_degrees(sx, sy, dx, dy, reach);
+    let mut got = vec![u32::MAX; sx.len()];
+    bba_simd::compat_degrees(sx, sy, dx, dy, reach, &mut got);
+    prop_assert_eq!(&want, &got, "compat degrees dispatched");
+    let mut got = vec![u32::MAX; sx.len()];
+    bba_simd::portable::compat_degrees(sx, sy, dx, dy, reach, &mut got);
+    prop_assert_eq!(&want, &got, "compat degrees portable");
+    #[cfg(target_arch = "x86_64")]
+    if bba_simd::avx2_detected() {
+        let mut got = vec![u32::MAX; sx.len()];
+        unsafe { bba_simd::avx2::compat_degrees(sx, sy, dx, dy, reach, &mut got) };
+        prop_assert_eq!(&want, &got, "compat degrees avx2");
+    }
+    Ok(())
 }
