@@ -156,8 +156,8 @@ fn main() {
 
     // Temporal warm start: what a verified warm hit costs against the cold
     // path, measured on a 10 Hz sequence whose per-pair tracker is trained
-    // by the recoveries themselves (the steady_state experiment sweeps
-    // this across pair counts).
+    // by the recoveries themselves (perfbench's `link_stream` workload
+    // measures it through the service, over lossy links).
     let (mut warm_samples, mut cold_samples) = (Vec::new(), Vec::new());
     let mut ds = Dataset::new(
         DatasetConfig::standard().at_frame_interval(0.1),

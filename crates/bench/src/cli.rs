@@ -24,9 +24,6 @@ pub struct Options {
     pub threads: Option<usize>,
     /// BV image side length override in pixels (`None` = engine default).
     pub bev: Option<usize>,
-    /// Concurrent-session cap for serving experiments (`None` = experiment
-    /// default sweep).
-    pub pairs: Option<usize>,
 }
 
 impl Options {
@@ -57,7 +54,7 @@ pub fn parse_from(
     description: &str,
 ) -> Result<Options, String> {
     let usage = format!(
-        "usage: {description}\n  --frames N   frame pairs to evaluate (default {default_frames})\n  --seed S     master random seed (default 2024)\n  --threads N  worker-thread budget (default: BBA_THREADS env, else cores)\n  --bev N      BV image side length in pixels, power of two\n  --pairs N    cap concurrent pairwise sessions (serving experiments)\n  --json PATH  dump raw per-pair records as JSON"
+        "usage: {description}\n  --frames N   frame pairs to evaluate (default {default_frames})\n  --seed S     master random seed (default 2024)\n  --threads N  worker-thread budget (default: BBA_THREADS env, else cores)\n  --bev N      BV image side length in pixels, power of two\n  --json PATH  dump raw per-pair records as JSON"
     );
     let mut opts = Options {
         frames: default_frames,
@@ -65,7 +62,6 @@ pub fn parse_from(
         json: None,
         threads: None,
         bev: None,
-        pairs: None,
     };
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -87,10 +83,6 @@ pub fn parse_from(
                 let v = it.next().ok_or_else(|| "--bev needs a value".to_string())?;
                 opts.bev = Some(v.parse().map_err(|_| format!("invalid --bev value: {v}"))?);
             }
-            "--pairs" => {
-                let v = it.next().ok_or_else(|| "--pairs needs a value".to_string())?;
-                opts.pairs = Some(v.parse().map_err(|_| format!("invalid --pairs value: {v}"))?);
-            }
             "--json" => {
                 let v = it.next().ok_or_else(|| "--json needs a path".to_string())?;
                 opts.json = Some(std::path::PathBuf::from(v));
@@ -110,9 +102,6 @@ pub fn parse_from(
             return Err(format!("--bev must be a power of two, got {n}"));
         }
     }
-    if opts.pairs == Some(0) {
-        return Err("--pairs must be positive".into());
-    }
     Ok(opts)
 }
 
@@ -127,10 +116,7 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let o = parse_from(argv(""), 100, "test").unwrap();
-        assert_eq!(
-            o,
-            Options { frames: 100, seed: 2024, json: None, threads: None, bev: None, pairs: None }
-        );
+        assert_eq!(o, Options { frames: 100, seed: 2024, json: None, threads: None, bev: None });
         assert!(o.threads() >= 1);
     }
 
@@ -145,8 +131,6 @@ mod tests {
         assert_eq!(o.threads, Some(4));
         assert_eq!(o.threads(), 4);
         assert_eq!(o.bev, Some(128));
-        let o = parse_from(argv("--pairs 32"), 100, "test").unwrap();
-        assert_eq!(o.pairs, Some(32));
     }
 
     #[test]
@@ -167,7 +151,5 @@ mod tests {
         assert!(parse_from(argv("--threads x"), 100, "t").is_err());
         assert!(parse_from(argv("--bev 100"), 100, "t").is_err());
         assert!(parse_from(argv("--bev"), 100, "t").is_err());
-        assert!(parse_from(argv("--pairs 0"), 100, "t").is_err());
-        assert!(parse_from(argv("--pairs x"), 100, "t").is_err());
     }
 }

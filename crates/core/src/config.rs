@@ -109,20 +109,6 @@ pub struct BbAlignConfig {
     pub min_inliers_bv: usize,
     /// Success threshold on stage-2 inliers (paper: 6).
     pub min_inliers_box: usize,
-    /// Maximum number of idle scratch buffers (FFT workspaces, stage-1
-    /// describe scratch) the engine retains between recoveries. `take`
-    /// beyond the retained set allocates fresh scratch (a counted *miss*)
-    /// and returning scratch to a full pool drops it (a counted *drop*),
-    /// so this caps steady-state memory without ever blocking a caller —
-    /// the property a service multiplexing many concurrent sessions over
-    /// one shared engine relies on. Defaults to 16 (≥ the engine's
-    /// in-flight scratch at the default thread budgets).
-    pub pool_capacity: usize,
-}
-
-/// Default for [`BbAlignConfig::pool_capacity`].
-fn default_pool_capacity() -> usize {
-    16
 }
 
 impl Default for BbAlignConfig {
@@ -160,7 +146,6 @@ impl Default for BbAlignConfig {
             warm_min_alignment: 0.25,
             min_inliers_bv: 25,
             min_inliers_box: 6,
-            pool_capacity: default_pool_capacity(),
         }
     }
 }

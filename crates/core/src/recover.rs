@@ -132,6 +132,16 @@ const WARM_DECOY_OFFSET_M: f64 = 3.0;
 /// dilation plus three cells of clearance.
 const WARM_DECOY_OFFSET_CELLS: f64 = 4.0;
 
+/// Maximum number of idle scratch buffers (FFT workspaces, stage-1
+/// describe scratch) the engine retains between recoveries. `take` beyond
+/// the retained set allocates fresh scratch (a counted *miss*) and
+/// returning scratch to a full pool drops it (a counted *drop*), so this
+/// caps steady-state memory without ever blocking a caller — the property
+/// a service multiplexing many concurrent sessions over one shared engine
+/// relies on. 16 is at least the engine's in-flight scratch at the
+/// default thread budgets.
+const POOL_CAPACITY: usize = 16;
+
 /// Failure modes of the recovery pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoverError {
@@ -193,9 +203,9 @@ pub struct BbAlign {
     /// steady-state MIM computation allocates nothing per frame. Exactly
     /// one is taken per MIM computed (a frame's features on first use), so
     /// the `pool.workspace.*` hit + miss count is the number of MIMs.
-    /// Retention is bounded by [`BbAlignConfig::pool_capacity`]; overflow
-    /// buffers are dropped, and hit/miss/drop counts surface through the
-    /// recorder as `pool.workspace.*` counters.
+    /// Retention is bounded by [`POOL_CAPACITY`]; overflow buffers are
+    /// dropped, and hit/miss/drop counts surface through the recorder as
+    /// `pool.workspace.*` counters.
     workspaces: crate::pool::BoundedPool<FftWorkspace>,
     /// Pool of stage-1 describe scratch (a patch-sample buffer + one
     /// re-bin group of descriptor sets), recycled for the same reason; one
@@ -408,19 +418,18 @@ impl BbAlign {
     /// (see [`BbAlignConfig::validate`]).
     pub fn new(config: BbAlignConfig) -> Self {
         config.validate();
-        let capacity = config.pool_capacity;
         BbAlign {
             config,
             bank: OnceLock::new(),
             sweep: OnceLock::new(),
             workspaces: crate::pool::BoundedPool::new(
-                capacity,
+                POOL_CAPACITY,
                 "pool.workspace.hits",
                 "pool.workspace.misses",
                 "pool.workspace.dropped",
             ),
             stage1_scratch: crate::pool::BoundedPool::new(
-                capacity,
+                POOL_CAPACITY,
                 "pool.stage1.hits",
                 "pool.stage1.misses",
                 "pool.stage1.dropped",

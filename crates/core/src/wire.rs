@@ -61,7 +61,10 @@ impl WireReport {
 pub enum DecodeError {
     /// The buffer ended before the declared content.
     Truncated,
-    /// The header magic or version did not match.
+    /// The header magic or version did not match, or the declared raster
+    /// geometry is unusable: a non-finite or non-positive range or
+    /// resolution, or an image side that is not a power of two or is
+    /// above 2048 px.
     BadHeader,
     /// A cell index lay outside the declared raster.
     CellOutOfRange,
@@ -73,7 +76,9 @@ impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecodeError::Truncated => write!(f, "payload truncated"),
-            DecodeError::BadHeader => write!(f, "bad magic or unsupported version"),
+            DecodeError::BadHeader => {
+                write!(f, "bad magic, unsupported version or unusable raster geometry")
+            }
             DecodeError::CellOutOfRange => write!(f, "cell index outside raster"),
             DecodeError::NonFiniteBox => write!(f, "box field is NaN or infinite"),
         }
@@ -83,6 +88,12 @@ impl fmt::Display for DecodeError {
 impl Error for DecodeError {}
 
 const MAGIC: &[u8; 4] = b"BBA1";
+/// Largest raster side (pixels) [`decode_frame`] accepts. The peer's
+/// header declares the side, and decoding allocates a dense side² grid
+/// for it, so an unchecked header could ask for terabytes. 2048 is four
+/// times the largest preset ([`BevConfig::fine`], 512²) and bounds the
+/// grid at 32 MiB.
+const MAX_DECODED_SIDE: usize = 2048;
 /// Height quantisation step (m per intensity unit): u8 spans 0–25.5 m,
 /// covering every landmark the generator produces.
 const HEIGHT_QUANT: f64 = 0.1;
@@ -154,8 +165,10 @@ pub fn box_wire_bytes() -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on truncation, bad header, out-of-raster cell
-/// indices, or a box field that is NaN or infinite.
+/// Returns [`DecodeError`] on truncation, bad header (including a raster
+/// side that is not a power of two or exceeds 2048 px, both rejected
+/// before anything is allocated), out-of-raster cell indices, or a box
+/// field that is NaN or infinite.
 pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
     let mut cursor = 0usize;
     let take = |cursor: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
@@ -174,11 +187,15 @@ pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
     if !(range.is_finite() && range > 0.0 && resolution.is_finite() && resolution > 0.0) {
         return Err(DecodeError::BadHeader);
     }
+    // The side comes from the peer: check it before sizing the grid by it.
+    let config = BevConfig { range, resolution };
+    let h = config.image_size();
+    if !config.is_pow2() || h > MAX_DECODED_SIDE {
+        return Err(DecodeError::BadHeader);
+    }
     let n_cells = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes")) as usize;
     let n_boxes = u16::from_le_bytes(take(&mut cursor, 2)?.try_into().expect("2 bytes")) as usize;
 
-    let config = BevConfig { range, resolution };
-    let h = config.image_size();
     let mut grid = bba_signal::Grid::new(h, h, 0.0f64);
     for _ in 0..n_cells {
         let u = u16::from_le_bytes(take(&mut cursor, 2)?.try_into().expect("2 bytes")) as usize;
@@ -340,19 +357,67 @@ mod tests {
         }
     }
 
+    /// A 26-byte payload declaring the given raster geometry, no cells and
+    /// no boxes.
+    fn header(range: f64, resolution: f64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&range.to_le_bytes());
+        bytes.extend_from_slice(&resolution.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn decode_rejects_hostile_raster_geometry_before_allocating() {
+        for (range, resolution, side) in [
+            // Would allocate a 32 TB grid.
+            (1e4, 0.01, "2,000,000"),
+            // Would panic in `BevConfig::validate`.
+            (10.0, 1.0, "20"),
+            // Would panic sizing the grid: the side saturates `usize`.
+            (1.0, 1e-300, "2e300"),
+            // A power of two, so only the side cap rejects it.
+            (10485.76, 0.01, "2^21"),
+        ] {
+            let bytes = header(range, resolution);
+            assert_eq!(bytes.len(), 26);
+            assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader, "side {side}");
+        }
+        // The cap itself is accepted, its double is not.
+        let cap = MAX_DECODED_SIDE as f64;
+        assert_eq!(decode_frame(&header(cap / 2.0, 1.0)).unwrap().bev().size(), MAX_DECODED_SIDE);
+        assert_eq!(decode_frame(&header(cap, 1.0)).unwrap_err(), DecodeError::BadHeader);
+    }
+
+    /// Header geometry: arbitrary bit patterns for range and resolution,
+    /// or a power-of-two side 2^k with k in 0..=24, which draws sides on
+    /// both sides of [`MAX_DECODED_SIDE`].
+    fn raster_geometry() -> impl proptest::strategy::Strategy<Value = (f64, f64)> {
+        use proptest::prelude::{any, Strategy};
+        proptest::prop_oneof![
+            (any::<u64>(), any::<u64>()).prop_map(|(r, c)| (f64::from_bits(r), f64::from_bits(c))),
+            (0..25u32, 1e-3..10.0f64).prop_map(|(k, c)| ((1u64 << k) as f64 * c / 2.0, c)),
+        ]
+    }
+
     proptest::proptest! {
-        /// A valid header followed by arbitrary bytes never panics, and
-        /// whatever decodes carries only finite boxes.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// An arbitrary header followed by arbitrary bytes never panics,
+        /// and whatever decodes has a capped power-of-two raster and only
+        /// finite boxes.
         #[test]
-        fn arbitrary_payload_after_a_valid_header_decodes_only_finite_boxes(
+        fn arbitrary_header_and_payload_decode_only_finite_boxes(
+            (range, resolution) in raster_geometry(),
             tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
         ) {
-            let cfg = BevConfig::test_small();
             let mut bytes = MAGIC.to_vec();
-            bytes.extend_from_slice(&cfg.range.to_le_bytes());
-            bytes.extend_from_slice(&cfg.resolution.to_le_bytes());
+            bytes.extend_from_slice(&range.to_le_bytes());
+            bytes.extend_from_slice(&resolution.to_le_bytes());
             bytes.extend_from_slice(&tail);
             if let Ok(frame) = decode_frame(&bytes) {
+                let side = frame.bev().size();
+                proptest::prop_assert!(side.is_power_of_two() && side <= MAX_DECODED_SIDE);
                 for b in frame.boxes() {
                     let fields = [
                         b.bev.center.x,

@@ -3,7 +3,10 @@
 //! MIM and keypoints once, each sending frame is swept once per batch, and
 //! every pair recovers exactly what it recovers from frames of its own.
 //! The batch workers also record every per-recovery figure as a
-//! distribution, the same at any thread budget.
+//! distribution, the same at any thread budget. Every run also keeps the
+//! service's conservation law and, with warm start, the warm-start ledger:
+//! each processed frame counts exactly one `warmstart.hit` or
+//! `warmstart.miss`.
 
 use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, RecoverError, Recovery, RecoveryRequest};
 use bba_dataset::{AgentFrame, FleetDataset, FleetDatasetConfig, FleetFrame};
@@ -74,7 +77,8 @@ struct Served {
 /// Serves every ordered pair of every tick at `threads`, one batch per
 /// tick. With `share`, each vehicle rasterises once per tick and that one
 /// `Arc` frame goes to all of its peers' sessions; without, every
-/// submission rasterises its own ego and other frame.
+/// submission rasterises its own ego and other frame. Asserts the
+/// conservation law and, with `warm_start`, the warm-start ledger.
 fn serve(ticks: &[FleetFrame], threads: usize, warm_start: bool, share: bool) -> Served {
     let recorder = Recorder::enabled();
     let engine = Arc::new(BbAlign::new(engine_config()).with_recorder(recorder.clone()));
@@ -102,7 +106,15 @@ fn serve(ticks: &[FleetFrame], threads: usize, warm_start: bool, share: bool) ->
         let outcomes = bba_par::with_threads(threads, || service.process_batch(tick.time));
         recovered.extend(outcomes.into_iter().map(|o| (o.pair, o.seq, o.result)));
     }
+    let stats = service.stats();
+    assert!(stats.is_conserved(), "serving ledger violated: {stats:?}");
     let metrics = recorder.snapshot();
+    if warm_start {
+        let count = |name| metrics.counter(name).unwrap_or(0);
+        let (hits, misses) = (count("warmstart.hit"), count("warmstart.miss"));
+        let processed = count("serve.processed");
+        assert_eq!(hits + misses, processed, "warm-start ledger: {hits} hits + {misses} misses");
+    }
     let computed = metrics.counter("features.computed").unwrap_or(0);
     Served { outcomes: recovered, frames, computed, metrics }
 }

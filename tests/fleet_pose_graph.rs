@@ -5,6 +5,10 @@
 //! real scans, real recoveries, many concurrent sessions — and the
 //! 3-cycle composition check that only exists once pairwise recoveries
 //! are chained across a fleet.
+//!
+//! Nothing in production feeds `FleetPoseGraph`: until the service closes
+//! cycles over a batch's accepted edges itself, this test is the graph's
+//! only caller.
 
 use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame};
 use bba_bev::BevConfig;
