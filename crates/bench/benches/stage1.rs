@@ -61,6 +61,28 @@ fn truncated(set: &DescriptorSet, n: usize) -> DescriptorSet {
     out
 }
 
+/// Share of exactly nonzero entries in one frame's descriptor sets over
+/// every rotation hypothesis: what a matcher that skips zero entries
+/// would still multiply.
+fn nonzero_share(mim: &MaxIndexMap, kps: &[Keypoint], sweep: &RotationSweep) -> f64 {
+    let mut samples = PatchSamples::new();
+    samples.sample(mim, kps, sweep);
+    let (mut nonzero, mut total) = (0usize, 0usize);
+    let hypotheses = sweep.hypotheses();
+    for first in (0..hypotheses).step_by(REBIN_GROUP) {
+        let mut group: [DescriptorSet; REBIN_GROUP] = Default::default();
+        let sets = &mut group[..REBIN_GROUP.min(hypotheses - first)];
+        samples.rebin_group(sweep, first, sets);
+        for set in sets.iter() {
+            for i in 0..set.len() {
+                nonzero += set.row(i).iter().filter(|&&x| x != 0.0).count();
+                total += set.dim();
+            }
+        }
+    }
+    nonzero as f64 / total.max(1) as f64
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let engine = BbAlignConfig::default();
@@ -69,16 +91,18 @@ fn main() {
         .collect();
 
     let (mim, normalised, kps) = fixture(&engine, 7, 400);
+    let dcfg = &engine.descriptor;
+    let sweep = RotationSweep::new(dcfg, mim.num_orientations, &angles);
     println!(
-        "stage1 fast-path benches: {} keypoints, {} rotation hypotheses{}",
+        "stage1 fast-path benches: {} keypoints, {} rotation hypotheses, \
+         {:.1}% nonzero descriptor entries{}",
         kps.len(),
         angles.len(),
+        100.0 * nonzero_share(&mim, &kps, &sweep),
         if quick { " (quick)" } else { "" }
     );
 
     let mut c = Criterion::default().sample_size(if quick { 2 } else { 15 });
-    let dcfg = &engine.descriptor;
-    let sweep = RotationSweep::new(dcfg, mim.num_orientations, &angles);
 
     let kp_cfg = KeypointConfig { max_keypoints: 400, ..engine.keypoints.clone() };
     c.bench_function("detect_keypoints_normalised_amplitude", |b| {

@@ -12,11 +12,13 @@
 //! recorder snapshots taken outside the timed region. A recovery runs on
 //! its caller's thread (the
 //! workspace parallelises across recoveries, never inside one), so every
-//! phase is timed once, under a 1-thread budget. One untimed recovery on
-//! a pair outside the timed set builds the engine's lazy state first, so
-//! no timed pair pays for it. See also
-//! `cargo bench -p bba-bench --bench stage1` for kernel-vs-naive
-//! micro-benchmarks with Criterion-grade statistics.
+//! phase is timed once, under a 1-thread budget. One recovery on a pair
+//! outside the timed set builds the engine's lazy state first, so no timed
+//! pair pays for it; the same recovery on fresh frames of that pair is
+//! timed again, and the difference, over three fresh engines, is reported
+//! as the engine's set-up. See also `cargo bench -p bba-bench --bench
+//! stage1` for kernel-vs-naive micro-benchmarks with Criterion-grade
+//! statistics.
 
 use bb_align::{BbAlign, BbAlignConfig, PoseTracker, RecoveryPath, TrackerConfig};
 use bba_bench::cli;
@@ -52,6 +54,9 @@ fn span_delta_ms(before: &MetricsSnapshot, after: &MetricsSnapshot, path: &str) 
 /// Frame pairs a run measures unless `--frames` says otherwise.
 const DEFAULT_FRAMES: usize = 12;
 
+/// Fresh engines whose set-up a run times; the row reports their median.
+const SETUPS: usize = 3;
+
 /// The name the run's results and metrics files carry: `timing_breakdown`
 /// for the default run (the checked-in snapshot: 12 pairs on the default
 /// raster at the default seed), else one that names the run's frames, BEV
@@ -84,18 +89,32 @@ fn main() {
         &format!("{} frame pairs, {h}\u{b2} BV images, 1 thread", opts.frames),
     );
 
-    // One untimed recovery first builds the engine's lazy state — the
-    // Log-Gabor bank, the rotation tables, FFT plans and scratch pools —
-    // which would otherwise land in pair 0's stage-1 total and in none of
-    // its phases. It runs on a pair the timed loop never draws: frames own
-    // their features, so recovering pair 0's frames here would leave its
-    // timed MIM at 0 ms.
-    let aligner = BbAlign::new(engine.clone());
-    let mut warm_up = Dataset::new(DatasetConfig::standard(), opts.seed.wrapping_sub(1));
-    let (ego, other) = frames_of(&aligner, &warm_up.next_pair().unwrap());
-    bba_par::with_threads(1, || {
-        let _ = aligner.recover(&ego, &other, &mut StdRng::seed_from_u64(opts.seed));
-    });
+    // One recovery first builds the engine's lazy state — the Log-Gabor
+    // bank, the rotation tables, FFT plans and scratch pools — which would
+    // otherwise land in pair 0's stage-1 total and in none of its phases.
+    // It runs on a pair the timed loop never draws: frames own their
+    // features, so recovering pair 0's frames here would leave its timed
+    // MIM at 0 ms. The same recovery again, on freshly rasterised frames
+    // of that pair, costs everything but the lazy state; the difference
+    // is the engine's set-up, as perfbench's `core.lazy_init_s` defines
+    // it, over `SETUPS` fresh engines. The last one runs the timed pairs.
+    let warm_up =
+        Dataset::new(DatasetConfig::standard(), opts.seed.wrapping_sub(1)).next_pair().unwrap();
+    let set_up = || {
+        let aligner = BbAlign::new(engine.clone());
+        let recover_ms = || {
+            let (ego, other) = frames_of(&aligner, &warm_up);
+            let t0 = Instant::now();
+            let _ = aligner.recover(&ego, &other, &mut StdRng::seed_from_u64(opts.seed));
+            t0.elapsed().as_secs_f64() * 1e3
+        };
+        let first = recover_ms();
+        let setup_ms = first - recover_ms();
+        (aligner, setup_ms)
+    };
+    let (engines, setup_ms): (Vec<BbAlign>, Vec<f64>) =
+        bba_par::with_threads(1, || (0..SETUPS).map(|_| set_up()).unzip());
+    let aligner = engines.into_iter().next_back().expect("SETUPS > 0");
 
     // One enabled recorder, installed after the warm-up, sees the timed
     // recoveries' stage spans, per-recovery distributions and counters.
@@ -197,6 +216,7 @@ fn main() {
         p90_1thr_ms: percentile(ms, 90.0),
     };
     let phases = [
+        phase("engine set-up (first use)", &setup_ms),
         phase("BV rasterisation (2 cars)", &samples.bev),
         phase("stage 1: Log-Gabor MIM (2 images)", &samples.mim),
         phase("stage 1: keypoint detection", &samples.detect),

@@ -2,6 +2,7 @@
 
 use crate::config::BbAlignConfig;
 use crate::frame::{FrameBox, FrameFeatures, PerceptionFrame};
+use crate::wire::DecodeError;
 use bba_bev::{BevConfig, BevImage};
 use bba_features::{
     detect_keypoints, match_sets, ransac_rigid, DescriptorSet, Keypoint, MatchPool, PatchSamples,
@@ -506,6 +507,22 @@ impl BbAlign {
             .map(|(b, confidence)| FrameBox { bev: b.to_bev(), confidence })
             .collect();
         PerceptionFrame::new(bev, boxes)
+    }
+
+    /// Decodes a peer's payload ([`wire::encode_frame`](crate::wire::encode_frame))
+    /// for this engine: the header checks of
+    /// [`wire::decode_frame`](crate::wire::decode_frame), then
+    /// [`DecodeError::ForeignGeometry`] when the declared raster geometry
+    /// differs from [`BbAlignConfig::bev`], before anything is allocated
+    /// for the raster. A frame it returns never fails recovery with
+    /// [`RecoverError::GeometryMismatch`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] on a payload the free decoder rejects, or
+    /// on a foreign raster geometry.
+    pub fn decode_frame(&self, bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
+        crate::wire::decode(bytes, Some(&self.config.bev))
     }
 
     /// Extracts a global place descriptor for `frame` (see `bba-place`)

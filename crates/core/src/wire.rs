@@ -70,6 +70,10 @@ pub enum DecodeError {
     CellOutOfRange,
     /// A box field (centre, extent, yaw or confidence) was NaN or ±∞.
     NonFiniteBox,
+    /// The declared raster geometry (range and resolution) differs from
+    /// the receiving engine's; see
+    /// [`BbAlign::decode_frame`](crate::BbAlign::decode_frame).
+    ForeignGeometry,
 }
 
 impl fmt::Display for DecodeError {
@@ -81,6 +85,9 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::CellOutOfRange => write!(f, "cell index outside raster"),
             DecodeError::NonFiniteBox => write!(f, "box field is NaN or infinite"),
+            DecodeError::ForeignGeometry => {
+                write!(f, "raster geometry differs from the receiving engine's")
+            }
         }
     }
 }
@@ -170,6 +177,16 @@ pub fn box_wire_bytes() -> usize {
 /// before anything is allocated), out-of-raster cell indices, or a box
 /// field that is NaN or infinite.
 pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
+    decode(bytes, None)
+}
+
+/// [`decode_frame`], and with `expected` set, [`DecodeError::ForeignGeometry`]
+/// for a header that passes its checks but declares another raster
+/// geometry, before the raster is allocated.
+pub(crate) fn decode(
+    bytes: &[u8],
+    expected: Option<&BevConfig>,
+) -> Result<PerceptionFrame, DecodeError> {
     let mut cursor = 0usize;
     let take = |cursor: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
         let s = bytes.get(*cursor..*cursor + n).ok_or(DecodeError::Truncated)?;
@@ -192,6 +209,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
     let h = config.image_size();
     if !config.is_pow2() || h > MAX_DECODED_SIDE {
         return Err(DecodeError::BadHeader);
+    }
+    if expected.is_some_and(|bev| *bev != config) {
+        return Err(DecodeError::ForeignGeometry);
     }
     let n_cells = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes")) as usize;
     let n_boxes = u16::from_le_bytes(take(&mut cursor, 2)?.try_into().expect("2 bytes")) as usize;
@@ -388,6 +408,27 @@ mod tests {
         let cap = MAX_DECODED_SIDE as f64;
         assert_eq!(decode_frame(&header(cap / 2.0, 1.0)).unwrap().bev().size(), MAX_DECODED_SIDE);
         assert_eq!(decode_frame(&header(cap, 1.0)).unwrap_err(), DecodeError::BadHeader);
+    }
+
+    #[test]
+    fn an_engine_rejects_a_foreign_raster_geometry() {
+        use crate::config::BbAlignConfig;
+        use crate::recover::BbAlign;
+        let engine = BbAlign::new(BbAlignConfig::default());
+        // Side 2048: the free decoder accepts it and allocates its raster.
+        let big = header(1024.0, 1.0);
+        assert_eq!(decode_frame(&big).unwrap().bev().size(), 2048);
+        assert_eq!(engine.decode_frame(&big).unwrap_err(), DecodeError::ForeignGeometry);
+        // Header checks come first.
+        assert_eq!(engine.decode_frame(&header(10.0, 1.0)).unwrap_err(), DecodeError::BadHeader);
+        // A real frame at another preset: it used to decode and then fail
+        // recovery with `GeometryMismatch`.
+        let small = encode_frame(&frame_with_occupancy(400));
+        assert!(decode_frame(&small).is_ok());
+        assert_eq!(engine.decode_frame(&small).unwrap_err(), DecodeError::ForeignGeometry);
+        // At the engine's own geometry it decodes as the free decoder does.
+        let small_engine = BbAlign::new(BbAlignConfig::test_small());
+        assert_eq!(small_engine.decode_frame(&small).unwrap(), decode_frame(&small).unwrap());
     }
 
     /// Header geometry: arbitrary bit patterns for range and resolution,

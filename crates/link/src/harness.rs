@@ -4,7 +4,8 @@
 //! transmitting car serialises its [`bb_align::PerceptionFrame`]
 //! ([`bb_align::wire::encode_frame`]) and ships it through a lossy
 //! [`SimChannel`] via a [`LinkEndpoint`] session; the receiving car
-//! reassembles, recovers the relative pose (`bb_align`), feeds it to the
+//! reassembles, decodes the payload for its engine
+//! ([`BbAlign::decode_frame`]), recovers the relative pose, feeds it to the
 //! temporal tracker, and fuses cooperatively (`bba-fusion`). When the
 //! link fails to deliver a fresh frame the loop *degrades instead of
 //! stalling*: the pose comes from the tracker's constant-velocity
@@ -244,8 +245,10 @@ impl V2vHarness {
 
             let received = latest.and_then(|msg| {
                 // Checksummed chunks make corruption here unreachable, but
-                // a defensive decode keeps the loop alive regardless.
-                wire::decode_frame(&msg.payload).ok().map(|frame| (frame, msg.latency))
+                // a defensive decode keeps the loop alive regardless. The
+                // engine's decode also rejects a raster geometry other
+                // than its own before allocating it.
+                aligner.decode_frame(&msg.payload).ok().map(|frame| (frame, msg.latency))
             });
             let outcome = self.evaluate_tick(TickInputs {
                 index,

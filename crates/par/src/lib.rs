@@ -1,9 +1,8 @@
 //! Deterministic data-parallel substrate for the BB-Align workspace.
 //!
 //! The parallel grain is a whole unit of work: the pairs of a
-//! `bba-serve` batch, the scenarios of a bench harness run, the
-//! orientations of a Log-Gabor bank under construction and the entries of
-//! a place-index query. One pose recovery runs serially on its caller's
+//! `bba-serve` batch, the scenarios of a bench harness run and the
+//! entries of a place-index query. One pose recovery runs serially on its caller's
 //! thread; DESIGN.md ("Parallel execution model") records why.
 //!
 //! No external thread-pool crates are available offline, so this crate

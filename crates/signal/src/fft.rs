@@ -268,19 +268,6 @@ pub(crate) fn bitrev_permute(data: &mut [Complex], plan_w: &FftPlan, plan_h: &Ff
     }
 }
 
-/// The same map as [`bitrev_permute`], listed: for each cell of a grid in
-/// 2-D bit-reversed order, row-major, the natural-order index of the bin
-/// it holds, given the per-axis bit reversals `rev_w` and `rev_h`. Being
-/// an involution, it equally lists where the permuted grid holds each
-/// natural-order cell.
-pub(crate) fn bitrev_cells<'a>(
-    rev_w: &'a [u32],
-    rev_h: &'a [u32],
-) -> impl Iterator<Item = usize> + Clone + 'a {
-    let w = rev_w.len();
-    rev_h.iter().flat_map(move |&rv| rev_w.iter().map(move |&ru| rv as usize * w + ru as usize))
-}
-
 /// Unnormalised inverse 2-D FFT of a `W × H` spectrum held in 2-D
 /// bit-reversed order ([`bitrev_permute`]), in place; the result is the
 /// spatial grid in natural order. Decimation-in-time butterflies take
@@ -460,9 +447,6 @@ mod tests {
             for (u, v, &z) in grid.iter_cells() {
                 let (ru, rv) = (plan_w.bitrev()[u] as usize, plan_h.bitrev()[v] as usize);
                 assert_eq!(data[rv * w + ru], z, "{w}x{h} ({u},{v})");
-            }
-            for (c, bin) in bitrev_cells(plan_w.bitrev(), plan_h.bitrev()).enumerate() {
-                assert_eq!(data[c], grid.as_slice()[bin], "{w}x{h}: cell list at {c}");
             }
             bitrev_permute(&mut data, &plan_w, &plan_h);
             assert_eq!(data, grid.as_slice(), "{w}x{h}: twice must restore the order");

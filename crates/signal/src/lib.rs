@@ -16,8 +16,9 @@
 //! an angular Gaussian (orientation selectivity, the `θ` factor). The hot
 //! path exploits real input ([`rfft2d`]) and even-symmetric filters (packed
 //! inverse pairs), keeps the bank and each image spectrum in 2-D
-//! bit-reversed order so no inverse transform reorders anything, and
-//! reuses scratch memory through an [`FftWorkspace`] so the steady-state
+//! bit-reversed order so no inverse transform reorders anything, stores
+//! only the bank rows that even symmetry does not repeat, and reuses
+//! scratch memory through an [`FftWorkspace`] so the steady-state
 //! MIM computation allocates nothing per frame.
 //!
 //! # Example

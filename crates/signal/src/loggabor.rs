@@ -21,14 +21,22 @@
 //! `A(ρ, θ, s, o)` used in Eq. (9)–(10). The bank and the image spectrum
 //! are both held in 2-D bit-reversed order, the input order of the
 //! decimation-in-time inverse, so no inverse transform reorders anything.
+//!
+//! The build shares every factor the transfer functions have in common:
+//! radius and angle once per frequency bin, the radial log-Gaussian once
+//! per (bin, scale) and the angular Gaussian once per (bin, orientation).
+//! Every transfer function is even-symmetric, so in the bit-reversed
+//! layout each packed grid repeats itself under [`bitrev_mirror`] on both
+//! axes; the bank keeps only the `H/2 + 1` rows that map to themselves or
+//! forward, and the product reads the other rows backwards through
+//! [`bba_simd::cmul_mirrored`].
 
 use crate::complex::{as_floats, as_floats_mut, Complex};
-use crate::fft::{
-    bitrev_cells, bitrev_permute, ifft2d_bitrev_unscaled_into, rfft2d_into, FftError,
-};
+use crate::fft::{bitrev_permute, ifft2d_bitrev_unscaled_into, rfft2d_into, FftError};
 use crate::grid::Grid;
 use crate::plan::bitrev_order;
 use crate::workspace::FftWorkspace;
+use bba_simd::bitrev_mirror;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
@@ -91,12 +99,14 @@ impl LogGaborConfig {
 
 /// A pre-computed Log-Gabor filter bank for one image size.
 ///
-/// Construction is `O(N_s · N_o · H · W)`; the bank can be reused across
-/// every image of the same size. It stores only the packed complex form of
-/// the transfer functions (`N_o · ⌈N_s/2⌉` grids, 24 MiB at 256² with the
-/// default 4 scales × 12 orientations), in 2-D bit-reversed order;
-/// [`LogGaborBank::filter`] unpacks a single real-valued transfer function
-/// in natural order on demand.
+/// Construction takes `O((1 + N_s + N_o) · H · W)` transcendental calls
+/// and `O(N_s · N_o · H · W)` multiplications; the bank can be reused
+/// across every image of the same size. It stores only the packed
+/// complex form of the transfer functions (`N_o · ⌈N_s/2⌉` grids of
+/// `H/2 + 1` rows, 12.09 MiB at 256² with the default 4 scales × 12
+/// orientations), in 2-D bit-reversed order; [`LogGaborBank::filter`]
+/// unpacks a single real-valued transfer function in natural order on
+/// demand.
 ///
 /// # Example
 ///
@@ -119,106 +129,159 @@ pub struct LogGaborBank {
     /// `L_{2p} + i·L_{2p+1}` (imaginary part zero for a trailing odd scale).
     /// Because both transfer functions are real and even-symmetric, one
     /// inverse FFT of `F·packed` yields both spatial responses at once:
-    /// scale `2p` in the real part, `2p+1` in the imaginary part. Each
-    /// grid is in 2-D bit-reversed order: cell `(u, v)` holds frequency bin
-    /// `(rev_W(u), rev_H(v))`, matching the permuted image spectrum.
+    /// scale `2p` in the real part, `2p+1` in the imaginary part. In 2-D
+    /// bit-reversed order cell `(u, v)` holds frequency bin
+    /// `(rev_W(u), rev_H(v))` and equals cell `(m(u), m(v))` bit for bit,
+    /// `m` being [`bitrev_mirror`]; each grid keeps only the rows `v` with
+    /// `m(v) ≥ v`, in ascending order (see [`packed_row`]).
     packed: Vec<Vec<Grid<Complex>>>,
 }
 
+/// Frequency of FFT bin `k` of an `n`-point axis: `k/n` for `k ≤ n/2`,
+/// `(k − n)/n` above.
+fn freq_axis(n: usize, k: usize) -> f64 {
+    let k = k as isize;
+    let n = n as isize;
+    let signed = if k <= n / 2 { k } else { k - n };
+    signed as f64 / n as f64
+}
+
+/// Row `v` of a packed grid in bit-reversed order: its stored row, or —
+/// flagged `true` — the stored row of its mirror `m(v) < v`, whose cell
+/// `m(u)` holds cell `u` of row `v`. The stored rows are 0, 1 and the
+/// first half of each octave block `[2^j, 2^(j+1))`, so stored row `v ≥ 2`
+/// sits at position `v + 1 − 2^(j−1)`.
+fn packed_row(pair: &Grid<Complex>, v: usize) -> (&[Complex], bool) {
+    let stored = v.min(bitrev_mirror(v));
+    let at = if stored < 2 { stored } else { stored + 1 - (1 << stored.ilog2()) / 2 };
+    let w = pair.width();
+    (&pair.as_slice()[at * w..(at + 1) * w], stored < v)
+}
+
+/// `dst = spectrum · packed`, cell by cell in bit-reversed order: a
+/// stored row multiplies straight, any other row reads its mirror row
+/// through [`bba_simd::cmul_mirrored`]. Each product has the operands and
+/// rounding of a product with the full grid.
+fn filter_product(dst: &mut [Complex], spectrum: &[Complex], pair: &Grid<Complex>) {
+    let w = pair.width();
+    for (v, (d, s)) in dst.chunks_exact_mut(w).zip(spectrum.chunks_exact(w)).enumerate() {
+        let (row, mirrored) = packed_row(pair, v);
+        let product = if mirrored { bba_simd::cmul_mirrored } else { bba_simd::cmul };
+        product(as_floats_mut(d), as_floats(s), as_floats(row));
+    }
+}
+
 impl LogGaborBank {
-    /// Builds the bank for `width × height` images.
+    /// Builds the bank for `width × height` images, serially: per bin the
+    /// radius and the angle's sine and cosine, per (bin, scale) the radial
+    /// log-Gaussian, per (bin, orientation) the angular Gaussian. Each
+    /// transfer value is `radial · angular`, averaged with its mirror
+    /// bin's, and packed straight into the stored rows.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`LogGaborConfig`]) or if
-    /// either dimension is zero.
+    /// either dimension is not a power of two.
     pub fn new(width: usize, height: usize, config: LogGaborConfig) -> Self {
         config.validate();
-        assert!(width > 0 && height > 0, "image dimensions must be nonzero");
+        assert!(
+            width.is_power_of_two() && height.is_power_of_two(),
+            "image sides must be powers of two, got {width}x{height}"
+        );
         let theta_sigma = PI / config.num_orientations as f64 / config.d_theta_on_sigma;
         let log_sigma = config.sigma_on_f.ln().abs();
 
-        // Frequency coordinates: FFT bin k maps to frequency k/N for
-        // k < N/2, (k-N)/N above.
-        let freq_axis = |n: usize, k: usize| -> f64 {
-            let k = k as isize;
-            let n = n as isize;
-            let signed = if k <= n / 2 { k } else { k - n };
-            signed as f64 / n as f64
-        };
+        // Per bin, in natural order: the radius, then sin θ and cos θ of
+        // the frequency vector's angle.
+        let bins = width * height;
+        let (mut radius, mut sin_t, mut cos_t) =
+            (Vec::with_capacity(bins), Vec::with_capacity(bins), Vec::with_capacity(bins));
+        for v in 0..height {
+            let fy = freq_axis(height, v);
+            for u in 0..width {
+                let fx = freq_axis(width, u);
+                radius.push((fx * fx + fy * fy).sqrt());
+                let theta = fy.atan2(fx);
+                sin_t.push(theta.sin());
+                cos_t.push(theta.cos());
+            }
+        }
+        // Per scale and bin: the radial log-Gaussian, zero at DC.
+        let radial: Vec<Vec<f64>> = (0..config.num_scales)
+            .map(|s| {
+                let f0 = config.center_frequency(s);
+                radius
+                    .iter()
+                    .map(|&r| {
+                        if r < 1e-12 {
+                            return 0.0;
+                        }
+                        let lr = (r / f0).ln();
+                        (-lr * lr / (2.0 * log_sigma * log_sigma)).exp()
+                    })
+                    .collect()
+            })
+            .collect();
+        drop(radius);
 
-        // The real-valued transfer function of `(o, s)`.
-        let transfer = |o: usize, s: usize| -> Grid<f64> {
-            let theta0 = config.orientation_angle(o);
-            let (sin0, cos0) = theta0.sin_cos();
-            let f0 = config.center_frequency(s);
-            let mut filt = Grid::new(width, height, 0.0);
-            for v in 0..height {
-                let fy = freq_axis(height, v);
-                for u in 0..width {
-                    let fx = freq_axis(width, u);
-                    let radius = (fx * fx + fy * fy).sqrt();
-                    if radius < 1e-12 {
-                        continue; // zero DC response
-                    }
-                    // Radial log-Gaussian.
-                    let lr = (radius / f0).ln();
-                    let radial = (-lr * lr / (2.0 * log_sigma * log_sigma)).exp();
-                    // Angular Gaussian on the folded orientation
-                    // difference (filters are π-periodic for real
-                    // images; cover both half-planes).
-                    let theta = fy.atan2(fx);
-                    let ds = theta.sin() * cos0 - theta.cos() * sin0;
-                    let dc = theta.cos() * cos0 + theta.sin() * sin0;
+        // Each stored cell's bin and mirror bin, as natural-order indices.
+        let (rev_w, rev_h) = (bitrev_order(width), bitrev_order(height));
+        let mirror_bin = |n: usize, k: u32| (n - k as usize) % n;
+        let mut cells = Vec::with_capacity(width * (height / 2 + 1));
+        for v in (0..height).filter(|&v| bitrev_mirror(v) >= v) {
+            let bv = rev_h[v];
+            cells.extend(rev_w.iter().map(|&bu| {
+                let bin = bv as usize * width + bu as usize;
+                (bin, mirror_bin(height, bv) * width + mirror_bin(width, bu))
+            }));
+        }
+
+        let mut angular = vec![0.0; bins];
+        let packed = (0..config.num_orientations)
+            .map(|o| {
+                // Angular Gaussian on the folded orientation difference
+                // (filters are π-periodic for real images; cover both
+                // half-planes).
+                let (sin0, cos0) = config.orientation_angle(o).sin_cos();
+                for ((a, &st), &ct) in angular.iter_mut().zip(&sin_t).zip(&cos_t) {
+                    let ds = st * cos0 - ct * sin0;
+                    let dc = ct * cos0 + st * sin0;
                     let dtheta = ds.atan2(dc).abs();
                     let dtheta = dtheta.min(PI - dtheta); // fold to [0, π/2]
-                    let angular = (-dtheta * dtheta / (2.0 * theta_sigma * theta_sigma)).exp();
-                    filt[(u, v)] = radial * angular;
+                    *a = (-dtheta * dtheta / (2.0 * theta_sigma * theta_sigma)).exp();
                 }
-            }
-            // Even-symmetrise: the Nyquist row/column are their own
-            // conjugate mirrors, but the +0.5 frequency convention assigns
-            // them a single alias angle, leaving `L[k] ≠ L[−k]` there.
-            // Averaging each bin with its mirror (exact for already-equal
-            // bins: 0.5·(a+a) = a) restores `L[k] = L[−k]` everywhere, so
-            // every spatial response is exactly real — the property the
-            // packed-inverse-pair fast path rests on. It is also the more
-            // faithful filter: a Nyquist bin represents both ±0.5 aliases.
-            Grid::from_fn(width, height, |u, v| {
-                let m = filt[((width - u) % width, (height - v) % height)];
-                0.5 * (filt[(u, v)] + m)
-            })
-        };
-
-        // Orientations are independent: each builds its scales' transfer
-        // functions, packs them pairwise — reading each cell's bin through
-        // the bit-reversal permutation, so the single packed copy is built
-        // straight in the order the inverse transforms consume — and drops
-        // the real-valued grids, so at most one orientation's real grids
-        // per worker coexist.
-        let (rev_w, rev_h) = (bitrev_order(width), bitrev_order(height));
-        let source = bitrev_cells(&rev_w, &rev_h);
-        let packed = bba_par::par_map_indices(config.num_orientations, |o| {
-            let per_scale: Vec<Grid<f64>> =
-                (0..config.num_scales).map(|s| transfer(o, s)).collect();
-            per_scale
-                .chunks(2)
-                .map(|pair| {
-                    Grid::from_vec(
-                        width,
-                        height,
-                        source
-                            .clone()
-                            .map(|i| {
-                                let re = pair[0].as_slice()[i];
-                                let im = pair.get(1).map_or(0.0, |f| f.as_slice()[i]);
-                                Complex::new(re, im)
+                // Even-symmetrise: the Nyquist row/column are their own
+                // conjugate mirrors, but the +0.5 frequency convention
+                // assigns them a single alias angle, leaving `L[k] ≠ L[−k]`
+                // there. Averaging each bin with its mirror (exact for
+                // already-equal bins: 0.5·(a+a) = a) restores `L[k] = L[−k]`
+                // everywhere, so every spatial response is exactly real —
+                // the property the packed-inverse-pair fast path rests on.
+                // It is also the more faithful filter: a Nyquist bin
+                // represents both ±0.5 aliases.
+                let transfer = |s: usize, (bin, mirror): (usize, usize)| {
+                    let r = &radial[s];
+                    0.5 * (r[bin] * angular[bin] + r[mirror] * angular[mirror])
+                };
+                (0..config.num_scales)
+                    .step_by(2)
+                    .map(|s| {
+                        let data: Vec<Complex> = cells
+                            .iter()
+                            .map(|&cell| {
+                                let im = if s + 1 < config.num_scales {
+                                    transfer(s + 1, cell)
+                                } else {
+                                    0.0
+                                };
+                                Complex::new(transfer(s, cell), im)
                             })
-                            .collect(),
-                    )
-                })
-                .collect()
-        });
+                            .collect();
+                        Grid::from_vec(width, cells.len() / width, data)
+                    })
+                    .collect()
+            })
+            .collect();
         LogGaborBank { config, width, height, packed }
     }
 
@@ -246,11 +309,18 @@ impl LogGaborBank {
     /// Panics if `s` or `o` is out of range.
     pub fn filter(&self, s: usize, o: usize) -> Grid<f64> {
         assert!(s < self.config.num_scales, "scale {s} out of range");
-        let packed = self.packed[o][s / 2].as_slice();
-        let part = |z: Complex| if s.is_multiple_of(2) { z.re } else { z.im };
+        let pair = &self.packed[o][s / 2];
         let (rev_w, rev_h) = (bitrev_order(self.width), bitrev_order(self.height));
-        let cells = bitrev_cells(&rev_w, &rev_h);
-        Grid::from_vec(self.width, self.height, cells.map(|i| part(packed[i])).collect())
+        Grid::from_fn(self.width, self.height, |u, v| {
+            let (cu, cv) = (rev_w[u] as usize, rev_h[v] as usize);
+            let (row, mirrored) = packed_row(pair, cv);
+            let z = row[if mirrored { bitrev_mirror(cu) } else { cu }];
+            if s.is_multiple_of(2) {
+                z.re
+            } else {
+                z.im
+            }
+        })
     }
 
     /// Amplitude response per orientation, summed over scales — the paper's
@@ -302,11 +372,7 @@ impl LogGaborBank {
             for (p, pair) in pairs.iter().enumerate() {
                 // Frequency-domain product F·(L_a + i·L_b) = F_a + i·F_b,
                 // vectorised with scalar-identical rounding.
-                bba_simd::cmul(
-                    as_floats_mut(&mut lane.filtered),
-                    as_floats(spectrum.as_slice()),
-                    as_floats(pair.as_slice()),
-                );
+                filter_product(&mut lane.filtered, spectrum.as_slice(), pair);
                 ifft2d_bitrev_unscaled_into(&mut lane.filtered, plan_w, plan_h);
                 // Split the packed pair and accumulate, fusing the 1/(W·H)
                 // normalisation. The responses are mathematically real, so
@@ -377,11 +443,7 @@ impl LogGaborBank {
         max_idx.fill(0);
         for (o, pairs) in self.packed.iter().enumerate() {
             for (p, pair) in pairs.iter().enumerate() {
-                bba_simd::cmul(
-                    as_floats_mut(&mut lane.filtered),
-                    as_floats(spectrum.as_slice()),
-                    as_floats(pair.as_slice()),
-                );
+                filter_product(&mut lane.filtered, spectrum.as_slice(), pair);
                 ifft2d_bitrev_unscaled_into(&mut lane.filtered, plan_w, plan_h);
                 let both = 2 * p + 1 < num_scales;
                 if p + 1 < n_pairs {
@@ -415,6 +477,84 @@ impl LogGaborBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-filter build the factored one replaced, kept as its oracle:
+    /// the real-valued, even-symmetrised transfer function of `(o, s)` in
+    /// natural bin order, every factor evaluated afresh for every bin.
+    fn transfer(
+        config: &LogGaborConfig,
+        width: usize,
+        height: usize,
+        o: usize,
+        s: usize,
+    ) -> Grid<f64> {
+        let theta_sigma = PI / config.num_orientations as f64 / config.d_theta_on_sigma;
+        let log_sigma = config.sigma_on_f.ln().abs();
+        let theta0 = config.orientation_angle(o);
+        let (sin0, cos0) = theta0.sin_cos();
+        let f0 = config.center_frequency(s);
+        let mut filt = Grid::new(width, height, 0.0);
+        for v in 0..height {
+            let fy = freq_axis(height, v);
+            for u in 0..width {
+                let fx = freq_axis(width, u);
+                let radius = (fx * fx + fy * fy).sqrt();
+                if radius < 1e-12 {
+                    continue; // zero DC response
+                }
+                let lr = (radius / f0).ln();
+                let radial = (-lr * lr / (2.0 * log_sigma * log_sigma)).exp();
+                let theta = fy.atan2(fx);
+                let ds = theta.sin() * cos0 - theta.cos() * sin0;
+                let dc = theta.cos() * cos0 + theta.sin() * sin0;
+                let dtheta = ds.atan2(dc).abs();
+                let dtheta = dtheta.min(PI - dtheta);
+                let angular = (-dtheta * dtheta / (2.0 * theta_sigma * theta_sigma)).exp();
+                filt[(u, v)] = radial * angular;
+            }
+        }
+        Grid::from_fn(width, height, |u, v| {
+            let m = filt[((width - u) % width, (height - v) % height)];
+            0.5 * (filt[(u, v)] + m)
+        })
+    }
+
+    #[test]
+    fn factored_half_bank_matches_the_per_filter_oracle_bit_for_bit() {
+        // `filter` reads every stored cell once straight and once through
+        // the mirror map, so this pins every packed value and the mirror
+        // identity of every full grid, down to 1- and 2-row grids. Three
+        // scales leave a trailing odd scale, packed with a zero imaginary
+        // half.
+        let odd = LogGaborConfig { num_scales: 3, ..Default::default() };
+        let default = LogGaborConfig::default();
+        for (cfg, w, h) in [
+            (&default, 256, 256),
+            (&default, 64, 32),
+            (&default, 32, 16),
+            (&default, 16, 16),
+            (&default, 8, 2),
+            (&default, 4, 1),
+            (&odd, 32, 16),
+        ] {
+            let bank = LogGaborBank::new(w, h, cfg.clone());
+            for pairs in &bank.packed {
+                assert!(pairs.iter().all(|g| (g.width(), g.height()) == (w, h / 2 + 1)));
+                if cfg.num_scales % 2 == 1 {
+                    let last = pairs.last().unwrap().as_slice();
+                    assert!(last.iter().all(|z| z.im.to_bits() == 0), "{w}x{h}: odd scale");
+                }
+            }
+            for o in 0..cfg.num_orientations {
+                for s in 0..cfg.num_scales {
+                    let (want, got) = (transfer(cfg, w, h, o, s), bank.filter(s, o));
+                    for (i, (a, b)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{w}x{h} s={s} o={o} bin {i}");
+                    }
+                }
+            }
+        }
+    }
 
     /// Per-orientation amplitudes of `img`, copied out of a fresh workspace.
     fn amplitudes(bank: &LogGaborBank, img: &Grid<f64>) -> Vec<Grid<f64>> {
@@ -552,6 +692,12 @@ mod tests {
         let bank = LogGaborBank::new(16, 16, LogGaborConfig::default());
         let img = Grid::new(32, 32, 0.0);
         let _ = bank.orientation_amplitudes_into(&img, &mut FftWorkspace::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "image sides must be powers of two")]
+    fn non_power_of_two_side_panics() {
+        let _ = LogGaborBank::new(24, 16, LogGaborConfig::default());
     }
 
     #[test]

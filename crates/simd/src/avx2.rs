@@ -62,6 +62,30 @@ pub unsafe fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
     crate::portable::cmul(&mut dst[i..], &a[i..], &b[i..]);
 }
 
+/// AVX2 [`cmul_mirrored`](crate::cmul_mirrored). Cells 0 and 1 are their
+/// own mirrors: one straight product. In the octave block `[lo, 2·lo)`
+/// cell `c` reads `b[3·lo − 1 − c]`, so the pair `(c, c + 1)` is the pair
+/// loaded at `3·lo − 2 − c` with its two complexes swapped. A single
+/// complex goes through the portable twin.
+#[target_feature(enable = "avx2")]
+pub unsafe fn cmul_mirrored(dst: &mut [f64], a: &[f64], b: &[f64]) {
+    let n = dst.len() / 2;
+    if n < 2 {
+        return crate::portable::cmul_mirrored(dst, a, b);
+    }
+    let (pa, pb, pd) = (a.as_ptr(), b.as_ptr(), dst.as_mut_ptr());
+    _mm256_storeu_pd(pd, cmul_pd(_mm256_loadu_pd(pa), _mm256_loadu_pd(pb)));
+    let mut lo = 2;
+    while lo < n {
+        for c in (lo..2 * lo).step_by(2) {
+            let vb = _mm256_loadu_pd(pb.add(2 * (3 * lo - 2 - c)));
+            let vb = _mm256_permute2f128_pd::<0x01>(vb, vb);
+            _mm256_storeu_pd(pd.add(2 * c), cmul_pd(_mm256_loadu_pd(pa.add(2 * c)), vb));
+        }
+        lo *= 2;
+    }
+}
+
 /// Radix-2 butterfly on two-complex vectors: `b = hi·w`, `(lo + b, lo − b)`
 /// — per lane the scalar butterfly of [`crate::portable`].
 #[inline]

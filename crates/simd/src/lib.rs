@@ -135,6 +135,41 @@ pub fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
     dispatch!(cmul(dst, a, b))
 }
 
+/// The mirror map of a bit-reversed axis: in an axis of any power-of-two
+/// length `N > c` whose cell `c` holds frequency bin `rev(c)`, the cell
+/// that holds the mirror bin `−rev(c) mod N`. It fixes cells 0 and 1
+/// (bins 0 and `N/2`) and reverses each octave block `[2^j, 2^(j+1))`:
+/// `m(c) = 3·2^j − 1 − c`. A cell of block `j` holds a bin whose lowest
+/// set bit is bit `log₂N − 1 − j`, and negating a bin keeps that bit and
+/// complements the bits above it, so `m` stays inside the block and is an
+/// involution.
+pub const fn bitrev_mirror(c: usize) -> usize {
+    if c < 2 {
+        c
+    } else {
+        3 * (1 << c.ilog2()) - 1 - c
+    }
+}
+
+/// [`cmul`] with `b` read through [`bitrev_mirror`]: over interleaved
+/// complex buffers of `n` complexes, `dst[k] = a[k] · b[bitrev_mirror(k)]`
+/// with [`cmul`]'s textbook rounding. The AVX2 path reads each octave
+/// block of `b` backwards, one 256-bit load per two complexes with its
+/// halves swapped.
+///
+/// # Panics
+///
+/// Panics if the three slices differ in length or `n` is not a power of
+/// two.
+pub fn cmul_mirrored(dst: &mut [f64], a: &[f64], b: &[f64]) {
+    assert!(dst.len() == a.len() && dst.len() == b.len(), "cmul_mirrored length mismatch");
+    assert!(
+        dst.len().is_multiple_of(2) && (dst.len() / 2).is_power_of_two(),
+        "cmul_mirrored needs a power-of-two count of interleaved complexes"
+    );
+    dispatch!(cmul_mirrored(dst, a, b))
+}
+
 /// One radix-2 butterfly pass over a split block: for `k` in
 /// `0..lo.len()/2` (complex elements), with `w = twiddles[k]`,
 ///
@@ -426,6 +461,27 @@ mod tests {
         let mut dst = [0.0; 4];
         cmul(&mut dst, &a, &b);
         assert_eq!(dst, [-5.0, 10.0, -0.75, 2.125]);
+    }
+
+    #[test]
+    fn bitrev_mirror_is_the_involution_of_bin_negation() {
+        for bits in 0..=12u32 {
+            let n = 1usize << bits;
+            let rev =
+                |c: usize| if bits == 0 { c } else { c.reverse_bits() >> (usize::BITS - bits) };
+            for c in 0..n {
+                let m = bitrev_mirror(c);
+                assert!(m < n, "n={n}: m({c}) = {m} leaves the axis");
+                assert_eq!(m, rev((n - rev(c)) % n), "n={n}: m({c}) is not the mirror bin's cell");
+                assert_eq!(bitrev_mirror(m), c, "n={n}: m(m({c})) != {c}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two count")]
+    fn cmul_mirrored_rejects_a_length_that_is_not_a_power_of_two() {
+        cmul_mirrored(&mut [0.0; 6], &[0.0; 6], &[0.0; 6]);
     }
 
     #[test]

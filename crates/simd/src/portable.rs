@@ -18,6 +18,18 @@ pub fn cmul(dst: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
+/// Scalar [`cmul_mirrored`](crate::cmul_mirrored): [`cmul`] with `b`
+/// indexed through [`bitrev_mirror`](crate::bitrev_mirror).
+pub fn cmul_mirrored(dst: &mut [f64], a: &[f64], b: &[f64]) {
+    for i in 0..dst.len() / 2 {
+        let j = crate::bitrev_mirror(i);
+        let (ar, ai) = (a[2 * i], a[2 * i + 1]);
+        let (br, bi) = (b[2 * j], b[2 * j + 1]);
+        dst[2 * i] = ar * br - ai * bi;
+        dst[2 * i + 1] = ar * bi + ai * br;
+    }
+}
+
 /// Scalar [`butterfly`](crate::butterfly).
 pub fn butterfly(lo: &mut [f64], hi: &mut [f64], twiddles: &[f64]) {
     for k in 0..lo.len() / 2 {

@@ -14,6 +14,21 @@ fn finite32() -> impl Strategy<Value = f32> {
     -100.0f32..100.0
 }
 
+/// Finite values, or NaN and ±∞.
+fn special64() -> impl Strategy<Value = f64> {
+    prop_oneof![finite64(), Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)]
+}
+
+/// [`bits64`] where every NaN equals every NaN: Rust leaves the payload
+/// of an arithmetic NaN unspecified.
+fn same64(label: &str, reference: &[f64], candidate: &[f64]) {
+    assert_eq!(reference.len(), candidate.len(), "{label}: length");
+    for (i, (a, b)) in reference.iter().zip(candidate).enumerate() {
+        let same = a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        assert!(same, "{label}: bit mismatch at {i}: {a} vs {b}");
+    }
+}
+
 /// Runs `avx2` only when the host supports it; always checks the
 /// dispatched wrapper too (whatever path it picked) so portable-only hosts
 /// still execute every assertion against the reference.
@@ -47,6 +62,37 @@ proptest! {
             let mut got = vec![0.0; a.len()];
             unsafe { bba_simd::avx2::cmul(&mut got, &a, &b) };
             bits64("cmul avx2", &want, &got);
+        }
+    }
+
+    #[test]
+    fn cmul_mirrored_is_cmul_on_the_mirrored_operand(
+        pool_a in proptest::collection::vec(special64(), 1..24),
+        pool_b in proptest::collection::vec(special64(), 1..24),
+    ) {
+        for bits in 0..=9 {
+            let n = 1usize << bits; // complexes
+            let (a, b) = (tile(&pool_a, 2 * n, 0.01), tile(&pool_b, 2 * n, -0.003));
+            let mirrored: Vec<f64> = (0..n)
+                .flat_map(|k| {
+                    let j = bba_simd::bitrev_mirror(k);
+                    [b[2 * j], b[2 * j + 1]]
+                })
+                .collect();
+            let mut want = vec![0.0; 2 * n];
+            bba_simd::portable::cmul(&mut want, &a, &mirrored);
+            let mut got = vec![0.0; 2 * n];
+            bba_simd::portable::cmul_mirrored(&mut got, &a, &b);
+            same64(&format!("cmul_mirrored portable, n={n}"), &want, &got);
+            bba_simd::cmul(&mut want, &a, &mirrored);
+            bba_simd::cmul_mirrored(&mut got, &a, &b);
+            same64(&format!("cmul_mirrored dispatched, n={n}"), &want, &got);
+            #[cfg(target_arch = "x86_64")]
+            if bba_simd::avx2_detected() {
+                unsafe { bba_simd::avx2::cmul(&mut want, &a, &mirrored) };
+                unsafe { bba_simd::avx2::cmul_mirrored(&mut got, &a, &b) };
+                same64(&format!("cmul_mirrored avx2, n={n}"), &want, &got);
+            }
         }
     }
 
