@@ -9,7 +9,7 @@
 //!
 //! Artifacts: `results/ext_tracking.json` (per-estimator error summary).
 
-use bb_align::{BbAlign, BbAlignConfig, PoseTracker, TrackerConfig};
+use bb_align::{BbAlign, BbAlignConfig, PoseTracker};
 use bba_bench::cli;
 use bba_bench::harness::frames_of;
 use bba_bench::report::{banner, opt, print_table, write_results_json};
@@ -42,8 +42,8 @@ fn main() {
         };
         let mut ds = Dataset::new(dcfg, opts.seed.wrapping_add(s as u64 * 911));
         let mut rng = StdRng::seed_from_u64(opts.seed ^ s as u64);
-        let mut full_tracker = PoseTracker::new(TrackerConfig::default());
-        let mut half_tracker = PoseTracker::new(TrackerConfig::default());
+        let mut full_tracker = PoseTracker::new();
+        let mut half_tracker = PoseTracker::new();
 
         for k in 0..frames_per_seq {
             let pair = ds.next_pair().unwrap();

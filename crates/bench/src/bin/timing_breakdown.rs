@@ -20,7 +20,7 @@
 //! stage1` for kernel-vs-naive micro-benchmarks with Criterion-grade
 //! statistics.
 
-use bb_align::{BbAlign, BbAlignConfig, PoseTracker, RecoveryPath, TrackerConfig};
+use bb_align::{BbAlign, BbAlignConfig, PoseTracker, RecoveryPath};
 use bba_bench::cli;
 use bba_bench::harness::frames_of;
 use bba_bench::report::{banner, opt, print_table, write_metrics_json, write_results_json};
@@ -182,7 +182,7 @@ fn main() {
         DatasetConfig::standard().at_frame_interval(0.1),
         opts.seed.wrapping_add(7331),
     );
-    let mut tracker = PoseTracker::new(TrackerConfig::default());
+    let mut tracker = PoseTracker::new();
     let mut r = StdRng::seed_from_u64(opts.seed ^ 0x57A2);
     bba_par::with_threads(1, || {
         for _ in 0..opts.frames {

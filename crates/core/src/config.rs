@@ -94,17 +94,6 @@ pub struct BbAlignConfig {
     /// Correspondence construction for stage 2 (corner pairing per the
     /// paper, or centre pairing for the ablation).
     pub box_pairing: BoxPairing,
-    /// Temporal warm start: absolute floor on the coarse-to-fine BEV
-    /// alignment score (fraction in `[0, 1]`) a tracker-predicted
-    /// transform must clear — both as proposed and after stage-2
-    /// refinement — for `BbAlign::recover_warm` to consider it. The floor
-    /// only rules out hopeless predictions; the discriminating check is
-    /// the scene-independent peak-*sharpness* gate (the refined pose must
-    /// beat four ±3 m decoy transforms by a fixed ratio), because the
-    /// absolute score a true pose reaches varies with scene density and
-    /// raster resolution (≈0.40 dense urban, ≈0.55 sparse). Failing any
-    /// gate falls back to the full cold pipeline.
-    pub warm_min_alignment: f64,
     /// Success threshold on stage-1 inliers (paper: 25).
     pub min_inliers_bv: usize,
     /// Success threshold on stage-2 inliers (paper: 6).
@@ -143,7 +132,6 @@ impl Default for BbAlignConfig {
             box_max_correction_t: 3.0,
             box_max_correction_r: 3f64.to_radians(),
             box_pairing: BoxPairing::default(),
-            warm_min_alignment: 0.25,
             min_inliers_bv: 25,
             min_inliers_box: 6,
         }
@@ -185,10 +173,6 @@ impl BbAlignConfig {
         assert!(
             (0.0..=1.0).contains(&self.box_min_confidence),
             "confidence threshold must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.warm_min_alignment),
-            "warm_min_alignment must be a fraction in [0, 1]"
         );
     }
 }

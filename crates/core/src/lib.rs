@@ -59,17 +59,16 @@
 
 pub mod config;
 pub mod frame;
-pub mod pool;
+mod pool;
 pub mod recover;
 pub mod tracking;
 pub mod wire;
 
 pub use config::{BbAlignConfig, BoxPairing, KeypointSource};
 pub use frame::PerceptionFrame;
-pub use pool::BoundedPool;
 pub use recover::{
-    AlignmentCheck, AlignmentScorer, BbAlign, BoxAlignment, BvMatch, RecoverError, Recovery,
-    RecoveryPath, RecoveryRequest, WarmRecovery,
+    BbAlign, BoxAlignment, BvMatch, RecoverError, Recovery, RecoveryPath, RecoveryRequest,
+    WarmRecovery,
 };
-pub use tracking::{PoseTracker, TrackPrediction, TrackerConfig, TrackerConfigError};
+pub use tracking::PoseTracker;
 pub use wire::{decode_frame, encode_frame, DecodeError, WireReport};

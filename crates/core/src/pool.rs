@@ -28,7 +28,7 @@ use std::sync::Mutex;
 /// steady-state memory while transient concurrency spikes degrade to
 /// allocation, not to queueing.
 #[derive(Debug)]
-pub struct BoundedPool<T> {
+pub(crate) struct BoundedPool<T> {
     items: Mutex<Vec<T>>,
     capacity: usize,
     /// Static metric prefix (e.g. `"pool.workspace"`); kept `'static` so
@@ -42,7 +42,7 @@ impl<T: Default> BoundedPool<T> {
     /// An empty pool retaining at most `capacity` items. The metric names
     /// are fixed per pool so hot-path recording is a static-str counter
     /// bump.
-    pub const fn new(
+    pub(crate) const fn new(
         capacity: usize,
         hits_metric: &'static str,
         misses_metric: &'static str,
@@ -59,7 +59,7 @@ impl<T: Default> BoundedPool<T> {
 
     /// Pops a recycled item, or builds `T::default()` when the pool is
     /// empty. Never blocks beyond the (short) mutex critical section.
-    pub fn take(&self, obs: &Recorder) -> T {
+    pub(crate) fn take(&self, obs: &Recorder) -> T {
         let popped = self.items.lock().expect("pool lock").pop();
         match popped {
             Some(item) => {
@@ -75,7 +75,7 @@ impl<T: Default> BoundedPool<T> {
 
     /// Returns an item to the pool; at capacity the item is dropped (and
     /// the drop counted) instead of growing the pool.
-    pub fn put(&self, item: T, obs: &Recorder) {
+    pub(crate) fn put(&self, item: T, obs: &Recorder) {
         let mut items = self.items.lock().expect("pool lock");
         if items.len() < self.capacity {
             items.push(item);
@@ -83,21 +83,6 @@ impl<T: Default> BoundedPool<T> {
             drop(items);
             obs.incr(self.dropped_metric);
         }
-    }
-
-    /// The retention ceiling.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of idle items currently retained.
-    pub fn len(&self) -> usize {
-        self.items.lock().expect("pool lock").len()
-    }
-
-    /// True when no idle items are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -107,6 +92,11 @@ mod tests {
 
     fn test_pool(capacity: usize) -> BoundedPool<Vec<u8>> {
         BoundedPool::new(capacity, "pool.test.hits", "pool.test.misses", "pool.test.dropped")
+    }
+
+    /// Idle items the pool currently retains.
+    fn retained<T>(pool: &BoundedPool<T>) -> usize {
+        pool.items.lock().expect("pool lock").len()
     }
 
     #[test]
@@ -125,10 +115,10 @@ mod tests {
         let pool = test_pool(2);
         let obs = Recorder::enabled();
         pool.put(vec![1, 2, 3], &obs);
-        assert_eq!(pool.len(), 1);
+        assert_eq!(retained(&pool), 1);
         let item = pool.take(&obs);
         assert_eq!(item, vec![1, 2, 3]);
-        assert!(pool.is_empty());
+        assert_eq!(retained(&pool), 0);
         assert_eq!(obs.snapshot().counter("pool.test.hits"), Some(1));
     }
 
@@ -139,7 +129,7 @@ mod tests {
         for i in 0..10 {
             pool.put(vec![i], &obs);
         }
-        assert_eq!(pool.len(), 3);
+        assert_eq!(retained(&pool), 3);
         assert_eq!(obs.snapshot().counter("pool.test.dropped"), Some(7));
     }
 
@@ -148,7 +138,7 @@ mod tests {
         let pool = test_pool(0);
         let obs = Recorder::enabled();
         pool.put(vec![1], &obs);
-        assert!(pool.is_empty());
+        assert_eq!(retained(&pool), 0);
         assert_eq!(obs.snapshot().counter("pool.test.dropped"), Some(1));
         // Every take is a miss but still succeeds.
         let _ = pool.take(&obs);
@@ -172,7 +162,7 @@ mod tests {
                 });
             }
         });
-        assert!(pool.len() <= 4, "retained {} > capacity 4", pool.len());
+        assert!(retained(&pool) <= 4, "retained {} > capacity 4", retained(&pool));
         let snap = obs.snapshot();
         let hits = snap.counter("pool.test.hits").unwrap_or(0);
         let misses = snap.counter("pool.test.misses").unwrap_or(0);

@@ -111,6 +111,15 @@ pub struct WarmRecovery {
 /// cold fallback stays bit-identical to [`BbAlign::recover`].
 const WARM_VERIFY_SEED: u64 = 0xBBA1_16D0_57A2_7EED;
 
+/// Absolute floor on the coarse-to-fine BEV alignment score (a fraction
+/// of the other image's mapped cells) that a tracker-predicted transform
+/// must clear, both as proposed and after stage-2 refinement, for
+/// [`BbAlign::recover_warm`] to consider it. The floor only rules out
+/// hopeless predictions; the discriminating check is the peak-sharpness
+/// gate ([`WARM_SHARPNESS`]), because the absolute score a true pose
+/// reaches varies with scene density and raster resolution.
+const WARM_MIN_ALIGNMENT: f64 = 0.25;
+
 /// Peak-sharpness factor for warm verification: the refined transform's
 /// alignment score must exceed every ±[`WARM_DECOY_OFFSET_M`] decoy score
 /// by this ratio. The absolute score a true transform can reach varies
@@ -1108,12 +1117,12 @@ impl BbAlign {
     /// request under `warm_start` (see [`BbAlign::recover_group`]).
     ///
     /// With a usable prediction the engine first *verifies it directly* —
-    /// the [`AlignmentScorer`] coarse-to-fine occupancy screen against the
-    /// [`BbAlignConfig::warm_min_alignment`] floor, then the stage-2
-    /// box-alignment residual check, then the screen again on the refined
-    /// transform plus a peak-sharpness test (the refined pose must beat
-    /// four ±3 m decoy transforms — true poses are sharp maxima of the
-    /// score field, stale and aliased poses sit on its plateau). On pass,
+    /// a coarse-to-fine occupancy screen against a fixed alignment-score
+    /// floor, then the stage-2 box-alignment residual check, then the
+    /// screen again on the refined transform plus a peak-sharpness test
+    /// (the refined pose must beat four ±3 m decoy transforms — true poses
+    /// are sharp maxima of the score field, stale and aliased poses sit on
+    /// its plateau). On pass,
     /// the call returns a successful
     /// [`RecoveryPath::WarmStart`] recovery having skipped MIM / detect /
     /// describe / match / RANSAC entirely. On fail, the full cold pipeline
@@ -1196,7 +1205,7 @@ impl BbAlign {
         // Absolute floor on the raw prediction: rules out hopeless
         // predictions (a gross alias or a blown track scores well under
         // this at every raster) before paying for box alignment.
-        if check.score < cfg.warm_min_alignment {
+        if check.score < WARM_MIN_ALIGNMENT {
             return None;
         }
         // Box-alignment residual check: the boxes must agree with (and
@@ -1208,7 +1217,7 @@ impl BbAlign {
         }
         let transform = b.transform.compose(predicted);
         let refined = scorer.score_cells_detail(&cells, &transform);
-        if refined.score < cfg.warm_min_alignment || refined.hits <= cfg.min_inliers_bv {
+        if refined.score < WARM_MIN_ALIGNMENT || refined.hits <= cfg.min_inliers_bv {
             return None;
         }
         // Peak-sharpness gate: a true pose is a sharp local maximum of the
@@ -1267,7 +1276,7 @@ impl BbAlign {
 /// fine miss, so the screen cannot change the score; a test pins the score
 /// to a plain raster sweep bit for bit).
 #[derive(Debug, Clone)]
-pub struct AlignmentScorer {
+struct AlignmentScorer {
     bev: BevConfig,
     /// Row-major: cell `(u, v)` is true iff any ego cell within the 3×3
     /// window around it is occupied.
@@ -1287,7 +1296,7 @@ const COARSE: usize = 4;
 /// collected once by [`AlignmentScorer::collect_occupied`] and shared
 /// across every candidate transform scored against the same ego image.
 #[derive(Debug, Clone)]
-pub struct OccupiedCells {
+struct OccupiedCells {
     xs: Vec<f64>,
     ys: Vec<f64>,
 }
@@ -1295,31 +1304,18 @@ pub struct OccupiedCells {
 /// Outcome of one coarse-to-fine alignment screen
 /// ([`AlignmentScorer::score_cells_detail`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlignmentCheck {
-    /// The alignment score: `hits / mapped`, or `0.0` below the 30-cell
-    /// co-visibility cutoff.
-    pub score: f64,
-    /// Occupied cells that mapped inside the ego raster.
-    pub mapped: usize,
+struct AlignmentCheck {
+    /// The alignment score: the share of the other image's cells mapped
+    /// inside the ego raster that land on the dilated ego occupancy, or
+    /// `0.0` below the 30-cell co-visibility cutoff.
+    score: f64,
     /// Mapped cells landing on the dilated ego occupancy.
-    pub hits: usize,
-}
-
-impl OccupiedCells {
-    /// Number of occupied cells collected.
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// Whether the source image had no occupied cells at all.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
+    hits: usize,
 }
 
 impl AlignmentScorer {
     /// Precomputes the dilated occupancy mask of the ego image.
-    pub fn new(ego: &BevImage) -> Self {
+    fn new(ego: &BevImage) -> Self {
         let grid = ego.grid();
         let size = grid.width();
         let h = size as isize;
@@ -1361,7 +1357,7 @@ impl AlignmentScorer {
     /// Collects the world-frame centres of `other`'s occupied cells once,
     /// in raster order, for repeated scoring via
     /// [`AlignmentScorer::score_cells_detail`].
-    pub fn collect_occupied(&self, other: &BevImage) -> OccupiedCells {
+    fn collect_occupied(&self, other: &BevImage) -> OccupiedCells {
         let bev = &self.bev;
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -1379,11 +1375,11 @@ impl AlignmentScorer {
     /// The fraction of the other image's occupied cells that land within
     /// one cell of an occupied ego cell after `transform` (cells mapping
     /// outside the ego raster are excluded from the denominator), plus the
-    /// raw mapped/hit counts — the warm-start verifier reads the hit count
+    /// raw hit count — the warm-start verifier reads the hit count
     /// as the recovery's cell-level consensus. Evaluated over a
     /// precollected occupied-cell list with the transform's `sin_cos`
     /// hoisted out of the loop and the coarse mask screening each probe.
-    pub fn score_cells_detail(&self, cells: &OccupiedCells, transform: &Iso2) -> AlignmentCheck {
+    fn score_cells_detail(&self, cells: &OccupiedCells, transform: &Iso2) -> AlignmentCheck {
         let bev = &self.bev;
         let h = self.size as isize;
         let (sin, cos) = transform.yaw().sin_cos();
@@ -1410,7 +1406,7 @@ impl AlignmentScorer {
         // Below 30 mapped cells there is too little co-visible content for
         // the score to mean anything.
         let score = if mapped < 30 { 0.0 } else { hits as f64 / mapped as f64 };
-        AlignmentCheck { score, mapped, hits }
+        AlignmentCheck { score, hits }
     }
 
     /// Reference for [`AlignmentScorer::score_cells_detail`]'s score: the
@@ -2047,7 +2043,7 @@ mod tests {
         let (ego, other) = frame_pair(&aligner, &truth);
         let scorer = AlignmentScorer::new(ego.bev());
         let cells = scorer.collect_occupied(other.bev());
-        assert!(!cells.is_empty());
+        assert!(!cells.xs.is_empty());
         // True transform, identity, aliases, off-raster and large-angle
         // candidates: naive raster sweep and coarse-to-fine cells path must
         // return the exact same bits, including the mapped<30 cutoff.

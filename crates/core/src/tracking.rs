@@ -27,143 +27,54 @@ use crate::recover::Recovery;
 use bba_geometry::{angle_diff, normalize_angle, Iso2, Vec2};
 use serde::{Deserialize, Serialize};
 
-/// Tracker parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrackerConfig {
-    /// Base blend gain for a barely-confident measurement (0..1).
-    pub min_gain: f64,
-    /// Blend gain at/above `saturate_inliers` (0..1).
-    pub max_gain: f64,
-    /// Inlier count (stage 1 + stage 2) at which gain saturates.
-    pub saturate_inliers: usize,
-    /// Gate: measurements farther than this from the prediction (m) are
-    /// rejected as outliers.
-    pub gate_translation: f64,
-    /// Gate on rotation disagreement (radians).
-    pub gate_rotation: f64,
-    /// After this many consecutive gated measurements the tracker resets
-    /// onto the latest measurement.
-    pub reset_after: usize,
-    /// Velocity smoothing factor (0 = frozen velocity, 1 = instantaneous).
-    pub velocity_gain: f64,
-    /// Positional 1-σ uncertainty (m) right after initialisation or a
-    /// reset, before any further measurement has confirmed the state.
-    pub init_sigma: f64,
-    /// Positional 1-σ (m) of a fully-confident measurement (at/above
-    /// `saturate_inliers`); weaker measurements count proportionally less.
-    pub measurement_sigma: f64,
-    /// Uncertainty growth rate while extrapolating (m of σ per second):
-    /// prediction quality decays with extrapolation age.
-    pub process_noise: f64,
-    /// Warm-start gate: [`PoseTracker::warm_prediction`] returns `None`
-    /// once the predicted σ exceeds this (m) — a stale track must fall
-    /// back to cold recovery instead of proposing its pose.
-    pub max_prediction_sigma: f64,
+/// Blend gain of a barely-confident measurement.
+const MIN_GAIN: f64 = 0.25;
+/// Blend gain at or above [`SATURATE_INLIERS`].
+const MAX_GAIN: f64 = 0.85;
+/// Inlier count (stage 1 + 2 × stage 2) at which the gain saturates.
+const SATURATE_INLIERS: usize = 50;
+/// Innovation gate: measurements farther than this from the prediction
+/// (m) are gated out as outliers.
+const GATE_TRANSLATION: f64 = 4.0;
+/// Innovation gate on rotation disagreement (radians).
+const GATE_ROTATION: f64 = 8f64.to_radians();
+/// After this many consecutive gated measurements the track resets onto
+/// the latest measurement.
+const RESET_AFTER: usize = 3;
+/// Velocity smoothing factor (0 = frozen velocity, 1 = instantaneous).
+const VELOCITY_GAIN: f64 = 0.3;
+/// Positional 1-σ uncertainty (m) right after initialisation or a reset,
+/// before any further measurement has confirmed the state.
+const INIT_SIGMA: f64 = 1.0;
+/// Positional 1-σ (m) of a fully-confident measurement (at or above
+/// [`SATURATE_INLIERS`]); weaker measurements count proportionally less.
+const MEASUREMENT_SIGMA: f64 = 0.5;
+/// Uncertainty growth rate while extrapolating (m of σ per second):
+/// prediction quality decays with extrapolation age.
+pub const PROCESS_NOISE: f64 = 0.8;
+/// Warm-start gate: [`PoseTracker::warm_prediction`] returns `None` once
+/// the predicted σ exceeds this (m) — a stale track must fall back to cold
+/// recovery instead of proposing its pose.
+pub const MAX_PREDICTION_SIGMA: f64 = 2.5;
+
+const fn is_fraction(x: f64) -> bool {
+    0.0 <= x && x <= 1.0
 }
 
-impl Default for TrackerConfig {
-    fn default() -> Self {
-        TrackerConfig {
-            min_gain: 0.25,
-            max_gain: 0.85,
-            saturate_inliers: 50,
-            gate_translation: 4.0,
-            gate_rotation: 8f64.to_radians(),
-            reset_after: 3,
-            velocity_gain: 0.3,
-            init_sigma: 1.0,
-            measurement_sigma: 0.5,
-            process_noise: 0.8,
-            max_prediction_sigma: 2.5,
-        }
-    }
+const fn is_positive(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
 }
 
-/// Why a [`TrackerConfig`] was rejected by [`TrackerConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TrackerConfigError {
-    /// A gain parameter lies outside `[0, 1]` (or is NaN).
-    GainOutOfRange {
-        /// Field name.
-        name: &'static str,
-        /// Offending value.
-        value: f64,
-    },
-    /// `min_gain` exceeds `max_gain`.
-    GainOrderInverted {
-        /// Configured `min_gain`.
-        min: f64,
-        /// Configured `max_gain`.
-        max: f64,
-    },
-    /// A parameter that must be strictly positive and finite is zero,
-    /// negative, NaN, or infinite.
-    NotPositive {
-        /// Field name.
-        name: &'static str,
-        /// Offending value.
-        value: f64,
-    },
-}
-
-impl std::fmt::Display for TrackerConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrackerConfigError::GainOutOfRange { name, value } => {
-                write!(f, "tracker config: {name} = {value} must lie in [0, 1]")
-            }
-            TrackerConfigError::GainOrderInverted { min, max } => {
-                write!(f, "tracker config: min_gain = {min} exceeds max_gain = {max}")
-            }
-            TrackerConfigError::NotPositive { name, value } => {
-                write!(f, "tracker config: {name} = {value} must be positive and finite")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TrackerConfigError {}
-
-impl TrackerConfig {
-    /// Checks every parameter, returning the first violation. Gains must
-    /// lie in `[0, 1]` with `min_gain <= max_gain`; gates, counts, and
-    /// sigmas must be strictly positive (and finite) — values outside
-    /// these ranges used to be accepted silently and poison the track.
-    pub fn validate(&self) -> Result<(), TrackerConfigError> {
-        let gains = [
-            ("min_gain", self.min_gain),
-            ("max_gain", self.max_gain),
-            ("velocity_gain", self.velocity_gain),
-        ];
-        for (name, value) in gains {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(TrackerConfigError::GainOutOfRange { name, value });
-            }
-        }
-        if self.min_gain > self.max_gain {
-            return Err(TrackerConfigError::GainOrderInverted {
-                min: self.min_gain,
-                max: self.max_gain,
-            });
-        }
-        let positives = [
-            ("saturate_inliers", self.saturate_inliers as f64),
-            ("gate_translation", self.gate_translation),
-            ("gate_rotation", self.gate_rotation),
-            ("reset_after", self.reset_after as f64),
-            ("init_sigma", self.init_sigma),
-            ("measurement_sigma", self.measurement_sigma),
-            ("process_noise", self.process_noise),
-            ("max_prediction_sigma", self.max_prediction_sigma),
-        ];
-        for (name, value) in positives {
-            if !(value > 0.0 && value.is_finite()) {
-                return Err(TrackerConfigError::NotPositive { name, value });
-            }
-        }
-        Ok(())
-    }
-}
+// What the arithmetic below relies on, checked when the crate compiles:
+// gains are blend fractions in order, and every gate, count, σ and noise
+// rate is positive and finite (a zero `SATURATE_INLIERS` would divide by
+// zero, a zero σ would make the fusion 0/0).
+const _: () = assert!(is_fraction(MIN_GAIN) && is_fraction(MAX_GAIN) && MIN_GAIN <= MAX_GAIN);
+const _: () = assert!(is_fraction(VELOCITY_GAIN));
+const _: () = assert!(SATURATE_INLIERS > 0 && RESET_AFTER > 0);
+const _: () = assert!(is_positive(GATE_TRANSLATION) && is_positive(GATE_ROTATION));
+const _: () = assert!(is_positive(INIT_SIGMA) && is_positive(MEASUREMENT_SIGMA));
+const _: () = assert!(is_positive(PROCESS_NOISE) && is_positive(MAX_PREDICTION_SIGMA));
 
 /// Outcome of feeding one measurement to the tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -186,10 +97,10 @@ pub enum TrackUpdate {
 /// # Example
 ///
 /// ```
-/// use bb_align::tracking::{PoseTracker, TrackerConfig};
+/// use bb_align::tracking::PoseTracker;
 /// use bba_geometry::{Iso2, Vec2};
 ///
-/// let mut tracker = PoseTracker::new(TrackerConfig::default());
+/// let mut tracker = PoseTracker::new();
 /// // The other car pulls ahead at 2 m/s.
 /// for k in 0..8 {
 ///     let t = k as f64 * 0.5;
@@ -199,9 +110,8 @@ pub enum TrackUpdate {
 /// let p = tracker.predict(4.0).unwrap();
 /// assert!((p.translation().x - 48.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PoseTracker {
-    config: TrackerConfig,
     state: Option<TrackState>,
     gated_streak: usize,
 }
@@ -217,47 +127,10 @@ struct TrackState {
     sigma: f64,
 }
 
-/// A track state extrapolated to a query time, with its quality estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrackPrediction {
-    /// The extrapolated relative pose.
-    pub pose: Iso2,
-    /// Seconds elapsed since the last accepted state (negative when the
-    /// query time precedes it).
-    pub age: f64,
-    /// Predicted positional 1-σ uncertainty (m): the state's σ plus
-    /// `process_noise · age` of extrapolation growth.
-    pub sigma: f64,
-}
-
-impl TrackPrediction {
-    /// Quality in `(0, 1]`: `1 / (1 + σ)` — decays smoothly with both
-    /// measurement scarcity and extrapolation age.
-    pub fn confidence(&self) -> f64 {
-        1.0 / (1.0 + self.sigma)
-    }
-}
-
 impl PoseTracker {
     /// Creates an empty tracker.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is invalid; use
-    /// [`PoseTracker::try_new`] to handle the error instead.
-    pub fn new(config: TrackerConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates an empty tracker, rejecting invalid configurations.
-    pub fn try_new(config: TrackerConfig) -> Result<Self, TrackerConfigError> {
-        config.validate()?;
-        Ok(PoseTracker { config, state: None, gated_streak: 0 })
-    }
-
-    /// True once at least one measurement has been accepted.
-    pub fn is_initialized(&self) -> bool {
-        self.state.is_some()
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feeds a full per-frame [`Recovery`] (gain derives from its inlier
@@ -270,7 +143,6 @@ impl PoseTracker {
     /// Feeds a raw pose measurement with an explicit confidence (total
     /// inlier count).
     pub fn update_pose(&mut self, time: f64, measured: &Iso2, confidence: usize) -> TrackUpdate {
-        let cfg = &self.config;
         let Some(prev) = self.state else {
             self.state = Some(TrackState {
                 time,
@@ -278,7 +150,7 @@ impl PoseTracker {
                 yaw: measured.yaw(),
                 velocity: Vec2::ZERO,
                 yaw_rate: 0.0,
-                sigma: cfg.init_sigma,
+                sigma: INIT_SIGMA,
             });
             self.gated_streak = 0;
             return TrackUpdate::Initialized;
@@ -296,21 +168,21 @@ impl PoseTracker {
         let predicted_t = prev.translation + prev.velocity * dt;
         let predicted_yaw = prev.yaw + prev.yaw_rate * dt;
         // Uncertainty grows with the time advanced, whatever happens next.
-        let sigma_pred = prev.sigma + cfg.process_noise * dt;
+        let sigma_pred = prev.sigma + PROCESS_NOISE * dt;
 
         // Innovation gate.
         let innov_t = measured.translation() - predicted_t;
         let innov_r = angle_diff(measured.yaw(), predicted_yaw);
-        if innov_t.norm() > cfg.gate_translation || innov_r.abs() > cfg.gate_rotation {
+        if innov_t.norm() > GATE_TRANSLATION || innov_r.abs() > GATE_ROTATION {
             self.gated_streak += 1;
-            if self.gated_streak >= cfg.reset_after {
+            if self.gated_streak >= RESET_AFTER {
                 self.state = Some(TrackState {
                     time,
                     translation: measured.translation(),
                     yaw: measured.yaw(),
                     velocity: Vec2::ZERO,
                     yaw_rate: 0.0,
-                    sigma: cfg.init_sigma,
+                    sigma: INIT_SIGMA,
                 });
                 self.gated_streak = 0;
                 return TrackUpdate::Reset;
@@ -329,21 +201,21 @@ impl PoseTracker {
         self.gated_streak = 0;
 
         // Confidence-weighted blend.
-        let frac = (confidence as f64 / cfg.saturate_inliers as f64).min(1.0);
-        let gain = cfg.min_gain + (cfg.max_gain - cfg.min_gain) * frac;
+        let frac = (confidence as f64 / SATURATE_INLIERS as f64).min(1.0);
+        let gain = MIN_GAIN + (MAX_GAIN - MIN_GAIN) * frac;
         let new_t = predicted_t + innov_t * gain;
         let new_yaw = normalize_angle(predicted_yaw + innov_r * gain);
 
         // Velocity update from the *filtered* displacement.
         let vel_meas = (new_t - prev.translation) / dt;
         let yawrate_meas = angle_diff(new_yaw, prev.yaw) / dt;
-        let velocity = prev.velocity.lerp(vel_meas, cfg.velocity_gain);
-        let yaw_rate = prev.yaw_rate + (yawrate_meas - prev.yaw_rate) * cfg.velocity_gain;
+        let velocity = prev.velocity.lerp(vel_meas, VELOCITY_GAIN);
+        let yaw_rate = prev.yaw_rate + (yawrate_meas - prev.yaw_rate) * VELOCITY_GAIN;
 
         // Information-style fusion of the predicted σ with the measurement
         // σ (confident measurements count as tighter): the posterior
         // variance is the harmonic combination, so it always shrinks.
-        let meas_sigma = cfg.measurement_sigma * (2.0 - frac);
+        let meas_sigma = MEASUREMENT_SIGMA * (2.0 - frac);
         let (vp, vm) = (sigma_pred * sigma_pred, meas_sigma * meas_sigma);
         let sigma = (vp * vm / (vp + vm)).sqrt();
 
@@ -353,33 +225,28 @@ impl PoseTracker {
     }
 
     /// The filtered relative pose extrapolated to `time`, or `None` before
-    /// initialisation.
+    /// initialisation. It never gates: callers that need a trustworthy
+    /// track ask [`PoseTracker::warm_prediction`].
     pub fn predict(&self, time: f64) -> Option<Iso2> {
-        self.prediction(time).map(|p| p.pose)
-    }
-
-    /// The extrapolated pose plus its quality estimate, or `None` before
-    /// initialisation. Unlike [`PoseTracker::warm_prediction`] this never
-    /// gates — callers that can tolerate stale state (e.g. display-layer
-    /// extrapolation) read the σ themselves.
-    pub fn prediction(&self, time: f64) -> Option<TrackPrediction> {
         let s = self.state?;
         let dt = time - s.time;
-        Some(TrackPrediction {
-            pose: Iso2::new(s.yaw + s.yaw_rate * dt, s.translation + s.velocity * dt),
-            age: dt,
-            sigma: s.sigma + self.config.process_noise * dt.max(0.0),
-        })
+        Some(Iso2::new(s.yaw + s.yaw_rate * dt, s.translation + s.velocity * dt))
     }
 
     /// The extrapolated pose *when the track is still trustworthy enough
     /// to warm-start recovery*: `None` before initialisation, for
-    /// backwards query times, and once the predicted σ exceeds
-    /// `max_prediction_sigma` (a blown or long-extrapolated track must
+    /// backwards query times, and once the predicted σ (the state's σ plus
+    /// [`PROCESS_NOISE`] per second of extrapolation) exceeds
+    /// [`MAX_PREDICTION_SIGMA`] (a blown or long-extrapolated track must
     /// never propose a stale pose).
     pub fn warm_prediction(&self, time: f64) -> Option<Iso2> {
-        let p = self.prediction(time)?;
-        (p.age >= 0.0 && p.sigma <= self.config.max_prediction_sigma).then_some(p.pose)
+        let s = self.state?;
+        let age = time - s.time;
+        if age >= 0.0 && s.sigma + PROCESS_NOISE * age <= MAX_PREDICTION_SIGMA {
+            self.predict(time)
+        } else {
+            None
+        }
     }
 
     /// The estimated relative velocity (m/s) of the other car in the ego
@@ -417,7 +284,7 @@ mod tests {
 
     #[test]
     fn smooths_noisy_measurements() {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         // Alternating ±0.5 m noise around a constant-velocity truth.
         feed_linear(&mut tracker, 20, 0.5, Vec2::new(40.0, 0.0), Vec2::new(2.0, 0.0), |k| {
             Vec2::new(0.5 * if k % 2 == 0 { 1.0 } else { -1.0 }, 0.0)
@@ -434,7 +301,7 @@ mod tests {
 
     #[test]
     fn extrapolates_between_measurements() {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         feed_linear(&mut tracker, 12, 0.5, Vec2::ZERO, Vec2::new(3.0, 1.0), |_| Vec2::ZERO);
         // Predict 1 s past the last measurement.
         let p = tracker.predict(5.5 + 1.0).unwrap();
@@ -444,7 +311,7 @@ mod tests {
 
     #[test]
     fn gates_single_outlier() {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         feed_linear(&mut tracker, 8, 0.5, Vec2::new(30.0, 0.0), Vec2::ZERO, |_| Vec2::ZERO);
         // One aliased recovery 40 m off.
         let verdict = tracker.update_pose(4.0, &Iso2::new(0.0, Vec2::new(70.0, 0.0)), 40);
@@ -455,7 +322,7 @@ mod tests {
 
     #[test]
     fn repeated_consistent_outliers_force_reset() {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         feed_linear(&mut tracker, 5, 0.5, Vec2::new(30.0, 0.0), Vec2::ZERO, |_| Vec2::ZERO);
         // The world changed: measurements now consistently at 50 m.
         let mut last = TrackUpdate::Fused;
@@ -474,7 +341,7 @@ mod tests {
     #[test]
     fn confidence_controls_gain() {
         let run = |confidence: usize| {
-            let mut tracker = PoseTracker::new(TrackerConfig::default());
+            let mut tracker = PoseTracker::new();
             tracker.update_pose(0.0, &Iso2::new(0.0, Vec2::new(10.0, 0.0)), 40);
             tracker.update_pose(0.5, &Iso2::new(0.0, Vec2::new(12.0, 0.0)), confidence);
             tracker.predict(0.5).unwrap().translation().x
@@ -488,7 +355,7 @@ mod tests {
 
     #[test]
     fn yaw_wraps_correctly_at_pi() {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         let near_pi = std::f64::consts::PI - 0.01;
         tracker.update_pose(0.0, &Iso2::new(near_pi, Vec2::new(20.0, 0.0)), 40);
         tracker.update_pose(0.5, &Iso2::new(-near_pi, Vec2::new(20.0, 0.0)), 40);
@@ -502,7 +369,7 @@ mod tests {
     /// that the EMA then blended into the track.
     #[test]
     fn backwards_timestamp_is_rejected_not_clamped() {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         tracker.update_pose(0.0, &Iso2::new(0.0, Vec2::new(10.0, 0.0)), 40);
         tracker.update_pose(1.0, &Iso2::new(0.0, Vec2::new(10.5, 0.0)), 40);
         let v_before = tracker.relative_velocity().unwrap();
@@ -519,7 +386,7 @@ mod tests {
 
     #[test]
     fn repeated_timestamp_is_rejected() {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         tracker.update_pose(0.0, &Iso2::new(0.0, Vec2::new(10.0, 0.0)), 40);
         tracker.update_pose(1.0, &Iso2::new(0.0, Vec2::new(12.0, 0.0)), 40);
         let verdict = tracker.update_pose(1.0, &Iso2::new(0.0, Vec2::new(12.1, 0.0)), 40);
@@ -530,12 +397,11 @@ mod tests {
 
     #[test]
     fn out_of_order_does_not_advance_the_gated_streak() {
-        let cfg = TrackerConfig::default();
-        let mut tracker = PoseTracker::new(cfg);
+        let mut tracker = PoseTracker::new();
         feed_linear(&mut tracker, 5, 0.5, Vec2::new(30.0, 0.0), Vec2::ZERO, |_| Vec2::ZERO);
-        // reset_after - 1 gated outliers, separated by out-of-order noise:
+        // RESET_AFTER - 1 gated outliers, separated by out-of-order noise:
         // the stale stamps must not tip the streak into a reset.
-        for k in 0..cfg.reset_after - 1 {
+        for k in 0..RESET_AFTER - 1 {
             let t = 2.5 + k as f64 * 0.5;
             assert_eq!(
                 tracker.update_pose(t, &Iso2::new(0.0, Vec2::new(60.0, 0.0)), 40),
@@ -552,8 +418,7 @@ mod tests {
 
     #[test]
     fn uninitialized_tracker_has_no_prediction() {
-        let tracker = PoseTracker::new(TrackerConfig::default());
-        assert!(!tracker.is_initialized());
+        let tracker = PoseTracker::new();
         assert!(tracker.predict(0.0).is_none());
         assert!(tracker.warm_prediction(0.0).is_none());
         assert!(tracker.relative_velocity().is_none());
@@ -561,102 +426,25 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_valid() {
-        assert_eq!(TrackerConfig::default().validate(), Ok(()));
-        assert!(PoseTracker::try_new(TrackerConfig::default()).is_ok());
-    }
-
-    #[test]
-    fn gains_outside_unit_interval_are_rejected() {
-        for (patch, name) in [
-            (
-                Box::new(|c: &mut TrackerConfig| c.min_gain = -0.1) as Box<dyn Fn(&mut _)>,
-                "min_gain",
-            ),
-            (Box::new(|c: &mut TrackerConfig| c.max_gain = 1.5), "max_gain"),
-            (Box::new(|c: &mut TrackerConfig| c.velocity_gain = f64::NAN), "velocity_gain"),
-        ] {
-            let mut cfg = TrackerConfig::default();
-            patch(&mut cfg);
-            match cfg.validate() {
-                Err(TrackerConfigError::GainOutOfRange { name: n, .. }) => assert_eq!(n, name),
-                other => panic!("{name}: expected GainOutOfRange, got {other:?}"),
-            }
-            assert!(PoseTracker::try_new(cfg).is_err());
-        }
-    }
-
-    #[test]
-    fn inverted_gain_order_is_rejected() {
-        let cfg = TrackerConfig { min_gain: 0.9, max_gain: 0.2, ..TrackerConfig::default() };
-        assert_eq!(
-            cfg.validate(),
-            Err(TrackerConfigError::GainOrderInverted { min: 0.9, max: 0.2 })
-        );
-    }
-
-    #[test]
-    fn non_positive_gates_counts_and_sigmas_are_rejected() {
-        type Patch = Box<dyn Fn(&mut TrackerConfig)>;
-        let cases: Vec<(Patch, &str)> = vec![
-            (Box::new(|c| c.saturate_inliers = 0), "saturate_inliers"),
-            (Box::new(|c| c.gate_translation = 0.0), "gate_translation"),
-            (Box::new(|c| c.gate_rotation = -1.0), "gate_rotation"),
-            (Box::new(|c| c.reset_after = 0), "reset_after"),
-            (Box::new(|c| c.init_sigma = 0.0), "init_sigma"),
-            (Box::new(|c| c.measurement_sigma = -0.5), "measurement_sigma"),
-            (Box::new(|c| c.process_noise = f64::INFINITY), "process_noise"),
-            (Box::new(|c| c.max_prediction_sigma = 0.0), "max_prediction_sigma"),
-        ];
-        for (patch, name) in cases {
-            let mut cfg = TrackerConfig::default();
-            patch(&mut cfg);
-            match cfg.validate() {
-                Err(TrackerConfigError::NotPositive { name: n, .. }) => assert_eq!(n, name),
-                other => panic!("{name}: expected NotPositive, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "gate_translation")]
-    fn new_panics_on_invalid_config() {
-        let cfg = TrackerConfig { gate_translation: -1.0, ..TrackerConfig::default() };
-        let _ = PoseTracker::new(cfg);
-    }
-
-    #[test]
-    fn config_errors_are_displayable() {
-        let err =
-            TrackerConfig { min_gain: 2.0, ..TrackerConfig::default() }.validate().unwrap_err();
-        assert!(err.to_string().contains("min_gain"));
-        let err =
-            TrackerConfig { reset_after: 0, ..TrackerConfig::default() }.validate().unwrap_err();
-        assert!(err.to_string().contains("reset_after"));
-    }
-
-    #[test]
     fn sigma_shrinks_with_fused_measurements_and_grows_while_coasting() {
-        let cfg = TrackerConfig::default();
-        let mut tracker = PoseTracker::new(cfg);
+        let mut tracker = PoseTracker::new();
         tracker.update_pose(0.0, &Iso2::new(0.0, Vec2::new(30.0, 0.0)), 50);
-        assert_eq!(tracker.position_sigma().unwrap(), cfg.init_sigma);
+        assert_eq!(tracker.position_sigma().unwrap(), INIT_SIGMA);
         for k in 1..6 {
             tracker.update_pose(k as f64 * 0.1, &Iso2::new(0.0, Vec2::new(30.0, 0.0)), 50);
         }
         let settled = tracker.position_sigma().unwrap();
-        assert!(settled < cfg.measurement_sigma * 1.05, "σ should settle near meas σ: {settled}");
-        // A gated outlier coasts: σ grows by process_noise · dt.
+        assert!(settled < MEASUREMENT_SIGMA * 1.05, "σ should settle near meas σ: {settled}");
+        // A gated outlier coasts: σ grows by PROCESS_NOISE · dt.
         let before = tracker.position_sigma().unwrap();
         tracker.update_pose(1.0, &Iso2::new(0.0, Vec2::new(80.0, 0.0)), 50);
         let after = tracker.position_sigma().unwrap();
-        assert!((after - (before + cfg.process_noise * 0.5)).abs() < 1e-12, "{before} -> {after}");
+        assert!((after - (before + PROCESS_NOISE * 0.5)).abs() < 1e-12, "{before} -> {after}");
     }
 
     #[test]
     fn warm_prediction_gates_out_stale_tracks() {
-        let cfg = TrackerConfig::default();
-        let mut tracker = PoseTracker::new(cfg);
+        let mut tracker = PoseTracker::new();
         for k in 0..6 {
             tracker.update_pose(k as f64 * 0.1, &Iso2::new(0.0, Vec2::new(30.0, 0.0)), 50);
         }
@@ -667,24 +455,20 @@ mod tests {
         // A dropout gap ages the track past the σ gate while the raw
         // prediction stays available for display-layer extrapolation.
         let sigma_now = tracker.position_sigma().unwrap();
-        let gap = (cfg.max_prediction_sigma - sigma_now) / cfg.process_noise + 0.1;
+        let gap = (MAX_PREDICTION_SIGMA - sigma_now) / PROCESS_NOISE + 0.1;
         let stale_t = 0.5 + gap;
         assert!(tracker.warm_prediction(stale_t).is_none(), "stale track must not warm-start");
         assert!(tracker.predict(stale_t).is_some());
-        let p = tracker.prediction(stale_t).unwrap();
-        assert!(p.sigma > cfg.max_prediction_sigma);
-        assert!(p.confidence() < 1.0 / (1.0 + cfg.max_prediction_sigma) + 1e-12);
     }
 
     #[test]
     fn reset_restores_init_sigma() {
-        let cfg = TrackerConfig::default();
-        let mut tracker = PoseTracker::new(cfg);
+        let mut tracker = PoseTracker::new();
         feed_linear(&mut tracker, 5, 0.5, Vec2::new(30.0, 0.0), Vec2::ZERO, |_| Vec2::ZERO);
-        assert!(tracker.position_sigma().unwrap() < cfg.init_sigma);
-        for k in 0..cfg.reset_after {
+        assert!(tracker.position_sigma().unwrap() < INIT_SIGMA);
+        for k in 0..RESET_AFTER {
             tracker.update_pose(2.5 + k as f64 * 0.5, &Iso2::new(0.0, Vec2::new(60.0, 0.0)), 40);
         }
-        assert_eq!(tracker.position_sigma().unwrap(), cfg.init_sigma);
+        assert_eq!(tracker.position_sigma().unwrap(), INIT_SIGMA);
     }
 }

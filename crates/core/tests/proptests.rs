@@ -1,7 +1,7 @@
 //! Property-based tests for the BB-Align core: pixel/world transform
 //! conversion, wire accounting and the pose tracker.
 
-use bb_align::{BbAlign, BbAlignConfig, PoseTracker, TrackerConfig};
+use bb_align::{BbAlign, BbAlignConfig, PoseTracker};
 use bba_geometry::{Box3, Iso2, Vec2, Vec3};
 use proptest::prelude::*;
 
@@ -43,7 +43,7 @@ proptest! {
 
     #[test]
     fn tracker_converges_to_constant_measurement(pose in any_iso2()) {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         for k in 0..12 {
             tracker.update_pose(k as f64 * 0.5, &pose, 40);
         }
@@ -55,7 +55,7 @@ proptest! {
 
     #[test]
     fn tracker_prediction_is_continuous(pose in any_iso2(), v in -5.0..5.0f64) {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         for k in 0..8 {
             let t = k as f64 * 0.5;
             let moved = Iso2::new(pose.yaw(), pose.translation() + Vec2::new(v, 0.0) * t);
@@ -79,7 +79,7 @@ proptest! {
         order in prop::collection::vec(0usize..24, 8..24),
         v in -3.0..3.0f64,
     ) {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         for &k in &order {
             let t = k as f64 * 0.5;
             let truth = Vec2::new(40.0 + v * t, 0.0);
@@ -96,7 +96,7 @@ proptest! {
 
     #[test]
     fn tracker_never_accepts_gross_jumps(pose in any_iso2(), jump in 20.0..200.0f64) {
-        let mut tracker = PoseTracker::new(TrackerConfig::default());
+        let mut tracker = PoseTracker::new();
         for k in 0..6 {
             tracker.update_pose(k as f64 * 0.5, &pose, 40);
         }

@@ -48,11 +48,6 @@ impl Iso2 {
         Iso2 { yaw: 0.0, translation }
     }
 
-    /// Creates a pure rotation about the origin.
-    pub fn from_yaw(yaw: f64) -> Self {
-        Iso2::new(yaw, Vec2::ZERO)
-    }
-
     /// A vehicle pose: position + heading. Identical representation, reads
     /// better at call sites that deal in world poses.
     pub fn from_pose(position: Vec2, heading: f64) -> Self {
@@ -75,12 +70,6 @@ impl Iso2 {
     #[inline]
     pub fn apply(&self, p: Vec2) -> Vec2 {
         p.rotated(self.yaw) + self.translation
-    }
-
-    /// Applies only the rotation part (for direction vectors).
-    #[inline]
-    pub fn rotate(&self, v: Vec2) -> Vec2 {
-        v.rotated(self.yaw)
     }
 
     /// Composition: `self ∘ rhs` (apply `rhs` first, then `self`).

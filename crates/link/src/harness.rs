@@ -20,7 +20,7 @@
 
 use crate::channel::{ChannelConfig, ChannelStats, SimChannel};
 use crate::session::{LinkEndpoint, PeerState, SessionConfig, SessionStats};
-use bb_align::tracking::{PoseTracker, TrackerConfig};
+use bb_align::tracking::PoseTracker;
 use bb_align::{wire, BbAlign, BbAlignConfig, PerceptionFrame, RecoveryPath, WarmRecovery};
 use bba_dataset::{AgentFrame, Dataset, DatasetConfig, FramePair};
 use bba_fusion::{FusionExperiment, FusionMethod};
@@ -46,8 +46,6 @@ pub struct HarnessConfig {
     pub channel: ChannelConfig,
     /// Session (framing/retransmit/staleness) parameters.
     pub session: SessionConfig,
-    /// Temporal tracker parameters for the degradation fallback.
-    pub tracker: TrackerConfig,
     /// Route delivered frames through the temporal warm start
     /// ([`BbAlign::recover_warm`]): a confident track prediction is
     /// verified directly, skipping stage 1 on a hit. Off by default so
@@ -73,7 +71,6 @@ impl Default for HarnessConfig {
             fusion: FusionMethod::Late,
             channel: ChannelConfig::urban(),
             session: SessionConfig::default(),
-            tracker: TrackerConfig::default(),
             warm_start: false,
             substeps: 5,
             recorder: Recorder::disabled(),
@@ -150,11 +147,6 @@ impl HarnessReport {
         })
     }
 
-    /// Fraction of ticks with *some* pose estimate (recovery or track).
-    pub fn pose_available_rate(&self) -> f64 {
-        self.rate(|o| o.pose.is_some())
-    }
-
     fn rate(&self, f: impl Fn(&FrameOutcome) -> bool) -> f64 {
         if self.outcomes.is_empty() {
             return 0.0;
@@ -206,7 +198,7 @@ impl V2vHarness {
         let aligner = BbAlign::new(cfg.engine.clone()).with_recorder(cfg.recorder.clone());
         let fusion = FusionExperiment::new(cfg.fusion);
         let mut dataset = Dataset::new(cfg.dataset.clone(), cfg.seed);
-        let mut tracker = PoseTracker::new(cfg.tracker);
+        let mut tracker = PoseTracker::new();
         let mut forward = SimChannel::new(cfg.channel, cfg.seed.wrapping_add(0x5E_EDF0));
         let mut reverse = SimChannel::new(cfg.channel, cfg.seed.wrapping_add(0x5E_EDF1));
         let mut receiver = LinkEndpoint::new(cfg.session);

@@ -12,7 +12,7 @@
 //! * [`ScenarioPreset::OpenRural`] — few landmarks; the regime where the
 //!   paper reports unsuccessful recoveries (§V-A "vast open areas").
 
-use crate::objects::{car_box, ObjectKind, Obstacle, ObstacleId, Shape, CAR_EXTENTS};
+use crate::objects::{car_box, ObjectKind, Obstacle, ObstacleId, Shape};
 use crate::trajectory::Trajectory;
 use crate::world::{DynamicVehicle, World};
 use bba_geometry::{Box3, Vec2, Vec3};
@@ -573,11 +573,6 @@ impl Scenario {
         let e = self.ego_trajectory.pose_at(t).translation();
         let o = self.other_trajectory.pose_at(t).translation();
         e.distance(o)
-    }
-
-    /// Approximate car height for mounting sensors (m).
-    pub fn sensor_mount_height() -> f64 {
-        CAR_EXTENTS.z + 0.3
     }
 }
 

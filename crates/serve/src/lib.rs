@@ -5,9 +5,9 @@
 //! between many V2V pairs. This crate supplies the serving half of that
 //! claim:
 //!
-//! * **Sharded sessions** ([`ShardMap`]) — per-pair state hashed to a
-//!   fixed set of independently locked shards; no global lock anywhere on
-//!   the submission path.
+//! * **Ordered sessions** ([`PoseService`]) — per-pair state in one map
+//!   ordered by [`PairId`], created on first touch, so a batch drains in
+//!   `(pair, seq)` order without a sort.
 //! * **Load-shedding ingress** ([`PairSession`]) — bounded queues that
 //!   drop stale, duplicate, superseded, or overflowing frames instead of
 //!   ever blocking the link, with every shed frame counted exactly once
@@ -56,11 +56,9 @@
 pub mod graph;
 pub mod service;
 pub mod session;
-pub mod shard;
 
 pub use graph::{CycleError, FleetPoseGraph, PoseEdge, ReconcileReport};
 pub use service::{GateConfig, PoseService, RecoveryOutcome, ServiceConfig, ServiceStats};
 pub use session::{
     AdmitOutcome, FrameSubmission, PairId, PairSession, SessionConfig, SessionStats,
 };
-pub use shard::ShardMap;

@@ -1,35 +1,40 @@
 //! The pose service: batched admission, parallel recovery, full
 //! observability.
 //!
-//! [`PoseService`] owns a [`ShardMap`] of sessions and one shared
-//! [`BbAlign`] engine. The engine is `&self` throughout, so its bounded
-//! `FftWorkspace` / stage-1 scratch pools (and the process-wide FFT plan
-//! cache beneath them) are automatically *service-wide*: a thousand
-//! sessions share one fixed set of scratch buffers instead of allocating
-//! per pair.
+//! [`PoseService`] owns every pair's session, in one map ordered by pair
+//! id behind one lock, and one shared [`BbAlign`] engine. The engine is
+//! `&self` throughout, so its bounded `FftWorkspace` / stage-1 scratch
+//! pools (and the process-wide FFT plan cache beneath them) are
+//! automatically *service-wide*: a thousand sessions share one fixed set
+//! of scratch buffers instead of allocating per pair.
 //!
 //! The service splits work into two non-blocking halves:
 //!
 //! * [`PoseService::submit`] — called from link threads; sheds or queues
-//!   in O(1) under one shard lock and returns immediately;
+//!   one frame under the session lock and returns immediately;
 //! * [`PoseService::process_batch`] — called from the compute loop;
-//!   drains every session, sorts the batch by `(pair, seq)`, groups the
+//!   drains one due frame per session in `(pair, seq)` order, groups the
 //!   items that share a sending frame and fans the groups out over
 //!   `bba_par::par_map`. Each work item derives its RNG from
 //!   `(service seed, pair, seq)`, so results are bit-identical at any
 //!   thread count and independent of arrival interleaving — the same
 //!   determinism contract the rest of the workspace pins.
 
-use crate::session::{AdmitOutcome, FrameSubmission, PairId, SessionConfig, SessionStats};
-use crate::shard::ShardMap;
-use bb_align::{BbAlign, RecoverError, Recovery, RecoveryPath, RecoveryRequest, TrackerConfig};
+use crate::session::{AdmitOutcome, FrameSubmission, PairId, PairSession, SessionConfig};
+use bb_align::{BbAlign, RecoverError, Recovery, RecoveryPath, RecoveryRequest};
 use bba_obs::Recorder;
 use bba_place::{PlaceDescriptor, PlaceIndex, PlaceMatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
+
+/// Frames drained from one session per batch. One keeps every session's
+/// latency bounded under overload: a backlogged pair cannot crowd the
+/// others out of a batch, and its queue sheds the oldest frames instead.
+const SESSION_FRAMES_PER_BATCH: usize = 1;
 
 /// Candidate-pair gating policy: refuse pairwise recovery when the place
 /// descriptors say the two vehicles do not see the same scene.
@@ -57,12 +62,6 @@ impl Default for GateConfig {
 pub struct ServiceConfig {
     /// Per-session queue/staleness policy.
     pub session: SessionConfig,
-    /// Number of session shards (locks).
-    pub shards: usize,
-    /// Maximum frames drained from one session per batch; 1 keeps every
-    /// session's latency bounded under overload (fairness), larger values
-    /// let backlogged sessions catch up faster.
-    pub max_batch_per_session: usize,
     /// Seed mixed into every work item's RNG.
     pub seed: u64,
     /// Maintain a per-pair pose tracker and try the temporal warm start
@@ -71,9 +70,6 @@ pub struct ServiceConfig {
     /// after it completes, in `(pair, seq)` order, so batches stay
     /// bit-identical at any thread count.
     pub warm_start: bool,
-    /// Tracker tuning for the per-pair warm-start trackers (ignored when
-    /// `warm_start` is off).
-    pub tracker: TrackerConfig,
     /// Place-descriptor gating at admission; `None` (the default) admits
     /// every pair exactly as before gating existed.
     pub gate: Option<GateConfig>,
@@ -81,15 +77,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            session: SessionConfig::default(),
-            shards: 16,
-            max_batch_per_session: 1,
-            seed: 0,
-            warm_start: true,
-            tracker: TrackerConfig::default(),
-            gate: None,
-        }
+        ServiceConfig { session: SessionConfig::default(), seed: 0, warm_start: true, gate: None }
     }
 }
 
@@ -160,7 +148,10 @@ impl ServiceStats {
 #[derive(Debug)]
 pub struct PoseService {
     engine: Arc<BbAlign>,
-    shards: ShardMap,
+    /// Every pair's session, created on first touch. Ordered by pair id,
+    /// so a drain of at most one frame per session comes out in
+    /// `(pair, seq)` order without a sort.
+    sessions: Mutex<BTreeMap<PairId, PairSession>>,
     config: ServiceConfig,
     obs: Recorder,
     /// Latest place descriptor per vehicle, shared across every session.
@@ -187,13 +178,15 @@ fn item_seed(seed: u64, pair: PairId, seq: u64) -> u64 {
 
 impl PoseService {
     /// Creates a service around a shared engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`ServiceConfig::session`] is invalid (see
+    /// [`SessionConfig::validate`]).
     pub fn new(engine: Arc<BbAlign>, config: ServiceConfig) -> Self {
+        config.session.validate();
         PoseService {
-            shards: ShardMap::new(
-                config.shards,
-                config.session,
-                config.warm_start.then_some(config.tracker),
-            ),
+            sessions: Mutex::new(BTreeMap::new()),
             engine,
             config,
             obs: Recorder::disabled(),
@@ -247,9 +240,9 @@ impl PoseService {
     }
 
     /// Offers a frame to `pair`'s session. Never blocks the caller: the
-    /// frame is queued or shed in O(1) under one shard lock, and the
-    /// outcome (including any overflow eviction it triggered) is counted
-    /// in the metrics.
+    /// frame is queued or shed under the session lock, and the outcome
+    /// (including any overflow eviction it triggered) is counted in the
+    /// metrics.
     ///
     /// With [`ServiceConfig::gate`] set, pairs whose published place
     /// descriptors fall below the similarity floor are refused here —
@@ -274,11 +267,19 @@ impl PoseService {
                 }
             }
         }
-        let (outcome, overflowed) = self.shards.with_session(pair, |session| {
+        let (outcome, overflowed) = {
+            let mut sessions = self.sessions.lock().expect("session map lock poisoned");
+            let session = sessions.entry(pair).or_insert_with(|| {
+                if self.config.warm_start {
+                    PairSession::with_tracker(self.config.session)
+                } else {
+                    PairSession::new(self.config.session)
+                }
+            });
             let before = session.stats().shed_overflow;
             let outcome = session.admit(frame, now);
             (outcome, session.stats().shed_overflow - before)
-        });
+        };
         self.obs.incr("serve.submitted");
         match outcome {
             AdmitOutcome::Admitted => self.obs.incr("serve.admitted"),
@@ -294,10 +295,11 @@ impl PoseService {
         outcome
     }
 
-    /// Drains every session and recovers the batch on the parallel pool.
-    /// Returns outcomes sorted by `(pair, seq)`; results are
-    /// deterministic for a given `(service seed, pair, seq)` regardless
-    /// of thread count or arrival order.
+    /// Drains the oldest due frame of every session and recovers the
+    /// batch on the parallel pool. Returns outcomes sorted by
+    /// `(pair, seq)`; results are deterministic for a given
+    /// `(service seed, pair, seq)` regardless of thread count or arrival
+    /// order.
     ///
     /// Items that carry the same sending frame (the same
     /// `Arc<PerceptionFrame>` in [`FrameSubmission::other`]) are recovered
@@ -308,22 +310,22 @@ impl PoseService {
     ///
     /// With [`ServiceConfig::warm_start`] on, each work item first tries
     /// its session tracker's prediction, as [`BbAlign::recover_warm`]
-    /// does. Predictions are snapshotted *before* the parallel fan-out
-    /// (they are a function of previous batches only) and tracker updates
-    /// are applied *after* it, serially in `(pair, seq)` order, so the warm
-    /// path preserves the thread-count determinism contract.
+    /// does. Predictions are read in the pass that drains, *before* the
+    /// parallel fan-out (they are a function of previous batches only),
+    /// and tracker updates are applied *after* it, serially in
+    /// `(pair, seq)` order, so the warm path preserves the thread-count
+    /// determinism contract.
     pub fn process_batch(&self, now: f64) -> Vec<RecoveryOutcome> {
-        let batch = self.shards.drain_all(now, self.config.max_batch_per_session);
-        let predictions: Vec<_> = if self.config.warm_start {
-            batch
-                .iter()
-                .map(|(pair, frame)| {
-                    self.shards.with_session(*pair, |s| s.warm_prediction(frame.timestamp))
-                })
-                .collect()
-        } else {
-            vec![None; batch.len()]
-        };
+        let mut sessions = self.sessions.lock().expect("session map lock poisoned");
+        let mut batch = Vec::new();
+        let mut predictions = Vec::new();
+        for (&pair, session) in sessions.iter_mut() {
+            for frame in session.drain_due(now, SESSION_FRAMES_PER_BATCH) {
+                predictions.push(session.warm_prediction(frame.timestamp));
+                batch.push((pair, frame));
+            }
+        }
+        drop(sessions);
         // Groups of batch indices sharing a sending frame, in order of
         // first appearance: a function of the batch alone.
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -386,15 +388,18 @@ impl PoseService {
         // Tracker updates happen on the coordinating thread, in batch
         // (pair, seq) order: a deterministic function of deterministic
         // outcomes, whatever the thread count was above.
-        if warm {
-            for outcome in &outcomes {
-                if let Ok(recovery) = &outcome.result {
-                    self.shards.with_session(outcome.pair, |s| {
-                        s.observe_recovery(outcome.timestamp, recovery)
-                    });
+        let (session_count, queue_depth) = {
+            let mut sessions = self.sessions.lock().expect("session map lock poisoned");
+            if warm {
+                for outcome in &outcomes {
+                    if let Ok(recovery) = &outcome.result {
+                        let session = sessions.get_mut(&outcome.pair).expect("sessions stay live");
+                        session.observe_recovery(outcome.timestamp, recovery);
+                    }
                 }
             }
-        }
+            (sessions.len(), sessions.values().map(PairSession::queue_len).sum::<usize>())
+        };
         // Metrics are recorded from the coordinating thread, in batch
         // order, so snapshots are reproducible modulo the timings
         // themselves.
@@ -412,25 +417,26 @@ impl PoseService {
                 Err(_) => self.obs.incr("serve.failed"),
             }
         }
-        self.obs.gauge("serve.sessions", self.shards.session_count() as f64);
-        self.obs.gauge("serve.queue_depth", self.shards.queue_depth() as f64);
+        self.obs.gauge("serve.sessions", session_count as f64);
+        self.obs.gauge("serve.queue_depth", queue_depth as f64);
         outcomes
     }
 
     /// Folds every session into service-wide accounting.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.shards.fold_stats(ServiceStats::default(), |mut acc, _, session| {
-            let s: SessionStats = session.stats();
-            acc.sessions += 1;
-            acc.submitted += s.submitted;
-            acc.processed += s.processed;
-            acc.shed_stale += s.shed_stale;
-            acc.shed_duplicate += s.shed_duplicate;
-            acc.shed_superseded += s.shed_superseded;
-            acc.shed_overflow += s.shed_overflow;
-            acc.queued += session.queue_len() as u64;
-            acc
-        });
+        let sessions = self.sessions.lock().expect("session map lock poisoned");
+        let mut stats = ServiceStats { sessions: sessions.len() as u64, ..Default::default() };
+        for session in sessions.values() {
+            let s = session.stats();
+            stats.submitted += s.submitted;
+            stats.processed += s.processed;
+            stats.shed_stale += s.shed_stale;
+            stats.shed_duplicate += s.shed_duplicate;
+            stats.shed_superseded += s.shed_superseded;
+            stats.shed_overflow += s.shed_overflow;
+            stats.queued += session.queue_len() as u64;
+        }
+        drop(sessions);
         // Gated frames were refused before any session saw them: account
         // for both the submission and the shed at the service level so
         // conservation still balances.
@@ -441,7 +447,6 @@ impl PoseService {
         // a stats() call still see current depth.
         self.obs.gauge("serve.sessions", stats.sessions as f64);
         self.obs.gauge("serve.queue_depth", stats.queued as f64);
-        stats.sessions = self.shards.session_count() as u64;
         stats
     }
 }
@@ -453,17 +458,8 @@ mod tests {
 
     fn service(session: SessionConfig) -> PoseService {
         let engine = Arc::new(BbAlign::new(BbAlignConfig::test_small()));
-        PoseService::new(
-            engine,
-            ServiceConfig {
-                session,
-                shards: 4,
-                max_batch_per_session: 2,
-                seed: 7,
-                ..Default::default()
-            },
-        )
-        .with_recorder(Recorder::enabled())
+        PoseService::new(engine, ServiceConfig { session, seed: 7, ..Default::default() })
+            .with_recorder(Recorder::enabled())
     }
 
     fn empty_frame(service: &PoseService) -> Arc<PerceptionFrame> {
@@ -509,6 +505,34 @@ mod tests {
         assert_eq!(serial, parallel);
         let pairs: Vec<u32> = serial.iter().map(|(p, _, _)| p.receiver).collect();
         assert_eq!(pairs, vec![1, 2, 3, 4, 5], "outcomes sorted by pair");
+    }
+
+    #[test]
+    fn sessions_are_created_on_first_touch() {
+        let svc = service(SessionConfig::default());
+        let frame = empty_frame(&svc);
+        assert_eq!(svc.stats().sessions, 0);
+        svc.submit(PairId::new(0, 1), submission(&frame, 0, 0.0), 0.0);
+        svc.submit(PairId::new(0, 1), submission(&frame, 1, 0.0), 0.0);
+        svc.submit(PairId::new(1, 0), submission(&frame, 0, 0.0), 0.0);
+        assert_eq!(svc.stats().sessions, 2);
+    }
+
+    #[test]
+    fn a_batch_answers_the_oldest_due_frame_of_each_session() {
+        let svc = service(SessionConfig::default());
+        let frame = empty_frame(&svc);
+        let pair = PairId::new(0, 1);
+        for seq in 0..3 {
+            assert_eq!(svc.submit(pair, submission(&frame, seq, 0.0), 0.0), AdmitOutcome::Admitted);
+        }
+        for (seq, queued) in [(0, 2), (1, 1), (2, 0)] {
+            let answered: Vec<_> = svc.process_batch(0.0).iter().map(|o| (o.pair, o.seq)).collect();
+            assert_eq!(answered, vec![(pair, seq)]);
+            let stats = svc.stats();
+            assert_eq!(stats.queued, queued);
+            assert!(stats.is_conserved(), "{stats:?}");
+        }
     }
 
     #[test]
@@ -586,7 +610,6 @@ mod tests {
         PoseService::new(
             engine,
             ServiceConfig {
-                shards: 4,
                 seed: 7,
                 gate: Some(GateConfig { min_similarity }),
                 ..Default::default()
@@ -666,10 +689,8 @@ mod tests {
         // service.
         let run = |gate: Option<GateConfig>| {
             let engine = Arc::new(BbAlign::new(BbAlignConfig::test_small()));
-            let svc = PoseService::new(
-                engine,
-                ServiceConfig { shards: 4, seed: 7, gate, ..Default::default() },
-            );
+            let svc =
+                PoseService::new(engine, ServiceConfig { seed: 7, gate, ..Default::default() });
             let d = descriptor(9);
             svc.update_descriptor(0, d.clone());
             svc.update_descriptor(1, d);

@@ -30,7 +30,7 @@
 //! the drain-time clock: frames that aged out while queued are shed as
 //! stale rather than processed.
 
-use bb_align::{PerceptionFrame, PoseTracker, Recovery, TrackerConfig};
+use bb_align::{PerceptionFrame, PoseTracker, Recovery};
 use bba_geometry::Iso2;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -167,8 +167,8 @@ impl PairSession {
     }
 
     /// An empty session carrying a per-pair warm-start tracker.
-    pub fn with_tracker(config: SessionConfig, tracker: TrackerConfig) -> Self {
-        PairSession { tracker: Some(PoseTracker::new(tracker)), ..Self::new(config) }
+    pub fn with_tracker(config: SessionConfig) -> Self {
+        PairSession { tracker: Some(PoseTracker::new()), ..Self::new(config) }
     }
 
     /// The tracker's confidence-gated pose prediction at `time`, if the

@@ -123,11 +123,6 @@ impl<T> Grid<T> {
         &mut self.data
     }
 
-    /// Consumes the grid, returning the buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// One row as a slice.
     ///
     /// # Panics

@@ -12,7 +12,7 @@
 //! run at sensor rate while recovery runs at half rate. The curved road
 //! makes the relative yaw drift continuously — the tracker must follow.
 
-use bb_align::{BbAlign, BbAlignConfig, PoseTracker, TrackerConfig};
+use bb_align::{BbAlign, BbAlignConfig, PoseTracker};
 use bba_dataset::{Dataset, DatasetConfig};
 use bba_scene::{ScenarioConfig, ScenarioPreset};
 use rand::rngs::StdRng;
@@ -26,7 +26,7 @@ fn main() {
     cfg.frame_interval = 0.5;
 
     let aligner = BbAlign::new(BbAlignConfig::default());
-    let mut tracker = PoseTracker::new(TrackerConfig::default());
+    let mut tracker = PoseTracker::new();
     let mut dataset = Dataset::new(cfg, 321);
     let mut rng = StdRng::seed_from_u64(9);
 

@@ -161,8 +161,6 @@ fn service_multiplexes_64_sessions_without_blocking_and_accounts_for_all_sheds()
         Arc::clone(&engine),
         ServiceConfig {
             session: SessionConfig { queue_capacity: 2, staleness: 0.5 },
-            shards: 8,
-            max_batch_per_session: 1,
             seed: 3,
             ..Default::default()
         },

@@ -6,7 +6,8 @@
 //! — at any `bba-par` thread width, and a stale prediction must never be
 //! returned as a verified recovery.
 
-use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, PoseTracker, RecoveryPath, TrackerConfig};
+use bb_align::tracking::{MAX_PREDICTION_SIGMA, PROCESS_NOISE};
+use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, PoseTracker, RecoveryPath};
 use bba_bev::BevConfig;
 use bba_dataset::{Dataset, DatasetConfig};
 use bba_geometry::{Iso2, Vec2};
@@ -139,8 +140,7 @@ fn lane_change_prediction_is_rejected_not_returned() {
 /// gate must refuse to predict at all, while a one-frame gap stays warm.
 #[test]
 fn dropout_gap_ages_the_track_out() {
-    let cfg = TrackerConfig::default();
-    let mut tracker = PoseTracker::new(cfg);
+    let mut tracker = PoseTracker::new();
     for k in 0..5 {
         let t = k as f64 * 0.1;
         tracker.update_pose(t, &Iso2::new(0.01 * t, Vec2::new(10.0 + t, 2.0)), 40);
@@ -153,10 +153,10 @@ fn dropout_gap_ages_the_track_out() {
         tracker.warm_prediction(0.4 + 60.0).is_none(),
         "a long dropout must age the track past the confidence gate"
     );
-    // Boundary from the config itself: sigma grows by process_noise per
-    // second, so the gate closes once it crosses max_prediction_sigma.
+    // Boundary from the tracker's constants: sigma grows by PROCESS_NOISE
+    // per second, so the gate closes once it crosses MAX_PREDICTION_SIGMA.
     let sigma_now = tracker.position_sigma().expect("track is initialised");
-    let closes_after = (cfg.max_prediction_sigma - sigma_now) / cfg.process_noise;
+    let closes_after = (MAX_PREDICTION_SIGMA - sigma_now) / PROCESS_NOISE;
     assert!(tracker.warm_prediction(0.4 + closes_after + 0.1).is_none());
     assert!(tracker.warm_prediction(0.4 + closes_after - 0.1).is_some());
 }
