@@ -58,15 +58,7 @@ fn main() {
     let scale = 1.0 / px as f64;
     c.bench_function("simd_fused_amp_argmax_256", |b| {
         b.iter(|| {
-            bba_simd::amp_max_fold(
-                black_box(&mut max_amp),
-                &mut max_idx,
-                &z,
-                scale,
-                true,
-                Some(&partial),
-                3,
-            )
+            bba_simd::amp_max_fold(black_box(&mut max_amp), &mut max_idx, &z, scale, &partial, 3)
         })
     });
     c.bench_function("simd_fused_amp_argmax_256_portable", |b| {
@@ -76,8 +68,7 @@ fn main() {
                 &mut max_idx,
                 &z,
                 scale,
-                true,
-                Some(&partial),
+                &partial,
                 3,
             )
         })

@@ -43,7 +43,7 @@ fn fixture(
         pair.other.scan.points().iter().map(|p| p.position),
         pair.other.detections.iter().map(|d| (d.box3, d.confidence)),
     );
-    let mim = MaxIndexMap::compute(other.bev().grid(), &engine.log_gabor);
+    let mim = MaxIndexMap::compute(other.bev().grid());
     // Production keypoint source: FAST corners on the normalised amplitude.
     let max = mim.amplitude.max_value();
     let normalised = mim.amplitude.map(|&a| a / max.max(f64::MIN_POSITIVE));
@@ -92,7 +92,7 @@ fn main() {
 
     let (mim, normalised, kps) = fixture(&engine, 7, 400);
     let dcfg = &engine.descriptor;
-    let sweep = RotationSweep::new(dcfg, mim.num_orientations, &angles);
+    let sweep = RotationSweep::new(dcfg, &angles);
     println!(
         "stage1 fast-path benches: {} keypoints, {} rotation hypotheses, \
          {:.1}% nonzero descriptor entries{}",

@@ -13,8 +13,7 @@ use bba_geometry::{Iso2, Vec2};
 use bba_lidar::{LidarConfig, Scanner};
 use bba_scene::{Scenario, ScenarioConfig, ScenarioPreset};
 use bba_signal::{
-    fft2d, rfft2d, shared_plan, Complex, FftWorkspace, Grid, LogGaborBank, LogGaborConfig,
-    MaxIndexMap,
+    fft2d, rfft2d, shared_plan, Complex, FftWorkspace, Grid, LogGaborBank, MaxIndexMap,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -68,7 +67,7 @@ fn bench_mim(c: &mut Criterion) {
     let points = sample_scan_points();
     let cfg = BevConfig::wide();
     let img = BevImage::height_map(points, &cfg);
-    let bank = LogGaborBank::new(256, 256, LogGaborConfig::default());
+    let bank = LogGaborBank::new(256, 256);
     c.bench_function("mim_256_4scales_12orient", |b| {
         b.iter(|| {
             MaxIndexMap::compute_with_workspace(
@@ -91,7 +90,7 @@ fn bench_features(c: &mut Criterion) {
     let points = sample_scan_points();
     let cfg = BevConfig::wide();
     let img = BevImage::height_map(points, &cfg);
-    let bank = LogGaborBank::new(256, 256, LogGaborConfig::default());
+    let bank = LogGaborBank::new(256, 256);
     let mim = MaxIndexMap::compute_with_workspace(img.grid(), &bank, &mut FftWorkspace::new());
     let max = mim.amplitude.max_value();
     let norm = mim.amplitude.map(|&a| a / max);

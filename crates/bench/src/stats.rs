@@ -38,11 +38,6 @@ pub fn fraction_below(values: &[f64], threshold: f64) -> f64 {
     values.iter().filter(|&&v| v < threshold).count() as f64 / values.len() as f64
 }
 
-/// Empirical CDF sampled at the given thresholds: `(threshold, fraction)`.
-pub fn cdf(values: &[f64], thresholds: &[f64]) -> Vec<(f64, f64)> {
-    thresholds.iter().map(|&t| (t, fraction_below(values, t))).collect()
-}
-
 /// The five-number summary the paper's box plots use:
 /// 10th/25th/50th/75th/90th percentiles.
 pub fn box_plot_summary(values: &[f64]) -> Option<[f64; 5]> {
@@ -62,20 +57,6 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     } else {
         Some(values.iter().sum::<f64>() / values.len() as f64)
     }
-}
-
-/// Finds the bucket index for `value` given ascending bucket upper bounds;
-/// values beyond the last bound land in the final overflow bucket.
-///
-/// ```
-/// use bba_bench::stats::bucket_index;
-/// let bounds = [20.0, 45.0, 70.0]; // buckets: <20, 20-45, 45-70, ≥70
-/// assert_eq!(bucket_index(10.0, &bounds), 0);
-/// assert_eq!(bucket_index(50.0, &bounds), 2);
-/// assert_eq!(bucket_index(90.0, &bounds), 3);
-/// ```
-pub fn bucket_index(value: f64, upper_bounds: &[f64]) -> usize {
-    upper_bounds.iter().position(|&b| value < b).unwrap_or(upper_bounds.len())
 }
 
 #[cfg(test)]
@@ -107,16 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone() {
-        let xs = [0.1, 0.4, 0.9, 1.7, 3.3];
-        let pts = cdf(&xs, &[0.5, 1.0, 2.0, 4.0]);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        for pair in pts.windows(2) {
-            assert!(pair[0].1 <= pair[1].1);
-        }
-    }
-
-    #[test]
     fn summary_orders_quantiles() {
         let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let s = box_plot_summary(&xs).unwrap();
@@ -129,13 +100,5 @@ mod tests {
     #[test]
     fn mean_matches_hand_computation() {
         assert_eq!(mean(&[1.0, 2.0, 6.0]), Some(3.0));
-    }
-
-    #[test]
-    fn bucket_boundaries_are_half_open() {
-        let bounds = [20.0, 45.0];
-        assert_eq!(bucket_index(19.999, &bounds), 0);
-        assert_eq!(bucket_index(20.0, &bounds), 1);
-        assert_eq!(bucket_index(45.0, &bounds), 2);
     }
 }

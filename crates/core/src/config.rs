@@ -2,7 +2,6 @@
 
 use bba_bev::{BevConfig, BevMode};
 use bba_features::{DescriptorConfig, KeypointConfig, MatcherConfig, RansacConfig};
-use bba_signal::LogGaborConfig;
 use serde::{Deserialize, Serialize};
 
 /// Where stage 1 detects its keypoints.
@@ -33,9 +32,10 @@ pub enum BoxPairing {
 
 /// Full parameter set of the framework.
 ///
-/// Defaults follow the paper's model setup (§V "Model Setup"): Log-Gabor
-/// with `N_s = 4` scales and `N_o = 12` orientations, grid size `l = 6`,
-/// success thresholds `Inliers_bv > 25` ∧ `Inliers_box > 6`. The default
+/// Defaults follow the paper's model setup (§V "Model Setup"): grid size
+/// `l = 6`, success thresholds `Inliers_bv > 25` ∧ `Inliers_box > 6`; its
+/// Log-Gabor bank (`N_s = 4` scales, `N_o = 12` orientations) is fixed in
+/// [`bba_signal::loggabor`], not configured here. The default
 /// raster is [`BevConfig::wide`] (256² at 0.8 m/px), on which the
 /// descriptor patch `J = 48` px spans 38.4 m (the paper's `J = 96` at its
 /// finer raster covers a similar metric footprint).
@@ -46,8 +46,6 @@ pub struct BbAlignConfig {
     /// Rasterisation mode (height map by default; density map for the
     /// ablation).
     pub bev_mode: BevMode,
-    /// Log-Gabor filter bank for the MIM.
-    pub log_gabor: LogGaborConfig,
     /// Which image stage 1 detects keypoints on.
     pub keypoint_source: KeypointSource,
     /// FAST keypoint detection parameters. With
@@ -105,7 +103,6 @@ impl Default for BbAlignConfig {
         BbAlignConfig {
             bev: BevConfig::wide(),
             bev_mode: BevMode::Height,
-            log_gabor: LogGaborConfig::default(),
             keypoint_source: KeypointSource::default(),
             keypoints: KeypointConfig { threshold: 0.05, ..Default::default() },
             descriptor: DescriptorConfig::default(),
@@ -184,8 +181,6 @@ mod tests {
     #[test]
     fn default_matches_paper_setup() {
         let c = BbAlignConfig::default();
-        assert_eq!(c.log_gabor.num_scales, 4);
-        assert_eq!(c.log_gabor.num_orientations, 12);
         assert_eq!(c.descriptor.grid_size, 6);
         assert_eq!(c.min_inliers_bv, 25);
         assert_eq!(c.min_inliers_box, 6);

@@ -484,7 +484,7 @@ impl BbAlign {
     fn bank(&self) -> &LogGaborBank {
         self.bank.get_or_init(|| {
             let h = self.config.bev.image_size();
-            LogGaborBank::new(h, h, self.config.log_gabor.clone())
+            LogGaborBank::new(h, h)
         })
     }
 
@@ -494,11 +494,7 @@ impl BbAlign {
             let angles: Vec<f64> = (0..hypotheses)
                 .map(|k| k as f64 * std::f64::consts::TAU / hypotheses as f64)
                 .collect();
-            RotationSweep::new(
-                &self.config.descriptor,
-                self.config.log_gabor.num_orientations,
-                &angles,
-            )
+            RotationSweep::new(&self.config.descriptor, &angles)
         })
     }
 
@@ -1821,11 +1817,11 @@ mod tests {
         let base_fresh = run(&base, &cold_copy(&ego), &cold_copy(&other));
         assert_eq!(run(&base, &ego, &other), base_fresh);
 
-        let mut gabor = BbAlignConfig::test_small();
-        gabor.log_gabor.min_wavelength = 4.0;
+        let mut descriptor = BbAlignConfig::test_small();
+        descriptor.descriptor.amplitude_gate = 0.2;
         let mut keypoints = BbAlignConfig::test_small();
         keypoints.keypoints.threshold = 0.1;
-        for config in [gabor, keypoints] {
+        for config in [descriptor, keypoints] {
             let fresh = run(&BbAlign::new(config.clone()), &cold_copy(&ego), &cold_copy(&other));
             assert_ne!(fresh, base_fresh, "the config change must change the features");
             let recorder = bba_obs::Recorder::enabled();

@@ -29,6 +29,7 @@
 
 use crate::keypoints::Keypoint;
 use crate::sweep::DescriptorSet;
+use bba_signal::loggabor::NUM_ORIENTATIONS as N_O;
 use bba_signal::MaxIndexMap;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
@@ -67,8 +68,8 @@ pub(crate) fn patch_reach(patch_size: usize) -> isize {
 }
 
 /// The continuous orientation-index shift matching a patch rotation.
-pub(crate) fn bin_shift_of(rotation: f64, n_o: usize) -> f64 {
-    rotation / (PI / n_o as f64)
+pub(crate) fn bin_shift_of(rotation: f64) -> f64 {
+    rotation / (PI / N_O as f64)
 }
 
 /// Maps an integer pixel offset `(du, dv)` from the patch centre to the
@@ -103,10 +104,10 @@ pub(crate) fn grid_cell(
 /// per-hypothesis orientation tables ([`crate::sweep::RotationSweep`]) are
 /// built from the exact arithmetic applied per sample — the table-driven
 /// re-bin kernel is then bit-identical to the naive path by construction.
-pub(crate) fn soft_bin_split(raw_index: u8, bin_shift: f64, n_o: usize) -> (usize, usize, f64) {
-    let shifted = (raw_index as f64 - bin_shift).rem_euclid(n_o as f64);
-    let lo = (shifted.floor() as usize) % n_o;
-    let hi = (lo + 1) % n_o;
+pub(crate) fn soft_bin_split(raw_index: u8, bin_shift: f64) -> (usize, usize, f64) {
+    let shifted = (raw_index as f64 - bin_shift).rem_euclid(N_O as f64);
+    let lo = (shifted.floor() as usize) % N_O;
+    let hi = (lo + 1) % N_O;
     let frac = shifted - shifted.floor();
     (lo, hi, frac)
 }
@@ -119,10 +120,9 @@ pub(crate) fn soft_bin(
     cell_base: usize,
     raw_index: u8,
     bin_shift: f64,
-    n_o: usize,
     weight: f64,
 ) {
-    let (lo, hi, frac) = soft_bin_split(raw_index, bin_shift, n_o);
+    let (lo, hi, frac) = soft_bin_split(raw_index, bin_shift);
     vector[cell_base + lo] += (weight * (1.0 - frac)) as f32;
     vector[cell_base + hi] += (weight * frac) as f32;
 }
@@ -161,7 +161,7 @@ pub fn describe_keypoints_rotated(
     config: &DescriptorConfig,
     angle: f64,
 ) -> DescriptorSet {
-    let mut set = DescriptorSet::new(config.grid_size * config.grid_size * mim.num_orientations);
+    let mut set = DescriptorSet::new(config.grid_size * config.grid_size * N_O);
     for kp in keypoints {
         if let Some(vector) = describe_one(mim, *kp, config, angle) {
             set.push(*kp, &vector);
@@ -193,7 +193,6 @@ fn describe_one(
 ) -> Option<Vec<f32>> {
     let j = config.patch_size;
     let l = config.grid_size;
-    let n_o = mim.num_orientations;
     let half = j as f64 / 2.0;
     let w = mim.width() as isize;
     let h = mim.height() as isize;
@@ -212,14 +211,14 @@ fn describe_one(
         return None; // empty patch: nothing to describe
     }
     let gate = max_amp * config.amplitude_gate;
-    let bin_shift = bin_shift_of(rotation, n_o);
+    let bin_shift = bin_shift_of(rotation);
     let (rs, rc) = rotation.sin_cos();
 
     // Pass 2 (inverse mapping): every pixel of the reach window whose
     // offset lands inside the rotated patch square contributes to the grid
     // cell it falls in, with its orientation index shifted into the patch's
     // own frame.
-    let mut vector = vec![0.0f32; l * l * n_o];
+    let mut vector = vec![0.0f32; l * l * N_O];
     let cell_px = j as f64 / l as f64;
     for dv in -reach..=reach {
         for du in -reach..=reach {
@@ -231,7 +230,7 @@ fn describe_one(
             let Some(cell) = grid_cell(du, dv, rs, rc, half, cell_px, l) else {
                 continue;
             };
-            soft_bin(&mut vector, cell * n_o, mim.index[(u, v)], bin_shift, n_o, amp.sqrt());
+            soft_bin(&mut vector, cell * N_O, mim.index[(u, v)], bin_shift, amp.sqrt());
         }
     }
 
@@ -241,7 +240,7 @@ fn describe_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+    use bba_signal::{Grid, MaxIndexMap};
 
     /// An L-shaped structure: two orthogonal bright lines.
     fn l_shape_image(size: usize, angle_deg: f64) -> Grid<f64> {
@@ -263,7 +262,7 @@ mod tests {
     }
 
     fn mim_of(img: &Grid<f64>) -> MaxIndexMap {
-        MaxIndexMap::compute(img, &LogGaborConfig::default())
+        MaxIndexMap::compute(img)
     }
 
     fn center_kp(size: usize) -> Keypoint {

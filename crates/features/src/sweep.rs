@@ -37,6 +37,7 @@ use crate::descriptor::{
     bin_shift_of, grid_cell, patch_max_amplitude, patch_reach, soft_bin_split, DescriptorConfig,
 };
 use crate::keypoints::Keypoint;
+use bba_signal::loggabor::NUM_ORIENTATIONS as N_O;
 use bba_signal::MaxIndexMap;
 
 /// Hypotheses re-binned per pass over the cached samples. Each sample is
@@ -161,7 +162,6 @@ pub struct RotationSweep {
     /// the patch's half-diagonal are dropped.
     live: Vec<(u32, i16, i16)>,
     config: DescriptorConfig,
-    num_orientations: usize,
 }
 
 impl RotationSweep {
@@ -169,13 +169,13 @@ impl RotationSweep {
     ///
     /// # Panics
     ///
-    /// Panics if the descriptor dimension `grid_size²·num_orientations`
-    /// exceeds `u16::MAX` (the cell tables store `u16` row positions; the
-    /// paper's 6×6×12 is 432), or if the patch's reach window is wider
-    /// than `i16::MAX` pixels.
-    pub fn new(config: &DescriptorConfig, num_orientations: usize, angles: &[f64]) -> Self {
-        let (j, l, n_o) = (config.patch_size, config.grid_size, num_orientations);
-        let dim = l * l * n_o;
+    /// Panics if the descriptor dimension `grid_size²·N_o` exceeds
+    /// `u16::MAX` (the cell tables store `u16` row positions; the paper's
+    /// 6×6×12 is 432), or if the patch's reach window is wider than
+    /// `i16::MAX` pixels.
+    pub fn new(config: &DescriptorConfig, angles: &[f64]) -> Self {
+        let (j, l) = (config.patch_size, config.grid_size);
+        let dim = l * l * N_O;
         assert!(dim <= u16::MAX as usize, "descriptor dimension {dim} must fit u16 cell tables");
         let half = j as f64 / 2.0;
         let cell_px = j as f64 / l as f64;
@@ -187,7 +187,7 @@ impl RotationSweep {
         let bins = angles
             .iter()
             .map(|&angle| {
-                let shift = bin_shift_of(angle, n_o);
+                let shift = bin_shift_of(angle);
                 let mut hyp = HypothesisBins {
                     base: vec![dim as u16; window * window],
                     lo: [0; 256],
@@ -196,8 +196,8 @@ impl RotationSweep {
                     frac: [0.0; 256],
                     hard: true,
                 };
-                for r in 0..n_o {
-                    let (lo, hi, frac) = soft_bin_split(r as u8, shift, n_o);
+                for r in 0..N_O {
+                    let (lo, hi, frac) = soft_bin_split(r as u8, shift);
                     (hyp.lo[r], hyp.hi[r]) = (lo as u16, hi as u16);
                     (hyp.omf[r], hyp.frac[r]) = (1.0 - frac, frac);
                     hyp.hard &= frac == 0.0;
@@ -207,7 +207,7 @@ impl RotationSweep {
                     for du in -reach..=reach {
                         if let Some(cell) = grid_cell(du, dv, rs, rc, half, cell_px, l) {
                             let at = (dv + reach) as usize * window + (du + reach) as usize;
-                            hyp.base[at] = (cell * n_o) as u16;
+                            hyp.base[at] = (cell * N_O) as u16;
                             live[at] = true;
                         }
                     }
@@ -222,13 +222,7 @@ impl RotationSweep {
                 (at as u32, du as i16, dv as i16)
             })
             .collect();
-        RotationSweep {
-            angles: angles.to_vec(),
-            bins,
-            live,
-            config: config.clone(),
-            num_orientations: n_o,
-        }
+        RotationSweep { angles: angles.to_vec(), bins, live, config: config.clone() }
     }
 
     /// Number of hypothesis angles.
@@ -243,7 +237,7 @@ impl RotationSweep {
 
     /// Descriptor vector length produced by this sweep.
     pub fn dim(&self) -> usize {
-        self.config.grid_size * self.config.grid_size * self.num_orientations
+        self.config.grid_size * self.config.grid_size * N_O
     }
 }
 
@@ -277,7 +271,6 @@ pub struct PatchSamples {
     finite: bool,
     patch_size: usize,
     grid_size: usize,
-    num_orientations: usize,
 }
 
 impl PatchSamples {
@@ -313,7 +306,6 @@ impl PatchSamples {
         let config = &sweep.config;
         self.patch_size = config.patch_size;
         self.grid_size = config.grid_size;
-        self.num_orientations = mim.num_orientations;
 
         let j = config.patch_size;
         let half = (j as f64 / 2.0) as isize;
@@ -365,9 +357,7 @@ impl PatchSamples {
     /// taken with.
     pub fn rebin_group(&self, sweep: &RotationSweep, first: usize, out: &mut [DescriptorSet]) {
         assert!(
-            sweep.config.patch_size == self.patch_size
-                && sweep.config.grid_size == self.grid_size
-                && sweep.num_orientations == self.num_orientations,
+            sweep.config.patch_size == self.patch_size && sweep.config.grid_size == self.grid_size,
             "RotationSweep geometry does not match the sampled patches"
         );
         match out {
@@ -397,7 +387,7 @@ impl PatchSamples {
         mut out: [&mut DescriptorSet; G],
     ) {
         let dim = sweep.dim();
-        let stride = dim + self.num_orientations;
+        let stride = dim + N_O;
         let hyps: [&HypothesisBins; G] = std::array::from_fn(|g| &sweep.bins[first + g]);
         let hard = hyps.map(|h| h.hard && self.finite);
         // Every cell table covers the window; one check per sample then
@@ -474,7 +464,7 @@ impl PatchSamples {
 mod tests {
     use super::*;
     use crate::descriptor::describe_keypoints_rotated;
-    use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+    use bba_signal::{Grid, MaxIndexMap};
     use std::f64::consts::TAU;
 
     fn test_mim(size: usize) -> MaxIndexMap {
@@ -483,7 +473,7 @@ mod tests {
             img[(size / 4 + t / 2, size / 4 + t / 3)] = 5.0 + (t % 7) as f64;
             img[(size / 2, size / 4 + t / 2)] = 3.0;
         }
-        MaxIndexMap::compute(&img, &LogGaborConfig::default())
+        MaxIndexMap::compute(&img)
     }
 
     fn cfg() -> DescriptorConfig {
@@ -532,7 +522,7 @@ mod tests {
         let cfg = cfg();
         let kps = kps(128);
         let angles = grid_angles(24);
-        let sweep = RotationSweep::new(&cfg, mim.num_orientations, &angles);
+        let sweep = RotationSweep::new(&cfg, &angles);
         let mut samples = PatchSamples::new();
         samples.sample(&mim, &kps, &sweep);
         for group in 1..=REBIN_GROUP {
@@ -549,12 +539,12 @@ mod tests {
         // ulp above the integer at k = 5, 10, 13, 17 and 20, so those
         // hypotheses keep the two-bin split (≈1e-15 of every weight goes
         // to the neighbouring bin).
-        let sweep = RotationSweep::new(&cfg(), 12, &grid_angles(24));
+        let sweep = RotationSweep::new(&cfg(), &grid_angles(24));
         let soft: Vec<usize> = (0..24).filter(|&k| !sweep.bins[k].hard).collect();
         assert_eq!(soft, [5, 10, 13, 17, 20]);
         // Hardness is read off the split arithmetic, not the angle: a shift
         // of ≈4e-301 bins rounds away in `raw − shift` for every raw index.
-        let odd = RotationSweep::new(&cfg(), 12, &[0.1, -TAU / 24.0, 1e-300]);
+        let odd = RotationSweep::new(&cfg(), &[0.1, -TAU / 24.0, 1e-300]);
         assert_eq!(odd.bins.iter().map(|b| b.hard).collect::<Vec<_>>(), [false, true, true]);
     }
 
@@ -568,7 +558,7 @@ mod tests {
         let cfg = cfg();
         let kps = [Keypoint { u: 32, v: 32, score: 1.0 }];
         let angles = [0.0, TAU / 8.0];
-        let sweep = RotationSweep::new(&cfg, mim.num_orientations, &angles);
+        let sweep = RotationSweep::new(&cfg, &angles);
         let mut samples = PatchSamples::new();
         samples.sample(&mim, &kps, &sweep);
         let sets = rebin_all(&samples, &sweep, 2);
@@ -589,7 +579,7 @@ mod tests {
         let cfg = cfg();
         let kps = [Keypoint { u: 64, v: 64, score: 1.0 }];
         let angles = grid_angles(8);
-        let sweep = RotationSweep::new(&cfg, mim.num_orientations, &angles);
+        let sweep = RotationSweep::new(&cfg, &angles);
         let mut samples = PatchSamples::new();
         samples.sample(&mim, &kps, &sweep);
         assert!(!samples.finite);
@@ -603,7 +593,7 @@ mod tests {
     fn rebin_group_reuses_buffers() {
         let mim = test_mim(128);
         let cfg = cfg();
-        let sweep = RotationSweep::new(&cfg, mim.num_orientations, &grid_angles(6));
+        let sweep = RotationSweep::new(&cfg, &grid_angles(6));
         let mut samples = PatchSamples::new();
         samples.sample(&mim, &kps(128), &sweep);
         let fresh = rebin_all(&samples, &sweep, 3);
@@ -636,9 +626,9 @@ mod tests {
     fn mismatched_sweep_geometry_panics() {
         let mim = test_mim(128);
         let mut samples = PatchSamples::new();
-        samples.sample(&mim, &kps(128), &RotationSweep::new(&cfg(), mim.num_orientations, &[0.0]));
+        samples.sample(&mim, &kps(128), &RotationSweep::new(&cfg(), &[0.0]));
         let other_cfg = DescriptorConfig { patch_size: 32, grid_size: 4, ..Default::default() };
-        let sweep = RotationSweep::new(&other_cfg, mim.num_orientations, &[0.0]);
+        let sweep = RotationSweep::new(&other_cfg, &[0.0]);
         samples.rebin_group(&sweep, 0, &mut [DescriptorSet::default()]);
     }
 
@@ -646,7 +636,7 @@ mod tests {
     #[should_panic(expected = "a re-bin group holds 1 to 4 sets, got 5")]
     fn oversized_group_panics() {
         let mim = test_mim(128);
-        let sweep = RotationSweep::new(&cfg(), mim.num_orientations, &grid_angles(8));
+        let sweep = RotationSweep::new(&cfg(), &grid_angles(8));
         let mut samples = PatchSamples::new();
         samples.sample(&mim, &kps(128), &sweep);
         samples.rebin_group(&sweep, 0, &mut vec![DescriptorSet::default(); 5]);

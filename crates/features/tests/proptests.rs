@@ -10,7 +10,7 @@ use bba_features::{
     PatchSamples, RansacConfig, RotationSweep, REBIN_GROUP,
 };
 use bba_geometry::{Iso2, Vec2};
-use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+use bba_signal::{Grid, MaxIndexMap};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,7 +172,6 @@ proptest! {
             let mut mim = MaxIndexMap {
                 index: Grid::new(64, 64, 0u8),
                 amplitude: Grid::new(64, 64, 0.0),
-                num_orientations: 12,
             };
             for &(u, v, z) in &spikes {
                 mim.amplitude[(u, v)] = z;
@@ -184,7 +183,7 @@ proptest! {
             for &(u, v, z) in &spikes {
                 img[(u, v)] = z;
             }
-            MaxIndexMap::compute(&img, &LogGaborConfig::default())
+            MaxIndexMap::compute(&img)
         };
         let cfg = DescriptorConfig { patch_size, grid_size, amplitude_gate };
         // Random keypoints — some will fail the border check, exercising
@@ -193,7 +192,7 @@ proptest! {
             kps_uv.iter().map(|&(u, v)| Keypoint { u, v, score: 1.0 }).collect();
         kps.push(Keypoint { u: 32, v: 32, score: 1.0 });
 
-        let sweep = RotationSweep::new(&cfg, mim.num_orientations, &angles);
+        let sweep = RotationSweep::new(&cfg, &angles);
         let mut samples = PatchSamples::new();
         samples.sample(&mim, &kps, &sweep);
         let mut sets = vec![DescriptorSet::default(); angles.len()];

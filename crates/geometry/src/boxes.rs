@@ -104,18 +104,6 @@ impl BevBox {
         }
     }
 
-    /// Axis-aligned bounding rectangle as `(min, max)` corners.
-    pub fn aabb(&self) -> (Vec2, Vec2) {
-        let cs = self.corners();
-        let mut lo = cs[0];
-        let mut hi = cs[0];
-        for &c in &cs[1..] {
-            lo = lo.min(c);
-            hi = hi.max(c);
-        }
-        (lo, hi)
-    }
-
     /// Intersection-over-union with another box (see [`crate::polygon`]).
     pub fn iou(&self, other: &BevBox) -> f64 {
         crate::polygon::obb_iou(self, other)
@@ -271,16 +259,6 @@ mod tests {
         let via_pts = b.corners().map(|c| t.apply(c));
         for (p, q) in via_box.iter().zip(via_pts.iter()) {
             assert!(approx(*p, *q));
-        }
-    }
-
-    #[test]
-    fn aabb_bounds_all_corners() {
-        let b = BevBox::new(Vec2::new(1.0, 1.0), Vec2::new(5.0, 2.0), 0.7);
-        let (lo, hi) = b.aabb();
-        for c in b.corners() {
-            assert!(c.x >= lo.x - 1e-12 && c.x <= hi.x + 1e-12);
-            assert!(c.y >= lo.y - 1e-12 && c.y <= hi.y + 1e-12);
         }
     }
 

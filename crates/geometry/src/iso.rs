@@ -102,21 +102,6 @@ impl Iso2 {
         (dt, dr)
     }
 
-    /// Row-major 3×3 homogeneous matrix representation.
-    pub fn to_matrix(&self) -> [[f64; 3]; 3] {
-        let (s, c) = self.yaw.sin_cos();
-        [[c, -s, self.translation.x], [s, c, self.translation.y], [0.0, 0.0, 1.0]]
-    }
-
-    /// Reconstructs the transform from a row-major homogeneous matrix.
-    ///
-    /// The rotation block is re-orthogonalised via `atan2`, so mildly noisy
-    /// matrices (e.g. least-squares outputs) are accepted.
-    pub fn from_matrix(m: &[[f64; 3]; 3]) -> Iso2 {
-        let yaw = m[1][0].atan2(m[0][0]);
-        Iso2::new(yaw, Vec2::new(m[0][2], m[1][2]))
-    }
-
     /// True when the transform is close to `rhs` within the given tolerances.
     pub fn approx_eq(&self, rhs: &Iso2, trans_tol: f64, rot_tol: f64) -> bool {
         let (dt, dr) = self.error_to(rhs);
@@ -236,13 +221,6 @@ impl Iso3 {
         out[3][3] = 1.0;
         Iso3 { m: out }
     }
-
-    /// Extracts the ground-plane part `(α, t_x, t_y)` assuming a yaw-only
-    /// rotation (the V2V ground-vehicle assumption).
-    pub fn to_iso2(&self) -> Iso2 {
-        let yaw = self.m[1][0].atan2(self.m[0][0]);
-        Iso2::new(yaw, Vec2::new(self.m[0][3], self.m[1][3]))
-    }
 }
 
 impl Default for Iso3 {
@@ -300,13 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_roundtrip() {
-        let t = Iso2::new(-0.9, Vec2::new(3.5, -1.25));
-        let back = Iso2::from_matrix(&t.to_matrix());
-        assert!(back.approx_eq(&t, 1e-12, 1e-12));
-    }
-
-    #[test]
     fn error_metrics() {
         let truth = Iso2::new(0.0, Vec2::ZERO);
         let est = Iso2::new(0.1, Vec2::new(3.0, 4.0));
@@ -349,13 +320,6 @@ mod tests {
         let lhs = a.compose(&b).apply(p);
         let rhs = a.apply(b.apply(p));
         assert!((lhs - rhs).norm() < 1e-12);
-    }
-
-    #[test]
-    fn iso3_to_iso2_roundtrip() {
-        let t2 = Iso2::new(-2.0, Vec2::new(0.5, 9.0));
-        let back = Iso3::from_iso2(&t2, 1.3).to_iso2();
-        assert!(back.approx_eq(&t2, 1e-12, 1e-12));
     }
 
     #[test]

@@ -15,7 +15,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// use bba_geometry::Vec2;
 /// let v = Vec2::new(3.0, 4.0);
 /// assert_eq!(v.norm(), 5.0);
-/// assert_eq!(v.perp().dot(v), 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Vec2 {
@@ -75,12 +74,6 @@ impl Vec2 {
     #[inline]
     pub fn distance(self, rhs: Vec2) -> f64 {
         (self - rhs).norm()
-    }
-
-    /// Counter-clockwise perpendicular vector `(-y, x)`.
-    #[inline]
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
     }
 
     /// The angle of the vector from the +x axis, in `(-π, π]`.

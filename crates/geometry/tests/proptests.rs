@@ -62,12 +62,6 @@ proptest! {
     }
 
     #[test]
-    fn iso2_matrix_roundtrip(t in any_iso2()) {
-        let back = Iso2::from_matrix(&t.to_matrix());
-        prop_assert!(back.approx_eq(&t, 1e-9, 1e-9));
-    }
-
-    #[test]
     fn iso3_lift_consistent(t in any_iso2(), p in any_vec2(), z in -5.0..5.0f64) {
         let t3 = Iso3::from_iso2(&t, 0.0);
         let q = t3.apply(Vec3::from_xy(p, z));

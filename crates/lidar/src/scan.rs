@@ -1,7 +1,7 @@
 //! The output of one LiDAR sweep.
 
 use crate::config::LidarConfig;
-use bba_geometry::{Iso2, Iso3, Vec3};
+use bba_geometry::{Iso2, Vec3};
 use bba_scene::ObstacleId;
 use serde::{Deserialize, Serialize};
 
@@ -94,25 +94,6 @@ impl Scan {
         }
     }
 
-    /// Non-ground returns only.
-    pub fn object_points(&self) -> impl Iterator<Item = &ScanPoint> {
-        self.points.iter().filter(|p| p.target.is_some())
-    }
-
-    /// The points transformed into the world frame using the ground-truth
-    /// sensor pose (sensor height is part of the stored z already).
-    pub fn to_world_points(&self) -> Vec<Vec3> {
-        let t = Iso3::from_iso2(&self.sensor_pose, 0.0);
-        self.points.iter().map(|p| t.apply(p.position)).collect()
-    }
-
-    /// The points transformed by an arbitrary ground-plane transform —
-    /// e.g. a (possibly corrupted or recovered) relative pose during fusion.
-    pub fn transformed_points(&self, t: &Iso2) -> Vec<Vec3> {
-        let t3 = Iso3::from_iso2(t, 0.0);
-        self.points.iter().map(|p| t3.apply(p.position)).collect()
-    }
-
     /// Approximate serialized size of the raw cloud in bytes
     /// (3 × f32 per point, the usual wire format) — used by the bandwidth
     /// experiment.
@@ -161,27 +142,11 @@ mod tests {
         assert_eq!(s.timestamp(), 1.5);
         assert_eq!(s.hits_on(ObstacleId(3)), 2);
         assert_eq!(s.hits_on(ObstacleId(1)), 0);
-        assert_eq!(s.object_points().count(), 3);
-    }
-
-    #[test]
-    fn world_transform_offsets_by_pose() {
-        let s = sample_scan();
-        let world = s.to_world_points();
-        assert!((world[0] - Vec3::new(101.0, 50.0, 0.5)).norm() < 1e-12);
     }
 
     #[test]
     fn wire_size_counts_f32_triplets() {
         let s = sample_scan();
         assert_eq!(s.wire_size_bytes(), 4 * 12);
-    }
-
-    #[test]
-    fn transformed_points_rotate() {
-        let s = sample_scan();
-        let t = Iso2::new(std::f64::consts::FRAC_PI_2, Vec2::ZERO);
-        let pts = s.transformed_points(&t);
-        assert!((pts[0] - Vec3::new(0.0, 1.0, 0.5)).norm() < 1e-12);
     }
 }

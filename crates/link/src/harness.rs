@@ -21,7 +21,7 @@
 use crate::channel::{ChannelConfig, ChannelStats, SimChannel};
 use crate::session::{LinkEndpoint, PeerState, SessionConfig, SessionStats};
 use bb_align::tracking::PoseTracker;
-use bb_align::{wire, BbAlign, BbAlignConfig, PerceptionFrame, RecoveryPath, WarmRecovery};
+use bb_align::{wire, BbAlign, BbAlignConfig, PerceptionFrame};
 use bba_dataset::{AgentFrame, Dataset, DatasetConfig, FramePair};
 use bba_fusion::{FusionExperiment, FusionMethod};
 use bba_geometry::Iso2;
@@ -46,11 +46,6 @@ pub struct HarnessConfig {
     pub channel: ChannelConfig,
     /// Session (framing/retransmit/staleness) parameters.
     pub session: SessionConfig,
-    /// Route delivered frames through the temporal warm start
-    /// ([`BbAlign::recover_warm`]): a confident track prediction is
-    /// verified directly, skipping stage 1 on a hit. Off by default so
-    /// the loop reproduces the direct-call pipeline bit for bit.
-    pub warm_start: bool,
     /// Link pump sub-steps per tick: how often the endpoints look at the
     /// channel between frames (retransmissions need the opportunities).
     pub substeps: usize,
@@ -71,7 +66,6 @@ impl Default for HarnessConfig {
             fusion: FusionMethod::Late,
             channel: ChannelConfig::urban(),
             session: SessionConfig::default(),
-            warm_start: false,
             substeps: 5,
             recorder: Recorder::disabled(),
         }
@@ -83,9 +77,6 @@ impl Default for HarnessConfig {
 pub enum PoseSource {
     /// A fresh frame arrived and per-frame recovery succeeded.
     Recovered,
-    /// A fresh frame arrived and the tracker's prediction verified
-    /// directly — stage 1 never ran ([`HarnessConfig::warm_start`]).
-    WarmStart,
     /// Recovery was unavailable this tick; the tracker extrapolated.
     Extrapolated,
     /// No frame and no initialised track: the receiver has no estimate.
@@ -139,12 +130,9 @@ impl HarnessReport {
         self.rate(|o| o.delivered)
     }
 
-    /// Fraction of ticks whose pose came from a successful recovery
-    /// (cold pipeline or verified warm start).
+    /// Fraction of ticks whose pose came from a successful recovery.
     pub fn recovered_rate(&self) -> f64 {
-        self.rate(|o| {
-            o.pose_source == PoseSource::Recovered || o.pose_source == PoseSource::WarmStart
-        })
+        self.rate(|o| o.pose_source == PoseSource::Recovered)
     }
 
     fn rate(&self, f: impl Fn(&FrameOutcome) -> bool) -> f64 {
@@ -281,30 +269,16 @@ impl V2vHarness {
         let delivered = received.is_some();
         let link_latency = received.as_ref().map(|(_, latency)| *latency);
 
-        // Pose: recovery from a fresh frame (warm-started off the track
-        // when enabled), else the tracker's extrapolation (also the
-        // fallback when recovery itself fails on a delivered frame).
+        // Pose: recovery from a fresh frame, else the tracker's
+        // extrapolation (also the fallback when recovery itself fails on a
+        // delivered frame).
         let recovery = received.as_ref().and_then(|(frame, _)| {
-            let mut rng = recovery_rng(self.config.seed, index);
-            if self.config.warm_start {
-                let hint = tracker.warm_prediction(t);
-                aligner.recover_warm(ego_frame, frame, hint.as_ref(), &mut rng).ok()
-            } else {
-                aligner
-                    .recover(ego_frame, frame, &mut rng)
-                    .ok()
-                    .map(|recovery| WarmRecovery { recovery, path: RecoveryPath::Cold })
-            }
+            aligner.recover(ego_frame, frame, &mut recovery_rng(self.config.seed, index)).ok()
         });
         let (pose, pose_source) = match &recovery {
-            Some(w) => {
-                tracker.update(t, &w.recovery);
-                let source = if w.path == RecoveryPath::WarmStart {
-                    PoseSource::WarmStart
-                } else {
-                    PoseSource::Recovered
-                };
-                (Some(w.recovery.transform), source)
+            Some(recovery) => {
+                tracker.update(t, recovery);
+                (Some(recovery.transform), PoseSource::Recovered)
             }
             None => match tracker.predict(t) {
                 Some(p) => (Some(p), PoseSource::Extrapolated),
@@ -317,7 +291,6 @@ impl V2vHarness {
         obs.incr("harness.ticks");
         match pose_source {
             PoseSource::Recovered => obs.incr("harness.pose_recovered"),
-            PoseSource::WarmStart => obs.incr("harness.pose_warmstart"),
             PoseSource::Extrapolated => obs.incr("harness.pose_extrapolated"),
             PoseSource::Unavailable => obs.incr("harness.pose_unavailable"),
         }
@@ -410,21 +383,6 @@ mod tests {
         }
         assert_eq!(report.receiver.messages_delivered, 0);
         assert!(report.transmitter.messages_abandoned > 0, "retry budget must give up");
-    }
-
-    #[test]
-    fn warm_start_loop_stays_cooperative() {
-        let mut cfg = test_config(4, 41);
-        cfg.channel = ChannelConfig::ideal();
-        cfg.warm_start = true;
-        let report = V2vHarness::new(cfg).run();
-        assert_eq!(report.outcomes.len(), 4);
-        for o in &report.outcomes {
-            assert!(o.delivered && o.cooperative);
-            // A warm tick is still a recovery, never an extrapolation.
-            assert_ne!(o.pose_source, PoseSource::Extrapolated);
-        }
-        assert!(report.recovered_rate() > 0.5);
     }
 
     #[test]

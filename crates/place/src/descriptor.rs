@@ -42,6 +42,7 @@
 //! against an entire fleet (similarity is a sorted merge over the
 //! non-zeros, cheaper than a dense dot product).
 
+use bba_signal::loggabor::NUM_ORIENTATIONS;
 use bba_signal::MaxIndexMap;
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +108,7 @@ impl PlaceDescriptor {
     /// stage 1 (or any caller holding a MIM) reuses it directly instead
     /// of re-filtering the BV image.
     pub fn from_mim(mim: &MaxIndexMap, config: &PlaceConfig) -> PlaceDescriptor {
-        let n_o = mim.num_orientations.max(1);
+        let n_o = NUM_ORIENTATIONS;
         let diff_bins = n_o / 2 + 1;
         let rel_bins = config.relative_bins.max(1);
         let dist_bins = config.distance_bins.max(1);
@@ -254,7 +255,7 @@ fn select_keypoints(mim: &MaxIndexMap, config: &PlaceConfig) -> Vec<Keypoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bba_signal::{Grid, LogGaborConfig};
+    use bba_signal::Grid;
 
     fn scene(seed: u64, size: usize) -> Grid<f64> {
         // A deterministic scatter of bright structure.
@@ -275,7 +276,7 @@ mod tests {
 
     #[test]
     fn descriptor_shape_and_normalisation() {
-        let mim = MaxIndexMap::compute(&scene(3, 64), &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&scene(3, 64));
         let d = PlaceDescriptor::from_mim(&mim, &PlaceConfig::default());
         // 96 distance bins × (12/2 + 1) orientation diffs × 6² relative pairs.
         assert_eq!(d.len(), 96 * 7 * 36);
@@ -289,7 +290,7 @@ mod tests {
 
     #[test]
     fn entries_are_sorted_and_positive() {
-        let mim = MaxIndexMap::compute(&scene(9, 64), &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&scene(9, 64));
         let d = PlaceDescriptor::from_mim(&mim, &PlaceConfig::default());
         let entries: Vec<(u32, f64)> = d.entries().collect();
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "indices must strictly increase");
@@ -298,7 +299,7 @@ mod tests {
 
     #[test]
     fn empty_frame_yields_empty_descriptor() {
-        let mim = MaxIndexMap::compute(&Grid::new(32, 32, 0.0), &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&Grid::new(32, 32, 0.0));
         let d = PlaceDescriptor::from_mim(&mim, &PlaceConfig::default());
         assert!(d.is_empty());
         assert_eq!(d.nnz(), 0);
@@ -308,7 +309,7 @@ mod tests {
 
     #[test]
     fn mismatched_dimensions_are_maximally_distant() {
-        let mim = MaxIndexMap::compute(&scene(7, 32), &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&scene(7, 32));
         let a = PlaceDescriptor::from_mim(&mim, &PlaceConfig::default());
         let b = PlaceDescriptor::from_mim(
             &mim,
@@ -320,7 +321,7 @@ mod tests {
 
     #[test]
     fn keypoint_cap_and_nms_are_respected() {
-        let mim = MaxIndexMap::compute(&scene(11, 64), &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&scene(11, 64));
         let cfg = PlaceConfig { keypoints: 8, ..PlaceConfig::default() };
         let kps = select_keypoints(&mim, &cfg);
         assert!(kps.len() <= 8);

@@ -107,7 +107,7 @@ impl PlaceIndex {
 mod tests {
     use super::*;
     use crate::descriptor::PlaceConfig;
-    use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+    use bba_signal::{Grid, MaxIndexMap};
 
     fn descriptor(seed: u64) -> PlaceDescriptor {
         let mut img = Grid::new(32, 32, 0.0);
@@ -120,7 +120,7 @@ mod tests {
             let v = (state as usize >> 23) % 32;
             img[(u, v)] = 4.0;
         }
-        let mim = MaxIndexMap::compute(&img, &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&img);
         PlaceDescriptor::from_mim(&mim, &PlaceConfig::default())
     }
 

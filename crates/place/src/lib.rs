@@ -20,13 +20,13 @@
 //!
 //! ```
 //! use bba_place::{PlaceConfig, PlaceDescriptor, PlaceIndex};
-//! use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+//! use bba_signal::{Grid, MaxIndexMap};
 //!
 //! let mut img = Grid::new(64, 64, 0.0);
 //! for v in 10..50 {
 //!     img[(32, v)] = 5.0;
 //! }
-//! let mim = MaxIndexMap::compute(&img, &LogGaborConfig::default());
+//! let mim = MaxIndexMap::compute(&img);
 //! let desc = PlaceDescriptor::from_mim(&mim, &PlaceConfig::default());
 //!
 //! let mut index = PlaceIndex::new();

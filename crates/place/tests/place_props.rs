@@ -2,7 +2,7 @@
 //! tolerance, scene separation, and thread-width determinism.
 
 use bba_place::{PlaceConfig, PlaceDescriptor, PlaceIndex};
-use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+use bba_signal::{Grid, MaxIndexMap};
 use proptest::prelude::*;
 
 const SIZE: usize = 64;
@@ -42,7 +42,7 @@ fn rot90(img: &Grid<f64>) -> Grid<f64> {
 }
 
 fn descriptor_of(img: &Grid<f64>) -> PlaceDescriptor {
-    let mim = MaxIndexMap::compute(img, &LogGaborConfig::default());
+    let mim = MaxIndexMap::compute(img);
     PlaceDescriptor::from_mim(&mim, &PlaceConfig::default())
 }
 

@@ -37,9 +37,11 @@ impl DynamicVehicle {
 /// use bba_scene::{Scenario, ScenarioConfig, ScenarioPreset};
 /// let scenario = Scenario::generate(&ScenarioConfig::preset(ScenarioPreset::Urban), 1);
 /// let world = scenario.world();
-/// // A snapshot resolves moving vehicles to their boxes at that instant.
-/// let snap = world.snapshot_at(3.0);
-/// assert_eq!(snap.len(), world.static_obstacles().len() + world.dynamic_vehicles().len());
+/// // A snapshot resolves moving vehicles to their boxes at that instant,
+/// // leaving out the excluded one (an agent car never sees itself).
+/// let agent = world.dynamic_vehicles()[0].id;
+/// let snap = world.snapshot_at_excluding(3.0, agent);
+/// assert_eq!(snap.len(), world.static_obstacles().len() + world.dynamic_vehicles().len() - 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct World {
@@ -71,13 +73,6 @@ impl World {
     /// Adds a dynamic vehicle.
     pub fn push_dynamic(&mut self, v: DynamicVehicle) {
         self.dynamics.push(v);
-    }
-
-    /// All obstacles at time `t` (dynamic vehicles resolved to boxes).
-    pub fn snapshot_at(&self, t: f64) -> Vec<Obstacle> {
-        let mut out = self.statics.clone();
-        out.extend(self.dynamics.iter().map(|d| d.obstacle_at(t)));
-        out
     }
 
     /// All obstacles at time `t` except the one with `exclude` id — used to
@@ -149,7 +144,7 @@ mod tests {
         let mut w = World::default();
         w.push_static(building(0));
         w.push_dynamic(traffic(1, 10.0));
-        let snap = w.snapshot_at(2.0);
+        let snap = w.snapshot_at_excluding(2.0, ObstacleId(2));
         assert_eq!(snap.len(), 2);
         let car = snap.iter().find(|o| o.id == ObstacleId(1)).unwrap();
         match car.shape {

@@ -588,7 +588,7 @@ mod tests {
     }
 
     fn descriptor(seed: u64) -> PlaceDescriptor {
-        use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+        use bba_signal::{Grid, MaxIndexMap};
         let mut img = Grid::new(32, 32, 0.0);
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
         for _ in 0..30 {
@@ -601,7 +601,7 @@ mod tests {
                 img[(u + d, v)] = 5.0;
             }
         }
-        let mim = MaxIndexMap::compute(&img, &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&img);
         PlaceDescriptor::from_mim(&mim, &bba_place::PlaceConfig::default())
     }
 

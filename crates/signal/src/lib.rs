@@ -6,7 +6,9 @@
 //! features", paper §II). Following the paper's Eq. (5)–(10) (and its
 //! references RIFT \[25\] / BVMatch \[27\] / Fischer et al. \[6\]), a bank of 2-D
 //! Log-Gabor filters with `N_s` scales and `N_o` orientations is applied to
-//! the BV image; amplitudes are summed over scales per orientation, and the
+//! the BV image (the paper's fixed 4 scales × 12 orientations,
+//! [`loggabor::NUM_SCALES`] × [`loggabor::NUM_ORIENTATIONS`]); amplitudes
+//! are summed over scales per orientation, and the
 //! **MIM** records, per pixel, the orientation index with maximal amplitude.
 //!
 //! Everything here is built from scratch on a planned iterative radix-2 FFT
@@ -24,14 +26,14 @@
 //! # Example
 //!
 //! ```
-//! use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+//! use bba_signal::{Grid, MaxIndexMap};
 //!
 //! // A sparse synthetic "BV image" with a vertical edge.
 //! let mut img = Grid::new(64, 64, 0.0f64);
 //! for v in 10..54 {
 //!     img[(32, v)] = 5.0;
 //! }
-//! let mim = MaxIndexMap::compute(&img, &LogGaborConfig::default());
+//! let mim = MaxIndexMap::compute(&img);
 //! assert_eq!(mim.index.width(), 64);
 //! ```
 
@@ -49,7 +51,7 @@ pub mod workspace;
 pub use complex::Complex;
 pub use fft::{fft2d, fft2d_inverse, fft_inplace, ifft_inplace, rfft2d, FftError};
 pub use grid::Grid;
-pub use loggabor::{LogGaborBank, LogGaborConfig};
+pub use loggabor::LogGaborBank;
 pub use mim::MaxIndexMap;
 pub use pgm::{encode_pgm, write_pgm};
 pub use plan::{shared_plan, FftPlan};

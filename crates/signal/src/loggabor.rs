@@ -9,12 +9,14 @@
 //! L(ρ, θ; s, o) = exp(−(log(ρ/ρ_s))² / (2·σ_ρ²)) · exp(−(θ − θ_o)² / (2·σ_θ²))
 //! ```
 //!
-//! Scales follow the geometric progression of Kovesi's reference
-//! implementation (paper footnote 2 / reference \[32\]): the centre wavelength
-//! of scale `s` is `min_wavelength · mult^(s−1)` pixels, i.e. centre
-//! frequency `ρ_s = 1 / wavelength_s` cycles/pixel. The radial bandwidth is
-//! expressed through `sigma_on_f` (σ/f ratio, ~0.55 ≈ two octaves) and the
-//! angular bandwidth through `d_theta_on_sigma`.
+//! The bank is the paper's fixed design: [`NUM_SCALES`] = 4 scales ×
+//! [`NUM_ORIENTATIONS`] = 12 orientations. Scales follow the geometric
+//! progression of Kovesi's reference implementation (paper footnote 2 /
+//! reference \[32\]): the centre wavelength of scale `s` is `3 · 2.1^(s−1)`
+//! pixels, i.e. centre frequency `ρ_s = 1 / wavelength_s` cycles/pixel. The
+//! radial bandwidth is a σ/f ratio of 0.55 (about two octaves) and the
+//! angular σ is the orientation spacing over 1.2. All six values are
+//! constants, checked at compile time.
 //!
 //! Applying the bank (Eq. (8)) is a frequency-domain product followed by an
 //! inverse FFT; the complex magnitude of the result is the amplitude
@@ -34,67 +36,54 @@
 use crate::complex::{as_floats, as_floats_mut, Complex};
 use crate::fft::{bitrev_permute, ifft2d_bitrev_unscaled_into, rfft2d_into, FftError};
 use crate::grid::Grid;
-use crate::plan::bitrev_order;
+use crate::plan::{bitrev_order, FftPlan};
 use crate::workspace::FftWorkspace;
 use bba_simd::bitrev_mirror;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
-/// Configuration of the Log-Gabor filter bank.
-///
-/// Defaults mirror the paper's evaluation setup (`N_s = 4`, `N_o = 12`) with
-/// Kovesi-style bandwidth constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogGaborConfig {
-    /// Number of scales `N_s`.
-    pub num_scales: usize,
-    /// Number of orientations `N_o`.
-    pub num_orientations: usize,
-    /// Wavelength (pixels) of the smallest-scale filter.
-    pub min_wavelength: f64,
-    /// Scale multiplier between successive filters.
-    pub mult: f64,
-    /// Ratio σ_ρ/ρ_0 of the radial log-Gaussian (≈0.55 → ~2 octaves).
-    pub sigma_on_f: f64,
-    /// Ratio of angular interval to angular σ (≈1.2).
-    pub d_theta_on_sigma: f64,
+/// Number of scales `N_s` (the paper's model setup). The bank packs them
+/// as two scale pairs per orientation, `(0, 1)` and `(2, 3)`.
+pub const NUM_SCALES: usize = 4;
+
+/// Number of orientations `N_o` (the paper's model setup): orientation `o`
+/// is centred on `θ_o = o·π/N_o`, so the MIM index of a pixel is a `u8`
+/// in `0..N_o` and one index step is 15°.
+pub const NUM_ORIENTATIONS: usize = 12;
+
+/// Wavelength (pixels) of the smallest-scale filter.
+const MIN_WAVELENGTH: f64 = 3.0;
+
+/// Wavelength multiplier between successive scales.
+const MULT: f64 = 2.1;
+
+/// Ratio σ_ρ/ρ_0 of the radial log-Gaussian (0.55 ≈ two octaves).
+const SIGMA_ON_F: f64 = 0.55;
+
+/// Ratio of the orientation spacing `π/N_o` to the angular σ.
+const D_THETA_ON_SIGMA: f64 = 1.2;
+
+const _: () = assert!(NUM_SCALES == 4, "the bank packs exactly two scale pairs");
+const _: () = assert!(
+    NUM_ORIENTATIONS >= 2 && NUM_ORIENTATIONS <= 1 << u8::BITS,
+    "need at least two orientations, each index a u8"
+);
+const _: () = assert!(MIN_WAVELENGTH >= 2.0, "min wavelength below Nyquist (2 px)");
+const _: () = assert!(MULT > 1.0, "scale multiplier must exceed 1");
+const _: () = assert!(SIGMA_ON_F > 0.0 && SIGMA_ON_F < 1.0, "sigma_on_f must be in (0, 1)");
+const _: () = assert!(D_THETA_ON_SIGMA > 0.0, "d_theta_on_sigma must be positive");
+
+/// Orientation angle `θ_o = (o−1)·π/N_o` of orientation index `o`
+/// (0-based here), per the paper's definition of the array `O`.
+fn orientation_angle(o: usize) -> f64 {
+    o as f64 * PI / NUM_ORIENTATIONS as f64
 }
 
-impl Default for LogGaborConfig {
-    fn default() -> Self {
-        LogGaborConfig {
-            num_scales: 4,
-            num_orientations: 12,
-            min_wavelength: 3.0,
-            mult: 2.1,
-            sigma_on_f: 0.55,
-            d_theta_on_sigma: 1.2,
-        }
-    }
-}
-
-impl LogGaborConfig {
-    /// Orientation angle `θ_o = (o−1)·π/N_o` of orientation index `o`
-    /// (0-based here), per the paper's definition of the array `O`.
-    pub fn orientation_angle(&self, o: usize) -> f64 {
-        o as f64 * PI / self.num_orientations as f64
-    }
-
-    /// Centre frequency (cycles/pixel) of scale index `s` (0-based).
-    pub fn center_frequency(&self, s: usize) -> f64 {
-        1.0 / (self.min_wavelength * self.mult.powi(s as i32))
-    }
-
-    /// Validates the configuration, panicking with a descriptive message on
-    /// nonsensical values. Called by [`LogGaborBank::new`].
-    fn validate(&self) {
-        assert!(self.num_scales >= 1, "need at least one scale");
-        assert!(self.num_orientations >= 2, "need at least two orientations");
-        assert!(self.min_wavelength >= 2.0, "min wavelength below Nyquist (2 px)");
-        assert!(self.mult > 1.0, "scale multiplier must exceed 1");
-        assert!(self.sigma_on_f > 0.0 && self.sigma_on_f < 1.0, "sigma_on_f must be in (0, 1)");
-        assert!(self.d_theta_on_sigma > 0.0, "d_theta_on_sigma must be positive");
-    }
+/// Centre frequency (cycles/pixel) of scale index `s` (0-based). For the
+/// scales here a compile-time fold of `MULT.powi(s)` through the host's
+/// `pow` gives the bits of the runtime square-and-multiply, which the
+/// per-filter oracle test checks.
+fn center_frequency(s: usize) -> f64 {
+    1.0 / (MIN_WAVELENGTH * MULT.powi(s as i32))
 }
 
 /// A pre-computed Log-Gabor filter bank for one image size.
@@ -102,18 +91,17 @@ impl LogGaborConfig {
 /// Construction takes `O((1 + N_s + N_o) · H · W)` transcendental calls
 /// and `O(N_s · N_o · H · W)` multiplications; the bank can be reused
 /// across every image of the same size. It stores only the packed
-/// complex form of the transfer functions (`N_o · ⌈N_s/2⌉` grids of
-/// `H/2 + 1` rows, 12.09 MiB at 256² with the default 4 scales × 12
-/// orientations), in 2-D bit-reversed order; [`LogGaborBank::filter`]
-/// unpacks a single real-valued transfer function in natural order on
-/// demand.
+/// complex form of the transfer functions (two grids of `H/2 + 1` rows
+/// per orientation, 12.09 MiB at 256²), in 2-D bit-reversed order;
+/// [`LogGaborBank::filter`] unpacks a single real-valued transfer
+/// function in natural order on demand.
 ///
 /// # Example
 ///
 /// ```
-/// use bba_signal::{Grid, LogGaborBank, LogGaborConfig};
+/// use bba_signal::{Grid, LogGaborBank};
 /// use bba_signal::FftWorkspace;
-/// let bank = LogGaborBank::new(64, 64, LogGaborConfig::default());
+/// let bank = LogGaborBank::new(64, 64);
 /// let img = Grid::new(64, 64, 0.0);
 /// let mut ws = FftWorkspace::new();
 /// bank.orientation_amplitudes_into(&img, &mut ws)?;
@@ -122,19 +110,18 @@ impl LogGaborConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogGaborBank {
-    config: LogGaborConfig,
     width: usize,
     height: usize,
     /// `packed[o][p]` — scales `2p` and `2p+1` of orientation `o` packed as
-    /// `L_{2p} + i·L_{2p+1}` (imaginary part zero for a trailing odd scale).
-    /// Because both transfer functions are real and even-symmetric, one
-    /// inverse FFT of `F·packed` yields both spatial responses at once:
+    /// `L_{2p} + i·L_{2p+1}`. Because both transfer functions are real and
+    /// even-symmetric, one inverse FFT of `F·packed` yields both spatial
+    /// responses at once:
     /// scale `2p` in the real part, `2p+1` in the imaginary part. In 2-D
     /// bit-reversed order cell `(u, v)` holds frequency bin
     /// `(rev_W(u), rev_H(v))` and equals cell `(m(u), m(v))` bit for bit,
     /// `m` being [`bitrev_mirror`]; each grid keeps only the rows `v` with
     /// `m(v) ≥ v`, in ascending order (see [`packed_row`]).
-    packed: Vec<Vec<Grid<Complex>>>,
+    packed: Vec<[Grid<Complex>; 2]>,
 }
 
 /// Frequency of FFT bin `k` of an `n`-point axis: `k/n` for `k ≤ n/2`,
@@ -171,6 +158,22 @@ fn filter_product(dst: &mut [Complex], spectrum: &[Complex], pair: &Grid<Complex
     }
 }
 
+/// The unscaled spatial responses of one packed scale pair: `filtered`
+/// becomes the inverse transform of `spectrum · pair`, scale `2p` in the
+/// real parts and scale `2p + 1` in the imaginary parts.
+fn pair_response(
+    filtered: &mut [Complex],
+    spectrum: &[Complex],
+    pair: &Grid<Complex>,
+    plan_w: &FftPlan,
+    plan_h: &FftPlan,
+) {
+    // Frequency-domain product F·(L_a + i·L_b) = F_a + i·F_b, vectorised
+    // with scalar-identical rounding.
+    filter_product(filtered, spectrum, pair);
+    ifft2d_bitrev_unscaled_into(filtered, plan_w, plan_h);
+}
+
 impl LogGaborBank {
     /// Builds the bank for `width × height` images, serially: per bin the
     /// radius and the angle's sine and cosine, per (bin, scale) the radial
@@ -180,16 +183,14 @@ impl LogGaborBank {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`LogGaborConfig`]) or if
-    /// either dimension is not a power of two.
-    pub fn new(width: usize, height: usize, config: LogGaborConfig) -> Self {
-        config.validate();
+    /// Panics if either dimension is not a power of two.
+    pub fn new(width: usize, height: usize) -> Self {
         assert!(
             width.is_power_of_two() && height.is_power_of_two(),
             "image sides must be powers of two, got {width}x{height}"
         );
-        let theta_sigma = PI / config.num_orientations as f64 / config.d_theta_on_sigma;
-        let log_sigma = config.sigma_on_f.ln().abs();
+        let theta_sigma = PI / NUM_ORIENTATIONS as f64 / D_THETA_ON_SIGMA;
+        let log_sigma = SIGMA_ON_F.ln().abs();
 
         // Per bin, in natural order: the radius, then sin θ and cos θ of
         // the frequency vector's angle.
@@ -207,9 +208,9 @@ impl LogGaborBank {
             }
         }
         // Per scale and bin: the radial log-Gaussian, zero at DC.
-        let radial: Vec<Vec<f64>> = (0..config.num_scales)
+        let radial: Vec<Vec<f64>> = (0..NUM_SCALES)
             .map(|s| {
-                let f0 = config.center_frequency(s);
+                let f0 = center_frequency(s);
                 radius
                     .iter()
                     .map(|&r| {
@@ -237,12 +238,12 @@ impl LogGaborBank {
         }
 
         let mut angular = vec![0.0; bins];
-        let packed = (0..config.num_orientations)
+        let packed = (0..NUM_ORIENTATIONS)
             .map(|o| {
                 // Angular Gaussian on the folded orientation difference
                 // (filters are π-periodic for real images; cover both
                 // half-planes).
-                let (sin0, cos0) = config.orientation_angle(o).sin_cos();
+                let (sin0, cos0) = orientation_angle(o).sin_cos();
                 for ((a, &st), &ct) in angular.iter_mut().zip(&sin_t).zip(&cos_t) {
                     let ds = st * cos0 - ct * sin0;
                     let dc = ct * cos0 + st * sin0;
@@ -263,31 +264,16 @@ impl LogGaborBank {
                     let r = &radial[s];
                     0.5 * (r[bin] * angular[bin] + r[mirror] * angular[mirror])
                 };
-                (0..config.num_scales)
-                    .step_by(2)
-                    .map(|s| {
-                        let data: Vec<Complex> = cells
-                            .iter()
-                            .map(|&cell| {
-                                let im = if s + 1 < config.num_scales {
-                                    transfer(s + 1, cell)
-                                } else {
-                                    0.0
-                                };
-                                Complex::new(transfer(s, cell), im)
-                            })
-                            .collect();
-                        Grid::from_vec(width, cells.len() / width, data)
-                    })
-                    .collect()
+                [0, 2].map(|s| {
+                    let data: Vec<Complex> = cells
+                        .iter()
+                        .map(|&cell| Complex::new(transfer(s, cell), transfer(s + 1, cell)))
+                        .collect();
+                    Grid::from_vec(width, cells.len() / width, data)
+                })
             })
             .collect();
-        LogGaborBank { config, width, height, packed }
-    }
-
-    /// The configuration used to build the bank.
-    pub fn config(&self) -> &LogGaborConfig {
-        &self.config
+        LogGaborBank { width, height, packed }
     }
 
     /// Image width the bank was built for.
@@ -308,7 +294,7 @@ impl LogGaborBank {
     ///
     /// Panics if `s` or `o` is out of range.
     pub fn filter(&self, s: usize, o: usize) -> Grid<f64> {
-        assert!(s < self.config.num_scales, "scale {s} out of range");
+        assert!(s < NUM_SCALES, "scale {s} out of range");
         let pair = &self.packed[o][s / 2];
         let (rev_w, rev_h) = (bitrev_order(self.width), bitrev_order(self.height));
         Grid::from_fn(self.width, self.height, |u, v| {
@@ -336,7 +322,7 @@ impl LogGaborBank {
     ///
     /// This is the frequency-domain fast path: one real forward transform
     /// ([`rfft2d`](crate::rfft2d) packing), permuted once in place into the
-    /// bank's 2-D bit-reversed order, then per orientation `⌈N_s/2⌉` packed
+    /// bank's 2-D bit-reversed order, then per orientation two packed
     /// inverse transforms — scales `2p` and `2p+1` share one inverse FFT
     /// because their filter responses are real (even-symmetric transfer
     /// functions), landing in the real and imaginary parts respectively.
@@ -361,28 +347,22 @@ impl LogGaborBank {
             (self.width, self.height),
             "image shape does not match filter bank"
         );
-        ws.ensure(self.width, self.height, self.config.num_orientations)?;
+        ws.ensure(self.width, self.height, NUM_ORIENTATIONS)?;
         let FftWorkspace { plans, spectrum, pack, lanes, .. } = ws;
         let (plan_w, plan_h) = plans.as_ref().expect("ensure always sets plans");
         rfft2d_into(img, plan_w, plan_h, spectrum, pack);
         bitrev_permute(spectrum.as_mut_slice(), plan_w, plan_h);
-        let num_scales = self.config.num_scales;
         let scale = 1.0 / (self.width * self.height) as f64;
         for (lane, pairs) in lanes.iter_mut().zip(&self.packed) {
             for (p, pair) in pairs.iter().enumerate() {
-                // Frequency-domain product F·(L_a + i·L_b) = F_a + i·F_b,
-                // vectorised with scalar-identical rounding.
-                filter_product(&mut lane.filtered, spectrum.as_slice(), pair);
-                ifft2d_bitrev_unscaled_into(&mut lane.filtered, plan_w, plan_h);
+                pair_response(&mut lane.filtered, spectrum.as_slice(), pair, plan_w, plan_h);
                 // Split the packed pair and accumulate, fusing the 1/(W·H)
                 // normalisation. The responses are mathematically real, so
-                // amplitude ‖·‖ reduces to |re| (and |im| for the partner).
-                let both = 2 * p + 1 < num_scales;
+                // the pair's amplitudes ‖·‖ reduce to |re| and |im|.
                 bba_simd::amp_accumulate(
                     lane.acc.as_mut_slice(),
                     as_floats(&lane.filtered),
                     scale,
-                    both,
                     p == 0,
                 );
             }
@@ -394,9 +374,9 @@ impl LogGaborBank {
     /// materialising the per-orientation amplitude grids.
     ///
     /// The output grids carry the running argmax. Per orientation, in
-    /// ascending order, the non-final packed scale pairs accumulate into
-    /// one workspace lane's running sum exactly as on the full path; the
-    /// final pair folds the completed amplitude straight into
+    /// ascending order, pair 0 (scales 0 and 1) accumulates into one
+    /// workspace lane's running sum exactly as on the full path, and pair 1
+    /// (scales 2 and 3) completes the amplitude and folds it straight into
     /// `(amplitude, index)` with strict `>` (first orientation wins ties).
     /// That is one serial argmax pass over all orientations, so results are
     /// bit-identical to
@@ -433,42 +413,31 @@ impl LogGaborBank {
         let (plan_w, plan_h) = plans.as_ref().expect("ensure always sets plans");
         rfft2d_into(img, plan_w, plan_h, spectrum, pack);
         bitrev_permute(spectrum.as_mut_slice(), plan_w, plan_h);
-        let num_scales = self.config.num_scales;
-        let n_pairs = num_scales.div_ceil(2);
         let scale = 1.0 / (self.width * self.height) as f64;
         let lane = &mut lanes[0];
         let max_amp = amplitude.as_mut_slice();
         let max_idx = index.as_mut_slice();
         max_amp.fill(f64::NEG_INFINITY);
         max_idx.fill(0);
-        for (o, pairs) in self.packed.iter().enumerate() {
-            for (p, pair) in pairs.iter().enumerate() {
-                filter_product(&mut lane.filtered, spectrum.as_slice(), pair);
-                ifft2d_bitrev_unscaled_into(&mut lane.filtered, plan_w, plan_h);
-                let both = 2 * p + 1 < num_scales;
-                if p + 1 < n_pairs {
-                    bba_simd::amp_accumulate(
-                        lane.acc.as_mut_slice(),
-                        as_floats(&lane.filtered),
-                        scale,
-                        both,
-                        p == 0,
-                    );
-                } else {
-                    // Final pair: complete the amplitude in-register and
-                    // fold it into the running argmax.
-                    let partial = (p > 0).then_some(lane.acc.as_slice());
-                    bba_simd::amp_max_fold(
-                        max_amp,
-                        max_idx,
-                        as_floats(&lane.filtered),
-                        scale,
-                        both,
-                        partial,
-                        o as u8,
-                    );
-                }
-            }
+        for (o, [pair0, pair1]) in self.packed.iter().enumerate() {
+            pair_response(&mut lane.filtered, spectrum.as_slice(), pair0, plan_w, plan_h);
+            bba_simd::amp_accumulate(
+                lane.acc.as_mut_slice(),
+                as_floats(&lane.filtered),
+                scale,
+                true,
+            );
+            // Pair 1 completes the amplitude in-register and folds it into
+            // the running argmax.
+            pair_response(&mut lane.filtered, spectrum.as_slice(), pair1, plan_w, plan_h);
+            bba_simd::amp_max_fold(
+                max_amp,
+                max_idx,
+                as_floats(&lane.filtered),
+                scale,
+                lane.acc.as_slice(),
+                o as u8,
+            );
         }
         Ok(())
     }
@@ -481,18 +450,19 @@ mod tests {
     /// The per-filter build the factored one replaced, kept as its oracle:
     /// the real-valued, even-symmetrised transfer function of `(o, s)` in
     /// natural bin order, every factor evaluated afresh for every bin.
-    fn transfer(
-        config: &LogGaborConfig,
-        width: usize,
-        height: usize,
-        o: usize,
-        s: usize,
-    ) -> Grid<f64> {
-        let theta_sigma = PI / config.num_orientations as f64 / config.d_theta_on_sigma;
-        let log_sigma = config.sigma_on_f.ln().abs();
-        let theta0 = config.orientation_angle(o);
+    /// The design constants pass through `black_box`, so every expression
+    /// of them runs at run time here, whatever the compiler folds in the
+    /// bank's build.
+    fn transfer(width: usize, height: usize, o: usize, s: usize) -> Grid<f64> {
+        let (n_o, [min_wavelength, mult, sigma_on_f, d_theta_on_sigma]) = std::hint::black_box((
+            NUM_ORIENTATIONS,
+            [MIN_WAVELENGTH, MULT, SIGMA_ON_F, D_THETA_ON_SIGMA],
+        ));
+        let theta_sigma = PI / n_o as f64 / d_theta_on_sigma;
+        let log_sigma = sigma_on_f.ln().abs();
+        let theta0 = o as f64 * PI / n_o as f64;
         let (sin0, cos0) = theta0.sin_cos();
-        let f0 = config.center_frequency(s);
+        let f0 = 1.0 / (min_wavelength * mult.powi(s as i32));
         let mut filt = Grid::new(width, height, 0.0);
         for v in 0..height {
             let fy = freq_axis(height, v);
@@ -523,31 +493,15 @@ mod tests {
     fn factored_half_bank_matches_the_per_filter_oracle_bit_for_bit() {
         // `filter` reads every stored cell once straight and once through
         // the mirror map, so this pins every packed value and the mirror
-        // identity of every full grid, down to 1- and 2-row grids. Three
-        // scales leave a trailing odd scale, packed with a zero imaginary
-        // half.
-        let odd = LogGaborConfig { num_scales: 3, ..Default::default() };
-        let default = LogGaborConfig::default();
-        for (cfg, w, h) in [
-            (&default, 256, 256),
-            (&default, 64, 32),
-            (&default, 32, 16),
-            (&default, 16, 16),
-            (&default, 8, 2),
-            (&default, 4, 1),
-            (&odd, 32, 16),
-        ] {
-            let bank = LogGaborBank::new(w, h, cfg.clone());
+        // identity of every full grid, down to 1- and 2-row grids.
+        for (w, h) in [(256, 256), (64, 32), (32, 16), (16, 16), (8, 2), (4, 1)] {
+            let bank = LogGaborBank::new(w, h);
             for pairs in &bank.packed {
                 assert!(pairs.iter().all(|g| (g.width(), g.height()) == (w, h / 2 + 1)));
-                if cfg.num_scales % 2 == 1 {
-                    let last = pairs.last().unwrap().as_slice();
-                    assert!(last.iter().all(|z| z.im.to_bits() == 0), "{w}x{h}: odd scale");
-                }
             }
-            for o in 0..cfg.num_orientations {
-                for s in 0..cfg.num_scales {
-                    let (want, got) = (transfer(cfg, w, h, o, s), bank.filter(s, o));
+            for o in 0..NUM_ORIENTATIONS {
+                for s in 0..NUM_SCALES {
+                    let (want, got) = (transfer(w, h, o, s), bank.filter(s, o));
                     for (i, (a, b)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
                         assert_eq!(a.to_bits(), b.to_bits(), "{w}x{h} s={s} o={o} bin {i}");
                     }
@@ -565,32 +519,29 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper() {
-        let c = LogGaborConfig::default();
-        assert_eq!(c.num_scales, 4);
-        assert_eq!(c.num_orientations, 12);
+        assert_eq!(NUM_SCALES, 4);
+        assert_eq!(NUM_ORIENTATIONS, 12);
     }
 
     #[test]
     fn orientation_angles_span_half_circle() {
-        let c = LogGaborConfig::default();
-        assert_eq!(c.orientation_angle(0), 0.0);
-        let last = c.orientation_angle(c.num_orientations - 1);
+        assert_eq!(orientation_angle(0), 0.0);
+        let last = orientation_angle(NUM_ORIENTATIONS - 1);
         assert!(last < PI);
-        assert!((c.orientation_angle(6) - PI / 2.0).abs() < 1e-12);
+        assert!((orientation_angle(6) - PI / 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn center_frequencies_decrease_geometrically() {
-        let c = LogGaborConfig::default();
-        let f0 = c.center_frequency(0);
-        let f1 = c.center_frequency(1);
-        assert!((f0 / f1 - c.mult).abs() < 1e-12);
+        let f0 = center_frequency(0);
+        let f1 = center_frequency(1);
+        assert!((f0 / f1 - MULT).abs() < 1e-12);
         assert!(f0 <= 0.5, "centre frequency above Nyquist");
     }
 
     #[test]
     fn filters_have_zero_dc() {
-        let bank = LogGaborBank::new(32, 32, LogGaborConfig::default());
+        let bank = LogGaborBank::new(32, 32);
         for o in 0..12 {
             for s in 0..4 {
                 assert_eq!(bank.filter(s, o)[(0, 0)], 0.0);
@@ -600,7 +551,7 @@ mod tests {
 
     #[test]
     fn filters_are_bounded_unit() {
-        let bank = LogGaborBank::new(32, 32, LogGaborConfig::default());
+        let bank = LogGaborBank::new(32, 32);
         for o in 0..12 {
             for s in 0..4 {
                 for &x in bank.filter(s, o).as_slice() {
@@ -616,7 +567,7 @@ mod tests {
         // inverse pairs rest on, and one that a bin order mixed up on
         // either axis would break.
         let (w, h) = (32, 16);
-        let bank = LogGaborBank::new(w, h, LogGaborConfig::default());
+        let bank = LogGaborBank::new(w, h);
         for o in 0..12 {
             for s in 0..4 {
                 let f = bank.filter(s, o);
@@ -636,7 +587,7 @@ mod tests {
 
     #[test]
     fn zero_image_gives_zero_amplitude() {
-        let bank = LogGaborBank::new(16, 16, LogGaborConfig::default());
+        let bank = LogGaborBank::new(16, 16);
         let img = Grid::new(16, 16, 0.0);
         let amps = amplitudes(&bank, &img);
         assert_eq!(amps.len(), 12);
@@ -652,15 +603,14 @@ mod tests {
         for v in 0..64 {
             img[(32, v)] = 10.0;
         }
-        let cfg = LogGaborConfig::default();
-        let bank = LogGaborBank::new(64, 64, cfg.clone());
+        let bank = LogGaborBank::new(64, 64);
         let amps = amplitudes(&bank, &img);
         // Response at the line centre, per orientation.
         let responses: Vec<f64> = amps.iter().map(|a| a[(32, 32)]).collect();
         let best = responses.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).unwrap().0;
         // A line along v varies along u (the x direction): its frequency
         // content lies on the horizontal frequency axis, i.e. θ≈0.
-        let angle = cfg.orientation_angle(best);
+        let angle = orientation_angle(best);
         let folded = angle.min(PI - angle);
         assert!(
             folded < PI / 6.0,
@@ -676,7 +626,7 @@ mod tests {
             img[(16, v)] = 2.0;
         }
         let img2 = img.map(|&x| x * 3.0);
-        let bank = LogGaborBank::new(32, 32, LogGaborConfig::default());
+        let bank = LogGaborBank::new(32, 32);
         let a1 = amplitudes(&bank, &img);
         let a2 = amplitudes(&bank, &img2);
         for (g1, g2) in a1.iter().zip(&a2) {
@@ -689,7 +639,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match filter bank")]
     fn shape_mismatch_panics() {
-        let bank = LogGaborBank::new(16, 16, LogGaborConfig::default());
+        let bank = LogGaborBank::new(16, 16);
         let img = Grid::new(32, 32, 0.0);
         let _ = bank.orientation_amplitudes_into(&img, &mut FftWorkspace::new());
     }
@@ -697,13 +647,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "image sides must be powers of two")]
     fn non_power_of_two_side_panics() {
-        let _ = LogGaborBank::new(24, 16, LogGaborConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two orientations")]
-    fn invalid_config_panics() {
-        let cfg = LogGaborConfig { num_orientations: 1, ..Default::default() };
-        let _ = LogGaborBank::new(16, 16, cfg);
+        let _ = LogGaborBank::new(24, 16);
     }
 }

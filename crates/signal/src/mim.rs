@@ -7,13 +7,14 @@
 //! matchable texture.
 
 use crate::grid::Grid;
-use crate::loggabor::{LogGaborBank, LogGaborConfig};
+use crate::loggabor::{LogGaborBank, NUM_ORIENTATIONS};
 use crate::workspace::FftWorkspace;
 use serde::{Deserialize, Serialize};
 
 /// A computed Maximum Index Map plus the amplitude evidence behind it.
 ///
-/// `index[(u,v)]` is the winning orientation (`0..N_o`);
+/// `index[(u,v)]` is the winning orientation (`0..N_o`, see
+/// [`NUM_ORIENTATIONS`]);
 /// `amplitude[(u,v)]` is the winning amplitude, used to mask out pixels with
 /// no signal (in an all-zero region every orientation ties at amplitude 0 and
 /// the argmax is meaningless).
@@ -21,20 +22,18 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use bba_signal::{Grid, LogGaborConfig, MaxIndexMap};
+/// use bba_signal::{Grid, MaxIndexMap};
 /// let mut img = Grid::new(32, 32, 0.0);
 /// img[(10, 10)] = 4.0;
-/// let mim = MaxIndexMap::compute(&img, &LogGaborConfig::default());
+/// let mim = MaxIndexMap::compute(&img);
 /// assert!(mim.amplitude[(10, 10)] > mim.amplitude[(31, 31)]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MaxIndexMap {
-    /// Winning orientation index per pixel, in `0..num_orientations`.
+    /// Winning orientation index per pixel, in `0..N_o`.
     pub index: Grid<u8>,
     /// Amplitude of the winning orientation per pixel.
     pub amplitude: Grid<f64>,
-    /// Number of orientations `N_o` the map was computed with.
-    pub num_orientations: usize,
 }
 
 impl MaxIndexMap {
@@ -49,8 +48,8 @@ impl MaxIndexMap {
     ///
     /// Panics if the image dimensions are not powers of two (the BV
     /// rasteriser always produces power-of-two images).
-    pub fn compute(img: &Grid<f64>, config: &LogGaborConfig) -> MaxIndexMap {
-        let bank = LogGaborBank::new(img.width(), img.height(), config.clone());
+    pub fn compute(img: &Grid<f64>) -> MaxIndexMap {
+        let bank = LogGaborBank::new(img.width(), img.height());
         Self::compute_with_workspace(img, &bank, &mut FftWorkspace::new())
     }
 
@@ -81,7 +80,7 @@ impl MaxIndexMap {
         let mut amplitude = Grid::new(w, h, 0.0f64);
         bank.mim_fused_into(img, ws, &mut index, &mut amplitude)
             .expect("BV images are power-of-two sized");
-        MaxIndexMap { index, amplitude, num_orientations: bank.config().num_orientations }
+        MaxIndexMap { index, amplitude }
     }
 
     /// Reference two-pass MIM, the test oracle of the fused path: it
@@ -122,7 +121,7 @@ impl MaxIndexMap {
             *cell = best_o;
             *amp_out = amps[usize::from(best_o)].as_slice()[i];
         }
-        MaxIndexMap { index, amplitude, num_orientations: bank.config().num_orientations }
+        MaxIndexMap { index, amplitude }
     }
 
     /// Width of the map.
@@ -145,7 +144,7 @@ impl MaxIndexMap {
     /// units, accounting for the π-periodicity of orientations
     /// (`N_o` indices cover half a turn).
     pub fn index_distance(&self, a: u8, b: u8) -> u8 {
-        let n = self.num_orientations as i32;
+        let n = NUM_ORIENTATIONS as i32;
         let d = (a as i32 - b as i32).rem_euclid(n);
         d.min(n - d) as u8
     }
@@ -154,7 +153,6 @@ impl MaxIndexMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loggabor::LogGaborConfig;
 
     fn line_image(size: usize, angle_deg: f64) -> Grid<f64> {
         // A bright line through the centre at the given angle.
@@ -176,17 +174,15 @@ mod tests {
 
     #[test]
     fn empty_image_has_zero_amplitude() {
-        let mim = MaxIndexMap::compute(&Grid::new(16, 16, 0.0), &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&Grid::new(16, 16, 0.0));
         assert!(mim.amplitude.max_value() < 1e-12);
-        assert_eq!(mim.num_orientations, 12);
     }
 
     #[test]
     fn rotating_line_rotates_mim_value() {
         // The dominant orientation on the line should track the line angle.
-        let cfg = LogGaborConfig::default();
-        let mim0 = MaxIndexMap::compute(&line_image(64, 0.0), &cfg);
-        let mim60 = MaxIndexMap::compute(&line_image(64, 60.0), &cfg);
+        let mim0 = MaxIndexMap::compute(&line_image(64, 0.0));
+        let mim60 = MaxIndexMap::compute(&line_image(64, 60.0));
         let center = (32usize, 32usize);
         let i0 = mim0.index[center];
         let i60 = mim60.index[center];
@@ -200,7 +196,7 @@ mod tests {
 
     #[test]
     fn index_distance_is_circular() {
-        let mim = MaxIndexMap::compute(&Grid::new(16, 16, 0.0), &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&Grid::new(16, 16, 0.0));
         assert_eq!(mim.index_distance(0, 11), 1);
         assert_eq!(mim.index_distance(0, 6), 6);
         assert_eq!(mim.index_distance(3, 3), 0);
@@ -210,7 +206,7 @@ mod tests {
     fn significance_threshold_scales_with_amplitude() {
         let mut img = Grid::new(32, 32, 0.0);
         img[(16, 16)] = 10.0;
-        let mim = MaxIndexMap::compute(&img, &LogGaborConfig::default());
+        let mim = MaxIndexMap::compute(&img);
         let t = mim.significance_threshold(0.1);
         assert!(t > 0.0);
         assert!(t <= mim.amplitude.max_value());
@@ -221,35 +217,24 @@ mod tests {
     fn fused_matches_reference_bitwise_at_every_scale_count() {
         // The fused streaming reduction must reproduce the two-pass
         // reference bit-for-bit: same winning index, same winning amplitude
-        // bits, at every scale-pair parity (odd scale counts exercise the
-        // half-packed final pair; num_scales=1 and 2 exercise the
-        // no-partial fold).
+        // bits. The bank has one scale count, `NUM_SCALES`.
         let img = line_image(32, 40.0);
-        for num_scales in [1, 2, 3, 4] {
-            let cfg = LogGaborConfig { num_scales, ..LogGaborConfig::default() };
-            let bank = crate::loggabor::LogGaborBank::new(32, 32, cfg);
-            let reference =
-                MaxIndexMap::compute_via_amplitudes(&img, &bank, &mut FftWorkspace::new());
-            let fused = MaxIndexMap::compute_with_workspace(&img, &bank, &mut FftWorkspace::new());
-            assert_eq!(fused.index, reference.index, "index diverged (scales={num_scales})");
-            for (i, (a, b)) in
-                fused.amplitude.as_slice().iter().zip(reference.amplitude.as_slice()).enumerate()
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "amplitude bits diverged at pixel {i} (scales={num_scales})"
-                );
-            }
+        let bank = LogGaborBank::new(32, 32);
+        let reference = MaxIndexMap::compute_via_amplitudes(&img, &bank, &mut FftWorkspace::new());
+        let fused = MaxIndexMap::compute_with_workspace(&img, &bank, &mut FftWorkspace::new());
+        assert_eq!(fused.index, reference.index, "index diverged");
+        for (i, (a, b)) in
+            fused.amplitude.as_slice().iter().zip(reference.amplitude.as_slice()).enumerate()
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "amplitude bits diverged at pixel {i}");
         }
     }
 
     #[test]
     fn reusing_bank_matches_fresh_computation() {
-        let cfg = LogGaborConfig::default();
         let img = line_image(32, 30.0);
-        let fresh = MaxIndexMap::compute(&img, &cfg);
-        let bank = crate::loggabor::LogGaborBank::new(32, 32, cfg);
+        let fresh = MaxIndexMap::compute(&img);
+        let bank = LogGaborBank::new(32, 32);
         let mut ws = FftWorkspace::new();
         let reused = MaxIndexMap::compute_with_workspace(&img, &bank, &mut ws);
         assert_eq!(fresh, reused);

@@ -54,8 +54,8 @@ pub(crate) struct OrientationLane {
 /// # Example
 ///
 /// ```
-/// use bba_signal::{FftWorkspace, Grid, LogGaborBank, LogGaborConfig, MaxIndexMap};
-/// let bank = LogGaborBank::new(32, 32, LogGaborConfig::default());
+/// use bba_signal::{FftWorkspace, Grid, LogGaborBank, MaxIndexMap};
+/// let bank = LogGaborBank::new(32, 32);
 /// let mut ws = FftWorkspace::new();
 /// let img = Grid::new(32, 32, 0.0);
 /// let a = MaxIndexMap::compute_with_workspace(&img, &bank, &mut ws);

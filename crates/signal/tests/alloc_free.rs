@@ -11,7 +11,7 @@
 //! This is its own integration binary (tests serialised on a mutex) so no
 //! other allocations pollute the counters.
 
-use bba_signal::{FftWorkspace, Grid, LogGaborBank, LogGaborConfig};
+use bba_signal::{FftWorkspace, Grid, LogGaborBank};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -63,7 +63,7 @@ fn bank_keeps_half_its_rows_and_builds_in_bounded_scratch() {
     const MIB: usize = 1 << 20;
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
-    let bank = LogGaborBank::new(256, 256, LogGaborConfig::default());
+    let bank = LogGaborBank::new(256, 256);
     let retained = LIVE.load(Ordering::Relaxed) - base;
     let transient = PEAK.load(Ordering::Relaxed) - base - retained;
     // 12 orientations × 2 packed scale pairs, each 129 of 256 rows of 256
@@ -88,7 +88,7 @@ fn bank_keeps_half_its_rows_and_builds_in_bounded_scratch() {
 fn steady_state_mim_fft_path_allocates_nothing() {
     let _guard = SERIAL.lock().unwrap();
     let size = 64;
-    let bank = LogGaborBank::new(size, size, LogGaborConfig::default());
+    let bank = LogGaborBank::new(size, size);
     let images: Vec<Grid<f64>> = (0..3)
         .map(|k| Grid::from_fn(size, size, |u, v| ((u * 5 + v * 3 + k * 11) % 7) as f64))
         .collect();
@@ -115,7 +115,7 @@ fn steady_state_fused_mim_allocates_nothing() {
     // filter product → inverse FFT → amplitude → running argmax, with no
     // per-orientation amplitude grids at all.
     let size = 64;
-    let bank = LogGaborBank::new(size, size, LogGaborConfig::default());
+    let bank = LogGaborBank::new(size, size);
     let images: Vec<Grid<f64>> = (0..3)
         .map(|k| Grid::from_fn(size, size, |u, v| ((u * 3 + v * 7 + k * 13) % 5) as f64))
         .collect();

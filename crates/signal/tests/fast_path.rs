@@ -6,9 +6,10 @@
 //! identities, and the pair-packing algebra. The production MIM is also
 //! pinned bit for bit to the natural-layout reference transforms.
 
+use bba_signal::loggabor::{NUM_ORIENTATIONS, NUM_SCALES};
 use bba_signal::{
     fft2d, fft2d_inverse, fft_inplace, ifft_inplace, rfft2d, shared_plan, Complex, FftPlan,
-    FftWorkspace, Grid, LogGaborBank, LogGaborConfig, MaxIndexMap,
+    FftWorkspace, Grid, LogGaborBank, MaxIndexMap,
 };
 use proptest::prelude::*;
 use std::f64::consts::PI;
@@ -154,8 +155,7 @@ proptest! {
 /// the 48 filters through its own single inverse transform.
 #[test]
 fn packed_inverse_pairs_match_single_inverses() {
-    let cfg = LogGaborConfig::default();
-    let bank = LogGaborBank::new(32, 32, cfg.clone());
+    let bank = LogGaborBank::new(32, 32);
     let img =
         Grid::from_fn(32, 32, |u, v| if (u * 7 + v * 3) % 11 < 2 { (u + v) as f64 } else { 0.0 });
     // Fast path.
@@ -167,7 +167,7 @@ fn packed_inverse_pairs_match_single_inverses() {
     let scale_fix = 1.0; // fft2d_inverse already applies 1/(W·H)
     for (o, fast_amp) in fast.iter().enumerate() {
         let mut acc = Grid::new(32, 32, 0.0);
-        for s in 0..cfg.num_scales {
+        for s in 0..NUM_SCALES {
             let filt = bank.filter(s, o);
             let mut filtered = Grid::new(32, 32, Complex::ZERO);
             for (i, z) in filtered.as_mut_slice().iter_mut().enumerate() {
@@ -199,7 +199,6 @@ fn packed_inverse_pairs_match_single_inverses() {
 /// fused kernels' order. Index and amplitude must agree to the bit.
 #[test]
 fn fused_mim_matches_argmax_over_reference_inverses_bitwise() {
-    let cfg = LogGaborConfig::default();
     for (w, h) in [(32usize, 32usize), (64, 32), (256, 256)] {
         let img = Grid::from_fn(w, h, |u, v| {
             if (u * 7 + v * 3) % 11 < 3 {
@@ -208,24 +207,22 @@ fn fused_mim_matches_argmax_over_reference_inverses_bitwise() {
                 0.0
             }
         });
-        let bank = LogGaborBank::new(w, h, cfg.clone());
+        let bank = LogGaborBank::new(w, h);
         let mim = MaxIndexMap::compute_with_workspace(&img, &bank, &mut FftWorkspace::new());
 
         let spectrum = rfft2d(&img).unwrap();
         let mut best = vec![(f64::NEG_INFINITY, 0u8); w * h];
-        for o in 0..cfg.num_orientations {
+        for o in 0..NUM_ORIENTATIONS {
             let mut amp = vec![0.0f64; w * h];
-            for p in 0..cfg.num_scales.div_ceil(2) {
-                let re = bank.filter(2 * p, o);
-                let im = (2 * p + 1 < cfg.num_scales).then(|| bank.filter(2 * p + 1, o));
+            for p in 0..NUM_SCALES / 2 {
+                let (re, im) = (bank.filter(2 * p, o), bank.filter(2 * p + 1, o));
                 let product = Grid::from_fn(w, h, |u, v| {
-                    let pair = Complex::new(re[(u, v)], im.as_ref().map_or(0.0, |f| f[(u, v)]));
-                    spectrum[(u, v)] * pair
+                    spectrum[(u, v)] * Complex::new(re[(u, v)], im[(u, v)])
                 });
                 let response = fft2d_inverse(&product).unwrap();
                 for (a, z) in amp.iter_mut().zip(response.as_slice()) {
                     let sum = if p == 0 { z.re.abs() } else { *a + z.re.abs() };
-                    *a = if im.is_some() { sum + z.im.abs() } else { sum };
+                    *a = sum + z.im.abs();
                 }
             }
             for (b, &a) in best.iter_mut().zip(&amp) {
@@ -246,10 +243,9 @@ fn fused_mim_matches_argmax_over_reference_inverses_bitwise() {
 /// frames.
 #[test]
 fn workspace_reuse_matches_fresh_workspace() {
-    let cfg = LogGaborConfig::default();
     let mut ws = FftWorkspace::new();
     for size in [16usize, 32, 16] {
-        let bank = LogGaborBank::new(size, size, cfg.clone());
+        let bank = LogGaborBank::new(size, size);
         for seed in 0..3u64 {
             let img = Grid::from_fn(size, size, |u, v| {
                 ((u as u64 * 31 + v as u64 * 17 + seed * 7) % 13) as f64

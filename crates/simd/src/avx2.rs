@@ -292,24 +292,21 @@ unsafe fn amp_parts(z: *const f64, scale: __m256d) -> (__m256d, __m256d) {
 /// AVX2 [`amp_accumulate`](crate::amp_accumulate): four pixels per
 /// iteration, same add order per pixel as the scalar arms.
 #[target_feature(enable = "avx2")]
-pub unsafe fn amp_accumulate(acc: &mut [f64], z: &[f64], scale: f64, both: bool, init: bool) {
+pub unsafe fn amp_accumulate(acc: &mut [f64], z: &[f64], scale: f64, init: bool) {
     let n = acc.len();
     let s = _mm256_set1_pd(scale);
     let mut i = 0;
     while i + 4 <= n {
         let (re, im) = amp_parts(z.as_ptr().add(2 * i), s);
-        let out = match (init, both) {
-            (true, true) => _mm256_add_pd(re, im),
-            (true, false) => re,
-            (false, true) => {
-                _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(acc.as_ptr().add(i)), re), im)
-            }
-            (false, false) => _mm256_add_pd(_mm256_loadu_pd(acc.as_ptr().add(i)), re),
+        let out = if init {
+            _mm256_add_pd(re, im)
+        } else {
+            _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(acc.as_ptr().add(i)), re), im)
         };
         _mm256_storeu_pd(acc.as_mut_ptr().add(i), out);
         i += 4;
     }
-    crate::portable::amp_accumulate(&mut acc[i..], &z[2 * i..], scale, both, init);
+    crate::portable::amp_accumulate(&mut acc[i..], &z[2 * i..], scale, init);
 }
 
 /// AVX2 [`amp_max_fold`](crate::amp_max_fold): four pixels per iteration;
@@ -321,8 +318,7 @@ pub unsafe fn amp_max_fold(
     max_idx: &mut [u8],
     z: &[f64],
     scale: f64,
-    both: bool,
-    partial: Option<&[f64]>,
+    partial: &[f64],
     o: u8,
 ) {
     let n = max_amp.len();
@@ -330,14 +326,7 @@ pub unsafe fn amp_max_fold(
     let mut i = 0;
     while i + 4 <= n {
         let (re, im) = amp_parts(z.as_ptr().add(2 * i), s);
-        let a = match (partial, both) {
-            (None, true) => _mm256_add_pd(re, im),
-            (None, false) => re,
-            (Some(p), true) => {
-                _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(p.as_ptr().add(i)), re), im)
-            }
-            (Some(p), false) => _mm256_add_pd(_mm256_loadu_pd(p.as_ptr().add(i)), re),
-        };
+        let a = _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(partial.as_ptr().add(i)), re), im);
         let m = _mm256_loadu_pd(max_amp.as_ptr().add(i));
         let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(a, m);
         _mm256_storeu_pd(max_amp.as_mut_ptr().add(i), _mm256_blendv_pd(m, a, gt));
@@ -356,8 +345,7 @@ pub unsafe fn amp_max_fold(
         &mut max_idx[i..],
         &z[2 * i..],
         scale,
-        both,
-        partial.map(|p| &p[i..]),
+        &partial[i..],
         o,
     );
 }

@@ -273,28 +273,26 @@ pub fn row_butterfly2(
 /// Scale-pair amplitude accumulation, the Log-Gabor per-orientation inner
 /// loop: per pixel `i` with packed response `z[i]` (interleaved complex),
 ///
-/// * `init && both` → `acc[i] = |re·scale| + |im·scale|`
-/// * `init && !both` → `acc[i] = |re·scale|`
-/// * `!init && both` → `acc[i] = (acc[i] + |re·scale|) + |im·scale|`
-/// * `!init && !both` → `acc[i] = acc[i] + |re·scale|`
+/// * `init` → `acc[i] = |re·scale| + |im·scale|`
+/// * `!init` → `acc[i] = (acc[i] + |re·scale|) + |im·scale|`
 ///
-/// exactly the four arms (and add order) of the scalar accumulation in
+/// exactly the two arms (and add order) of the scalar accumulation in
 /// `bba-signal`.
 ///
 /// # Panics
 ///
 /// Panics if `z.len() != 2 * acc.len()`.
-pub fn amp_accumulate(acc: &mut [f64], z: &[f64], scale: f64, both: bool, init: bool) {
+pub fn amp_accumulate(acc: &mut [f64], z: &[f64], scale: f64, init: bool) {
     assert_eq!(z.len(), 2 * acc.len(), "amp_accumulate length mismatch");
-    dispatch!(amp_accumulate(acc, z, scale, both, init))
+    dispatch!(amp_accumulate(acc, z, scale, init))
 }
 
-/// Fused final-scale amplitude + running argmax update (the fused-MIM
-/// kernel): per pixel `i`, the orientation amplitude `a` is completed from
-/// the packed response `z[i]` (plus the `partial` accumulator when the
-/// orientation had earlier scale pairs, same add order as
-/// [`amp_accumulate`]), then folded into the running maximum with strict
-/// `>`, so earlier orientations win ties:
+/// Fused final-pair amplitude + running argmax update (the fused-MIM
+/// kernel): per pixel `i`, the orientation amplitude
+/// `a = (partial[i] + |re·scale|) + |im·scale|` is completed from the
+/// earlier scale pair's sum and the packed response `z[i]` (the add order
+/// of [`amp_accumulate`]), then folded into the running maximum with
+/// strict `>`, so earlier orientations win ties:
 ///
 /// ```text
 /// if a > max_amp[i] { max_amp[i] = a; max_idx[i] = o; }
@@ -308,16 +306,13 @@ pub fn amp_max_fold(
     max_idx: &mut [u8],
     z: &[f64],
     scale: f64,
-    both: bool,
-    partial: Option<&[f64]>,
+    partial: &[f64],
     o: u8,
 ) {
     assert_eq!(z.len(), 2 * max_amp.len(), "amp_max_fold length mismatch");
     assert_eq!(max_amp.len(), max_idx.len(), "amp_max_fold index length mismatch");
-    if let Some(p) = partial {
-        assert_eq!(p.len(), max_amp.len(), "amp_max_fold partial length mismatch");
-    }
-    dispatch!(amp_max_fold(max_amp, max_idx, z, scale, both, partial, o))
+    assert_eq!(partial.len(), max_amp.len(), "amp_max_fold partial length mismatch");
+    dispatch!(amp_max_fold(max_amp, max_idx, z, scale, partial, o))
 }
 
 /// Dot product of two `f32` descriptor rows with the matcher's fixed
@@ -533,8 +528,8 @@ mod tests {
         let mut max_amp = vec![f64::NEG_INFINITY; 2];
         let mut max_idx = vec![0u8; 2];
         let z = [2.0, 0.0, -1.0, 0.0];
-        amp_max_fold(&mut max_amp, &mut max_idx, &z, 1.0, false, None, 3);
-        amp_max_fold(&mut max_amp, &mut max_idx, &z, 1.0, false, None, 5); // tie
+        amp_max_fold(&mut max_amp, &mut max_idx, &z, 1.0, &[0.0; 2], 3);
+        amp_max_fold(&mut max_amp, &mut max_idx, &z, 1.0, &[0.0; 2], 5); // tie
         assert_eq!(max_amp, vec![2.0, 1.0]);
         assert_eq!(max_idx, vec![3, 3], "strict > must keep the earlier orientation");
     }

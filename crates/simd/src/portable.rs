@@ -93,27 +93,14 @@ pub fn row_butterfly2(
 }
 
 /// Scalar [`amp_accumulate`](crate::amp_accumulate).
-pub fn amp_accumulate(acc: &mut [f64], z: &[f64], scale: f64, both: bool, init: bool) {
-    match (init, both) {
-        (true, true) => {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = (z[2 * i] * scale).abs() + (z[2 * i + 1] * scale).abs();
-            }
+pub fn amp_accumulate(acc: &mut [f64], z: &[f64], scale: f64, init: bool) {
+    if init {
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = (z[2 * i] * scale).abs() + (z[2 * i + 1] * scale).abs();
         }
-        (true, false) => {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = (z[2 * i] * scale).abs();
-            }
-        }
-        (false, true) => {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = (*a + (z[2 * i] * scale).abs()) + (z[2 * i + 1] * scale).abs();
-            }
-        }
-        (false, false) => {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a += (z[2 * i] * scale).abs();
-            }
+    } else {
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = (*a + (z[2 * i] * scale).abs()) + (z[2 * i + 1] * scale).abs();
         }
     }
 }
@@ -124,18 +111,11 @@ pub fn amp_max_fold(
     max_idx: &mut [u8],
     z: &[f64],
     scale: f64,
-    both: bool,
-    partial: Option<&[f64]>,
+    partial: &[f64],
     o: u8,
 ) {
     for i in 0..max_amp.len() {
-        let re = (z[2 * i] * scale).abs();
-        let a = match (partial, both) {
-            (None, true) => re + (z[2 * i + 1] * scale).abs(),
-            (None, false) => re,
-            (Some(p), true) => (p[i] + re) + (z[2 * i + 1] * scale).abs(),
-            (Some(p), false) => p[i] + re,
-        };
+        let a = (partial[i] + (z[2 * i] * scale).abs()) + (z[2 * i + 1] * scale).abs();
         if a > max_amp[i] {
             max_amp[i] = a;
             max_idx[i] = o;

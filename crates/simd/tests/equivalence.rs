@@ -254,20 +254,19 @@ proptest! {
         z in proptest::collection::vec(finite64(), 0..40),
         acc0 in proptest::collection::vec(finite64(), 0..20),
         scale in 1e-6f64..2.0,
-        both in any::<bool>(),
         init in any::<bool>(),
     ) {
         let n = (z.len() / 2).min(acc0.len());
         let z = &z[..2 * n];
         let mut want = acc0[..n].to_vec();
-        bba_simd::portable::amp_accumulate(&mut want, z, scale, both, init);
+        bba_simd::portable::amp_accumulate(&mut want, z, scale, init);
         let mut got = acc0[..n].to_vec();
-        bba_simd::amp_accumulate(&mut got, z, scale, both, init);
+        bba_simd::amp_accumulate(&mut got, z, scale, init);
         bits64("amp_accumulate dispatched", &want, &got);
         #[cfg(target_arch = "x86_64")]
         if bba_simd::avx2_detected() {
             let mut got = acc0[..n].to_vec();
-            unsafe { bba_simd::avx2::amp_accumulate(&mut got, z, scale, both, init) };
+            unsafe { bba_simd::avx2::amp_accumulate(&mut got, z, scale, init) };
             bits64("amp_accumulate avx2", &want, &got);
         }
     }
@@ -277,27 +276,43 @@ proptest! {
         z in proptest::collection::vec(finite64(), 0..40),
         partial in proptest::collection::vec(finite64(), 0..20),
         seeds in proptest::collection::vec((finite64(), 0u8..12), 0..20),
+        shift in 0usize..4,
         scale in 1e-6f64..2.0,
-        both in any::<bool>(),
-        with_partial in any::<bool>(),
         o in 0u8..12,
     ) {
         let n = (z.len() / 2).min(partial.len()).min(seeds.len());
-        let z = &z[..2 * n];
-        let p = with_partial.then(|| &partial[..n]);
-        let amp0: Vec<f64> = seeds[..n].iter().map(|s| s.0).collect();
+        let (z, p) = (&z[..2 * n], &partial[..n]);
+        // Every run of four lanes, and so every 4-lane vector, holds a
+        // running max equal to the folded amplitude bit for bit, one an ulp
+        // below it (the fold wins), one an ulp above it (the fold loses)
+        // and one random.
+        let folded = |i: usize| (p[i] + (z[2 * i] * scale).abs()) + (z[2 * i + 1] * scale).abs();
+        let amp0: Vec<f64> = (0..n)
+            .map(|i| match (i + shift) % 4 {
+                0 => folded(i),
+                1 => folded(i).next_down(),
+                2 => folded(i).next_up(),
+                _ => seeds[i].0,
+            })
+            .collect();
         let idx0: Vec<u8> = seeds[..n].iter().map(|s| s.1).collect();
 
         let (mut amp_a, mut idx_a) = (amp0.clone(), idx0.clone());
-        bba_simd::portable::amp_max_fold(&mut amp_a, &mut idx_a, z, scale, both, p, o);
+        bba_simd::portable::amp_max_fold(&mut amp_a, &mut idx_a, z, scale, p, o);
+        for i in 0..n {
+            // Strict `>`: a tie keeps the earlier orientation's index.
+            let (amp, idx) = if folded(i) > amp0[i] { (folded(i), o) } else { (amp0[i], idx0[i]) };
+            prop_assert_eq!(amp_a[i].to_bits(), amp.to_bits(), "lane {} amplitude", i);
+            prop_assert_eq!(idx_a[i], idx, "lane {} index", i);
+        }
         let (mut amp_b, mut idx_b) = (amp0.clone(), idx0.clone());
-        bba_simd::amp_max_fold(&mut amp_b, &mut idx_b, z, scale, both, p, o);
+        bba_simd::amp_max_fold(&mut amp_b, &mut idx_b, z, scale, p, o);
         bits64("amp_max_fold amp", &amp_a, &amp_b);
         prop_assert_eq!(&idx_a, &idx_b, "amp_max_fold idx");
         #[cfg(target_arch = "x86_64")]
         if bba_simd::avx2_detected() {
             let (mut amp_c, mut idx_c) = (amp0.clone(), idx0.clone());
-            unsafe { bba_simd::avx2::amp_max_fold(&mut amp_c, &mut idx_c, z, scale, both, p, o) };
+            unsafe { bba_simd::avx2::amp_max_fold(&mut amp_c, &mut idx_c, z, scale, p, o) };
             bits64("amp_max_fold avx2 amp", &amp_a, &amp_c);
             prop_assert_eq!(&idx_a, &idx_c, "amp_max_fold avx2 idx");
         }

@@ -42,7 +42,7 @@ fn main() -> std::io::Result<()> {
 
     // Panels (c)/(f): MIM maps.
     let h = engine.bev.image_size();
-    let bank = LogGaborBank::new(h, h, engine.log_gabor.clone());
+    let bank = LogGaborBank::new(h, h);
     let mut ws = FftWorkspace::new();
     for (name, frame) in [("ego", &ego), ("other", &other)] {
         let mim = MaxIndexMap::compute_with_workspace(frame.bev().grid(), &bank, &mut ws);

@@ -7,7 +7,7 @@ use bb_align::{BbAlign, BbAlignConfig};
 use bba_dataset::{Dataset, DatasetConfig};
 use bba_features::{ransac_rigid, ransac_rigid_naive, RansacConfig};
 use bba_geometry::{Iso2, Vec2};
-use bba_signal::{FftWorkspace, Grid, LogGaborBank, LogGaborConfig, MaxIndexMap};
+use bba_signal::{FftWorkspace, Grid, LogGaborBank, MaxIndexMap};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +41,7 @@ proptest! {
         sp in spikes(),
     ) {
         let img = image_from_spikes(&sp);
-        let bank = LogGaborBank::new(SIZE, SIZE, LogGaborConfig::default());
+        let bank = LogGaborBank::new(SIZE, SIZE);
         let fresh = MaxIndexMap::compute_with_workspace(&img, &bank, &mut FftWorkspace::new());
         let mut ws = FftWorkspace::new();
         for _ in 0..2 {

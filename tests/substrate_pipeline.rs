@@ -7,7 +7,7 @@ use bba_dataset::{Dataset, DatasetConfig};
 use bba_geometry::{Iso2, Vec2};
 use bba_lidar::{LidarConfig, Scanner};
 use bba_scene::{Scenario, ScenarioConfig, ScenarioPreset};
-use bba_signal::{LogGaborConfig, MaxIndexMap};
+use bba_signal::MaxIndexMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,7 +53,7 @@ fn mim_marks_structure_not_emptiness() {
     let (_, scan) = scan_scenario(ScenarioPreset::Urban, 3);
     let cfg = BevConfig { range: 102.4, resolution: 1.6 }; // 128² for speed
     let bev = BevImage::height_map(scan.points().iter().map(|p| p.position), &cfg);
-    let mim = MaxIndexMap::compute(bev.grid(), &LogGaborConfig::default());
+    let mim = MaxIndexMap::compute(bev.grid());
     // Amplitude concentrates around occupied pixels: mean amplitude at
     // occupied cells far exceeds the global mean.
     let mut occ_amp = 0.0;
