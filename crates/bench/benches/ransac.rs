@@ -8,7 +8,7 @@
 //!   appears), and
 //! * **no early exit** — `early_exit_fraction` above 1.0 forces the full
 //!   iteration budget, isolating the per-hypothesis savings (SoA counting
-//!   kernel, max-consensus bail, duplicate memoisation, PROSAC preview).
+//!   kernel, max-consensus bail, duplicate memoisation).
 //!
 //! The fast↔naive bit-identity is proven by the proptests in
 //! `crates/features/tests/proptests.rs`; this bench measures the speed
@@ -20,36 +20,33 @@ use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Correspondences with ~1/3 gross outliers plus a quality channel that
-/// (imperfectly) ranks inliers first — the shape the matcher hands RANSAC.
-fn fixture(n: usize, seed: u64) -> (Vec<Vec2>, Vec<Vec2>, Vec<f64>) {
+/// Correspondences with ~1/3 gross outliers — the shape the matcher hands
+/// RANSAC.
+fn fixture(n: usize, seed: u64) -> (Vec<Vec2>, Vec<Vec2>) {
     let truth = Iso2::new(0.45, Vec2::new(12.0, -7.0));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut src = Vec::with_capacity(n);
     let mut dst = Vec::with_capacity(n);
-    let mut quality = Vec::with_capacity(n);
     for k in 0..n {
         let p = Vec2::new(rng.random_range(0.0..256.0), rng.random_range(0.0..256.0));
         src.push(p);
         if k % 3 == 0 {
-            // Gross outlier: unrelated destination, poor quality.
+            // Gross outlier: unrelated destination.
             dst.push(Vec2::new(rng.random_range(0.0..256.0), rng.random_range(0.0..256.0)));
-            quality.push(rng.random_range(5.0..9.0));
         } else {
-            // Inlier with sub-threshold jitter and a good (low) quality.
+            // Inlier with sub-threshold jitter.
             let jitter = Vec2::new(rng.random_range(-0.5..0.5), rng.random_range(-0.5..0.5));
             dst.push(truth.apply(p) + jitter);
-            quality.push(rng.random_range(0.1..2.0));
         }
     }
-    (src, dst, quality)
+    (src, dst)
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mut c = Criterion::default().sample_size(if quick { 2 } else { 20 });
 
-    // The stage-1 production configuration (see `RecoveryConfig::default`):
+    // The stage-1 production configuration (see `BbAlignConfig::default`):
     // 3000 iterations, 2 px threshold, exit at 70% inliers.
     let exit_cfg = RansacConfig {
         max_iterations: 3000,
@@ -61,7 +58,7 @@ fn main() {
     let full_cfg = RansacConfig { early_exit_fraction: 2.0, ..exit_cfg.clone() };
 
     for n in [100usize, 400] {
-        let (src, dst, quality) = fixture(n, 42);
+        let (src, dst) = fixture(n, 42);
         for (regime, cfg) in [("exit", &exit_cfg), ("noexit", &full_cfg)] {
             c.bench_function(&format!("ransac_naive_{n}pts_{regime}"), |b| {
                 b.iter(|| {
@@ -72,14 +69,7 @@ fn main() {
             c.bench_function(&format!("ransac_fast_{n}pts_{regime}"), |b| {
                 b.iter(|| {
                     let mut rng = StdRng::seed_from_u64(7);
-                    black_box(ransac_rigid(&src, &dst, None, None, 0, cfg, &mut rng))
-                })
-            });
-            c.bench_function(&format!("ransac_fast_guided_{n}pts_{regime}"), |b| {
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let quality = Some(quality.as_slice());
-                    black_box(ransac_rigid(&src, &dst, quality, None, 0, cfg, &mut rng))
+                    black_box(ransac_rigid(&src, &dst, 0, cfg, &mut rng))
                 })
             });
         }

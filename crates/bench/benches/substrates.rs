@@ -126,7 +126,7 @@ fn bench_ransac(c: &mut Criterion) {
     c.bench_function("ransac_rigid_120pts_33pct_outliers", |b| {
         b.iter_batched(
             || StdRng::seed_from_u64(5),
-            |mut rng| ransac_rigid(black_box(&src), &dst, None, None, 0, &cfg, &mut rng).unwrap(),
+            |mut rng| ransac_rigid(black_box(&src), &dst, 0, &cfg, &mut rng).unwrap(),
             BatchSize::SmallInput,
         )
     });

@@ -188,9 +188,9 @@ fn main() {
         for _ in 0..opts.frames {
             let pair = ds.next_pair().unwrap();
             let (ego, other) = frames_of(&aligner, &pair);
-            let hint = tracker.warm_prediction(pair.time);
+            let predicted = tracker.warm_prediction(pair.time);
             let t0 = Instant::now();
-            let Ok(w) = aligner.recover_warm(&ego, &other, hint.as_ref(), &mut r) else {
+            let Ok(w) = aligner.recover_warm(&ego, &other, predicted.as_ref(), &mut r) else {
                 continue;
             };
             let ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -55,8 +55,9 @@ pub struct Recovery {
     pub transform_3d: Iso3,
     /// Stage-1 diagnostics.
     pub bv: BvMatch,
-    /// Stage-2 diagnostics (`None` when disabled or when too few boxes
-    /// overlapped — the recovery then falls back to stage 1 alone).
+    /// Stage-2 diagnostics (`None` when disabled or when
+    /// [`BbAlign::align_boxes`] found no refinement — the recovery then
+    /// falls back to stage 1 alone).
     pub box_alignment: Option<BoxAlignment>,
     /// The success thresholds this recovery was judged against.
     thresholds: (usize, usize),
@@ -87,10 +88,8 @@ pub enum RecoveryPath {
     /// The tracker-predicted transform passed direct verification; stage 1
     /// (MIM / detect / describe / match / RANSAC) was skipped entirely.
     WarmStart,
-    /// A prediction existed but failed verification: the full cold
-    /// pipeline ran, with the prediction offered to stage-1 RANSAC as
-    /// hypothesis zero. Whenever that hint does not win outright, the
-    /// result is bit-identical to [`BbAlign::recover`].
+    /// A prediction existed but failed verification: the plain cold
+    /// pipeline ran, bit-identical to [`BbAlign::recover`].
     ColdFallback,
     /// No usable prediction: the plain cold pipeline ran, bit-identical
     /// to [`BbAlign::recover`].
@@ -258,15 +257,6 @@ pub struct RecoveryRequest<'a, R: ?Sized> {
     pub rng: &'a mut R,
 }
 
-/// One cold stage 1 of a lockstep group: the receiving frame, an optional
-/// world-frame hint offered to stage-1 RANSAC as hypothesis zero, and the
-/// RNG the recovery draws from.
-struct ColdLane<'a, R: ?Sized> {
-    ego: &'a PerceptionFrame,
-    hint: Option<Iso2>,
-    rng: &'a mut R,
-}
-
 /// Milliseconds one stage 1 spent by phase, its share of the work shared
 /// with the other lanes of its group included, and in all (`total`); a
 /// phase counts only work done, so features read from a frame's slot
@@ -303,7 +293,6 @@ struct LaneSweep<'s> {
     ego_set: &'s DescriptorSet,
     /// `ego_set` packed for the matcher, once for the whole sweep.
     pool: MatchPool,
-    hint_pix: Option<Iso2>,
     /// Keypoints detected on the ego / sending frame.
     keypoints: (usize, usize),
     /// The best RANSAC result so far and its match count.
@@ -318,16 +307,10 @@ struct LaneSweep<'s> {
 }
 
 impl<'s> LaneSweep<'s> {
-    fn new(
-        ego_set: &'s DescriptorSet,
-        pool: MatchPool,
-        hint_pix: Option<Iso2>,
-        keypoints: (usize, usize),
-    ) -> Self {
+    fn new(ego_set: &'s DescriptorSet, pool: MatchPool, keypoints: (usize, usize)) -> Self {
         LaneSweep {
             ego_set,
             pool,
-            hint_pix,
             keypoints,
             best: None,
             swept: 0,
@@ -374,10 +357,6 @@ impl<'s> LaneSweep<'s> {
         let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
         let src: Vec<Vec2> = matches.iter().map(|m| pix(other_set.keypoint(m.src))).collect();
         let dst: Vec<Vec2> = matches.iter().map(|m| pix(self.ego_set.keypoint(m.dst))).collect();
-        // Descriptor distances rank the correspondences for RANSAC's
-        // PROSAC-style preview; they schedule work only and cannot change
-        // the result.
-        let qual: Vec<f64> = matches.iter().map(|m| m.distance).collect();
         // `strong`: the consensus clears the success threshold AND explains
         // at least half the matches. With two candidates per keypoint (the
         // default `keep_top_k = 2`) usually at most half the matches can be
@@ -387,8 +366,7 @@ impl<'s> LaneSweep<'s> {
         let floor = self.best.as_ref().map_or(0, |(b, _)| b.num_inliers.min(strong_min));
 
         let t0 = Instant::now();
-        let hint = self.hint_pix.as_ref();
-        let outcome = ransac_rigid(&src, &dst, Some(&qual), hint, floor, &cfg.ransac_bv, rng);
+        let outcome = ransac_rigid(&src, &dst, floor, &cfg.ransac_bv, rng);
         t.ransac += ms_since(t0);
         match outcome {
             Ok(result) => {
@@ -645,14 +623,16 @@ impl BbAlign {
         other: &PerceptionFrame,
         rng: &mut R,
     ) -> Result<BvMatch, RecoverError> {
-        let mut lane = [ColdLane { ego, hint: None, rng }];
-        let (bv, times) = self.stage1_group(other, &mut lane).pop().expect("one result per lane");
+        let mut request = RecoveryRequest { ego, predicted: None, rng };
+        let (bv, times) =
+            self.stage1_group(other, &mut [&mut request]).pop().expect("one result per lane");
         self.file_stage1(&times, bv.is_ok());
         bv
     }
 
     /// The one stage-1 body: the cold stage 1 of every lane, each lane's
     /// ego frame against the one sending frame `other`, swept in lockstep.
+    /// A lane is a request's ego frame and RNG; its prediction is not read.
     ///
     /// The sending frame is sampled once and each group of
     /// [`REBIN_GROUP`] rotation hypotheses is re-binned once, ahead of
@@ -676,7 +656,7 @@ impl BbAlign {
     fn stage1_group<R: Rng + ?Sized>(
         &self,
         other: &PerceptionFrame,
-        lanes: &mut [ColdLane<'_, R>],
+        lanes: &mut [&mut RecoveryRequest<'_, R>],
     ) -> Vec<(Result<BvMatch, RecoverError>, PhaseTimes)> {
         let start = Instant::now();
         let cfg = &self.config;
@@ -704,9 +684,8 @@ impl BbAlign {
         // sending frame's samples take it over.
         let mut sweeps: Vec<Result<LaneSweep<'_>, RecoverError>> = egos
             .iter()
-            .zip(lanes.iter())
             .zip(&mut times)
-            .map(|((ego, lane), t)| {
+            .map(|(ego, t)| {
                 let ego = ego.as_ref().map_err(Clone::clone)?;
                 let other = other_features
                     .as_ref()
@@ -728,13 +707,8 @@ impl BbAlign {
                 let t0 = Instant::now();
                 let pool = MatchPool::new(ego_set);
                 t.matching += ms_since(t0);
-                // The sweep matches keypoints in pixel coordinates, so the
-                // hint is converted once here. Keypoint positions are
-                // unrotated across hypotheses (only descriptor binning
-                // rotates), so one pixel-space hint serves every hypothesis.
-                let hint_pix = lane.hint.map(|h| self.world_to_pixel_transform(&h));
                 let keypoints = (ego.keypoints.len(), other.keypoints.len());
-                Ok(LaneSweep::new(ego_set, pool, hint_pix, keypoints))
+                Ok(LaneSweep::new(ego_set, pool, keypoints))
             })
             .collect();
 
@@ -872,9 +846,12 @@ impl BbAlign {
 
     /// Stage 2: bounding-box corner alignment (Algorithm 1, lines 12–14).
     ///
-    /// `coarse` is the stage-1 transform. Returns `None` when fewer than
-    /// two box pairs overlap (stage 2 is then skipped, per the fallback in
-    /// [`BbAlign::recover`]).
+    /// `coarse` is the stage-1 transform. Returns `None` (stage 2 is then
+    /// skipped, per the fallback in [`BbAlign::recover`]) when either frame
+    /// has no box of at least `box_min_confidence`, when fewer than two box
+    /// pairs overlap, when stage-2 RANSAC finds no consensus, or when the
+    /// correction exceeds `box_max_correction_t` or
+    /// `box_max_correction_r`.
     pub fn align_boxes<R: Rng + ?Sized>(
         &self,
         ego: &PerceptionFrame,
@@ -960,7 +937,7 @@ impl BbAlign {
             return None;
         }
 
-        let result = ransac_rigid(&src, &dst, None, None, 0, &cfg.ransac_box, rng).ok()?;
+        let result = ransac_rigid(&src, &dst, 0, &cfg.ransac_box, rng).ok()?;
         // With few box pairs the rotation is poorly constrained by noisy
         // corners; restrict the refinement to translation (the dominant
         // self-motion-distortion component per the paper's Fig. 14).
@@ -983,9 +960,9 @@ impl BbAlign {
     /// Runs the full two-stage recovery (Algorithm 1): a group of one
     /// cold request (see [`BbAlign::recover_group`]).
     ///
-    /// Stage-2 failure (too few overlapping boxes) degrades gracefully to
-    /// the stage-1 transform; such recoveries report `Inliers_box = 0` and
-    /// fail [`Recovery::is_success`].
+    /// Stage-2 failure (see [`BbAlign::align_boxes`]) degrades gracefully
+    /// to the stage-1 transform; such recoveries report `Inliers_box = 0`
+    /// and fail [`Recovery::is_success`].
     ///
     /// # Errors
     ///
@@ -1008,8 +985,8 @@ impl BbAlign {
     ///
     /// With `warm_start`, each request is first what
     /// [`BbAlign::recover_warm`] makes of its prediction: a verified one
-    /// answers the request without stage 1, a failed one becomes the
-    /// request's stage-1 RANSAC hint, and every request counts one
+    /// answers the request without stage 1, a failed or missing one leaves
+    /// the request to the cold pipeline, and every request counts one
     /// `warmstart.hit` or `warmstart.miss`. Without `warm_start`,
     /// predictions are ignored and every request recovers cold, as
     /// [`BbAlign::recover`].
@@ -1036,6 +1013,7 @@ impl BbAlign {
             for (slot, request) in out.iter_mut().zip(requests.iter()) {
                 let Some(predicted) = request.predicted else {
                     self.obs.incr("warmstart.miss");
+                    self.obs.incr("warmstart.miss.no_prediction");
                     continue;
                 };
                 if let Some(recovery) = self.warm_start(request.ego, other, predicted) {
@@ -1043,18 +1021,14 @@ impl BbAlign {
                 }
             }
         }
-        let (slots, mut lanes): (Vec<usize>, Vec<ColdLane<'_, R>>) = requests
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| out[*i].is_none())
-            .map(|(i, r)| {
-                let hint = r.predicted.filter(|_| warm_start).copied();
-                (i, ColdLane { ego: r.ego, hint, rng: &mut *r.rng })
-            })
-            .unzip();
+        let (slots, mut lanes): (Vec<usize>, Vec<&mut RecoveryRequest<'_, R>>) =
+            requests.iter_mut().enumerate().filter(|(i, _)| out[*i].is_none()).unzip();
         let paths: Vec<RecoveryPath> = lanes
             .iter()
-            .map(|l| if l.hint.is_some() { RecoveryPath::ColdFallback } else { RecoveryPath::Cold })
+            .map(|r| match r.predicted {
+                Some(_) if warm_start => RecoveryPath::ColdFallback,
+                _ => RecoveryPath::Cold,
+            })
             .collect();
         let cold = self.recover_cold(other, &mut lanes);
         for ((slot, path), result) in slots.into_iter().zip(paths).zip(cold) {
@@ -1065,14 +1039,12 @@ impl BbAlign {
 
     /// The cold pipeline of a lockstep group: the shared stage 1, then
     /// each lane's stage 2 on its own RNG, under one `recover` span per
-    /// lane. A lane's world-frame hint is offered to stage-1 RANSAC as
-    /// hypothesis zero; with none (or whenever the hint does not win a
-    /// RANSAC call outright) the result is bit-identical to the plain
-    /// [`BbAlign::recover`]: same RNG consumption, same result.
+    /// lane. A lane's prediction is not read, so each result, and the RNG
+    /// stream it leaves, is the lone [`BbAlign::recover`]'s.
     fn recover_cold<R: Rng + ?Sized>(
         &self,
         other: &PerceptionFrame,
-        lanes: &mut [ColdLane<'_, R>],
+        lanes: &mut [&mut RecoveryRequest<'_, R>],
     ) -> Vec<Result<Recovery, RecoverError>> {
         let stage1 = self.stage1_group(other, lanes);
         lanes
@@ -1118,22 +1090,25 @@ impl BbAlign {
     /// screen again on the refined transform plus a peak-sharpness test
     /// (the refined pose must beat four ±3 m decoy transforms — true poses
     /// are sharp maxima of the score field, stale and aliased poses sit on
-    /// its plateau). On pass,
-    /// the call returns a successful
+    /// its plateau). On pass, the call returns a successful
     /// [`RecoveryPath::WarmStart`] recovery having skipped MIM / detect /
-    /// describe / match / RANSAC entirely. On fail, the full cold pipeline
-    /// runs with the prediction offered to stage-1 RANSAC as hypothesis
-    /// zero ([`RecoveryPath::ColdFallback`]); without a prediction the
-    /// plain cold pipeline runs ([`RecoveryPath::Cold`]). Both fallbacks
-    /// are bit-identical to [`BbAlign::recover`] whenever the
-    /// hypothesis-zero hint does not win a RANSAC call outright — warm
-    /// verification runs on a fixed-seed internal RNG, so the caller's
-    /// stream reaches the cold path untouched.
+    /// describe / match / RANSAC entirely. On fail, the plain cold
+    /// pipeline runs ([`RecoveryPath::ColdFallback`]), as it does without a
+    /// prediction ([`RecoveryPath::Cold`]). Both fallbacks are
+    /// bit-identical to [`BbAlign::recover`]: warm verification runs on a
+    /// fixed-seed internal RNG, so the caller's stream reaches the cold
+    /// path untouched.
     ///
     /// Every call increments exactly one of the `warmstart.hit` /
     /// `warmstart.miss` counters (so their sum counts calls);
     /// `warmstart.fallback` counts the subset of misses that had a
-    /// prediction.
+    /// prediction. Each miss also counts one `warmstart.miss.<cause>`:
+    /// `no_prediction`, or the check the prediction failed — `geometry`
+    /// (a frame at a raster other than the engine's), `no_stage2` (box
+    /// alignment disabled), `occupancy` (the prediction's alignment score
+    /// below the floor), `boxes` (no stage-2 refinement with more than
+    /// `min_inliers_box` inliers), `refine` (the refined transform's score
+    /// or cell hits too low) or `sharpness` (a decoy scored too close).
     ///
     /// # Errors
     ///
@@ -1152,8 +1127,9 @@ impl BbAlign {
 
     /// One request's warm start: its prediction verified directly, under
     /// the `warmstart.verify` span, when both frames are at the engine's
-    /// geometry. Counts `warmstart.hit`, or `warmstart.miss` and
-    /// `warmstart.fallback` when the request falls back to the cold path.
+    /// geometry. Counts `warmstart.hit`, or `warmstart.miss`,
+    /// `warmstart.fallback` and the miss's `warmstart.miss.<cause>` when
+    /// the request falls back to the cold path.
     fn warm_start(
         &self,
         ego: &PerceptionFrame,
@@ -1161,38 +1137,45 @@ impl BbAlign {
         predicted: &Iso2,
     ) -> Option<Recovery> {
         let native = |f: &PerceptionFrame| f.bev().config() == &self.config.bev;
-        if native(ego) && native(other) {
-            let span = self.obs.span("warmstart.verify");
-            let verified = self.verify_predicted(ego, other, predicted);
-            drop(span);
-            if let Some(recovery) = verified {
+        let verified = if native(ego) && native(other) {
+            let _span = self.obs.span("warmstart.verify");
+            self.verify_predicted(ego, other, predicted)
+        } else {
+            Err("warmstart.miss.geometry")
+        };
+        match verified {
+            Ok(recovery) => {
                 self.obs.incr("warmstart.hit");
                 self.obs.observe("warmstart.inliers_bv", recovery.bv.inliers as f64);
-                return Some(recovery);
+                Some(recovery)
+            }
+            Err(cause) => {
+                self.obs.incr("warmstart.miss");
+                self.obs.incr("warmstart.fallback");
+                self.obs.incr(cause);
+                None
             }
         }
-        self.obs.incr("warmstart.miss");
-        self.obs.incr("warmstart.fallback");
-        None
     }
 
     /// Direct verification of a predicted transform, without stage 1.
     ///
     /// Returns a fully-successful [`Recovery`] (it would pass
-    /// [`Recovery::is_success`]) or `None` when any check fails. The
-    /// stage-2 residual check runs on a fixed-seed RNG so the caller's
-    /// stream is preserved for the cold fallback.
+    /// [`Recovery::is_success`]), or the `warmstart.miss.<cause>` counter
+    /// of the first check that failed. The stage-2 residual check runs on
+    /// a fixed-seed RNG so the caller's stream is preserved for the cold
+    /// fallback.
     fn verify_predicted(
         &self,
         ego: &PerceptionFrame,
         other: &PerceptionFrame,
         predicted: &Iso2,
-    ) -> Option<Recovery> {
+    ) -> Result<Recovery, &'static str> {
         let cfg = &self.config;
         // A warm recovery must clear the same success criterion as a cold
         // one, and Inliers_box > min requires stage 2.
         if !cfg.box_alignment {
-            return None;
+            return Err("warmstart.miss.no_stage2");
         }
         let scorer = AlignmentScorer::new(ego.bev());
         let cells = scorer.collect_occupied(other.bev());
@@ -1202,19 +1185,19 @@ impl BbAlign {
         // predictions (a gross alias or a blown track scores well under
         // this at every raster) before paying for box alignment.
         if check.score < WARM_MIN_ALIGNMENT {
-            return None;
+            return Err("warmstart.miss.occupancy");
         }
         // Box-alignment residual check: the boxes must agree with (and
         // refine) the prediction just as they would a stage-1 transform.
         let mut verify_rng = StdRng::seed_from_u64(WARM_VERIFY_SEED);
-        let b = self.align_boxes(ego, other, predicted, &mut verify_rng)?;
-        if b.inliers <= cfg.min_inliers_box {
-            return None;
-        }
+        let b = self
+            .align_boxes(ego, other, predicted, &mut verify_rng)
+            .filter(|b| b.inliers > cfg.min_inliers_box)
+            .ok_or("warmstart.miss.boxes")?;
         let transform = b.transform.compose(predicted);
         let refined = scorer.score_cells_detail(&cells, &transform);
         if refined.score < WARM_MIN_ALIGNMENT || refined.hits <= cfg.min_inliers_bv {
-            return None;
+            return Err("warmstart.miss.refine");
         }
         // Peak-sharpness gate: a true pose is a sharp local maximum of the
         // alignment-score field, while stale tracks and aliases sit on the
@@ -1227,7 +1210,7 @@ impl BbAlign {
             scorer.score_cells_detail(&cells, &decoy).score * WARM_SHARPNESS < refined.score
         });
         if !sharp {
-            return None;
+            return Err("warmstart.miss.sharpness");
         }
         let bv = BvMatch {
             transform: *predicted,
@@ -1246,7 +1229,7 @@ impl BbAlign {
             thresholds: (cfg.min_inliers_bv, cfg.min_inliers_box),
         };
         debug_assert!(recovery.is_success());
-        Some(recovery)
+        Ok(recovery)
     }
 }
 
@@ -1676,8 +1659,7 @@ mod tests {
         let aligner = BbAlign::new(BbAlignConfig::test_small()).with_recorder(recorder.clone());
         let truth = Iso2::new(0.35, Vec2::new(6.0, -3.0));
         let (ego, other) = frame_pair(&aligner, &truth);
-        // A prediction mapping everything off-raster: the screen scores 0
-        // and the pixel-space hint can never win a RANSAC call.
+        // A prediction mapping everything off-raster: the screen scores 0.
         let bad = Iso2::new(0.35, Vec2::new(400.0, 400.0));
         let mut rng_warm = StdRng::seed_from_u64(21);
         let mut rng_cold = StdRng::seed_from_u64(21);
@@ -1690,6 +1672,7 @@ mod tests {
         let snap = recorder.snapshot();
         assert_eq!(snap.counter("warmstart.miss"), Some(1));
         assert_eq!(snap.counter("warmstart.fallback"), Some(1));
+        assert_eq!(snap.counter("warmstart.miss.occupancy"), Some(1));
     }
 
     #[test]
@@ -1708,11 +1691,14 @@ mod tests {
         let snap = recorder.snapshot();
         assert_eq!(snap.counter("warmstart.miss"), Some(1));
         assert_eq!(snap.counter("warmstart.fallback"), None);
+        assert_eq!(snap.counter("warmstart.miss.no_prediction"), Some(1));
     }
 
     #[test]
     fn warm_start_requires_stage2_to_be_enabled() {
-        let aligner = BbAlign::new(BbAlignConfig::test_small().without_box_alignment());
+        let recorder = bba_obs::Recorder::enabled();
+        let aligner = BbAlign::new(BbAlignConfig::test_small().without_box_alignment())
+            .with_recorder(recorder.clone());
         let truth = Iso2::new(0.2, Vec2::new(3.0, 1.0));
         let (ego, other) = frame_pair(&aligner, &truth);
         let mut rng = StdRng::seed_from_u64(41);
@@ -1720,6 +1706,58 @@ mod tests {
         // Without stage 2 a warm recovery could never clear Inliers_box,
         // so the warm path must decline and fall back.
         assert_eq!(w.path, RecoveryPath::ColdFallback);
+        assert_eq!(recorder.snapshot().counter("warmstart.miss.no_stage2"), Some(1));
+        // The prediction is the true pose, yet stage 1 runs as if there
+        // were none: the fallback is `recover` bit for bit and leaves the
+        // RNG where `recover` leaves it.
+        let mut rng_cold = StdRng::seed_from_u64(41);
+        let cold = aligner.recover(&ego, &other, &mut rng_cold).unwrap();
+        assert_same_bits(&w.recovery, &cold);
+        assert_eq!(w.recovery.bv.transform_pixels, cold.bv.transform_pixels);
+        assert_eq!(rng, rng_cold, "the fallback must consume the same RNG stream");
+    }
+
+    /// The warm checks that only real traffic fails often — boxes, refine
+    /// and sharpness — each count their own cause, one per miss. The other
+    /// causes are pinned beside the tests of their paths.
+    #[test]
+    fn each_failed_warm_check_counts_its_own_miss_cause() {
+        let truth = Iso2::new(0.35, Vec2::new(6.0, -3.0));
+        let turned = Iso2::new(truth.yaw() + 0.1, truth.translation());
+        let unreachable = BbAlignConfig { min_inliers_bv: 1 << 20, ..BbAlignConfig::test_small() };
+        // Fully occupied rasters: every decoy scores what the pose does.
+        let dense = |aligner: &BbAlign| {
+            let (r, step) = (aligner.config().bev.range, 0.2);
+            let n = (2.0 * r / step) as usize;
+            let pts: Vec<Vec3> = (0..n * n)
+                .map(|k| Vec3::new(step * (k / n) as f64 - r, step * (k % n) as f64 - r, 2.0))
+                .collect();
+            let inv = truth.inverse();
+            let ego = aligner.frame_from_parts(pts.iter().copied(), car_boxes());
+            let other_boxes = car_boxes().into_iter().map(|(b, c)| (b.transformed(&inv), c));
+            (ego, aligner.frame_from_parts(pts, other_boxes))
+        };
+        let cases: [(BbAlignConfig, bool, Iso2, &str); 3] = [
+            (BbAlignConfig::test_small(), false, turned, "boxes"),
+            (unreachable, false, truth, "refine"),
+            (BbAlignConfig::test_small(), true, truth, "sharpness"),
+        ];
+        for (config, dense_frames, predicted, cause) in cases {
+            let recorder = bba_obs::Recorder::enabled();
+            let aligner = BbAlign::new(config).with_recorder(recorder.clone());
+            let (ego, other) =
+                if dense_frames { dense(&aligner) } else { frame_pair(&aligner, &truth) };
+            let mut rng = StdRng::seed_from_u64(42);
+            // The cold fallback may fail on the dense frames; only the
+            // warm ledger matters here.
+            let _ = aligner.recover_warm(&ego, &other, Some(&predicted), &mut rng);
+            let snap = recorder.snapshot();
+            let causes: Vec<_> =
+                snap.counters.iter().filter(|(n, _)| n.starts_with("warmstart.miss.")).collect();
+            assert_eq!(causes, [&(format!("warmstart.miss.{cause}"), 1)], "{cause}");
+            assert_eq!(snap.counter("warmstart.miss"), Some(1), "{cause}");
+            assert_eq!(snap.counter("warmstart.fallback"), Some(1), "{cause}");
+        }
     }
 
     #[test]
@@ -1878,8 +1916,11 @@ mod tests {
         let (ego, other) = frame_pair(&engine_at(bev), truth);
         let mut rng = StdRng::seed_from_u64(15);
         assert_eq!(aligner.recover(&ego, &other, &mut rng), Err(RecoverError::GeometryMismatch));
+        let recorder = bba_obs::Recorder::enabled();
+        let aligner = aligner.with_recorder(recorder.clone());
         let warm = aligner.recover_warm(&ego, &other, Some(truth), &mut rng);
         assert_eq!(warm, Err(RecoverError::GeometryMismatch));
+        assert_eq!(recorder.snapshot().counter("warmstart.miss.geometry"), Some(1));
         (ego, other)
     }
 
@@ -1921,7 +1962,6 @@ mod tests {
         aligner: &BbAlign,
         ego: &PerceptionFrame,
         other: &PerceptionFrame,
-        hint: Option<&Iso2>,
         rng: &mut StdRng,
     ) -> Recovery {
         let cfg = aligner.config();
@@ -1932,7 +1972,6 @@ mod tests {
             describe_keypoints_rotated(&features.mim, &features.keypoints, &cfg.descriptor, angle)
         };
         let ego_set = describe(&ego_features, 0);
-        let hint_pix = hint.map(|t| aligner.world_to_pixel_transform(t));
         let pix = |kp: &Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
         let mut candidates = Vec::new();
         for k in 0..aligner.sweep().hypotheses() {
@@ -1946,9 +1985,7 @@ mod tests {
             }
             let src: Vec<Vec2> = matches.iter().map(|m| pix(other_set.keypoint(m.src))).collect();
             let dst: Vec<Vec2> = matches.iter().map(|m| pix(ego_set.keypoint(m.dst))).collect();
-            let qual: Vec<f64> = matches.iter().map(|m| m.distance).collect();
-            let hint = hint_pix.as_ref();
-            if let Ok(r) = ransac_rigid(&src, &dst, Some(&qual), hint, 0, &cfg.ransac_bv, rng) {
+            if let Ok(r) = ransac_rigid(&src, &dst, 0, &cfg.ransac_bv, rng) {
                 let strong =
                     r.num_inliers > cfg.min_inliers_bv && 2 * r.num_inliers >= matches.len();
                 candidates.push((r, matches.len()));
@@ -1977,34 +2014,19 @@ mod tests {
         }
     }
 
-    /// The cold pipeline of one lane with a world-frame RANSAC hint, as a
-    /// verification-failed warm start runs it.
-    fn recover_hinted(
-        aligner: &BbAlign,
-        ego: &PerceptionFrame,
-        other: &PerceptionFrame,
-        hint: Option<&Iso2>,
-        rng: &mut StdRng,
-    ) -> Result<Recovery, RecoverError> {
-        let mut lane = [ColdLane { ego, hint: hint.copied(), rng }];
-        aligner.recover_cold(other, &mut lane).pop().unwrap()
-    }
-
-    /// Recovers `truth`'s frame pair with and without pruning (and with and
-    /// without a warm hint), asserting the same bits and the same next RNG
-    /// draw; returns the hypotheses swept and pruned by the plain call.
+    /// Recovers `truth`'s frame pair with and without pruning, asserting
+    /// the same bits and the same next RNG draw; returns the hypotheses
+    /// swept and pruned by the pruned call.
     fn assert_pruned_sweep_is_unpruned_sweep(truth: &Iso2, seed: u64) -> (u64, u64) {
         let recorder = bba_obs::Recorder::enabled();
         let aligner = BbAlign::new(BbAlignConfig::test_small()).with_recorder(recorder.clone());
         let (ego, other) = frame_pair(&aligner, truth);
-        for hint in [None, Some(truth)] {
-            let mut rng_pruned = StdRng::seed_from_u64(seed);
-            let mut rng_full = StdRng::seed_from_u64(seed);
-            let pruned = recover_hinted(&aligner, &ego, &other, hint, &mut rng_pruned).unwrap();
-            let full = unpruned_recover(&aligner, &ego, &other, hint, &mut rng_full);
-            assert_same_bits(&pruned, &full);
-            assert_eq!(rng_pruned.random::<u64>(), rng_full.random::<u64>(), "hint {hint:?}");
-        }
+        let mut rng_pruned = StdRng::seed_from_u64(seed);
+        let mut rng_full = StdRng::seed_from_u64(seed);
+        let pruned = aligner.recover(&ego, &other, &mut rng_pruned).unwrap();
+        let full = unpruned_recover(&aligner, &ego, &other, &mut rng_full);
+        assert_same_bits(&pruned, &full);
+        assert_eq!(rng_pruned.random::<u64>(), rng_full.random::<u64>());
         let snap = recorder.snapshot();
         (
             snap.counter("stage1.hypotheses").unwrap(),

@@ -41,7 +41,7 @@
 //! let mut dst: Vec<Vec2> = src.iter().map(|&p| truth.apply(p)).collect();
 //! dst[5] = Vec2::new(500.0, 500.0); // an outlier
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let result = ransac_rigid(&src, &dst, None, None, 0, &RansacConfig::default(), &mut rng).unwrap();
+//! let result = ransac_rigid(&src, &dst, 0, &RansacConfig::default(), &mut rng).unwrap();
 //! assert!(result.transform.approx_eq(&truth, 1e-6, 1e-6));
 //! assert_eq!(result.num_inliers, 29);
 //! ```

@@ -14,14 +14,13 @@
 //! * [`ransac_rigid`] — the layered fast path both stages run:
 //!   SoA transform-and-count kernel with a hoisted `sin_cos`, max-consensus
 //!   bail (a hypothesis is abandoned the moment the unscored remainder
-//!   cannot lift it above a provably safe bound — the SPRT-flavoured
-//!   sequential test), PROSAC-style quality-ordered preview scores that
-//!   raise that bound before the scan starts, and duplicate-sample
-//!   memoisation. The fast path returns the **bit-identical**
-//!   `RansacResult` (same inlier set, same pose bits, same iteration
-//!   count) and the same errors as the naive scan for every input and
-//!   seed; `DESIGN.md` → *RANSAC fast path* carries the determinism
-//!   argument and the proptests in this crate pin it.
+//!   cannot lift it above the running best — the SPRT-flavoured
+//!   sequential test) and duplicate-sample memoisation. The fast path
+//!   returns the **bit-identical** `RansacResult` (same inlier set, same
+//!   pose bits, same iteration count) and the same errors as the naive
+//!   scan for every input and seed; `DESIGN.md` → *RANSAC fast path*
+//!   carries the determinism argument and the proptests in this crate pin
+//!   it.
 //!
 //! [`ransac_rigid`] can also skip the scan altogether: given the
 //! smallest inlier count its caller can use, it first computes an exact
@@ -378,40 +377,20 @@ pub fn ransac_rigid_naive<R: Rng + ?Sized>(
 /// Estimates the rigid transform mapping `src[i]` near `dst[i]` in the
 /// presence of outliers.
 ///
-/// Runs the layered fast path (see the module docs). Stage 2 passes
-/// `None, None, 0`; stage 1 passes all three:
+/// Runs the layered fast path (see the module docs). The result is
+/// **bit-identical** to [`ransac_rigid_naive`] on the same inputs and
+/// seed — same inlier set, pose bits, iteration count, errors and RNG
+/// consumption — unless the call is pruned.
 ///
-/// * `quality` — optional per-correspondence quality weights (lower is
-///   better; matcher descriptor distances plug in directly). Quality only
-///   *schedules* work: the `PREVIEW_SAMPLES` distinct samples with the
-///   smallest summed quality are scored first so the bail bound starts
-///   high. A `quality` slice whose length differs from the correspondence
-///   count is ignored.
-/// * `hint` — an optional externally-predicted transform evaluated as
-///   *hypothesis zero* before any sampling (the temporal warm start's
-///   fallback). The hint is scored with the exact consensus predicate
-///   **without consuming the RNG**. When its inlier count clears both
-///   `min_inliers` and the `early_exit_fraction` bar — i.e. when the
-///   reference serial scan would have stopped on it immediately had it
-///   been drawn first — the hint's consensus set is refit and returned
-///   with `iterations == 0`, skipping sampling entirely. Otherwise the
-///   hint is discarded.
-/// * `floor` — the smallest inlier count the caller can use (below).
-///
-/// Without a winning hint the result is **bit-identical** to
-/// [`ransac_rigid_naive`] on the same inputs and seed — same inlier set,
-/// pose bits, iteration count, errors and RNG consumption — with or
-/// without `quality`.
-///
-/// With `floor > 0`, the call first bounds the inliers any rigid transform
-/// can reach on the correspondences (a clique bound on their pairwise
-/// distances: a degree-count certificate, then the k-core bound when the
-/// certificate does not already fall below `floor`; DESIGN.md → *Sweep
-/// pruning*). Below `floor`, it returns
-/// [`RansacError::Pruned`] without scanning, and advances `rng` exactly as
-/// the unpruned call would have: not at all after a winning hint, the
-/// whole sample draw otherwise. Every result the unpruned call could have
-/// returned has at most that many inliers, so a caller that discards
+/// `floor` is the smallest inlier count the caller can use; stage 2
+/// passes 0. With `floor > 0`, the call first bounds the inliers any rigid
+/// transform can reach on the correspondences (a clique bound on their
+/// pairwise distances: a degree-count certificate, then the k-core bound
+/// when the certificate does not already fall below `floor`; DESIGN.md →
+/// *Sweep pruning*). Below `floor`, it returns [`RansacError::Pruned`]
+/// without scanning, and advances `rng` by the whole sample draw, exactly
+/// as the unpruned call would have. Every result the unpruned call could
+/// have returned has at most that many inliers, so a caller that discards
 /// results below `floor` sees the same outcome and the same RNG stream
 /// either way. `floor == 0` never prunes.
 ///
@@ -422,8 +401,6 @@ pub fn ransac_rigid_naive<R: Rng + ?Sized>(
 pub fn ransac_rigid<R: Rng + ?Sized>(
     src: &[Vec2],
     dst: &[Vec2],
-    quality: Option<&[f64]>,
-    hint: Option<&Iso2>,
     floor: usize,
     config: &RansacConfig,
     rng: &mut R,
@@ -435,13 +412,6 @@ pub fn ransac_rigid<R: Rng + ?Sized>(
     if n < 2 {
         return Err(RansacError::TooFewCorrespondences { got: n });
     }
-    let thresh_sq = config.inlier_threshold * config.inlier_threshold;
-    let winning_hint = hint.and_then(|h| {
-        let inliers: Vec<usize> =
-            (0..n).filter(|&k| (h.apply(src[k]) - dst[k]).norm_sq() <= thresh_sq).collect();
-        let exits = inliers.len() as f64 >= config.early_exit_fraction * n as f64;
-        (exits && inliers.len() >= config.min_inliers.max(2)).then_some(inliers)
-    });
     if floor > 0 {
         let bound = match edge_reach(src, dst, config.inlier_threshold) {
             Some(reach) => match degree_bound(src, dst, reach) {
@@ -451,21 +421,12 @@ pub fn ransac_rigid<R: Rng + ?Sized>(
             None => n,
         };
         if bound < floor {
-            if winning_hint.is_none() {
-                skip_samples(n, config.max_iterations, rng);
-            }
+            skip_samples(n, config.max_iterations, rng);
             return Err(RansacError::Pruned { bound, floor });
         }
     }
-    if let Some(inliers) = winning_hint {
-        return refit_and_expand(src, dst, inliers, 0, config, thresh_sq);
-    }
-    scan(src, dst, quality, config, rng)
+    scan(src, dst, config, rng)
 }
-
-/// How many of the best-quality distinct samples are fully pre-scored to
-/// seed the bail bound before the scan starts (the PROSAC-style layer).
-const PREVIEW_SAMPLES: usize = 16;
 
 /// The sampling scan of [`ransac_rigid`] on validated input (`n ≥ 2`
 /// correspondences of equal length): the naive scan's draws, winner and
@@ -473,7 +434,6 @@ const PREVIEW_SAMPLES: usize = 16;
 fn scan<R: Rng + ?Sized>(
     src: &[Vec2],
     dst: &[Vec2],
-    quality: Option<&[f64]>,
     config: &RansacConfig,
     rng: &mut R,
 ) -> Result<RansacResult, RansacError> {
@@ -497,23 +457,6 @@ fn scan<R: Rng + ?Sized>(
         fit_rigid_2pt(src[i], src[j], dst[i], dst[j]).ok()
     };
 
-    // The naive scan exits once `count as f64 >= early_exit_fraction * n`.
-    // `exit_cap` is the largest count that can NOT trigger that exit: every
-    // bail bound is clamped to it, otherwise a bailed hypothesis could have
-    // been the naive loop's exit trigger and the iteration count (and
-    // winner) would diverge.
-    let exit_f = config.early_exit_fraction * n as f64;
-    let exits = |count: usize| count as f64 >= exit_f;
-    let exit_cap: usize = if !exit_f.is_finite() || exit_f > n as f64 {
-        usize::MAX
-    } else {
-        let mut t = if exit_f <= 0.0 { 0 } else { exit_f.ceil() as usize };
-        if (t as f64) < exit_f {
-            t += 1;
-        }
-        t.saturating_sub(1)
-    };
-
     // Duplicate-sample table: (i, j) and (j, i) produce bit-identical
     // models (two-term IEEE sums commute), so a repeated unordered pair
     // reuses its first occurrence's resolution instead of rescoring. With
@@ -532,69 +475,15 @@ fn scan<R: Rng + ?Sized>(
         }
     }
 
-    // PROSAC-style preview: fully score the distinct samples whose two
-    // correspondences have the smallest summed quality (matcher distance).
-    // Their exact counts are cached for the scan AND feed a suffix-max
-    // table: while a previewed count `G` still lies ahead of the scan
-    // cursor, any hypothesis that cannot reach `G` can be bailed (clamped
-    // to `exit_cap`), because the eventual winner is guaranteed to reach at
-    // least `G` — the strict `- 1` keeps first-achiever tie-breaking
-    // intact.
-    let mut pre: Vec<Option<u32>> = vec![None; n_samples];
-    let mut preview_idx: Vec<u32> = Vec::new();
-    let mut preview_suffix: Vec<u32> = Vec::new();
-    if let Some(q) = quality.filter(|q| q.len() == n) {
-        let mut order: Vec<u32> =
-            (0..n_samples as u32).filter(|&k| dup_of[k as usize] == u32::MAX).collect();
-        let take = PREVIEW_SAMPLES.min(order.len());
-        if take > 0 {
-            let qsum = |k: u32| {
-                let (i, j) = samples[k as usize];
-                q[i] + q[j]
-            };
-            order.select_nth_unstable_by(take - 1, |&a, &b| {
-                qsum(a).total_cmp(&qsum(b)).then(a.cmp(&b))
-            });
-            let mut chosen = order[..take].to_vec();
-            chosen.sort_unstable();
-            for &k in &chosen {
-                if let Some(model) = sample_model(samples[k as usize]) {
-                    let (sin, cos) = model.yaw().sin_cos();
-                    let t = model.translation();
-                    // Bound 0 cannot bail mid-scan; a `None` here means the
-                    // full count was exactly zero.
-                    let count =
-                        count_inliers_bailing(&sx, &sy, &dx, &dy, cos, sin, t.x, t.y, thresh_sq, 0)
-                            .unwrap_or(0);
-                    pre[k as usize] = Some(count as u32);
-                }
-            }
-            let entries: Vec<(u32, u32)> =
-                chosen.iter().filter_map(|&k| pre[k as usize].map(|c| (k, c))).collect();
-            preview_idx = entries.iter().map(|&(k, _)| k).collect();
-            preview_suffix = vec![0; entries.len()];
-            let mut run = 0u32;
-            for (slot, &(_, c)) in entries.iter().enumerate().rev() {
-                run = run.max(c);
-                preview_suffix[slot] = run;
-            }
-        }
-    }
-    // Largest safe bail contribution from preview counts strictly ahead of
-    // index `k`.
-    let suffix_bound = |k: usize| -> usize {
-        let pos = preview_idx.partition_point(|&p| (p as usize) <= k);
-        if pos >= preview_idx.len() {
-            return 0;
-        }
-        (preview_suffix[pos] as usize).saturating_sub(1).min(exit_cap)
-    };
-
     // The scan, in draw order with the naive loop's strict running best
-    // and early exit. resolved[k] is sample k's exact count, or `None` when
-    // it was degenerate or bailed (provably irrelevant to best/exit/winner)
-    // — what a later duplicate of it inherits, because the two-point fit is
-    // bit-commutative in its pair order.
+    // and early exit. A hypothesis is bailed once it provably cannot beat
+    // the running best: it is then neither a new best nor, since the naive
+    // loop tests its exit only on a new best, the exit trigger.
+    // resolved[k] is sample k's exact count, or `None` when it was
+    // degenerate or bailed — what a later duplicate of it inherits: the
+    // two-point fit is bit-commutative in its pair order, and the running
+    // best only grows, so the duplicate would bail too.
+    let exit_f = config.early_exit_fraction * n as f64;
     let mut resolved: Vec<Option<u32>> = vec![None; n_samples];
     let mut best_count = 0usize;
     let mut best_idx: Option<usize> = None;
@@ -604,14 +493,11 @@ fn scan<R: Rng + ?Sized>(
         let twin = dup_of[k];
         resolved[k] = if twin != u32::MAX {
             resolved[twin as usize]
-        } else if pre[k].is_some() {
-            pre[k]
         } else {
             sample_model(samples[k]).and_then(|model| {
-                let bound = best_count.max(suffix_bound(k));
                 let (sin, cos) = model.yaw().sin_cos();
                 let t = model.translation();
-                count_inliers_bailing(&sx, &sy, &dx, &dy, cos, sin, t.x, t.y, thresh_sq, bound)
+                count_inliers_bailing(&sx, &sy, &dx, &dy, cos, sin, t.x, t.y, thresh_sq, best_count)
                     .map(|count| count as u32)
             })
         };
@@ -619,7 +505,7 @@ fn scan<R: Rng + ?Sized>(
         if count > best_count {
             best_count = count;
             best_idx = Some(k);
-            if exits(count) {
+            if count as f64 >= exit_f {
                 break;
             }
         }
@@ -704,15 +590,9 @@ mod tests {
 
     /// Asserts the fast path and the naive reference agree exactly —
     /// including errors — for the given inputs and seed.
-    fn assert_fast_matches_naive(
-        src: &[Vec2],
-        dst: &[Vec2],
-        quality: Option<&[f64]>,
-        cfg: &RansacConfig,
-        seed: u64,
-    ) {
+    fn assert_fast_matches_naive(src: &[Vec2], dst: &[Vec2], cfg: &RansacConfig, seed: u64) {
         let naive = ransac_rigid_naive(src, dst, cfg, &mut StdRng::seed_from_u64(seed));
-        let fast = ransac_rigid(src, dst, quality, None, 0, cfg, &mut StdRng::seed_from_u64(seed));
+        let fast = ransac_rigid(src, dst, 0, cfg, &mut StdRng::seed_from_u64(seed));
         assert_eq!(naive, fast);
     }
 
@@ -720,8 +600,7 @@ mod tests {
     fn recovers_exact_transform_without_outliers() {
         let (src, dst) = clean_pairs(25);
         let mut rng = StdRng::seed_from_u64(1);
-        let r =
-            ransac_rigid(&src, &dst, None, None, 0, &RansacConfig::default(), &mut rng).unwrap();
+        let r = ransac_rigid(&src, &dst, 0, &RansacConfig::default(), &mut rng).unwrap();
         assert!(r.transform.approx_eq(&truth(), 1e-9, 1e-9));
         assert_eq!(r.num_inliers, 25);
     }
@@ -732,12 +611,11 @@ mod tests {
         for k in 0..12 {
             dst[3 * k] = Vec2::new(900.0 + k as f64 * 11.0, -700.0);
         }
-        let qual: Vec<f64> = (0..40).map(|i| (i % 7) as f64).collect();
         let cfg = RansacConfig::default();
         for seed in [0u64, 7, 91] {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let a = ransac_rigid(&src, &dst, Some(&qual), None, 0, &cfg, &mut rng_a);
+            let a = ransac_rigid(&src, &dst, 0, &cfg, &mut rng_a);
             let b = ransac_rigid_naive(&src, &dst, &cfg, &mut rng_b);
             assert_eq!(a, b);
             assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
@@ -745,72 +623,15 @@ mod tests {
     }
 
     #[test]
-    fn losing_hint_falls_back_bit_identically() {
-        let (src, mut dst) = clean_pairs(40);
-        for k in 0..12 {
-            dst[3 * k] = Vec2::new(900.0 + k as f64 * 11.0, -700.0);
-        }
-        // A hint nowhere near the data: zero inliers, must be discarded.
-        let bad = Iso2::new(2.0, Vec2::new(400.0, 400.0));
-        let cfg = RansacConfig::default();
-        for seed in [1u64, 42] {
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let a = ransac_rigid(&src, &dst, None, Some(&bad), 0, &cfg, &mut rng_a);
-            let b = ransac_rigid_naive(&src, &dst, &cfg, &mut rng_b);
-            assert_eq!(a, b);
-            assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
-        }
-    }
-
-    #[test]
-    fn winning_hint_skips_sampling_and_consumes_no_rng() {
-        let (src, dst) = clean_pairs(30);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut untouched = rng.clone();
-        let r =
-            ransac_rigid(&src, &dst, None, Some(&truth()), 0, &RansacConfig::default(), &mut rng)
-                .unwrap();
-        assert_eq!(r.iterations, 0, "a winning hint reports zero sampling iterations");
-        assert_eq!(r.num_inliers, 30);
-        assert!(r.transform.approx_eq(&truth(), 1e-9, 1e-9));
-        // The caller's RNG stream was never touched.
-        assert_eq!(
-            rng.random_range(0..u32::MAX),
-            untouched.random_range(0..u32::MAX),
-            "winning hint must not consume the RNG"
-        );
-    }
-
-    #[test]
-    fn hint_that_misses_the_exit_bar_is_discarded() {
-        // The hint covers 20/40 points exactly, but early_exit_fraction
-        // demands 70%: the serial scan would not have stopped on it, so the
-        // fallback must run (and, with half the data clean, still win).
-        let (src, mut dst) = clean_pairs(40);
-        for k in 0..20 {
-            dst[2 * k] = Vec2::new(1000.0 + k as f64 * 17.0, -500.0 - k as f64 * 3.0);
-        }
-        let cfg = RansacConfig::default();
-        assert!(cfg.early_exit_fraction > 0.5);
-        let mut rng_a = StdRng::seed_from_u64(9);
-        let mut rng_b = StdRng::seed_from_u64(9);
-        let a = ransac_rigid(&src, &dst, None, Some(&truth()), 0, &cfg, &mut rng_a);
-        let b = ransac_rigid_naive(&src, &dst, &cfg, &mut rng_b);
-        assert_eq!(a, b);
-        assert_eq!(rng_a.random_range(0..u32::MAX), rng_b.random_range(0..u32::MAX));
-    }
-
-    #[test]
-    fn hinted_validation_errors_precede_hint_use() {
+    fn validation_errors_precede_pruning() {
         let mut rng = StdRng::seed_from_u64(0);
+        let untouched = rng.clone();
         let cfg = RansacConfig::default();
-        let e =
-            ransac_rigid(&[Vec2::ZERO], &[], None, Some(&truth()), 1, &cfg, &mut rng).unwrap_err();
+        let e = ransac_rigid(&[Vec2::ZERO], &[], usize::MAX, &cfg, &mut rng).unwrap_err();
         assert_eq!(e, RansacError::LengthMismatch { src: 1, dst: 0 });
-        let e = ransac_rigid(&[Vec2::ZERO], &[Vec2::ZERO], None, Some(&truth()), 1, &cfg, &mut rng)
-            .unwrap_err();
+        let e = ransac_rigid(&[Vec2::ZERO], &[Vec2::ZERO], usize::MAX, &cfg, &mut rng).unwrap_err();
         assert_eq!(e, RansacError::TooFewCorrespondences { got: 1 });
+        assert_eq!(rng, untouched, "a rejected input draws nothing");
     }
 
     #[test]
@@ -820,8 +641,7 @@ mod tests {
             dst[2 * k] = Vec2::new(1000.0 + k as f64 * 17.0, -500.0 - k as f64 * 3.0);
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let r =
-            ransac_rigid(&src, &dst, None, None, 0, &RansacConfig::default(), &mut rng).unwrap();
+        let r = ransac_rigid(&src, &dst, 0, &RansacConfig::default(), &mut rng).unwrap();
         assert!(r.transform.approx_eq(&truth(), 1e-6, 1e-6));
         assert_eq!(r.num_inliers, 20);
         // Inlier list contains exactly the odd indices.
@@ -841,7 +661,7 @@ mod tests {
             .collect();
         let cfg = RansacConfig { inlier_threshold: 1.0, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(3);
-        let r = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut rng).unwrap();
+        let r = ransac_rigid(&src, &dst, 0, &cfg, &mut rng).unwrap();
         let (dt, dr) = r.transform.error_to(&truth());
         assert!(dt < 0.2, "translation error {dt}");
         assert!(dr < 0.02, "rotation error {dr}");
@@ -850,24 +670,16 @@ mod tests {
     #[test]
     fn too_few_points_error() {
         let mut rng = StdRng::seed_from_u64(0);
-        let e = ransac_rigid(
-            &[Vec2::ZERO],
-            &[Vec2::ZERO],
-            None,
-            None,
-            0,
-            &RansacConfig::default(),
-            &mut rng,
-        )
-        .unwrap_err();
+        let e = ransac_rigid(&[Vec2::ZERO], &[Vec2::ZERO], 0, &RansacConfig::default(), &mut rng)
+            .unwrap_err();
         assert_eq!(e, RansacError::TooFewCorrespondences { got: 1 });
     }
 
     #[test]
     fn length_mismatch_error() {
         let mut rng = StdRng::seed_from_u64(0);
-        let e = ransac_rigid(&[Vec2::ZERO], &[], None, None, 0, &RansacConfig::default(), &mut rng)
-            .unwrap_err();
+        let e =
+            ransac_rigid(&[Vec2::ZERO], &[], 0, &RansacConfig::default(), &mut rng).unwrap_err();
         assert_eq!(e, RansacError::LengthMismatch { src: 1, dst: 0 });
     }
 
@@ -879,7 +691,7 @@ mod tests {
             (0..30).map(|i| Vec2::new((i * i * 7) as f64 % 97.0, -(i as f64) * 5.3)).collect();
         let cfg = RansacConfig { inlier_threshold: 0.05, min_inliers: 10, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(4);
-        match ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut rng) {
+        match ransac_rigid(&src, &dst, 0, &cfg, &mut rng) {
             Err(RansacError::NoConsensus { best, required }) => {
                 assert!(best < required);
             }
@@ -893,7 +705,7 @@ mod tests {
         let cfg =
             RansacConfig { max_iterations: 1000, early_exit_fraction: 0.5, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(5);
-        let r = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut rng).unwrap();
+        let r = ransac_rigid(&src, &dst, 0, &cfg, &mut rng).unwrap();
         assert!(r.iterations < 1000, "clean data should exit early, took {}", r.iterations);
     }
 
@@ -915,7 +727,7 @@ mod tests {
         // (NoConsensus), duplicates-heavy tiny input.
         let (src, dst) = clean_pairs(50);
         for seed in 0..20 {
-            assert_fast_matches_naive(&src, &dst, None, &RansacConfig::default(), seed);
+            assert_fast_matches_naive(&src, &dst, &RansacConfig::default(), seed);
         }
 
         let (src, mut dst) = clean_pairs(40);
@@ -924,7 +736,7 @@ mod tests {
         }
         let cfg = RansacConfig { max_iterations: 700, ..Default::default() };
         for seed in 0..20 {
-            assert_fast_matches_naive(&src, &dst, None, &cfg, seed);
+            assert_fast_matches_naive(&src, &dst, &cfg, seed);
         }
 
         let noise_src: Vec<Vec2> =
@@ -933,27 +745,7 @@ mod tests {
             (0..30).map(|i| Vec2::new((i * i * 7) as f64 % 97.0, -(i as f64) * 5.3)).collect();
         let cfg = RansacConfig { inlier_threshold: 0.05, min_inliers: 10, ..Default::default() };
         for seed in 0..20 {
-            assert_fast_matches_naive(&noise_src, &noise_dst, None, &cfg, seed);
-        }
-    }
-
-    #[test]
-    fn fast_matches_naive_with_quality_schedule() {
-        let (src, mut dst) = clean_pairs(40);
-        for k in 0..13 {
-            dst[3 * k] = Vec2::new(-800.0 + k as f64 * 11.0, 900.0 + k as f64 * 5.0);
-        }
-        // Quality that actually ranks inliers first, plus adversarial
-        // (inverted and constant) schedules: none may change the result.
-        let good: Vec<f64> = (0..40).map(|i| if i % 3 == 0 { 9.0 } else { 0.1 }).collect();
-        let inverted: Vec<f64> = good.iter().map(|q| -q).collect();
-        let constant = vec![1.0; 40];
-        let wrong_len = vec![1.0; 7];
-        let cfg = RansacConfig { max_iterations: 500, ..Default::default() };
-        for seed in 0..12 {
-            for q in [&good, &inverted, &constant, &wrong_len] {
-                assert_fast_matches_naive(&src, &dst, Some(q), &cfg, seed);
-            }
+            assert_fast_matches_naive(&noise_src, &noise_dst, &cfg, seed);
         }
     }
 
@@ -968,10 +760,9 @@ mod tests {
         let cfg =
             RansacConfig { max_iterations: 300, early_exit_fraction: 2.0, ..Default::default() };
         for seed in 0..12 {
-            assert_fast_matches_naive(&src, &dst, None, &cfg, seed);
+            assert_fast_matches_naive(&src, &dst, &cfg, seed);
         }
-        let r =
-            ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(3)).unwrap();
+        let r = ransac_rigid(&src, &dst, 0, &cfg, &mut StdRng::seed_from_u64(3)).unwrap();
         assert_eq!(r.iterations, 300);
     }
 
@@ -984,19 +775,18 @@ mod tests {
         dst.extend([Vec2::new(6.0, 1.0), Vec2::new(1.0, 6.0), Vec2::new(-3.0, 3.0)]);
         let cfg = RansacConfig { min_inliers: 2, ..Default::default() };
         for seed in 0..20 {
-            assert_fast_matches_naive(&src, &dst, None, &cfg, seed);
+            assert_fast_matches_naive(&src, &dst, &cfg, seed);
         }
     }
 
     #[test]
-    fn fast_matches_naive_with_quality_on_a_large_outlier_mix() {
+    fn fast_matches_naive_on_a_large_outlier_mix() {
         let (src, mut dst) = clean_pairs(60);
         for k in 0..25 {
             dst[2 * k] = Vec2::new(300.0 + k as f64 * 7.0, -200.0 + k as f64 * 13.0);
         }
-        let quality: Vec<f64> = (0..60).map(|i| ((i * 37) % 61) as f64).collect();
         let cfg = RansacConfig { max_iterations: 600, ..Default::default() };
-        assert_fast_matches_naive(&src, &dst, Some(&quality), &cfg, 11);
+        assert_fast_matches_naive(&src, &dst, &cfg, 11);
     }
 
     #[test]
@@ -1013,7 +803,7 @@ mod tests {
         let dst = vec![Vec2::new(40.0, 7.0); 9];
         assert_eq!(consensus_bound(&src, &dst, 2.0), 9);
         let cfg = RansacConfig { min_inliers: 2, ..Default::default() };
-        let r = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(1));
+        let r = ransac_rigid(&src, &dst, 0, &cfg, &mut StdRng::seed_from_u64(1));
         assert_eq!(r, Err(RansacError::NoConsensus { best: 0, required: 2 }));
     }
 
@@ -1063,86 +853,35 @@ mod tests {
         assert_eq!(consensus_bound(&with_nan, &dst, 1.0), 2);
     }
 
-    /// Asserts that a pruned call (`floor = usize::MAX`) leaves the RNG
-    /// where the full call leaves it and reports a bound at least the full
-    /// call's inlier count, on 40 correspondences of which the first
-    /// `outliers` multiples of 3 are gross outliers. Returns the full
-    /// call's results.
-    fn assert_pruned_call_replays_rng(
-        hint: Option<&Iso2>,
-        qual: Option<&[f64]>,
-        outliers: usize,
-    ) -> Vec<Result<RansacResult, RansacError>> {
+    #[test]
+    fn pruned_call_without_hint_consumes_the_rng_like_the_scan() {
+        // A pruned call (`floor = usize::MAX`) leaves the RNG where the
+        // full call leaves it and reports a bound at least the full call's
+        // inlier count, on 40 correspondences of which 12 are gross
+        // outliers.
         let (src, mut dst) = clean_pairs(40);
-        for k in 0..outliers {
+        for k in 0..12 {
             dst[3 * k] = Vec2::new(900.0 + k as f64 * 11.0, -700.0);
         }
         let cfg = RansacConfig::default();
-        let mut results = Vec::new();
         for seed in [0u64, 7, 91] {
             let mut rng_full = StdRng::seed_from_u64(seed);
             let mut rng_pruned = StdRng::seed_from_u64(seed);
-            let full = ransac_rigid(&src, &dst, qual, hint, 0, &cfg, &mut rng_full);
-            let pruned = ransac_rigid(&src, &dst, qual, hint, usize::MAX, &cfg, &mut rng_pruned);
+            let full = ransac_rigid(&src, &dst, 0, &cfg, &mut rng_full).unwrap();
+            let pruned = ransac_rigid(&src, &dst, usize::MAX, &cfg, &mut rng_pruned);
             let Err(RansacError::Pruned { bound, floor }) = pruned else {
                 panic!("expected a pruned call, got {pruned:?}");
             };
             assert_eq!(floor, usize::MAX);
-            assert!(bound >= full.as_ref().map_or(0, |r| r.num_inliers));
+            assert!(full.iterations > 0);
+            assert!(bound >= full.num_inliers);
             assert_eq!(rng_full, rng_pruned, "seed {seed}");
             assert_eq!(
                 rng_full.random_range(0..u32::MAX),
                 rng_pruned.random_range(0..u32::MAX),
                 "seed {seed}"
             );
-            results.push(full);
         }
-        results
-    }
-
-    #[test]
-    fn pruned_call_without_hint_consumes_the_rng_like_the_scan() {
-        let qual: Vec<f64> = (0..40).map(|i| (i % 7) as f64).collect();
-        for full in assert_pruned_call_replays_rng(None, Some(&qual), 12)
-            .into_iter()
-            .chain(assert_pruned_call_replays_rng(None, None, 12))
-        {
-            assert!(full.unwrap().iterations > 0);
-        }
-    }
-
-    #[test]
-    fn pruned_call_with_losing_hint_consumes_the_rng_like_the_scan() {
-        // 28 of 40 correspondences fit the truth, short of the 0.8 exit
-        // bar: the hint loses and the full call draws its samples.
-        for full in assert_pruned_call_replays_rng(Some(&truth()), None, 12) {
-            assert!(full.unwrap().iterations > 0);
-        }
-        let far = Iso2::new(2.0, Vec2::new(400.0, 400.0));
-        assert_pruned_call_replays_rng(Some(&far), None, 12);
-    }
-
-    #[test]
-    fn pruned_call_with_winning_hint_consumes_no_rng() {
-        // 34 of 40 correspondences fit the truth, clearing the 0.8 exit
-        // bar: the full call returns the hint's refit without drawing.
-        for full in assert_pruned_call_replays_rng(Some(&truth()), None, 6) {
-            assert_eq!(full.unwrap().iterations, 0);
-        }
-        let (src, dst) = clean_pairs(40);
-        let mut rng = StdRng::seed_from_u64(3);
-        let untouched = rng.clone();
-        let e = ransac_rigid(
-            &src,
-            &dst,
-            None,
-            Some(&truth()),
-            usize::MAX,
-            &RansacConfig::default(),
-            &mut rng,
-        );
-        assert!(matches!(e, Err(RansacError::Pruned { bound: 40, .. })), "{e:?}");
-        assert_eq!(rng, untouched);
     }
 
     #[test]
@@ -1153,9 +892,8 @@ mod tests {
         }
         let cfg = RansacConfig::default();
         let bound = consensus_bound(&src, &dst, cfg.inlier_threshold);
-        let full = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut StdRng::seed_from_u64(4));
-        let at_bound =
-            ransac_rigid(&src, &dst, None, None, bound, &cfg, &mut StdRng::seed_from_u64(4));
+        let full = ransac_rigid(&src, &dst, 0, &cfg, &mut StdRng::seed_from_u64(4));
+        let at_bound = ransac_rigid(&src, &dst, bound, &cfg, &mut StdRng::seed_from_u64(4));
         assert_eq!(full, at_bound);
         assert_eq!(full.unwrap().num_inliers, 28);
     }
@@ -1219,7 +957,7 @@ mod tests {
         assert!((consensus_bound(&src, &dst, 1.0)..20).contains(&certified), "{certified}");
         let cfg = RansacConfig { inlier_threshold: 1.0, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(8);
-        let e = ransac_rigid(&src, &dst, None, None, 20, &cfg, &mut rng);
+        let e = ransac_rigid(&src, &dst, 20, &cfg, &mut rng);
         assert_eq!(e, Err(RansacError::Pruned { bound: certified, floor: 20 }));
     }
 
@@ -1254,16 +992,15 @@ mod tests {
             let cfg = RansacConfig { max_iterations: 150, inlier_threshold: threshold, ..Default::default() };
             let mut rng_full = StdRng::seed_from_u64(seed);
             let mut rng_floor = StdRng::seed_from_u64(seed);
-            let full = ransac_rigid(&src, &dst, None, None, 0, &cfg, &mut rng_full);
-            let floored = ransac_rigid(&src, &dst, None, None, floor, &cfg, &mut rng_floor);
+            let full = ransac_rigid(&src, &dst, 0, &cfg, &mut rng_full);
+            let floored = ransac_rigid(&src, &dst, floor, &cfg, &mut rng_floor);
             proptest::prop_assert_eq!(full, floored);
             proptest::prop_assert_eq!(rng_full, rng_floor);
         }
 
         /// The consensus bound is at least the inlier count of every
-        /// result `ransac_rigid` returns — with no hint, the true
-        /// transform or a random one as hint — over mixes of exact
-        /// inliers, inliers displaced by exactly the threshold along an
+        /// result `ransac_rigid` returns and of the true transform's own
+        /// inlier set, over mixes of exact inliers, inliers displaced by exactly the threshold along an
         /// axis (pairs of them sit at the `2·threshold` edge of the
         /// compatibility test), inliers displaced inside the threshold,
         /// gross outliers and exact duplicates.
@@ -1276,19 +1013,12 @@ mod tests {
                 proptest::strategy::Just(0.5),
                 0.1..3.0f64,
             ],
-            hint_mode in 0u8..3,
-            random_hint in (-3.2..3.2f64, -80.0..80.0f64, -80.0..80.0f64),
             min_inliers in 2usize..8,
             early_exit_fraction in 0.3..1.0f64,
             seed in proptest::any::<u64>(),
         ) {
             let truth = Iso2::new(truth.0, Vec2::new(truth.1, truth.2));
             let (src, dst) = mixed_correspondences(&pts, &truth, threshold);
-            let hint = match hint_mode {
-                0 => None,
-                1 => Some(truth),
-                _ => Some(Iso2::new(random_hint.0, Vec2::new(random_hint.1, random_hint.2))),
-            };
             let cfg = RansacConfig {
                 max_iterations: 150,
                 inlier_threshold: threshold,
@@ -1298,7 +1028,7 @@ mod tests {
             let bound = consensus_bound(&src, &dst, threshold);
             proptest::prop_assert!(bound <= src.len());
             let mut rng = StdRng::seed_from_u64(seed);
-            if let Ok(r) = ransac_rigid(&src, &dst, None, hint.as_ref(), 0, &cfg, &mut rng) {
+            if let Ok(r) = ransac_rigid(&src, &dst, 0, &cfg, &mut rng) {
                 proptest::prop_assert!(
                     r.num_inliers <= bound,
                     "{} inliers above the bound {}", r.num_inliers, bound

@@ -13,7 +13,7 @@ use bba_geometry::{Iso2, Vec2};
 use bba_signal::{Grid, MaxIndexMap};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::f64::consts::TAU;
 
 /// A set of the L2-normalised `vecs`, row `i` at keypoint `(i, i)`.
@@ -91,7 +91,7 @@ proptest! {
             .collect();
         let cfg = RansacConfig { inlier_threshold: 0.5, min_inliers: 8, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(seed);
-        let r = ransac_rigid(&pts, &dst, None, None, 0, &cfg, &mut rng).unwrap();
+        let r = ransac_rigid(&pts, &dst, 0, &cfg, &mut rng).unwrap();
         prop_assert!(r.transform.approx_eq(&t, 1e-5, 1e-5), "got {} want {}", r.transform, t);
         prop_assert_eq!(r.num_inliers, inlier_pts.len());
     }
@@ -215,9 +215,7 @@ proptest! {
     /// The layered RANSAC fast path returns the exact `Result` of the naive
     /// reference scan — same pose bits, inlier set, iteration count and
     /// error variant — for random correspondence sets (outliers, exact
-    /// duplicates, tiny inputs), random configurations, any quality
-    /// schedule (absent, random, or wrong-length) and with or without a
-    /// hint that explains no correspondence (so it never wins).
+    /// duplicates, tiny inputs) and random configurations.
     #[test]
     fn ransac_fast_path_equals_naive_bit_for_bit(
         pts in prop::collection::vec((-60.0..60.0f64, -60.0..60.0f64, 0..5u8), 0..40),
@@ -229,9 +227,6 @@ proptest! {
         min_inliers in 2usize..10,
         early_exit_fraction in prop_oneof![0.3..1.0f64, Just(2.0)],
         seed in any::<u64>(),
-        qmode in 0u8..3,
-        qseed in any::<u64>(),
-        far_hint in any::<bool>(),
     ) {
         let truth = Iso2::new(angle, Vec2::new(tx, ty));
         let mut src: Vec<Vec2> = Vec::new();
@@ -255,30 +250,10 @@ proptest! {
                 }
             }
         }
-        let n = src.len();
         let cfg = RansacConfig { max_iterations, inlier_threshold, min_inliers, early_exit_fraction };
-        let quality: Option<Vec<f64>> = match qmode {
-            0 => None,
-            m => {
-                let mut qrng = StdRng::seed_from_u64(qseed);
-                // Wrong-length schedules must be ignored, not crash.
-                let len = if m == 1 { n } else { n + 1 };
-                Some((0..len).map(|_| qrng.random_range(0.0..10.0)).collect())
-            }
-        };
-        let far = Iso2::new(angle, Vec2::new(tx + 1e4, ty - 1e4));
-        let hint = far_hint.then_some(&far);
         let naive = ransac_rigid_naive(&src, &dst, &cfg, &mut StdRng::seed_from_u64(seed));
-        let fast = ransac_rigid(
-            &src,
-            &dst,
-            quality.as_deref(),
-            hint,
-            0,
-            &cfg,
-            &mut StdRng::seed_from_u64(seed),
-        );
-        prop_assert_eq!(&naive, &fast, "diverged (qmode {}, hint {})", qmode, far_hint);
+        let fast = ransac_rigid(&src, &dst, 0, &cfg, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(&naive, &fast);
     }
 
     /// The blocked dot-product kernel returns exactly the match set of the

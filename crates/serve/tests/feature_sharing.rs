@@ -6,7 +6,7 @@
 //! distribution, the same at any thread budget. Every run also keeps the
 //! service's conservation law and, with warm start, the warm-start ledger:
 //! each processed frame counts exactly one `warmstart.hit` or
-//! `warmstart.miss`.
+//! `warmstart.miss`, and each miss exactly one `warmstart.miss.<cause>`.
 
 use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, RecoverError, Recovery, RecoveryRequest};
 use bba_dataset::{AgentFrame, FleetDataset, FleetDatasetConfig, FleetFrame};
@@ -33,6 +33,10 @@ const PER_RECOVERY: [&str; 10] = [
     "warmstart.inliers_bv",
     "warmstart.alignment",
 ];
+
+/// Every `warmstart.miss.<cause>` the engine counts.
+const MISS_CAUSES: [&str; 7] =
+    ["no_prediction", "geometry", "no_stage2", "occupancy", "boxes", "refine", "sharpness"];
 
 /// 128² rasters at 1.6 m/px with a reduced descriptor patch: recovers
 /// platoon pairs reliably at a fraction of the production cost.
@@ -78,7 +82,8 @@ struct Served {
 /// tick. With `share`, each vehicle rasterises once per tick and that one
 /// `Arc` frame goes to all of its peers' sessions; without, every
 /// submission rasterises its own ego and other frame. Asserts the
-/// conservation law and, with `warm_start`, the warm-start ledger.
+/// conservation law and, with `warm_start`, the warm-start ledger and its
+/// miss causes.
 fn serve(ticks: &[FleetFrame], threads: usize, warm_start: bool, share: bool) -> Served {
     let recorder = Recorder::enabled();
     let engine = Arc::new(BbAlign::new(engine_config()).with_recorder(recorder.clone()));
@@ -114,6 +119,18 @@ fn serve(ticks: &[FleetFrame], threads: usize, warm_start: bool, share: bool) ->
         let (hits, misses) = (count("warmstart.hit"), count("warmstart.miss"));
         let processed = count("serve.processed");
         assert_eq!(hits + misses, processed, "warm-start ledger: {hits} hits + {misses} misses");
+        let causes: Vec<(&str, u64)> = metrics
+            .counters
+            .iter()
+            .filter_map(|(name, n)| Some((name.strip_prefix("warmstart.miss.")?, *n)))
+            .collect();
+        let sum = |keep: fn(&str) -> bool| -> u64 {
+            causes.iter().filter(|(cause, _)| keep(cause)).map(|&(_, n)| n).sum()
+        };
+        assert!(causes.iter().all(|(cause, _)| MISS_CAUSES.contains(cause)), "{causes:?}");
+        assert_eq!(sum(|_| true), misses, "miss causes {causes:?}");
+        let fallbacks = count("warmstart.fallback");
+        assert_eq!(sum(|c| c != "no_prediction"), fallbacks, "miss causes {causes:?}");
     }
     let computed = metrics.counter("features.computed").unwrap_or(0);
     Served { outcomes: recovered, frames, computed, metrics }

@@ -1,7 +1,7 @@
 //! Bit-identity suite: a whole recovery is identical at every `bba-par`
 //! thread budget (see DESIGN.md, "Parallel execution model"), and the MIM
-//! workspace and quality-guided RANSAC fast paths match their references
-//! exactly — not within a tolerance.
+//! workspace and RANSAC fast paths match their references exactly — not
+//! within a tolerance.
 
 use bb_align::{BbAlign, BbAlignConfig};
 use bba_dataset::{Dataset, DatasetConfig};
@@ -51,12 +51,12 @@ proptest! {
         }
     }
 
-    /// The quality-guided fast path under its production config: a mostly-clean
+    /// The RANSAC fast path under its production config: a mostly-clean
     /// correspondence set makes the 70% early exit fire within the first
     /// few hypotheses, so the scan breaks mid-stream — the exit index,
     /// winner and pose bits must match the naive scan.
     #[test]
-    fn guided_ransac_early_exit_bit_identical_to_naive_scan(
+    fn ransac_early_exit_bit_identical_to_naive_scan(
         pts in prop::collection::vec((-20.0..20.0f64, -20.0..20.0f64, 0..8u8), 12..48),
         angle in -3.0..3.0f64,
         tx in -10.0..10.0f64,
@@ -74,20 +74,9 @@ proptest! {
                 if flag == 0 { p + Vec2::new(100.0 + x, -80.0 + y) } else { p }
             })
             .collect();
-        // The matcher-style quality channel: outliers rank last.
-        let quality: Vec<f64> =
-            pts.iter().map(|&(_, _, flag)| if flag == 0 { 9.0 } else { 0.5 }).collect();
         let cfg = RansacConfig::default();
         let naive = ransac_rigid_naive(&src, &dst, &cfg, &mut StdRng::seed_from_u64(seed));
-        let fast = ransac_rigid(
-            &src,
-            &dst,
-            Some(&quality),
-            None,
-            0,
-            &cfg,
-            &mut StdRng::seed_from_u64(seed),
-        );
+        let fast = ransac_rigid(&src, &dst, 0, &cfg, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(&naive, &fast);
     }
 }

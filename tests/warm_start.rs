@@ -4,7 +4,8 @@
 //! predicts, a warm miss must fall back to a recovery bit-identical to
 //! the cold pipeline — same pose bits, same inlier sets, same RNG stream
 //! — at any `bba-par` thread width, and a stale prediction must never be
-//! returned as a verified recovery.
+//! returned as a verified recovery. A failed prediction is not read by
+//! the cold pipeline at all, so the fallback is `recover` itself.
 
 use bb_align::tracking::{MAX_PREDICTION_SIGMA, PROCESS_NOISE};
 use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, PoseTracker, RecoveryPath};
